@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands:
-  run       drive the threaded pipeline from a recorded log, MQTT on
+  run       paced replay of a recorded log, publishing when MQTT is set
   replay    deterministic offline replay (A/B clustering switch)
   record    copy a replayed stream into a new recording
   simulate  render a scenario to a log + ground-truth file
@@ -16,37 +16,33 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import recording, simulation
-from .config import ConfigError, load_config, paper_config_doc
-from .pipeline import JsonlSink, replay_through, run_threaded
+from .clustering import ClusterAlgorithm
+from .config import ConfigError, load_config, load_scenario, paper_config_doc
+from .pipeline import JsonlSink, replay_through
 from .recording import Recorder
 from .telemetry import MqttConfig, Publisher
 
 
 def _parse_mqtt_url(url: str) -> tuple[str, int]:
-    url = url.removeprefix("mqtt://")
-    host, _, port = url.partition(":")
-    return host, int(port) if port else 1883
+    host, _, port = url.removeprefix("mqtt://").partition(":")
+    port = port or "1883"
+    if not (host and port.isascii() and port.isdigit()
+            and 0 < int(port) < 65536):
+        raise ConfigError("mqtt url",
+                          f"expected mqtt://host[:port], got {url!r}")
+    return host, int(port)
 
 
 def _make_publisher(cfg, mqtt_url: str | None):
     url = mqtt_url or os.environ.get("RADARFUSE_MQTT_URL")
     if url:
         host, port = _parse_mqtt_url(url)
-        base = cfg.mqtt or MqttConfig()
-        mqtt_cfg = MqttConfig(host=host, port=port, client_id=base.client_id,
-                              topic_prefix=base.topic_prefix,
-                              qos_status=base.qos_status,
-                              qos_event=base.qos_event,
-                              retain_status=base.retain_status,
-                              publish_period=base.publish_period,
-                              queue_limit=base.queue_limit)
-    elif cfg.mqtt is not None:
-        mqtt_cfg = cfg.mqtt
-    else:
-        return None
-    return Publisher(cfg=mqtt_cfg)
+        return Publisher(cfg=replace(cfg.mqtt or MqttConfig(), host=host,
+                                     port=port))
+    return Publisher(cfg=cfg.mqtt) if cfg.mqtt is not None else None
 
 
 def _load_cfg(path: str):
@@ -58,48 +54,28 @@ def _load_cfg(path: str):
 def _apply_clustering(cfg, algorithm: str | None):
     if not algorithm:
         return cfg
-    from dataclasses import replace
-    from .clustering import ClusterAlgorithm
     return replace(cfg, clustering=replace(
         cfg.clustering, algorithm=ClusterAlgorithm(algorithm)))
 
 
-def _sinks(args):
-    status_log = getattr(args, "status_log", None)
-    sink = JsonlSink(status_log) if status_log else None
-    event_log = getattr(args, "event_log", None)
-    esink = JsonlSink(event_log) if event_log else None
-    return sink, esink
-
-
-def cmd_run(args) -> int:
-    cfg = _apply_clustering(_load_cfg(args.config), None)
-    publisher = _make_publisher(cfg, args.mqtt_url)
-    sink, esink = _sinks(args)
-    records = recording.replay(args.log, speed=args.speed)
-    run_threaded(cfg, records,
-                 status_sink=sink.status if sink else None,
-                 event_sink=esink.event if esink else None,
-                 publisher=publisher)
-    for s in (sink, esink):
-        if s:
-            s.close()
-    return 0
-
-
 def cmd_replay(args) -> int:
+    """Serves ``replay`` and ``run`` (paced, without --fast/--clustering)."""
     cfg = _apply_clustering(_load_cfg(args.config), args.clustering)
     publisher = _make_publisher(cfg, args.mqtt_url)
-    sink, esink = _sinks(args)
-    records = recording.replay(args.log, speed=args.speed,
-                               as_fast_as_possible=args.fast)
-    replay_through(cfg, records,
-                   status_sink=sink.status if sink else None,
-                   event_sink=esink.event if esink else None,
-                   publisher=publisher)
-    for s in (sink, esink):
-        if s:
-            s.close()
+    sink = esink = None
+    try:
+        sink = JsonlSink(args.status_log) if args.status_log else None
+        esink = JsonlSink(args.event_log) if args.event_log else None
+        records = recording.replay(args.log, speed=args.speed,
+                                   as_fast_as_possible=args.fast)
+        replay_through(cfg, records,
+                       status_sink=sink.status if sink else None,
+                       event_sink=esink.event if esink else None,
+                       publisher=publisher)
+    finally:
+        for s in (sink, esink, publisher):
+            if s is not None:
+                s.close()
     return 0
 
 
@@ -116,53 +92,9 @@ def cmd_simulate(args) -> int:
     if args.scenario == "paper":
         sc = simulation.paper_scenario(seed=args.seed)
     else:
-        sc = load_scenario_file(args.scenario)
+        sc = load_scenario(args.scenario)
     simulation.simulate(sc, args.out, truth_path=args.truth)
     return 0
-
-
-def load_scenario_file(path) -> simulation.Scenario:
-    import math
-    import yaml
-    from .geometry import Pose
-    with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh)
-    radars = []
-    for r in doc.get("radars", []):
-        p = r.get("pose", {})
-        radars.append(simulation.RadarSpec(
-            radar_id=r["radar_id"],
-            pose=Pose(x=p.get("x", 0.0), y=p.get("y", 0.0), z=p.get("z", 0.0),
-                      yaw=math.radians(p.get("yaw_deg", 0.0)),
-                      pitch=math.radians(p.get("pitch_deg", 0.0)),
-                      roll=math.radians(p.get("roll_deg", 0.0))),
-            azimuth_fov=math.radians(r.get("azimuth_fov_deg", 120.0)),
-            elevation_fov=math.radians(r.get("elevation_fov_deg", 30.0)),
-            max_range=r.get("max_range", 14.0),
-            frame_rate=r.get("frame_rate", 10.0),
-            phase=r.get("phase", 0.0)))
-    walkers = []
-    for w in doc.get("walkers", []):
-        walkers.append(simulation.WalkerSpec(
-            walker_id=w["walker_id"], entry_time=w.get("entry_time", 0.0),
-            waypoints=tuple(tuple(p) for p in w["waypoints"]),
-            speed=w.get("speed", 1.0),
-            dwells=tuple(tuple(d) for d in w.get("dwells", []))))
-    nd = doc.get("noise", {})
-    return simulation.Scenario(
-        room_x=tuple(doc.get("room_x", (0.0, 12.0))),
-        room_y=tuple(doc.get("room_y", (0.0, 6.0))),
-        room_height=doc.get("room_height", 2.35),
-        body_height=doc.get("body_height", 1.0),
-        radars=tuple(radars), walkers=tuple(walkers),
-        noise=simulation.NoiseSpec(
-            pos_sigma=nd.get("pos_sigma", 0.1),
-            points_per_target=nd.get("points_per_target", 6.0),
-            ghost_rate=nd.get("ghost_rate", 0.5),
-            dropout_prob=nd.get("dropout_prob", 0.02)),
-        doppler_zero_suppression=doc.get("doppler_zero_suppression", True),
-        duration=doc.get("duration", 60.0),
-        seed=doc.get("seed", 0))
 
 
 def read_count_series(path, zone_id=None):
@@ -210,14 +142,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="radarfuse")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run the threaded pipeline from a log")
+    run = sub.add_parser("run", help="paced replay of a log, MQTT on")
     run.add_argument("--config", required=True)
     run.add_argument("--log", required=True)
     run.add_argument("--speed", type=float, default=1.0)
     run.add_argument("--mqtt-url")
     run.add_argument("--status-log")
     run.add_argument("--event-log")
-    run.set_defaults(func=cmd_run)
+    run.set_defaults(func=cmd_replay, fast=False, clustering=None)
 
     rp = sub.add_parser("replay", help="deterministic offline replay")
     rp.add_argument("--config", required=True)

@@ -1,18 +1,20 @@
-"""Pipeline configuration loading with field-path error reporting.
+"""Pipeline and scenario YAML loading with field-path error reporting.
 
 One YAML file describes the whole deployment: radars (pose, decode
 units, per-radar filters), merge/clustering/tracker/grid parameters,
-zones and optional MQTT.  Angles in the file are degrees; they are
+zones and optional MQTT.  A second kind describes a simulated scenario
+for ``simulate``.  Angles in either file are degrees; they are
 converted to radians exactly once, here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import yaml
 
+from . import simulation
 from .clustering import ClusterAlgorithm, ClusterConfig
 from .filtering import BufferConfig, ThresholdConfig
 from .fusion import LatePolicy, MergeConfig
@@ -47,8 +49,6 @@ class PipelineConfig:
     grid: GridConfig
     zones: tuple[Zone, ...]
     mqtt: MqttConfig | None = None
-    status_log: str | None = None
-    event_log: str | None = None
 
 
 def _expect_map(doc, path) -> dict:
@@ -79,10 +79,34 @@ def _num(doc, key, path, default=...):
 
 
 def _build(cls, kwargs, path):
+    known = {f.name for f in fields(cls)}
+    for k in kwargs:
+        if k not in known:
+            raise ConfigError(f"{path}.{k}", "unknown field")
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as e:
         raise ConfigError(path, str(e)) from None
+
+
+def _pair(v, path, what="[lo, hi]") -> tuple[float, float]:
+    if (not isinstance(v, (list, tuple)) or len(v) != 2
+            or any(isinstance(x, bool) or not isinstance(x, (int, float))
+                   for x in v)):
+        raise ConfigError(path, f"expected {what}")
+    return float(v[0]), float(v[1])
+
+
+def _read_doc(path_or_doc) -> dict:
+    if isinstance(path_or_doc, dict):
+        doc = path_or_doc
+    else:
+        with open(path_or_doc, encoding="utf-8") as fh:
+            try:
+                doc = yaml.safe_load(fh)
+            except yaml.YAMLError as e:
+                raise ConfigError("<file>", f"invalid YAML: {e}") from None
+    return _expect_map(doc, "<root>")
 
 
 def _load_pose(doc, path) -> Pose:
@@ -118,26 +142,16 @@ def _load_radar(doc, path) -> RadarConfig:
 
 def _load_zone(doc, path) -> Zone:
     d = _expect_map(doc, path)
-    center = _get(d, "center", path, [0.0, 0.0], types=(list, tuple))
-    if len(center) != 2:
-        raise ConfigError(f"{path}.center", "expected [x, y]")
+    cx, cy = _pair(_get(d, "center", path, [0.0, 0.0]), f"{path}.center",
+                   "[x, y]")
     return _build(Zone, dict(
-        zone_id=_get(d, "zone_id", path, types=str),
-        center_x=float(center[0]), center_y=float(center[1]),
+        zone_id=_get(d, "zone_id", path, types=str), center_x=cx, center_y=cy,
         len_x=_num(d, "len_x", path), len_y=_num(d, "len_y", path),
     ), path)
 
 
 def load_config(path_or_doc) -> PipelineConfig:
-    if isinstance(path_or_doc, dict):
-        doc = path_or_doc
-    else:
-        with open(path_or_doc, encoding="utf-8") as fh:
-            try:
-                doc = yaml.safe_load(fh)
-            except yaml.YAMLError as e:
-                raise ConfigError("<file>", f"invalid YAML: {e}") from None
-    doc = _expect_map(doc, "<root>")
+    doc = _read_doc(path_or_doc)
 
     radars_doc = _get(doc, "radars", "<root>", types=list)
     if not radars_doc:
@@ -183,10 +197,7 @@ def load_config(path_or_doc) -> PipelineConfig:
     gkw = {}
     for k in gd:
         if k in ("bounds_x", "bounds_y"):
-            v = _get(gd, k, "grid", types=(list, tuple))
-            if len(v) != 2:
-                raise ConfigError(f"grid.{k}", "expected [lo, hi]")
-            gkw[k] = (float(v[0]), float(v[1]))
+            gkw[k] = _pair(gd[k], f"grid.{k}")
         else:
             v = _num(gd, k, "grid")
             gkw[k] = int(v) if k in ("on_threshold", "off_threshold") else v
@@ -208,17 +219,62 @@ def load_config(path_or_doc) -> PipelineConfig:
                       len_y=grid.bounds_y[1] - grid.bounds_y[0]),)
 
     mqtt = None
-    if "mqtt" in doc and doc["mqtt"] is not None:
-        mq = _expect_map(doc["mqtt"], "mqtt")
-        mkw = dict(mq)
-        mqtt = _build(MqttConfig, mkw, "mqtt")
+    if doc.get("mqtt") is not None:
+        mqtt = _build(MqttConfig, _expect_map(doc["mqtt"], "mqtt"), "mqtt")
 
     return PipelineConfig(
         radars=radars, merge=merge, clustering=clustering, tracker=tracker,
-        grid=grid, zones=zones, mqtt=mqtt,
-        status_log=_get(doc, "status_log", "<root>", None),
-        event_log=_get(doc, "event_log", "<root>", None),
-    )
+        grid=grid, zones=zones, mqtt=mqtt)
+
+
+def _load_sim_radar(doc, path) -> simulation.RadarSpec:
+    d = _expect_map(doc, path)
+    return simulation.RadarSpec(
+        radar_id=_get(d, "radar_id", path, types=str),
+        pose=_load_pose(_get(d, "pose", path, {}), f"{path}.pose"),
+        azimuth_fov=math.radians(_num(d, "azimuth_fov_deg", path, 120.0)),
+        elevation_fov=math.radians(_num(d, "elevation_fov_deg", path, 30.0)),
+        max_range=_num(d, "max_range", path, 14.0),
+        frame_rate=_num(d, "frame_rate", path, 10.0),
+        phase=_num(d, "phase", path, 0.0))
+
+
+def _load_walker(doc, path) -> simulation.WalkerSpec:
+    d = _expect_map(doc, path)
+    waypoints = _get(d, "waypoints", path, types=list)
+    dwells = _get(d, "dwells", path, [], types=list)
+    return simulation.WalkerSpec(
+        walker_id=_get(d, "walker_id", path, types=int),
+        entry_time=_num(d, "entry_time", path, 0.0),
+        waypoints=tuple(_pair(p, f"{path}.waypoints[{j}]", "[x, y]")
+                        for j, p in enumerate(waypoints)),
+        speed=_num(d, "speed", path, 1.0),
+        dwells=tuple(_pair(p, f"{path}.dwells[{j}]", "[start, end]")
+                     for j, p in enumerate(dwells)))
+
+
+def load_scenario(path_or_doc) -> simulation.Scenario:
+    """Scenario YAML for ``simulate``; mirrors :class:`simulation.Scenario`
+    (FoVs in degrees)."""
+    doc = _read_doc(path_or_doc)
+    radars = _get(doc, "radars", "<root>", [], types=list)
+    walkers = _get(doc, "walkers", "<root>", [], types=list)
+    nd = _expect_map(_get(doc, "noise", "<root>", {}), "noise")
+    return simulation.Scenario(
+        room_x=_pair(_get(doc, "room_x", "<root>", [0.0, 12.0]), "room_x"),
+        room_y=_pair(_get(doc, "room_y", "<root>", [0.0, 6.0]), "room_y"),
+        room_height=_num(doc, "room_height", "<root>", 2.35),
+        body_height=_num(doc, "body_height", "<root>", 1.0),
+        radars=tuple(_load_sim_radar(r, f"radars[{i}]")
+                     for i, r in enumerate(radars)),
+        walkers=tuple(_load_walker(w, f"walkers[{i}]")
+                      for i, w in enumerate(walkers)),
+        noise=_build(simulation.NoiseSpec,
+                     {k: _num(nd, k, "noise") for k in nd}, "noise"),
+        doppler_zero_suppression=_get(doc, "doppler_zero_suppression",
+                                      "<root>", True, types=bool),
+        duration=_num(doc, "duration", "<root>", 60.0),
+        seed=_get(doc, "seed", "<root>", 0, types=int))
 
 
 def paper_config_doc(algorithm: str = "dbscan") -> dict:

@@ -4,21 +4,17 @@ Stage order mirrors the node architecture: per-radar decode ->
 world-frame transform -> threshold filter -> buffer filter -> merge ->
 windowed clustering -> tracking -> occupancy -> telemetry/logs.
 
-Two drivers share the same stage objects:
-
-* :class:`Pipeline` is a synchronous push-based driver.  Replay through
-  it is fully deterministic (timestamps drive all logic), which is what
-  makes offline A/B comparisons and the regression tests meaningful.
-* :func:`run_threaded` runs source, processing and telemetry as
-  separate workers joined by bounded queues, giving live deployments
-  backpressure instead of unbounded buffering.
+:class:`Pipeline` is the one driver: synchronous and push-based.  The
+timestamps inside the data drive all logic, so a replay is fully
+deterministic at any pacing, MQTT output included; that is what makes
+offline A/B comparisons and the regression tests meaningful.  The
+publisher, when there is one, is pumped inline after each clustering
+window.
 """
 
 from __future__ import annotations
 
 import json
-import queue
-import threading
 from dataclasses import dataclass
 
 from . import tlv
@@ -166,85 +162,3 @@ def replay_through(cfg: PipelineConfig, records, status_sink=None,
     pipe.flush()
     return pipe
 
-
-_STOP = object()
-
-
-def run_threaded(cfg: PipelineConfig, records, status_sink=None,
-                 event_sink=None, publisher: Publisher | None = None,
-                 queue_size: int = 64, stop_event: threading.Event | None = None):
-    """Pipeline-parallel driver: bounded queues between source,
-    processing and telemetry workers; a full queue blocks the producer
-    (backpressure) instead of buffering without bound."""
-    in_q: queue.Queue = queue.Queue(maxsize=queue_size)
-    out_q: queue.Queue = queue.Queue(maxsize=queue_size)
-    stop = stop_event or threading.Event()
-    errors: list[BaseException] = []
-
-    pipe = Pipeline(cfg,
-                    status_sink=lambda s: out_q.put(("status", s)),
-                    event_sink=lambda e: out_q.put(("event", e)))
-
-    def source():
-        try:
-            for record in records:
-                if stop.is_set():
-                    break
-                in_q.put(record)
-        except BaseException as e:
-            errors.append(e)
-        finally:
-            in_q.put(_STOP)
-
-    def process():
-        try:
-            while True:
-                item = in_q.get()
-                if item is _STOP:
-                    break
-                pipe.feed_record(item)
-            pipe.flush()
-        except BaseException as e:
-            errors.append(e)
-        finally:
-            out_q.put(_STOP)
-
-    def telemetry():
-        try:
-            while True:
-                try:
-                    item = out_q.get(timeout=0.2)
-                except queue.Empty:
-                    if publisher is not None:
-                        publisher.pump()
-                    continue
-                if item is _STOP:
-                    break
-                kind, payload = item
-                if kind == "status":
-                    if status_sink:
-                        status_sink(payload)
-                    if publisher is not None:
-                        publisher.offer_status(payload)
-                else:
-                    if event_sink:
-                        event_sink(payload)
-                    if publisher is not None:
-                        publisher.offer_event(payload)
-                if publisher is not None:
-                    publisher.pump()
-        except BaseException as e:
-            errors.append(e)
-
-    threads = [threading.Thread(target=f, name=f.__name__, daemon=True)
-               for f in (source, process, telemetry)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if publisher is not None:
-        publisher.pump()
-        publisher.close()
-    if errors:
-        raise errors[0]
-    return pipe

@@ -2,9 +2,11 @@
 
 Payloads are canonical JSON with a fixed key order so they are
 byte-stable for golden-file comparison.  The publisher owns a bounded
-in-memory queue and an exponential-backoff reconnect loop, and never
-blocks the pipeline: when the broker is down the queue fills and the
-oldest entries are dropped and counted.
+in-memory queue and an exponential-backoff reconnect loop: when the
+broker is down the queue fills and the oldest entries are dropped and
+counted.  Every offered status is published (the grid's data-time
+``status_period`` is the one throttle).  A connect or a QoS-1 PUBACK
+wait in ``pump`` can hold the caller for up to the socket timeout.
 
 A minimal MQTT 3.1.1 client over a plain socket is included; any object
 with connect/publish/disconnect can be substituted (tests use a fake).
@@ -16,6 +18,7 @@ import json
 import socket
 import struct
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from .occupancy import OccupancyEvent, ZoneStatus
@@ -37,7 +40,6 @@ class MqttConfig:
     qos_status: int = 0
     qos_event: int = 1
     retain_status: bool = True
-    publish_period: float = 2.0
     queue_limit: int = 1000
 
     def __post_init__(self):
@@ -148,8 +150,8 @@ class Publisher:
     """Bounded-queue MQTT publisher with reconnect backoff.
 
     Drive it with ``offer_status``/``offer_event`` from the pipeline and
-    ``pump(now)`` from its own loop (or the same loop in replay).  The
-    clock is injectable so outage behavior is testable without wall time.
+    ``pump(now)`` after them, on the same thread.  The clock is
+    injectable so outage behavior is testable without wall time.
     """
 
     cfg: MqttConfig
@@ -158,11 +160,10 @@ class Publisher:
     connected: bool = False
     dropped: int = 0
     published: int = 0
-    _queue: list = field(default_factory=list)
+    _queue: deque = field(default_factory=deque)
     _client: object = None
     _backoff: float = 1.0
     _next_connect_at: float = 0.0
-    _last_status_at: dict = field(default_factory=dict)
 
     def _make_client(self):
         if self.client_factory is not None:
@@ -171,16 +172,11 @@ class Publisher:
 
     def _enqueue(self, topic, payload, qos, retain):
         if len(self._queue) >= self.cfg.queue_limit:
-            self._queue.pop(0)
+            self._queue.popleft()
             self.dropped += 1
         self._queue.append((topic, payload, qos, retain))
 
     def offer_status(self, status: ZoneStatus):
-        now = self.clock()
-        last = self._last_status_at.get(status.zone_id)
-        if last is not None and now - last < self.cfg.publish_period:
-            return
-        self._last_status_at[status.zone_id] = now
         self._enqueue(status_topic(self.cfg.topic_prefix, status.zone_id),
                       serialize_status(status), self.cfg.qos_status,
                       self.cfg.retain_status)
@@ -216,7 +212,7 @@ class Publisher:
                 self._next_connect_at = now + self._backoff
                 self._backoff = min(self._backoff * 2.0, BACKOFF_CAP)
                 return
-            self._queue.pop(0)
+            self._queue.popleft()
             self.published += 1
 
     def close(self):

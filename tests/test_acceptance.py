@@ -345,7 +345,7 @@ def test_criterion_10_telemetry_outage_recovery():
             pass
 
     clock = {"t": 0.0}
-    pub = Publisher(cfg=MqttConfig(queue_limit=50, publish_period=0.0),
+    pub = Publisher(cfg=MqttConfig(queue_limit=50),
                     client_factory=Client, clock=lambda: clock["t"])
 
     def offer(ts):

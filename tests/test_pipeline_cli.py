@@ -1,15 +1,15 @@
 import json
 import math
-import threading
-import time
 
 import pytest
+import yaml
 
-from radarfuse import cli, recording, simulation
+from radarfuse import cli, recording, simulation, telemetry
 from radarfuse.clustering import ClusterAlgorithm
-from radarfuse.config import (ConfigError, load_config, paper_config_doc)
+from radarfuse.config import (ConfigError, load_config, load_scenario,
+                              paper_config_doc)
 from radarfuse.geometry import Pose
-from radarfuse.pipeline import Pipeline, replay_through, run_threaded
+from radarfuse.pipeline import Pipeline, replay_through
 from radarfuse.recording import LogRecord
 from radarfuse.simulation import (NoiseSpec, RadarSpec, Scenario, WalkerSpec,
                                   simulate)
@@ -87,6 +87,14 @@ class TestConfig:
         assert (zone.center_x, zone.center_y) == (6.0, 3.0)
         assert (zone.len_x, zone.len_y) == (12.0, 6.0)
 
+    @pytest.mark.parametrize("section", ["mqtt", "tracker"])
+    def test_unknown_field_named(self, section):
+        doc = paper_config_doc()
+        doc[section] = {"throttle_s": 2.0}
+        with pytest.raises(ConfigError) as ei:
+            load_config(doc)
+        assert ei.value.path == f"{section}.throttle_s"
+
     def test_degrees_converted_once(self):
         doc = paper_config_doc()
         doc["radars"][2]["pose"]["pitch_deg"] = -90.0
@@ -159,33 +167,26 @@ class TestPipeline:
 
         assert run() == run()
 
-    def test_run_threaded_matches_sync(self, sim_log):
+    def test_mqtt_output_deterministic(self, sim_log):
+        """Every status is published once, whatever the wall clock does."""
         log, _ = sim_log
-        sync_statuses, thr_statuses = [], []
-        replay_through(small_config(),
-                       recording.replay(log, as_fast_as_possible=True),
-                       status_sink=sync_statuses.append)
-        run_threaded(small_config(),
-                     recording.replay(log, as_fast_as_possible=True),
-                     status_sink=thr_statuses.append)
-        assert [(s.ts_ns, s.count) for s in sync_statuses] == \
-            [(s.ts_ns, s.count) for s in thr_statuses]
 
-    def test_run_threaded_backpressure(self, sim_log):
-        """A tiny queue and a slow consumer must not lose records."""
-        log, _ = sim_log
-        seen = []
-        records = list(recording.replay(log, as_fast_as_possible=True))
+        def run():
+            statuses, published = [], []
+            client = RecordingClient(published)
+            pub = telemetry.Publisher(cfg=telemetry.MqttConfig(),
+                                      client_factory=lambda: client)
+            replay_through(small_config(),
+                           recording.replay(log, as_fast_as_possible=True),
+                           status_sink=statuses.append, publisher=pub)
+            return statuses, published
 
-        def slow_sink(st):
-            time.sleep(0.002)
-            seen.append(st)
-
-        pipe = run_threaded(small_config(), iter(records),
-                            status_sink=slow_sink, queue_size=2)
-        # every frame that cleared the buffer filter reached the merger
-        assert pipe.merger.received == pipe.merger.emitted
-        assert seen  # consumer kept up without deadlock
+        statuses, first = run()
+        _, second = run()
+        assert first == second
+        states = [p for t, p in first if t.endswith("/state")]
+        assert states == [telemetry.serialize_status(s) for s in statuses]
+        assert len(states) > 1
 
     def test_source_error_propagates(self):
         def bad_records():
@@ -193,19 +194,42 @@ class TestPipeline:
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError, match="boom"):
-            run_threaded(small_config(), bad_records())
+            replay_through(small_config(), bad_records())
+
+
+class RecordingClient:
+    """Stand-in MQTT client: records (topic, payload) and lifecycle calls."""
+
+    def __init__(self, published, calls=None):
+        self.published = published
+        self.calls = calls if calls is not None else []
+
+    def connect(self):
+        self.calls.append("connect")
+
+    def publish(self, topic, payload, qos=0, retain=False):
+        self.published.append((topic, payload))
+
+    def disconnect(self):
+        self.calls.append("disconnect")
+
+
+@pytest.fixture
+def small_cfg_path(tmp_path):
+    doc = paper_config_doc()
+    doc["radars"] = [{"radar_id": "r0",
+                      "pose": {"x": 6.0, "y": 0.05, "z": 2.0,
+                               "pitch_deg": -10.0}}]
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(doc))
+    return cfg_path
 
 
 class TestCli:
-    def test_simulate_replay_eval_exit_codes(self, tmp_path, sim_log, capsys):
-        import yaml
+    def test_simulate_replay_eval_exit_codes(self, tmp_path, sim_log,
+                                             small_cfg_path, capsys):
         log, truth = sim_log
-        doc = paper_config_doc()
-        doc["radars"] = [{"radar_id": "r0",
-                          "pose": {"x": 6.0, "y": 0.05, "z": 2.0,
-                                   "pitch_deg": -10.0}}]
-        cfg_path = tmp_path / "cfg.yaml"
-        cfg_path.write_text(yaml.safe_dump(doc))
+        cfg_path = small_cfg_path
         status = tmp_path / "status.jsonl"
         rc = cli.cli(["replay", "--config", str(cfg_path), "--log", str(log),
                       "--fast", "--status-log", str(status)])
@@ -257,7 +281,37 @@ class TestCli:
         rc = cli.cli(["replay", "--config", "paper", "--log", str(bad)])
         assert rc == 2
 
-    def test_scenario_yaml_loading(self, tmp_path):
+    def test_run_matches_fast_replay(self, tmp_path, sim_log,
+                                     small_cfg_path):
+        log, _ = sim_log
+        paced, fast = tmp_path / "run.jsonl", tmp_path / "replay.jsonl"
+        assert cli.cli(["run", "--config", str(small_cfg_path),
+                        "--log", str(log), "--speed", "1000",
+                        "--status-log", str(paced)]) == 0
+        assert cli.cli(["replay", "--config", str(small_cfg_path),
+                        "--log", str(log), "--fast",
+                        "--status-log", str(fast)]) == 0
+        assert paced.read_bytes() == fast.read_bytes()
+        assert fast.read_text().strip()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--speed", "1000"],
+        ["replay", "--fast"],
+    ])
+    def test_publisher_disconnects_at_end(self, monkeypatch, sim_log,
+                                          small_cfg_path, argv):
+        log, _ = sim_log
+        published, calls = [], []
+        monkeypatch.setattr(
+            telemetry, "MiniMqttClient",
+            lambda host, port, client_id: RecordingClient(published, calls))
+        assert cli.cli(argv + ["--config", str(small_cfg_path),
+                               "--log", str(log),
+                               "--mqtt-url", "mqtt://broker:1884"]) == 0
+        assert published
+        assert calls == ["connect", "disconnect"]
+
+    def test_scenario_yaml_loading(self, tmp_path, capsys):
         sc_doc = {
             "duration": 3.0, "seed": 2,
             "radars": [{"radar_id": "r0",
@@ -268,10 +322,9 @@ class TestCli:
                          "waypoints": [[2.0, 3.0], [10.0, 3.0]]}],
             "noise": {"ghost_rate": 0.0, "dropout_prob": 0.0},
         }
-        import yaml
         p = tmp_path / "sc.yaml"
         p.write_text(yaml.safe_dump(sc_doc))
-        sc = cli.load_scenario_file(p)
+        sc = load_scenario(p)
         assert sc.duration == 3.0
         assert sc.radars[0].elevation_fov == pytest.approx(math.radians(40))
         out = tmp_path / "sc.log"
@@ -279,6 +332,27 @@ class TestCli:
                         "--out", str(out)]) == 0
         assert out.exists()
 
-    def test_mqtt_url_parsing(self):
+        # bad scenarios are usage errors naming the field
+        del sc_doc["radars"][0]["radar_id"]
+        p.write_text(yaml.safe_dump(sc_doc))
+        assert cli.cli(["simulate", "--scenario", str(p),
+                        "--out", str(out)]) == 2
+        assert "radars[0].radar_id" in capsys.readouterr().err
+        sc_doc["radars"][0].update(radar_id="r0", pose={"x": "abc"})
+        p.write_text(yaml.safe_dump(sc_doc))
+        assert cli.cli(["simulate", "--scenario", str(p),
+                        "--out", str(out)]) == 2
+        assert "radars[0].pose.x" in capsys.readouterr().err
+
+    def test_mqtt_url_parsing(self, monkeypatch, sim_log, capsys):
         assert cli._parse_mqtt_url("mqtt://broker:1884") == ("broker", 1884)
         assert cli._parse_mqtt_url("broker") == ("broker", 1883)
+        for bad in ("mqtt://h:abc", "mqtt://:1884", "h:0", "h:-1"):
+            with pytest.raises(ConfigError):
+                cli._parse_mqtt_url(bad)
+        log, _ = sim_log
+        argv = ["replay", "--config", "paper", "--log", str(log), "--fast"]
+        assert cli.cli(argv + ["--mqtt-url", "mqtt://h:abc"]) == 2
+        monkeypatch.setenv("RADARFUSE_MQTT_URL", "mqtt://h:abc")
+        assert cli.cli(argv) == 2
+        assert "mqtt url" in capsys.readouterr().err

@@ -72,10 +72,9 @@ class FakeClient:
         pass
 
 
-def make_publisher(broker, queue_limit=10, publish_period=0.0):
+def make_publisher(broker, queue_limit=10):
     clock = {"t": 0.0}
-    cfg = MqttConfig(topic_prefix="lab", queue_limit=queue_limit,
-                     publish_period=publish_period)
+    cfg = MqttConfig(topic_prefix="lab", queue_limit=queue_limit)
     pub = Publisher(cfg=cfg, client_factory=lambda: FakeClient(broker),
                     clock=lambda: clock["t"])
     return pub, clock
@@ -142,14 +141,15 @@ class TestPublisher:
         assert len(broker["published"]) == 60   # queue drained in order
         assert pub.published == 60
 
-    def test_publish_period_throttles_statuses(self):
+    def test_every_status_published_regardless_of_wall_clock(self):
         broker = {"up": True, "published": []}
-        pub, clock = make_publisher(broker, publish_period=2.0)
-        for k in range(10):
-            clock["t"] = k * 0.5
+        pub, clock = make_publisher(broker)
+        for k in range(10):          # ten statuses inside one wall second
+            clock["t"] = k * 0.1
             pub.offer_status(status(ts_ns=k))
             pub.pump()
-        assert len(broker["published"]) == 3   # t = 0, 2, 4
+        assert [p for _, p, _, _ in broker["published"]] == \
+            [serialize_status(status(ts_ns=k)) for k in range(10)]
 
 
 def _tiny_broker(sock, published):
