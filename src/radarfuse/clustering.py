@@ -1,18 +1,21 @@
 """Density-based clustering of fused points over tumbling time windows.
 
-Both DBSCAN and OPTICS are implemented directly (3D Euclidean metric,
-grid-hash neighborhood queries).  OPTICS cluster extraction is an
-eps-cut, which makes its core-point partition provably comparable to
-DBSCAN at the same eps and is exercised as a cross-check in the tests.
+Both DBSCAN and OPTICS are implemented directly (3D Euclidean metric;
+neighbourhoods come from one row-blocked numpy distance pass,
+:func:`radarfuse.geometry.sq_distance_rows`).  OPTICS cluster
+extraction is an eps-cut, which makes its core-point partition provably
+comparable to DBSCAN at the same eps and is exercised as a cross-check
+in the tests.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+
+from .geometry import sq_distance_rows
 
 NOISE = -1
 
@@ -63,38 +66,6 @@ class ClusterResult:
     is_core: list[bool] = field(default_factory=list)
 
 
-class _NeighborIndex:
-    """Grid hash returning point indices within a fixed radius."""
-
-    def __init__(self, positions: np.ndarray, radius: float):
-        self.positions = positions
-        self.radius = radius
-        self.cells: dict[tuple[int, int, int], list[int]] = {}
-        inv = 1.0 / radius
-        for i, pos in enumerate(positions):
-            key = (int(math.floor(pos[0] * inv)), int(math.floor(pos[1] * inv)),
-                   int(math.floor(pos[2] * inv)))
-            self.cells.setdefault(key, []).append(i)
-
-    def neighbors(self, i: int) -> list[int]:
-        """Indices within radius of point i, self included, ascending."""
-        pos = self.positions[i]
-        inv = 1.0 / self.radius
-        cx, cy, cz = (int(math.floor(pos[0] * inv)), int(math.floor(pos[1] * inv)),
-                      int(math.floor(pos[2] * inv)))
-        r2 = self.radius * self.radius
-        out = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for dz in (-1, 0, 1):
-                    for j in self.cells.get((cx + dx, cy + dy, cz + dz), ()):
-                        d = pos - self.positions[j]
-                        if float(d @ d) <= r2:
-                            out.append(j)
-        out.sort()
-        return out
-
-
 def _centroids(positions, dopplers, labels, ts_ns) -> list[Centroid]:
     by_label: dict[int, list[int]] = {}
     for i, lab in enumerate(labels):
@@ -122,8 +93,9 @@ def dbscan(positions: np.ndarray, eps: float, min_pts: int,
     positions = np.asarray(positions, dtype=float)
     if dopplers is None:
         dopplers = np.zeros(n)
-    index = _NeighborIndex(positions, eps)
-    neigh = [index.neighbors(i) for i in range(n)]
+    eps2 = eps * eps
+    neigh = [np.flatnonzero(row <= eps2).tolist()
+             for row in sq_distance_rows(positions, positions)]
     core = [len(neigh[i]) >= min_pts for i in range(n)]
     labels = [NOISE] * n
     cluster = 0
@@ -159,23 +131,16 @@ def optics(positions: np.ndarray, min_pts: int, max_eps: float) -> list[OpticsPo
     if n == 0:
         return []
     positions = np.asarray(positions, dtype=float)
-    index = _NeighborIndex(positions, max_eps)
     inf = float("inf")
-
-    def dist(i, j):
-        d = positions[i] - positions[j]
-        return math.sqrt(float(d @ d))
-
+    max_eps2 = max_eps * max_eps
     core_dist = []
-    neigh = []
-    for i in range(n):
-        ns = index.neighbors(i)
-        neigh.append(ns)
-        if len(ns) >= min_pts:
-            ds = sorted(dist(i, j) for j in ns)
-            core_dist.append(ds[min_pts - 1])
-        else:
-            core_dist.append(inf)
+    neigh = []   # per point: (index, distance) pairs within max_eps, ascending
+    for row in sq_distance_rows(positions, positions):
+        idx = np.flatnonzero(row <= max_eps2)
+        ds = np.sqrt(row[idx]).tolist()
+        neigh.append(list(zip(idx.tolist(), ds)))
+        core_dist.append(sorted(ds)[min_pts - 1] if len(ds) >= min_pts
+                         else inf)
 
     processed = [False] * n
     reach = [inf] * n
@@ -195,10 +160,10 @@ def optics(positions: np.ndarray, min_pts: int, max_eps: float) -> list[OpticsPo
                                      core_distance=core_dist[i]))
             if core_dist[i] == inf:
                 continue
-            for j in neigh[i]:
+            for j, d in neigh[i]:
                 if processed[j]:
                     continue
-                new_r = max(core_dist[i], dist(i, j))
+                new_r = max(core_dist[i], d)
                 if j not in seeds or new_r < seeds[j]:
                     seeds[j] = new_r
     return order
@@ -257,13 +222,15 @@ class WindowClusterer:
 
     def push(self, ts_ns: int, points) -> list[ClusterResult]:
         out = []
+        start = ts_ns - ts_ns % self._window_ns
         if self._start is None:
-            self._start = ts_ns - ts_ns % self._window_ns
-        while ts_ns >= self._start + self._window_ns:
+            self._start = start
+        elif start > self._start:
+            # the windows in between are empty: jump to the one holding ts_ns
             res = self._close_window()
             if res is not None:
                 out.append(res)
-            self._start += self._window_ns
+            self._start = start
         self._points.extend(points)
         return out
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import yaml
-
 from . import simulation
 from .clustering import ClusterAlgorithm, ClusterConfig
 from .filtering import BufferConfig, ThresholdConfig
@@ -51,20 +49,33 @@ class PipelineConfig:
     mqtt: MqttConfig | None = None
 
 
-def _expect_map(doc, path) -> dict:
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _names(cls) -> frozenset[str]:
+    return frozenset(f.name for f in fields(cls))
+
+
+def _expect_map(doc, path, allowed=None) -> dict:
+    """``doc`` as a mapping; with ``allowed``, any other key is an error."""
     if not isinstance(doc, dict):
-        raise ConfigError(path, f"expected a mapping, got {type(doc).__name__}")
+        raise ConfigError(path or "<root>",
+                          f"expected a mapping, got {type(doc).__name__}")
+    for k in doc:
+        if allowed is not None and k not in allowed:
+            raise ConfigError(_join(path, k), "unknown field")
     return doc
 
 
 def _get(doc: dict, key: str, path: str, default=..., types=None):
     if key not in doc:
         if default is ...:
-            raise ConfigError(f"{path}.{key}", "required field missing")
+            raise ConfigError(_join(path, key), "required field missing")
         return default
     v = doc[key]
     if types is not None and not isinstance(v, types):
-        raise ConfigError(f"{path}.{key}",
+        raise ConfigError(_join(path, key),
                           f"expected {types}, got {type(v).__name__}")
     return v
 
@@ -74,19 +85,30 @@ def _num(doc, key, path, default=...):
     if v is default and default is not ...:
         return v
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}", "expected a number")
+        raise ConfigError(_join(path, key), "expected a number")
     return float(v)
 
 
+def _section(doc, key, path, allowed) -> dict:
+    """The optional mapping ``doc[key]``, {} when absent."""
+    return _expect_map(_get(doc, key, path, {}), _join(path, key), allowed)
+
+
 def _build(cls, kwargs, path):
-    known = {f.name for f in fields(cls)}
-    for k in kwargs:
-        if k not in known:
-            raise ConfigError(f"{path}.{k}", "unknown field")
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as e:
         raise ConfigError(path, str(e)) from None
+
+
+def _build_numbers(cls, doc, key, path, ints=()):
+    """``cls`` from the optional mapping ``doc[key]`` of its numeric
+    fields; those named in ``ints`` are truncated to int."""
+    d = _section(doc, key, path, _names(cls))
+    path = _join(path, key)
+    kwargs = {k: _num(d, k, path) for k in d}
+    kwargs.update({k: int(kwargs[k]) for k in ints if k in kwargs})
+    return _build(cls, kwargs, path)
 
 
 def _pair(v, path, what="[lo, hi]") -> tuple[float, float]:
@@ -97,20 +119,22 @@ def _pair(v, path, what="[lo, hi]") -> tuple[float, float]:
     return float(v[0]), float(v[1])
 
 
-def _read_doc(path_or_doc) -> dict:
+def _read_doc(path_or_doc, allowed) -> dict:
     if isinstance(path_or_doc, dict):
         doc = path_or_doc
     else:
+        import yaml  # only files need it; ~1 MB RSS a dict-built config skips
         with open(path_or_doc, encoding="utf-8") as fh:
             try:
                 doc = yaml.safe_load(fh)
             except yaml.YAMLError as e:
                 raise ConfigError("<file>", f"invalid YAML: {e}") from None
-    return _expect_map(doc, "<root>")
+    return _expect_map(doc, "", allowed)
 
 
 def _load_pose(doc, path) -> Pose:
-    d = _expect_map(doc, path)
+    d = _expect_map(doc, path, ("x", "y", "z", "yaw_deg", "pitch_deg",
+                                "roll_deg"))
     return _build(Pose, dict(
         x=_num(d, "x", path, 0.0), y=_num(d, "y", path, 0.0),
         z=_num(d, "z", path, 0.0),
@@ -121,27 +145,18 @@ def _load_pose(doc, path) -> Pose:
 
 
 def _load_radar(doc, path) -> RadarConfig:
-    d = _expect_map(doc, path)
-    radar_id = _get(d, "radar_id", path, types=str)
-    pose = _load_pose(_get(d, "pose", path, {}), f"{path}.pose")
-    ud = _expect_map(_get(d, "units", path, {}), f"{path}.units")
-    units = _build(DecodeUnits, {k: _num(ud, k, f"{path}.units")
-                                 for k in ud}, f"{path}.units")
-    td = _expect_map(_get(d, "threshold", path, {}), f"{path}.threshold")
-    threshold = _build(ThresholdConfig, {k: _num(td, k, f"{path}.threshold")
-                                         for k in td}, f"{path}.threshold")
-    bd = _expect_map(_get(d, "buffer", path, {}), f"{path}.buffer")
-    bkw = {}
-    for k in bd:
-        v = _num(bd, k, f"{path}.buffer")
-        bkw[k] = int(v) if k in ("window_frames", "min_support") else v
-    buffer = _build(BufferConfig, bkw, f"{path}.buffer")
-    return RadarConfig(radar_id=radar_id, pose=pose, units=units,
-                       threshold=threshold, buffer=buffer)
+    d = _expect_map(doc, path, _names(RadarConfig))
+    return RadarConfig(
+        radar_id=_get(d, "radar_id", path, types=str),
+        pose=_load_pose(_get(d, "pose", path, {}), f"{path}.pose"),
+        units=_build_numbers(DecodeUnits, d, "units", path),
+        threshold=_build_numbers(ThresholdConfig, d, "threshold", path),
+        buffer=_build_numbers(BufferConfig, d, "buffer", path,
+                              ints=("window_frames", "min_support")))
 
 
 def _load_zone(doc, path) -> Zone:
-    d = _expect_map(doc, path)
+    d = _expect_map(doc, path, ("zone_id", "center", "len_x", "len_y"))
     cx, cy = _pair(_get(d, "center", path, [0.0, 0.0]), f"{path}.center",
                    "[x, y]")
     return _build(Zone, dict(
@@ -151,9 +166,9 @@ def _load_zone(doc, path) -> Zone:
 
 
 def load_config(path_or_doc) -> PipelineConfig:
-    doc = _read_doc(path_or_doc)
+    doc = _read_doc(path_or_doc, _names(PipelineConfig))
 
-    radars_doc = _get(doc, "radars", "<root>", types=list)
+    radars_doc = _get(doc, "radars", "", types=list)
     if not radars_doc:
         raise ConfigError("radars", "at least one radar required")
     radars = tuple(_load_radar(r, f"radars[{i}]")
@@ -162,7 +177,7 @@ def load_config(path_or_doc) -> PipelineConfig:
     if len(set(ids)) != len(ids):
         raise ConfigError("radars", f"duplicate radar_id in {ids}")
 
-    md = _expect_map(_get(doc, "merge", "<root>", {}), "merge")
+    md = _section(doc, "merge", "", _names(MergeConfig))
     try:
         policy = LatePolicy(_get(md, "late_policy", "merge", "drop"))
     except ValueError:
@@ -172,7 +187,7 @@ def load_config(path_or_doc) -> PipelineConfig:
         reorder_horizon_ms=_num(md, "reorder_horizon_ms", "merge", 100.0),
         late_policy=policy), "merge")
 
-    cd = _expect_map(_get(doc, "clustering", "<root>", {}), "clustering")
+    cd = _section(doc, "clustering", "", _names(ClusterConfig))
     try:
         algo = ClusterAlgorithm(_get(cd, "algorithm", "clustering", "dbscan"))
     except ValueError:
@@ -186,14 +201,10 @@ def load_config(path_or_doc) -> PipelineConfig:
         optics_max_eps=_num(cd, "optics_max_eps", "clustering", 2.0),
     ), "clustering")
 
-    td = _expect_map(_get(doc, "tracker", "<root>", {}), "tracker")
-    tkw = {k: _num(td, k, "tracker") for k in td}
-    for k in ("confirm_hits", "max_targets"):
-        if k in tkw:
-            tkw[k] = int(tkw[k])
-    tracker = _build(TrackerConfig, tkw, "tracker")
+    tracker = _build_numbers(TrackerConfig, doc, "tracker", "",
+                             ints=("confirm_hits", "max_targets"))
 
-    gd = _expect_map(_get(doc, "grid", "<root>", {}), "grid")
+    gd = _section(doc, "grid", "", _names(GridConfig))
     gkw = {}
     for k in gd:
         if k in ("bounds_x", "bounds_y"):
@@ -203,7 +214,7 @@ def load_config(path_or_doc) -> PipelineConfig:
             gkw[k] = int(v) if k in ("on_threshold", "off_threshold") else v
     grid = _build(GridConfig, gkw, "grid")
 
-    zones_doc = _get(doc, "zones", "<root>", [], types=list)
+    zones_doc = _get(doc, "zones", "", [], types=list)
     if zones_doc:
         zones = tuple(_load_zone(z, f"zones[{i}]")
                       for i, z in enumerate(zones_doc))
@@ -220,7 +231,8 @@ def load_config(path_or_doc) -> PipelineConfig:
 
     mqtt = None
     if doc.get("mqtt") is not None:
-        mqtt = _build(MqttConfig, _expect_map(doc["mqtt"], "mqtt"), "mqtt")
+        mqtt = _build(MqttConfig,
+                      _section(doc, "mqtt", "", _names(MqttConfig)), "mqtt")
 
     return PipelineConfig(
         radars=radars, merge=merge, clustering=clustering, tracker=tracker,
@@ -228,7 +240,9 @@ def load_config(path_or_doc) -> PipelineConfig:
 
 
 def _load_sim_radar(doc, path) -> simulation.RadarSpec:
-    d = _expect_map(doc, path)
+    d = _expect_map(doc, path, ("radar_id", "pose", "azimuth_fov_deg",
+                                "elevation_fov_deg", "max_range", "frame_rate",
+                                "phase"))
     return simulation.RadarSpec(
         radar_id=_get(d, "radar_id", path, types=str),
         pose=_load_pose(_get(d, "pose", path, {}), f"{path}.pose"),
@@ -240,7 +254,7 @@ def _load_sim_radar(doc, path) -> simulation.RadarSpec:
 
 
 def _load_walker(doc, path) -> simulation.WalkerSpec:
-    d = _expect_map(doc, path)
+    d = _expect_map(doc, path, _names(simulation.WalkerSpec))
     waypoints = _get(d, "waypoints", path, types=list)
     dwells = _get(d, "dwells", path, [], types=list)
     return simulation.WalkerSpec(
@@ -256,25 +270,23 @@ def _load_walker(doc, path) -> simulation.WalkerSpec:
 def load_scenario(path_or_doc) -> simulation.Scenario:
     """Scenario YAML for ``simulate``; mirrors :class:`simulation.Scenario`
     (FoVs in degrees)."""
-    doc = _read_doc(path_or_doc)
-    radars = _get(doc, "radars", "<root>", [], types=list)
-    walkers = _get(doc, "walkers", "<root>", [], types=list)
-    nd = _expect_map(_get(doc, "noise", "<root>", {}), "noise")
+    doc = _read_doc(path_or_doc, _names(simulation.Scenario))
+    radars = _get(doc, "radars", "", [], types=list)
+    walkers = _get(doc, "walkers", "", [], types=list)
     return simulation.Scenario(
-        room_x=_pair(_get(doc, "room_x", "<root>", [0.0, 12.0]), "room_x"),
-        room_y=_pair(_get(doc, "room_y", "<root>", [0.0, 6.0]), "room_y"),
-        room_height=_num(doc, "room_height", "<root>", 2.35),
-        body_height=_num(doc, "body_height", "<root>", 1.0),
+        room_x=_pair(_get(doc, "room_x", "", [0.0, 12.0]), "room_x"),
+        room_y=_pair(_get(doc, "room_y", "", [0.0, 6.0]), "room_y"),
+        room_height=_num(doc, "room_height", "", 2.35),
+        body_height=_num(doc, "body_height", "", 1.0),
         radars=tuple(_load_sim_radar(r, f"radars[{i}]")
                      for i, r in enumerate(radars)),
         walkers=tuple(_load_walker(w, f"walkers[{i}]")
                       for i, w in enumerate(walkers)),
-        noise=_build(simulation.NoiseSpec,
-                     {k: _num(nd, k, "noise") for k in nd}, "noise"),
+        noise=_build_numbers(simulation.NoiseSpec, doc, "noise", ""),
         doppler_zero_suppression=_get(doc, "doppler_zero_suppression",
-                                      "<root>", True, types=bool),
-        duration=_num(doc, "duration", "<root>", 60.0),
-        seed=_get(doc, "seed", "<root>", 0, types=int))
+                                      "", True, types=bool),
+        duration=_num(doc, "duration", "", 60.0),
+        seed=_get(doc, "seed", "", 0, types=int))
 
 
 def paper_config_doc(algorithm: str = "dbscan") -> dict:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import WorldPoint
+from .geometry import WorldPoint, sq_distance_rows
 
 
 class OutOfOrderFrame(ValueError):
@@ -73,35 +73,6 @@ def threshold_filter(points: list[WorldPoint], cfg: ThresholdConfig,
     return out
 
 
-class _GridIndex:
-    """Uniform grid hash for fixed-radius neighbor counting."""
-
-    def __init__(self, cell: float):
-        self.cell = cell
-        self.cells: dict[tuple[int, int, int], list[np.ndarray]] = {}
-
-    def add(self, pos: np.ndarray):
-        key = tuple(int(math.floor(c / self.cell)) for c in pos)
-        self.cells.setdefault(key, []).append(pos)
-
-    def count_within(self, pos: np.ndarray, radius: float, limit: int) -> int:
-        """Neighbors within ``radius``, stopping early at ``limit``."""
-        cx, cy, cz = (int(math.floor(c / self.cell)) for c in pos)
-        reach = int(math.ceil(radius / self.cell))
-        n = 0
-        r2 = radius * radius
-        for dx in range(-reach, reach + 1):
-            for dy in range(-reach, reach + 1):
-                for dz in range(-reach, reach + 1):
-                    for q in self.cells.get((cx + dx, cy + dy, cz + dz), ()):
-                        d = pos - q
-                        if float(d @ d) <= r2:
-                            n += 1
-                            if n >= limit:
-                                return n
-        return n
-
-
 class BufferFilter:
     """Forward-support ghost filter with a fixed latency of F frames.
 
@@ -112,47 +83,35 @@ class BufferFilter:
 
     def __init__(self, cfg: BufferConfig):
         self.cfg = cfg
-        self._pending: deque[tuple[int, list[WorldPoint]]] = deque()
-        self._indexes: deque[_GridIndex] = deque()
+        # (ts, points, their (n, 3) positions) per frame not yet emitted
+        self._pending: deque[tuple[int, list, np.ndarray]] = deque()
         self._last_ts: int | None = None
 
-    def _index_frame(self, points: list[WorldPoint]) -> _GridIndex:
-        idx = _GridIndex(self.cfg.support_radius)
-        for p in points:
-            idx.add(p.position)
-        return idx
-
-    def _evaluate(self, frame, indexes) -> tuple[int, list[WorldPoint]]:
-        ts, points = frame
+    def _evaluate(self, frame) -> tuple[int, list[WorldPoint]]:
+        """Judge a frame just taken off ``_pending`` against the frames
+        still in it, which are the later ones."""
+        ts, points, positions = frame
         r, k = self.cfg.support_radius, self.cfg.min_support
-        kept = []
-        for p in points:
-            support = 0
-            pos = p.position
-            for idx in indexes:
-                support += idx.count_within(pos, r, k - support)
-                if support >= k:
-                    kept.append(p)
-                    break
+        # positions[:0] keeps the (0, 3) shape once no later frame is left
+        later = np.concatenate([positions[:0]] + [f[2] for f in self._pending])
+        kept = [p for p, row in zip(points, sq_distance_rows(positions, later))
+                if np.count_nonzero(row <= r * r) >= k]
         return ts, kept
 
     def push(self, ts_ns: int, points: list[WorldPoint]):
         if self._last_ts is not None and ts_ns < self._last_ts:
             raise OutOfOrderFrame(f"frame {ts_ns} after {self._last_ts}")
         self._last_ts = ts_ns
-        self._pending.append((ts_ns, list(points)))
-        self._indexes.append(self._index_frame(points))
+        positions = np.array([(p.x, p.y, p.z) for p in points],
+                             dtype=float).reshape(-1, 3)
+        self._pending.append((ts_ns, list(points), positions))
         if len(self._pending) <= self.cfg.window_frames:
             return None
-        frame = self._pending.popleft()
-        self._indexes.popleft()
-        return self._evaluate(frame, self._indexes)
+        return self._evaluate(self._pending.popleft())
 
     def flush(self):
         """Emit the trailing frames, judged on whatever support remains."""
         out = []
         while self._pending:
-            frame = self._pending.popleft()
-            self._indexes.popleft()
-            out.append(self._evaluate(frame, self._indexes))
+            out.append(self._evaluate(self._pending.popleft()))
         return out

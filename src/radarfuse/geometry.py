@@ -111,9 +111,22 @@ class WorldPoint:
     radar_id: str
     ts_ns: int
 
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
+
+# Rows of ``a`` per block in :func:`sq_distance_rows`: the temporary is
+# at most _ROW_BLOCK x len(b) x 3 floats, whatever len(a).
+_ROW_BLOCK = 32
+
+
+def sq_distance_rows(a: np.ndarray, b: np.ndarray):
+    """For each row of ``a`` in order, the squared Euclidean distances
+    to every row of ``b`` (both (n, 3) float arrays).
+
+    This is the one fixed-radius neighbour query of the package: callers
+    compare a row with ``r * r``, so a point exactly ``r`` away counts.
+    """
+    for s in range(0, len(a), _ROW_BLOCK):
+        d = a[s:s + _ROW_BLOCK, None, :] - b[None, :, :]
+        yield from (d * d).sum(-1)
 
 
 class TransformTree:

@@ -210,7 +210,8 @@ class FrameScanner:
 class FrameDecoder:
     """Scanner plus type registry: bytes in, RadarPoint frames out.
 
-    Unknown type ids are length-hopped and counted, never errors.
+    Unknown type ids are length-hopped and counted, never errors; so are
+    point TLVs whose payload is not a whole number of points.
     """
 
     units: DecodeUnits
@@ -218,6 +219,7 @@ class FrameDecoder:
     magic: bytes | None = DEFAULT_MAGIC
     point_type_ids: frozenset[int] = frozenset({COMPRESSED_POINTS_TYPE_ID})
     unknown_tlv_count: int = 0
+    misaligned_tlv_count: int = 0
 
     def __post_init__(self):
         self.scanner = FrameScanner(magic=self.magic)
@@ -226,5 +228,8 @@ class FrameDecoder:
         for header, payload in self.scanner.feed(data):
             if header.type_id not in self.point_type_ids:
                 self.unknown_tlv_count += 1
+                continue
+            if len(payload) % POINT_SIZE:
+                self.misaligned_tlv_count += 1
                 continue
             yield decode_points(payload, self.units, self.radar_id, ts_ns)

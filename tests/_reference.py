@@ -59,6 +59,22 @@ def brute_buffer_survival(frames, frame_index, point_index, radius, min_support)
     return support >= min_support
 
 
+def brute_buffer_survival_window(frames, frame_index, point_index, radius,
+                                 min_support, window_frames):
+    """Survival predicate for one point under a buffer of F =
+    window_frames: >= min_support points with squared distance <= radius**2
+    across the next F frames only (fewer at the end of the stream)."""
+    p = frames[frame_index][1][point_index]
+    pos = np.array([p.x, p.y, p.z])
+    support = 0
+    for _, pts in frames[frame_index + 1:frame_index + 1 + window_frames]:
+        for q in pts:
+            q = np.array([q.x, q.y, q.z])
+            if ((pos - q) ** 2).sum() <= radius * radius:
+                support += 1
+    return support >= min_support
+
+
 def reference_hysteresis(sequence, h_on, h_off):
     """Occupancy after each tick, computed from the raw history: a cell
     turns on when the last h_on ticks were all present, off when the

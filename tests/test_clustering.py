@@ -153,6 +153,16 @@ class TestWindowClusterer:
         out += wc.flush()
         assert len(out) == 2
 
+    def test_gap_jumps_to_window(self):
+        # a gap of 10**12 windows closes one window and returns at once
+        wc = WindowClusterer(self.cfg())
+        w = int(0.5 * 1_000_000_000)
+        assert wc.push(0, [wp(0, 0)]) == []
+        far = 10**12 * w + w // 2
+        out = wc.push(far, [wp(1, 1, ts_ns=far)])
+        assert [r.ts_ns for r in out] == [w]
+        assert [r.ts_ns for r in wc.flush()] == [10**12 * w + w]
+
     def test_two_walkers_recovered(self):
         rng = np.random.default_rng(42)
         cfg = ClusterConfig(window_seconds=0.5, eps=0.5, min_pts=4)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _reference import brute_buffer_survival
+from _reference import brute_buffer_survival, brute_buffer_survival_window
 from radarfuse.filtering import (BufferConfig, BufferFilter, OutOfOrderFrame,
                                  ThresholdConfig, threshold_filter)
 from radarfuse.geometry import WorldPoint
@@ -134,3 +134,40 @@ class TestBufferFilter:
         for fi in range(6):
             for p in frames[fi][1][:2]:
                 assert p in emitted[fi]
+
+    def test_clutter_frames_match_windowed_oracle(self):
+        # clutter-sized frames (0-80 points, so support queries cross the
+        # 32-row block) plus anchors above the room whose only support
+        # lies exactly at support_radius, or a hair beyond it
+        rng = np.random.default_rng(11)
+        cfg = BufferConfig(window_frames=3, support_radius=0.625,
+                           min_support=2)
+        sizes = [0, 80, 33, 1, 32, 64, 0, 31] + list(rng.integers(0, 81, 24))
+        frames = [(i, [wp(x, y, z, ts_ns=i) for x, y, z in rng.uniform(
+            (0.0, 0.0, 0.0), (12.0, 6.0, 2.35), size=(n, 3))])
+            for i, n in enumerate(sizes)]
+        exact, beyond = [], []
+        for i in range(0, 24, 3):
+            ax = 0.5 + 1.5 * i / 3
+            for dz, anchors in ((0.0, exact), (2.0 ** -20, beyond)):
+                a = wp(ax, 1.0 + 3.0 * (dz > 0), 5.0)
+                frames[i][1].insert(i % 5, a)
+                frames[i + 1][1].append(wp(ax + 0.375, a.y + 0.5, 5.0))
+                frames[i + 2][1].append(wp(ax, a.y, 5.0 - 0.625 - dz))
+                anchors.append((i, a))
+
+        f = BufferFilter(cfg)
+        emitted = [f.push(ts, pts) for ts, pts in frames]
+        emitted = dict(e for e in emitted if e is not None)
+        emitted.update(f.flush())
+
+        for fi, (ts, pts) in enumerate(frames):
+            expect = [p for pi, p in enumerate(pts)
+                      if brute_buffer_survival_window(
+                          frames, fi, pi, cfg.support_radius,
+                          cfg.min_support, cfg.window_frames)]
+            assert emitted[ts] == expect, fi
+        assert all(a in emitted[i] for i, a in exact)
+        assert not any(a in emitted[i] for i, a in beyond)
+        kept = sum(map(len, emitted.values()))
+        assert 0 < kept < sum(len(pts) for _, pts in frames)

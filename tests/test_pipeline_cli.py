@@ -87,13 +87,37 @@ class TestConfig:
         assert (zone.center_x, zone.center_y) == (6.0, 3.0)
         assert (zone.len_x, zone.len_y) == (12.0, 6.0)
 
-    @pytest.mark.parametrize("section", ["mqtt", "tracker"])
-    def test_unknown_field_named(self, section):
-        doc = paper_config_doc()
-        doc[section] = {"throttle_s": 2.0}
+    @pytest.mark.parametrize("load,edit,path", [
+        pytest.param(load_config, lambda d: d.update(mqtt={"throttle_s": 2.0}),
+                     "mqtt.throttle_s", id="mqtt"),
+        pytest.param(load_config,
+                     lambda d: d.update(tracker={"throttle_s": 2.0}),
+                     "tracker.throttle_s", id="tracker"),
+        pytest.param(load_config, lambda d: d.update(zone=d.pop("zones")),
+                     "zone", id="root-zone"),
+        pytest.param(load_config,
+                     lambda d: d["radars"][0]["pose"].update(yaw=-90.0),
+                     "radars[0].pose.yaw", id="pose-yaw"),
+        pytest.param(load_config,
+                     lambda d: d["clustering"].update(epsilon=0.3),
+                     "clustering.epsilon", id="clustering-epsilon"),
+        pytest.param(load_config,
+                     lambda d: d["merge"].update(reorder_horizon=100.0),
+                     "merge.reorder_horizon", id="merge-reorder_horizon"),
+        pytest.param(load_scenario,
+                     lambda d: d.update(walker=d.pop("walkers")),
+                     "walker", id="scenario-walker"),
+    ])
+    def test_unknown_field_named(self, load, edit, path):
+        doc = (paper_config_doc() if load is load_config else
+               {"radars": [{"radar_id": "r0"}],
+                "walkers": [{"walker_id": 0, "waypoints": [[2.0, 3.0]]}]})
+        load(doc)
+        edit(doc)
         with pytest.raises(ConfigError) as ei:
-            load_config(doc)
-        assert ei.value.path == f"{section}.throttle_s"
+            load(doc)
+        assert ei.value.path == path
+        assert str(ei.value) == f"{path}: unknown field"
 
     def test_degrees_converted_once(self):
         doc = paper_config_doc()

@@ -155,3 +155,13 @@ class TestFrameDecoder:
         assert len(frames) == 1
         assert dec.unknown_tlv_count == 1
         assert frames[0][0].ts_ns == 5
+
+    def test_misaligned_point_tlv_dropped_and_counted(self):
+        dec = tlv.FrameDecoder(units=UNITS, radar_id="r0")
+        bad = tlv.DEFAULT_MAGIC + struct.pack(
+            "<II", tlv.COMPRESSED_POINTS_TYPE_ID, 7) + bytes(7)
+        good = tlv.encode_frame([make_point(), make_point()], UNITS)
+        frames = list(dec.feed(bad + good, ts_ns=5))
+        assert [len(f) for f in frames] == [2]
+        assert dec.misaligned_tlv_count == 1
+        assert dec.unknown_tlv_count == 0
