@@ -48,6 +48,10 @@ class GridConfig:
             raise ValueError("cell_size must be > 0")
         if self.on_threshold < 1 or self.off_threshold < 1:
             raise ValueError("hysteresis thresholds must be >= 1")
+        for name in ("bounds_x", "bounds_y"):
+            lo, hi = getattr(self, name)
+            if not lo < hi:
+                raise ValueError(f"{name} must be [lo, hi] with lo < hi")
 
 
 @dataclass

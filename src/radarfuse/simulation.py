@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .geometry import Pose
 from .recording import LogRecord, Recorder
 
 DOPPLER_SUPPRESSION_THRESHOLD = 0.05  # m/s
+_UNITS = tlv.DecodeUnits()  # every simulated radar encodes with the defaults
 
 
 class InvalidScenario(ValueError):
@@ -36,22 +37,21 @@ class InvalidScenario(ValueError):
 @dataclass(frozen=True)
 class WalkerSpec:
     walker_id: int
-    entry_time: float                 # s, absolute scenario time
-    waypoints: tuple                  # ((x, y), ...)
-    speed: float                      # m/s
-    dwells: tuple = ()                # ((start_s, end_s), ...) absolute
+    waypoints: tuple[tuple[float, float], ...]  # ((x, y), ...)
+    entry_time: float = 0.0                     # s, absolute scenario time
+    speed: float = 1.0                          # m/s
+    dwells: tuple[tuple[float, float], ...] = ()  # ((start_s, end_s), ...)
 
 
 @dataclass(frozen=True)
 class RadarSpec:
     radar_id: str
-    pose: Pose
+    pose: Pose = Pose()
     azimuth_fov: float = math.radians(120)   # full span
     elevation_fov: float = math.radians(30)  # full span
     max_range: float = 14.0
     frame_rate: float = 10.0
     phase: float = 0.0                        # s, tick offset
-    units: tlv.DecodeUnits = field(default_factory=tlv.DecodeUnits)
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,9 @@ class Scenario:
     room_y: tuple[float, float] = (0.0, 6.0)
     room_height: float = 2.35
     body_height: float = 1.0
-    radars: tuple = ()
-    walkers: tuple = ()
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
+    radars: tuple[RadarSpec, ...] = ()
+    walkers: tuple[WalkerSpec, ...] = ()
+    noise: NoiseSpec = NoiseSpec()
     doppler_zero_suppression: bool = True
     duration: float = 60.0
     seed: int = 0
@@ -81,8 +81,15 @@ def validate_scenario(sc: Scenario):
         raise InvalidScenario("radars", "at least one radar required")
     if sc.duration <= 0:
         raise InvalidScenario("duration", "must be > 0")
-    if sc.noise.pos_sigma < 0:
-        raise InvalidScenario("noise.pos_sigma", "must be >= 0")
+    for i, r in enumerate(sc.radars):
+        for name in ("frame_rate", "max_range"):
+            if not getattr(r, name) > 0:
+                raise InvalidScenario(f"radars[{i}].{name}", "must be > 0")
+    for name in ("pos_sigma", "points_per_target", "ghost_rate"):
+        if not getattr(sc.noise, name) >= 0:
+            raise InvalidScenario(f"noise.{name}", "must be >= 0")
+    if not 0 <= sc.noise.dropout_prob <= 1:
+        raise InvalidScenario("noise.dropout_prob", "must be in [0, 1]")
     for i, w in enumerate(sc.walkers):
         if w.speed < 0:
             raise InvalidScenario(f"walkers[{i}].speed", "must be >= 0")
@@ -150,12 +157,12 @@ def _spherical(local: np.ndarray):
     return rng, az, el
 
 
-def _encodable(rng, az, el, dop, snr, units: tlv.DecodeUnits) -> bool:
-    return (abs(round(az / units.azimuth_scale)) <= 127
-            and abs(round(el / units.elevation_scale)) <= 127
-            and abs(round(dop / units.doppler_scale)) <= 32767
-            and 0 <= round(rng / units.range_scale) <= 65535
-            and 0 <= round(snr / units.snr_scale) <= 65535)
+def _encodable(rng, az, el, dop, snr) -> bool:
+    return (abs(round(az / _UNITS.azimuth_scale)) <= 127
+            and abs(round(el / _UNITS.elevation_scale)) <= 127
+            and abs(round(dop / _UNITS.doppler_scale)) <= 32767
+            and 0 <= round(rng / _UNITS.range_scale) <= 65535
+            and 0 <= round(snr / _UNITS.snr_scale) <= 65535)
 
 
 def simulate_frames(sc: Scenario):
@@ -204,7 +211,7 @@ def simulate_frames(sc: Scenario):
                 r, az, el = _spherical(inv.apply(noisy))
                 dop = radial + rng.normal(0.0, 0.03)
                 snr = max(0.0, 15.0 + 3.0 * rng.standard_normal())
-                if not _encodable(r, az, el, dop, snr, radar.units):
+                if not _encodable(r, az, el, dop, snr):
                     continue
                 points.append(tlv.RadarPoint(
                     range_m=r, azimuth=az, elevation=el, doppler=dop,
@@ -221,7 +228,7 @@ def simulate_frames(sc: Scenario):
             snr = rng.uniform(8.0, 20.0)
             if r <= 0 or r > radar.max_range:
                 continue
-            if not _encodable(r, az, el, dop, snr, radar.units):
+            if not _encodable(r, az, el, dop, snr):
                 continue
             points.append(tlv.RadarPoint(
                 range_m=r, azimuth=az, elevation=el, doppler=dop,
@@ -255,13 +262,11 @@ def ground_truth_series(sc: Scenario, tick: float = 0.5):
 
 def simulate(sc: Scenario, log_path, truth_path=None, clock=None):
     """Render a scenario to a raw-TLV recording plus a truth file."""
-    units_by_radar = {r.radar_id: r.units for r in sc.radars}
-    rec = Recorder(log_path, radar_ids=sorted(units_by_radar),
+    rec = Recorder(log_path, radar_ids=sorted(r.radar_id for r in sc.radars),
                    clock=clock or (lambda: 0.0))
     try:
         for frame in simulate_frames(sc):
-            blob = tlv.encode_frame(list(frame.points),
-                                    units_by_radar[frame.radar_id])
+            blob = tlv.encode_frame(list(frame.points), _UNITS)
             rec.write(LogRecord(ts_ns=frame.ts_ns, radar_id=frame.radar_id,
                                 kind="raw_tlv", payload=blob))
     finally:

@@ -45,6 +45,14 @@ class MqttConfig:
     def __post_init__(self):
         if not self.topic_prefix or self.topic_prefix.endswith("/"):
             raise ValueError("topic_prefix must be nonempty with no trailing slash")
+        if not 0 < self.port < 65536:
+            raise ValueError("port must be in 1..65535")
+        for name in ("qos_status", "qos_event"):
+            # MiniMqttClient speaks QoS 0 and 1 only
+            if getattr(self, name) not in (0, 1):
+                raise ValueError(f"{name} must be 0 or 1")
+        if self.queue_limit < 1:
+            raise ValueError("queue_limit must be >= 1")
 
 
 def serialize_status(status: ZoneStatus) -> bytes:

@@ -6,6 +6,7 @@ criterion.  The bundled reference scenario is simulated and replayed
 once per session and shared by the criteria that score it.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -371,3 +372,27 @@ def test_criterion_10_telemetry_outage_recovery():
     offer(121.0)
     assert broker["published"][-1][0] == "radarfuse/occupancy/room/state"
     assert len(broker["published"]) == 1 + 50 + 1
+
+
+# md5 of the status and event JSONL that ``replay --fast`` writes for the
+# paper scenario (seed 7); DBSCAN and OPTICS give the same bytes
+GOLDEN_STATUS_MD5 = "83cb92296961bce60c70e86400e369ea"
+GOLDEN_EVENTS_MD5 = "e5ea56bad07eef9dfb18e205b0c2a10d"
+
+
+def _md5(path):
+    return hashlib.md5(path.read_bytes()).hexdigest()
+
+
+def test_golden_jsonl(paper_run):
+    """Refactors keep the reference outputs byte for byte."""
+    assert _md5(paper_run["status"]) == GOLDEN_STATUS_MD5
+    assert _md5(paper_run["events"]) == GOLDEN_EVENTS_MD5
+    d = paper_run["dir"]
+    status, events = d / "golden_status.jsonl", d / "golden_events.jsonl"
+    assert cli.cli(["replay", "--config", "paper", "--log",
+                    str(paper_run["log"]), "--fast", "--clustering", "optics",
+                    "--status-log", str(status),
+                    "--event-log", str(events)]) == 0
+    assert _md5(status) == GOLDEN_STATUS_MD5
+    assert _md5(events) == GOLDEN_EVENTS_MD5

@@ -119,6 +119,20 @@ class TestConfig:
         assert ei.value.path == path
         assert str(ei.value) == f"{path}: unknown field"
 
+    def test_defaults_and_null(self):
+        doc = paper_config_doc()
+        doc["radars"][0]["threshold"]["range_max"] = None
+        doc["clustering"]["min_pts"] = 4.0
+        cfg = load_config(doc)
+        assert cfg.radars[0].threshold.range_max is None
+        assert cfg.clustering.min_pts == 4
+        assert type(cfg.clustering.min_pts) is int
+        assert cfg.mqtt is None
+        minimal = load_config({"radars": [{"radar_id": "r0"}],
+                               "mqtt": {}})
+        assert minimal.radars[0].pose == Pose()
+        assert minimal.mqtt == telemetry.MqttConfig()
+
     def test_degrees_converted_once(self):
         doc = paper_config_doc()
         doc["radars"][2]["pose"]["pitch_deg"] = -90.0
@@ -295,6 +309,40 @@ class TestCli:
         rc = cli.cli(["replay", "--config", str(bad), "--log", str(log)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit,path", [
+        pytest.param(lambda d: d.update(mqtt={"qos_status": 2}),
+                     "mqtt.qos_status", id="mqtt-qos_status"),
+        pytest.param(lambda d: d.update(mqtt={"qos_event": 2}),
+                     "mqtt.qos_event", id="mqtt-qos_event"),
+        pytest.param(lambda d: d.update(mqtt={"port": 0}),
+                     "mqtt.port", id="mqtt-port-0"),
+        pytest.param(lambda d: d.update(mqtt={"port": 65536}),
+                     "mqtt.port", id="mqtt-port-65536"),
+        pytest.param(lambda d: d.update(mqtt={"port": "1883"}),
+                     "mqtt.port", id="mqtt-port-str"),
+        pytest.param(lambda d: d.update(mqtt={"queue_limit": 0}),
+                     "mqtt.queue_limit", id="mqtt-queue_limit"),
+        pytest.param(lambda d: d.update(mqtt={"retain_status": "yes"}),
+                     "mqtt.retain_status", id="mqtt-retain_status"),
+        pytest.param(lambda d: d["grid"].update(bounds_x=[12.0, 0.0]),
+                     "grid.bounds_x", id="grid-bounds_x"),
+        pytest.param(lambda d: (d.pop("zones"),
+                                d["grid"].update(bounds_y=[6.0, 0.0])),
+                     "grid.bounds_y", id="grid-bounds_y-no-zones"),
+        pytest.param(lambda d: d["clustering"].update(min_pts=4.7),
+                     "clustering.min_pts", id="clustering-min_pts"),
+    ])
+    def test_bad_value_exit_2(self, tmp_path, sim_log, capsys, edit, path):
+        log, _ = sim_log
+        doc = paper_config_doc()
+        edit(doc)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        rc = cli.cli(["replay", "--config", str(bad), "--log", str(log),
+                      "--fast"])
+        assert rc == 2
+        assert f"config error: {path}: " in capsys.readouterr().err
 
     def test_usage_error_exit_2(self, capsys):
         assert cli.cli(["replay"]) == 2

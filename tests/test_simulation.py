@@ -81,10 +81,21 @@ class TestValidation:
             list(simulate_frames(sc))
 
     def test_negative_sigma(self):
-        sc = Scenario(radars=(overhead_radar(),),
-                      noise=NoiseSpec(pos_sigma=-1.0), duration=1.0)
-        with pytest.raises(InvalidScenario, match="pos_sigma"):
-            list(simulate_frames(sc))
+        bad = [({"noise": NoiseSpec(pos_sigma=-1.0)}, "noise.pos_sigma"),
+               ({"noise": NoiseSpec(points_per_target=-1.0)},
+                "noise.points_per_target"),
+               ({"noise": NoiseSpec(ghost_rate=-1.0)}, "noise.ghost_rate"),
+               ({"noise": NoiseSpec(dropout_prob=-0.1)}, "noise.dropout_prob"),
+               ({"noise": NoiseSpec(dropout_prob=1.5)}, "noise.dropout_prob"),
+               ({"radars": (overhead_radar(frame_rate=0.0),)},
+                r"radars\[0\].frame_rate"),
+               ({"radars": (overhead_radar(max_range=-1.0),)},
+                r"radars\[0\].max_range")]
+        for kw, path in bad:
+            sc = Scenario(**{"radars": (overhead_radar(),), "duration": 1.0,
+                             **kw})
+            with pytest.raises(InvalidScenario, match=path):
+                list(simulate_frames(sc))
 
 
 class TestFrameGeneration:
