@@ -212,3 +212,7 @@ def cli(argv=None) -> int:
 
 def main():
     raise SystemExit(cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -50,7 +50,6 @@ class Centroid:
     y: float
     z: float
     members: int
-    mean_doppler: float
     ts_ns: int
 
     @property
@@ -66,7 +65,7 @@ class ClusterResult:
     is_core: list[bool] = field(default_factory=list)
 
 
-def _centroids(positions, dopplers, labels, ts_ns) -> list[Centroid]:
+def _centroids(positions, labels, ts_ns) -> list[Centroid]:
     by_label: dict[int, list[int]] = {}
     for i, lab in enumerate(labels):
         if lab != NOISE:
@@ -77,22 +76,17 @@ def _centroids(positions, dopplers, labels, ts_ns) -> list[Centroid]:
         mean = positions[idx].mean(axis=0)
         out.append(Centroid(
             x=float(mean[0]), y=float(mean[1]), z=float(mean[2]),
-            members=len(idx),
-            mean_doppler=float(np.mean([dopplers[i] for i in idx])),
-            ts_ns=ts_ns,
-        ))
+            members=len(idx), ts_ns=ts_ns))
     return out
 
 
 def dbscan(positions: np.ndarray, eps: float, min_pts: int,
-           dopplers=None, ts_ns: int = 0) -> ClusterResult:
+           ts_ns: int = 0) -> ClusterResult:
     """Classic DBSCAN with deterministic input-index scan order."""
     n = len(positions)
     if n == 0:
         return ClusterResult(labels=[], centroids=[], ts_ns=ts_ns, is_core=[])
     positions = np.asarray(positions, dtype=float)
-    if dopplers is None:
-        dopplers = np.zeros(n)
     eps2 = eps * eps
     neigh = [np.flatnonzero(row <= eps2).tolist()
              for row in sq_distance_rows(positions, positions)]
@@ -114,7 +108,7 @@ def dbscan(positions: np.ndarray, eps: float, min_pts: int,
                     queue.extend(neigh[j])
         cluster += 1
     return ClusterResult(labels=labels,
-                         centroids=_centroids(positions, dopplers, labels, ts_ns),
+                         centroids=_centroids(positions, labels, ts_ns),
                          ts_ns=ts_ns, is_core=core)
 
 
@@ -170,7 +164,7 @@ def optics(positions: np.ndarray, min_pts: int, max_eps: float) -> list[OpticsPo
 
 
 def extract_eps_cut(order: list[OpticsPoint], eps: float, min_pts: int,
-                    positions=None, dopplers=None, ts_ns: int = 0) -> ClusterResult:
+                    positions=None, ts_ns: int = 0) -> ClusterResult:
     """DBSCAN-equivalent clustering from an OPTICS ordering at radius eps."""
     n = len(order)
     labels_by_index: dict[int, int] = {}
@@ -192,10 +186,8 @@ def extract_eps_cut(order: list[OpticsPoint], eps: float, min_pts: int,
     if positions is None:
         centroids = []
     else:
-        positions = np.asarray(positions, dtype=float)
-        if dopplers is None:
-            dopplers = np.zeros(n)
-        centroids = _centroids(positions, dopplers, labels, ts_ns)
+        centroids = _centroids(np.asarray(positions, dtype=float), labels,
+                               ts_ns)
     return ClusterResult(labels=labels, centroids=centroids, ts_ns=ts_ns,
                          is_core=is_core)
 
@@ -203,11 +195,10 @@ def extract_eps_cut(order: list[OpticsPoint], eps: float, min_pts: int,
 def cluster_points(points, cfg: ClusterConfig, ts_ns: int) -> ClusterResult:
     """Cluster one window of WorldPoints with the configured algorithm."""
     positions = np.array([[p.x, p.y, p.z] for p in points], dtype=float)
-    dopplers = np.array([p.doppler for p in points], dtype=float)
     if cfg.algorithm is ClusterAlgorithm.DBSCAN:
-        return dbscan(positions, cfg.eps, cfg.min_pts, dopplers, ts_ns)
+        return dbscan(positions, cfg.eps, cfg.min_pts, ts_ns)
     order = optics(positions, cfg.min_pts, cfg.optics_max_eps)
-    return extract_eps_cut(order, cfg.eps, cfg.min_pts, positions, dopplers, ts_ns)
+    return extract_eps_cut(order, cfg.eps, cfg.min_pts, positions, ts_ns)
 
 
 class WindowClusterer:

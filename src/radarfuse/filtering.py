@@ -20,10 +20,6 @@ import numpy as np
 from .geometry import WorldPoint, sq_distance_rows
 
 
-class OutOfOrderFrame(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class ThresholdConfig:
     snr_min: float = 8.0            # dB
@@ -78,7 +74,8 @@ class BufferFilter:
 
     ``push`` accepts the frame for time t and, once frames t+1..t+F have
     all arrived, emits the filtered frame for t - F (a (ts, points)
-    pair) or None while the pipeline is still filling.
+    pair) or None while the pipeline is still filling.  A frame stamped
+    before the last one is dropped and counted in ``out_of_order_dropped``.
     """
 
     def __init__(self, cfg: BufferConfig):
@@ -86,6 +83,7 @@ class BufferFilter:
         # (ts, points, their (n, 3) positions) per frame not yet emitted
         self._pending: deque[tuple[int, list, np.ndarray]] = deque()
         self._last_ts: int | None = None
+        self.out_of_order_dropped = 0
 
     def _evaluate(self, frame) -> tuple[int, list[WorldPoint]]:
         """Judge a frame just taken off ``_pending`` against the frames
@@ -100,7 +98,8 @@ class BufferFilter:
 
     def push(self, ts_ns: int, points: list[WorldPoint]):
         if self._last_ts is not None and ts_ns < self._last_ts:
-            raise OutOfOrderFrame(f"frame {ts_ns} after {self._last_ts}")
+            self.out_of_order_dropped += 1
+            return None
         self._last_ts = ts_ns
         positions = np.array([(p.x, p.y, p.z) for p in points],
                              dtype=float).reshape(-1, 3)

@@ -17,16 +17,6 @@ import numpy as np
 
 from .tlv import RadarPoint
 
-WORLD_FRAME = "world"
-
-
-class UnknownFrame(KeyError):
-    pass
-
-
-class CycleDetected(ValueError):
-    pass
-
 
 def _rot_z(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)
@@ -61,34 +51,6 @@ class Pose:
 
     def apply(self, point) -> np.ndarray:
         return self.matrix() @ np.asarray(point, dtype=float) + self.translation
-
-    def compose(self, other: "Pose") -> "_MatrixPose":
-        """self ∘ other: apply ``other`` first, then ``self``."""
-        return _MatrixPose(self.matrix() @ other.matrix(),
-                           self.apply(other.translation))
-
-    def inverse(self) -> "_MatrixPose":
-        r = self.matrix().T
-        return _MatrixPose(r, -r @ self.translation)
-
-
-class _MatrixPose(Pose):
-    """Pose held as an explicit rotation matrix (composition results)."""
-
-    def __init__(self, rotation: np.ndarray, translation: np.ndarray):
-        object.__setattr__(self, "x", float(translation[0]))
-        object.__setattr__(self, "y", float(translation[1]))
-        object.__setattr__(self, "z", float(translation[2]))
-        object.__setattr__(self, "yaw", float("nan"))
-        object.__setattr__(self, "pitch", float("nan"))
-        object.__setattr__(self, "roll", float("nan"))
-        object.__setattr__(self, "_rot", rotation)
-
-    def matrix(self) -> np.ndarray:
-        return self._rot
-
-
-IDENTITY = Pose()
 
 
 def spherical_to_cartesian(p: RadarPoint) -> np.ndarray:
@@ -130,41 +92,19 @@ def sq_distance_rows(a: np.ndarray, b: np.ndarray):
 
 
 class TransformTree:
-    """Immutable frame hierarchy rooted at ``world``.
+    """Radar frames to world: one fixed pose per radar.
 
-    Built once from {frame_id: (parent_frame_id, Pose)}; composite
-    frame-to-world poses are resolved eagerly so lookups are dict reads.
+    Built once from {radar_id: Pose}; each pose's rotation matrix and
+    translation are computed eagerly, so a lookup is a dict read.
     """
 
-    def __init__(self, frames: dict[str, tuple[str, Pose]]):
-        self._resolved: dict[str, Pose] = {WORLD_FRAME: IDENTITY}
-        for frame_id in frames:
-            self._resolve_rec(frame_id, frames, set())
-
-    def _resolve_rec(self, frame_id: str, frames, visiting) -> Pose:
-        if frame_id in self._resolved:
-            return self._resolved[frame_id]
-        if frame_id in visiting:
-            raise CycleDetected(f"frame '{frame_id}' participates in a cycle")
-        if frame_id not in frames:
-            raise UnknownFrame(frame_id)
-        visiting.add(frame_id)
-        parent, pose = frames[frame_id]
-        composite = self._resolve_rec(parent, frames, visiting).compose(pose)
-        self._resolved[frame_id] = composite
-        return composite
-
-    def resolve(self, frame_id: str) -> Pose:
-        try:
-            return self._resolved[frame_id]
-        except KeyError:
-            raise UnknownFrame(frame_id) from None
-
-    def has_frame(self, frame_id: str) -> bool:
-        return frame_id in self._resolved
+    def __init__(self, poses: dict[str, Pose]):
+        self._frames = {radar_id: (pose.matrix(), pose.translation)
+                        for radar_id, pose in poses.items()}
 
     def to_world(self, p: RadarPoint) -> WorldPoint:
-        pos = self.resolve(p.radar_id).apply(spherical_to_cartesian(p))
+        rotation, translation = self._frames[p.radar_id]
+        pos = rotation @ spherical_to_cartesian(p) + translation
         return WorldPoint(x=float(pos[0]), y=float(pos[1]), z=float(pos[2]),
                           doppler=p.doppler, snr=p.snr,
                           radar_id=p.radar_id, ts_ns=p.ts_ns)

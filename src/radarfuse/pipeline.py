@@ -22,15 +22,11 @@ from .clustering import WindowClusterer
 from .config import PipelineConfig, RadarConfig
 from .filtering import BufferFilter, threshold_filter
 from .fusion import Merger
-from .geometry import TransformTree, WORLD_FRAME
+from .geometry import TransformTree
 from .occupancy import OccupancyGrid
 from .recording import LogRecord
 from .telemetry import Publisher
 from .tracking import Tracker
-
-
-class StageInitError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -47,11 +43,7 @@ class Pipeline:
     def __init__(self, cfg: PipelineConfig, status_sink=None, event_sink=None,
                  publisher: Publisher | None = None):
         self.cfg = cfg
-        try:
-            self.tree = TransformTree(
-                {r.radar_id: (WORLD_FRAME, r.pose) for r in cfg.radars})
-        except Exception as e:
-            raise StageInitError(f"transform tree: {e}") from e
+        self.tree = TransformTree({r.radar_id: r.pose for r in cfg.radars})
         self.lanes: dict[str, _RadarLane] = {}
         for r in cfg.radars:
             self.lanes[r.radar_id] = _RadarLane(

@@ -180,8 +180,10 @@ def simulate_frames(sc: Scenario):
 
     for t, _, radar in ticks:
         ts_ns = int(round(t * 1e9))
-        inv = radar.pose.inverse()
+        # world -> radar: rot @ v - offset, the inverse of the pose
+        rot = radar.pose.matrix().T
         radar_pos = radar.pose.translation
+        offset = rot @ radar_pos
         points, labels = [], []
 
         for w in sorted(sc.walkers, key=lambda w: w.walker_id):
@@ -189,7 +191,7 @@ def simulate_frames(sc: Scenario):
             if xy is None:
                 continue
             body = np.array([xy[0], xy[1], sc.body_height])
-            local = inv.apply(body)
+            local = rot @ body - offset
             if local[1] <= 0:
                 continue
             r0, az0, el0 = _spherical(local)
@@ -208,7 +210,7 @@ def simulate_frames(sc: Scenario):
             n_pts = rng.poisson(sc.noise.points_per_target)
             for _ in range(n_pts):
                 noisy = body + rng.normal(0.0, sc.noise.pos_sigma, 3)
-                r, az, el = _spherical(inv.apply(noisy))
+                r, az, el = _spherical(rot @ noisy - offset)
                 dop = radial + rng.normal(0.0, 0.03)
                 snr = max(0.0, 15.0 + 3.0 * rng.standard_normal())
                 if not _encodable(r, az, el, dop, snr):
@@ -223,7 +225,7 @@ def simulate_frames(sc: Scenario):
             gx = rng.uniform(*sc.room_x)
             gy = rng.uniform(*sc.room_y)
             gz = rng.uniform(0.2, sc.room_height)
-            r, az, el = _spherical(inv.apply(np.array([gx, gy, gz])))
+            r, az, el = _spherical(rot @ np.array([gx, gy, gz]) - offset)
             dop = rng.uniform(-3.0, 3.0)
             snr = rng.uniform(8.0, 20.0)
             if r <= 0 or r > radar.max_range:

@@ -2,13 +2,15 @@
 
 Wire layout (all little-endian):
 
+  magic  : 8-byte preamble, see MAGIC
   header : uint32 type, uint32 length   (8 bytes; length counts payload only)
   point  : int8 elevation, int8 azimuth, int16 doppler,
            uint16 range, uint16 snr     (8 bytes per point)
 
 Raw integers are converted to physical units through per-radar scale
-factors (:class:`DecodeUnits`).  An optional magic preamble before each
-frame lets the scanner resynchronize after byte loss on a serial link.
+factors (:class:`DecodeUnits`).  Every frame starts with the magic
+preamble, which lets the scanner resynchronize after byte loss on a
+serial link or a corrupt length field.
 """
 
 from __future__ import annotations
@@ -16,12 +18,15 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-# Default type id for compressed point-cloud TLVs.  Vendor firmwares differ;
-# override via the registry argument where needed.
+# Type id of compressed point-cloud TLVs; every other type is skipped.
 COMPRESSED_POINTS_TYPE_ID = 1044
 
-# Default frame preamble, also used by TI demo streams.
-DEFAULT_MAGIC = bytes([0x02, 0x01, 0x04, 0x03, 0x06, 0x05, 0x08, 0x07])
+# Frame preamble, also used by TI demo streams.
+MAGIC = bytes([0x02, 0x01, 0x04, 0x03, 0x06, 0x05, 0x08, 0x07])
+
+# A longer payload is taken for a corrupt length field: 64 KiB is 8192
+# points, far above the detections a radar reports per frame.
+MAX_PAYLOAD_BYTES = 64 * 1024
 
 _HEADER = struct.Struct("<II")
 _POINT = struct.Struct("<bbhHH")
@@ -148,11 +153,9 @@ def encode_points(points: list[RadarPoint], units: DecodeUnits,
 
 
 def encode_frame(points: list[RadarPoint], units: DecodeUnits,
-                 type_id: int = COMPRESSED_POINTS_TYPE_ID,
-                 magic: bytes | None = DEFAULT_MAGIC) -> bytes:
-    """A full on-wire frame: optional magic preamble, then header+payload."""
-    body = encode_points(points, units, type_id)
-    return (magic or b"") + body
+                 type_id: int = COMPRESSED_POINTS_TYPE_ID) -> bytes:
+    """A full on-wire frame: magic preamble, then header+payload."""
+    return MAGIC + encode_points(points, units, type_id)
 
 
 @dataclass
@@ -160,12 +163,12 @@ class FrameScanner:
     """Resynchronizing splitter over an arbitrary byte stream.
 
     Feed chunks in arrival order; complete (header, payload) records come
-    out in order.  With a magic preamble configured, garbage between
-    frames is skipped up to the next preamble and counted in
-    ``dropped_bytes``; nothing is ever raised for corruption.
+    out in order.  Garbage between frames is skipped up to the next
+    preamble and counted in ``dropped_bytes``, and so is the preamble of
+    a header whose length exceeds MAX_PAYLOAD_BYTES; nothing is ever
+    raised for corruption.
     """
 
-    magic: bytes | None = DEFAULT_MAGIC
     dropped_bytes: int = 0
     _buf: bytearray = field(default_factory=bytearray)
 
@@ -177,27 +180,25 @@ class FrameScanner:
                 return
             yield rec
 
+    def _drop(self, n: int):
+        self.dropped_bytes += n
+        del self._buf[:n]
+
     def _next_record(self):
-        if self.magic:
-            idx = self._buf.find(self.magic)
+        while True:
+            idx = self._buf.find(MAGIC)
             if idx < 0:
                 # keep a possible partial preamble at the tail
-                keep = len(self.magic) - 1
-                if len(self._buf) > keep:
-                    excess = len(self._buf) - keep
-                    # only count bytes that cannot start a preamble
-                    self.dropped_bytes += excess
-                    del self._buf[:excess]
+                self._drop(max(0, len(self._buf) - (len(MAGIC) - 1)))
                 return None
-            if idx > 0:
-                self.dropped_bytes += idx
-                del self._buf[:idx]
-            base = len(self.magic)
-        else:
-            base = 0
-        if len(self._buf) < base + HEADER_SIZE:
-            return None
-        header = parse_header(bytes(self._buf[base:base + HEADER_SIZE]))
+            self._drop(idx)
+            base = len(MAGIC)
+            if len(self._buf) < base + HEADER_SIZE:
+                return None
+            header = parse_header(bytes(self._buf[base:base + HEADER_SIZE]))
+            if header.length <= MAX_PAYLOAD_BYTES:
+                break
+            self._drop(base)   # corrupt length: resync at the next preamble
         end = base + HEADER_SIZE + header.length
         if len(self._buf) < end:
             return None
@@ -208,25 +209,24 @@ class FrameScanner:
 
 @dataclass
 class FrameDecoder:
-    """Scanner plus type registry: bytes in, RadarPoint frames out.
+    """Scanner plus point decoding: bytes in, RadarPoint frames out.
 
-    Unknown type ids are length-hopped and counted, never errors; so are
-    point TLVs whose payload is not a whole number of points.
+    TLVs of any other type than COMPRESSED_POINTS_TYPE_ID are
+    length-hopped and counted, never errors; so are point TLVs whose
+    payload is not a whole number of points.
     """
 
     units: DecodeUnits
     radar_id: str
-    magic: bytes | None = DEFAULT_MAGIC
-    point_type_ids: frozenset[int] = frozenset({COMPRESSED_POINTS_TYPE_ID})
     unknown_tlv_count: int = 0
     misaligned_tlv_count: int = 0
 
     def __post_init__(self):
-        self.scanner = FrameScanner(magic=self.magic)
+        self.scanner = FrameScanner()
 
     def feed(self, data: bytes, ts_ns: int):
         for header, payload in self.scanner.feed(data):
-            if header.type_id not in self.point_type_ids:
+            if header.type_id != COMPRESSED_POINTS_TYPE_ID:
                 self.unknown_tlv_count += 1
                 continue
             if len(payload) % POINT_SIZE:

@@ -20,7 +20,7 @@ from radarfuse import cli, tlv
 from radarfuse.clustering import dbscan, extract_eps_cut, optics
 from radarfuse.filtering import (BufferConfig, BufferFilter, ThresholdConfig,
                                  threshold_filter)
-from radarfuse.geometry import Pose, TransformTree, WORLD_FRAME
+from radarfuse.geometry import Pose, TransformTree
 from radarfuse.occupancy import CellState, cell_tick
 from radarfuse.simulation import (NoiseSpec, RadarSpec, Scenario, WalkerSpec,
                                   evaluate, simulate_frames)
@@ -249,7 +249,7 @@ def test_criterion_07_ghost_robustness():
     sc = Scenario(radars=(radar,), walkers=(walker,),
                   noise=NoiseSpec(ghost_rate=2.0, dropout_prob=0.0),
                   doppler_zero_suppression=False, duration=40.0, seed=61)
-    tree = TransformTree({"r0": (WORLD_FRAME, radar.pose)})
+    tree = TransformTree({"r0": radar.pose})
     buf = BufferFilter(BufferConfig())
     label_of = {}
     pending_in: dict[int, Counter] = {}
@@ -374,8 +374,10 @@ def test_criterion_10_telemetry_outage_recovery():
     assert len(broker["published"]) == 1 + 50 + 1
 
 
-# md5 of the status and event JSONL that ``replay --fast`` writes for the
-# paper scenario (seed 7); DBSCAN and OPTICS give the same bytes
+# md5 of the paper scenario's rendered log (seed 7), and of the status and
+# event JSONL that ``replay --fast`` writes for it; DBSCAN and OPTICS give
+# the same bytes
+GOLDEN_LOG_MD5 = "f117d33393c08abb1e4c80f8e0c36097"
 GOLDEN_STATUS_MD5 = "83cb92296961bce60c70e86400e369ea"
 GOLDEN_EVENTS_MD5 = "e5ea56bad07eef9dfb18e205b0c2a10d"
 
@@ -386,6 +388,7 @@ def _md5(path):
 
 def test_golden_jsonl(paper_run):
     """Refactors keep the reference outputs byte for byte."""
+    assert _md5(paper_run["log"]) == GOLDEN_LOG_MD5
     assert _md5(paper_run["status"]) == GOLDEN_STATUS_MD5
     assert _md5(paper_run["events"]) == GOLDEN_EVENTS_MD5
     d = paper_run["dir"]
@@ -396,3 +399,33 @@ def test_golden_jsonl(paper_run):
                     "--event-log", str(events)]) == 0
     assert _md5(status) == GOLDEN_STATUS_MD5
     assert _md5(events) == GOLDEN_EVENTS_MD5
+
+
+def test_backward_record_dropped(paper_run):
+    """A radar record stamped 1 s before its predecessor is dropped: the
+    replay finishes, and every status from more than 1 s before the
+    faulty stamp is the clean run's."""
+    d = paper_run["dir"]
+    log, status = d / "backward.log", d / "backward_status.jsonl"
+    faulty_ns = 29_100_000_000
+    lines = paper_run["log"].read_text(encoding="utf-8").splitlines(True)
+    for i, line in enumerate(lines[1:], start=1):
+        doc = json.loads(line)
+        if doc["radar_id"] == "wall_a" and doc["ts_ns"] == faulty_ns + SEC:
+            doc["ts_ns"] = faulty_ns
+            lines[i] = json.dumps(doc, separators=(",", ":")) + "\n"
+            break
+    else:
+        pytest.fail("no wall_a record at 30.1 s")
+    log.write_text("".join(lines), encoding="utf-8")
+    assert cli.cli(["replay", "--config", "paper", "--log", str(log),
+                    "--fast", "--status-log", str(status)]) == 0
+
+    def rows(path):
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+    clean, faulty = rows(paper_run["status"]), rows(status)
+    cut = faulty_ns / SEC - 1.0
+    early = [r for r in clean if r["t_s"] < cut]
+    assert early and [r for r in faulty if r["t_s"] < cut] == early
+    assert faulty[-1]["t_s"] == clean[-1]["t_s"]   # replayed to the end

@@ -54,11 +54,6 @@ class TestDbscan:
         assert core_partition(res.labels, res.is_core) == \
             core_partition(ref_labels, ref_core)
 
-    def test_mean_doppler_carried(self):
-        pts = np.array([[0, 0, 0], [0.1, 0, 0], [0.2, 0, 0]])
-        res = dbscan(pts, 0.5, 2, dopplers=np.array([1.0, 2.0, 3.0]))
-        assert res.centroids[0].mean_doppler == pytest.approx(2.0)
-
 
 class TestOptics:
     def test_single_point(self):

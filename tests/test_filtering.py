@@ -1,10 +1,9 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from _reference import brute_buffer_survival, brute_buffer_survival_window
-from radarfuse.filtering import (BufferConfig, BufferFilter, OutOfOrderFrame,
-                                 ThresholdConfig, threshold_filter)
+from radarfuse.filtering import (BufferConfig, BufferFilter, ThresholdConfig,
+                                 threshold_filter)
 from radarfuse.geometry import WorldPoint
 
 
@@ -78,11 +77,15 @@ class TestBufferFilter:
         ts, _ = f.push(3, [])
         assert ts == 0
 
-    def test_out_of_order_raises(self):
-        f = BufferFilter(BufferConfig())
-        f.push(10, [])
-        with pytest.raises(OutOfOrderFrame):
-            f.push(5, [])
+    def test_out_of_order_dropped_and_counted(self):
+        f = BufferFilter(BufferConfig(window_frames=1, min_support=1))
+        assert f.push(10, [wp(x=0, y=0, z=1)]) is None
+        assert f.push(5, [wp(x=0, y=0, z=1)]) is None
+        assert f.out_of_order_dropped == 1
+        # the dropped frame neither lends support nor comes out later
+        ts, kept = f.push(11, [])
+        assert (ts, kept) == (10, [])
+        assert f.flush() == [(11, [])]
 
     def test_emitted_subset_of_input(self):
         f = BufferFilter(BufferConfig(window_frames=2, min_support=1))

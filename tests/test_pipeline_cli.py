@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -13,6 +17,8 @@ from radarfuse.pipeline import Pipeline, replay_through
 from radarfuse.recording import LogRecord
 from radarfuse.simulation import (NoiseSpec, RadarSpec, Scenario, WalkerSpec,
                                   simulate)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def small_scenario(seed=5, duration=12.0):
@@ -346,6 +352,12 @@ class TestCli:
 
     def test_usage_error_exit_2(self, capsys):
         assert cli.cli(["replay"]) == 2
+
+    def test_module_entry_point(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-m", "radarfuse.cli",
+                               "replay"], env=env, capture_output=True)
+        assert proc.returncode == 2
 
     def test_corrupt_log_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.log"

@@ -103,9 +103,9 @@ def test_round_trip_within_one_quantum(points):
 
 
 class TestFrameScanner:
-    def frame(self, n_points, magic=tlv.DEFAULT_MAGIC):
+    def frame(self, n_points):
         pts = [make_point(range_m=0.5 + 0.1 * i) for i in range(n_points)]
-        return tlv.encode_frame(pts, UNITS, magic=magic)
+        return tlv.encode_frame(pts, UNITS)
 
     def test_back_to_back(self):
         scanner = tlv.FrameScanner()
@@ -139,10 +139,18 @@ class TestFrameScanner:
             recs.extend(scanner.feed(stream[i:i + 1]))
         assert [h.length for h, _ in recs] == [16, 8]
 
-    def test_no_magic_mode(self):
-        scanner = tlv.FrameScanner(magic=None)
-        recs = list(scanner.feed(self.frame(2, magic=None)))
-        assert len(recs) == 1
+    def test_implausible_length_resyncs(self):
+        # a preamble and a header claiming ~4 GiB of payload, then 2000
+        # valid frames: 80 000 bytes, more than MAX_PAYLOAD_BYTES
+        bad = tlv.MAGIC + struct.pack("<II", tlv.COMPRESSED_POINTS_TYPE_ID,
+                                      0xFFFFFFF0)
+        scanner = tlv.FrameScanner()
+        recs = list(scanner.feed(bad))
+        for _ in range(2000):
+            recs.extend(scanner.feed(self.frame(3)))
+            assert len(scanner._buf) <= tlv.MAX_PAYLOAD_BYTES
+        assert [h.length for h, _ in recs] == [24] * 2000
+        assert scanner.dropped_bytes == len(bad)
 
 
 class TestFrameDecoder:
@@ -158,7 +166,7 @@ class TestFrameDecoder:
 
     def test_misaligned_point_tlv_dropped_and_counted(self):
         dec = tlv.FrameDecoder(units=UNITS, radar_id="r0")
-        bad = tlv.DEFAULT_MAGIC + struct.pack(
+        bad = tlv.MAGIC + struct.pack(
             "<II", tlv.COMPRESSED_POINTS_TYPE_ID, 7) + bytes(7)
         good = tlv.encode_frame([make_point(), make_point()], UNITS)
         frames = list(dec.feed(bad + good, ts_ns=5))
