@@ -1,11 +1,15 @@
 """Density-based clustering of fused points over tumbling time windows.
 
-Both DBSCAN and OPTICS are implemented directly (3D Euclidean metric;
-neighbourhoods come from one row-blocked numpy distance pass,
-:func:`radarfuse.geometry.sq_distance_rows`).  OPTICS cluster
-extraction is an eps-cut, which makes its core-point partition provably
-comparable to DBSCAN at the same eps and is exercised as a cross-check
-in the tests.
+Both DBSCAN and OPTICS are implemented directly (3D Euclidean metric)
+as array operations over one window, which holds a few hundred points
+at most.  Distances come from one row-blocked numpy pass,
+:func:`radarfuse.geometry.sq_distance_rows`: DBSCAN keeps a boolean
+``n x n`` eps adjacency and grows each cluster by frontier expansion
+over it; OPTICS keeps an ``n x n`` distance matrix and takes ``n``
+argmin steps over one reachability array.  OPTICS cluster extraction is
+an eps-cut, which makes its core-point partition provably comparable
+to DBSCAN at the same eps and is exercised as a cross-check in the
+tests.
 """
 
 from __future__ import annotations
@@ -65,51 +69,49 @@ class ClusterResult:
     is_core: list[bool] = field(default_factory=list)
 
 
-def _centroids(positions, labels, ts_ns) -> list[Centroid]:
-    by_label: dict[int, list[int]] = {}
-    for i, lab in enumerate(labels):
-        if lab != NOISE:
-            by_label.setdefault(lab, []).append(i)
+def _centroids(positions, labels: np.ndarray, ts_ns) -> list[Centroid]:
     out = []
-    for lab in sorted(by_label):
-        idx = by_label[lab]
-        mean = positions[idx].mean(axis=0)
+    for lab in range(labels.max(initial=NOISE) + 1):
+        mask = labels == lab
+        mean = positions[mask].mean(axis=0)
         out.append(Centroid(
             x=float(mean[0]), y=float(mean[1]), z=float(mean[2]),
-            members=len(idx), ts_ns=ts_ns))
+            members=int(np.count_nonzero(mask)), ts_ns=ts_ns))
     return out
 
 
 def dbscan(positions: np.ndarray, eps: float, min_pts: int,
            ts_ns: int = 0) -> ClusterResult:
-    """Classic DBSCAN with deterministic input-index scan order."""
+    """Classic DBSCAN with deterministic input-index scan order.
+
+    Clusters are numbered by their lowest core index, and a border point
+    joins the first cluster that reaches it, as a breadth-first scan in
+    index order would assign them.
+    """
     n = len(positions)
     if n == 0:
         return ClusterResult(labels=[], centroids=[], ts_ns=ts_ns, is_core=[])
     positions = np.asarray(positions, dtype=float)
     eps2 = eps * eps
-    neigh = [np.flatnonzero(row <= eps2).tolist()
-             for row in sq_distance_rows(positions, positions)]
-    core = [len(neigh[i]) >= min_pts for i in range(n)]
-    labels = [NOISE] * n
+    adj = np.array([row <= eps2
+                    for row in sq_distance_rows(positions, positions)])
+    core = adj.sum(1) >= min_pts
+    labels = np.full(n, NOISE)
     cluster = 0
-    for i in range(n):
-        if labels[i] != NOISE or not core[i]:
+    for i in np.flatnonzero(core):
+        if labels[i] != NOISE:
             continue
-        labels[i] = cluster
-        queue = list(neigh[i])
-        qi = 0
-        while qi < len(queue):
-            j = queue[qi]
-            qi += 1
-            if labels[j] == NOISE:
-                labels[j] = cluster
-                if core[j]:
-                    queue.extend(neigh[j])
+        # the core points density-connected to i, one hop per pass
+        members = np.zeros(n, dtype=bool)
+        frontier = np.arange(n) == i
+        while frontier.any():
+            members |= frontier
+            frontier = adj[frontier].any(0) & core & ~members
+        labels[adj[members].any(0) & (labels == NOISE)] = cluster
         cluster += 1
-    return ClusterResult(labels=labels,
+    return ClusterResult(labels=labels.tolist(),
                          centroids=_centroids(positions, labels, ts_ns),
-                         ts_ns=ts_ns, is_core=core)
+                         ts_ns=ts_ns, is_core=core.tolist())
 
 
 @dataclass
@@ -120,76 +122,63 @@ class OpticsPoint:
 
 
 def optics(positions: np.ndarray, min_pts: int, max_eps: float) -> list[OpticsPoint]:
-    """OPTICS ordering with core and reachability distances."""
+    """OPTICS ordering with core and reachability distances.
+
+    The next point is the unprocessed one of least reachability, the
+    lowest index on ties; when none is reachable, the lowest unprocessed
+    index starts a new component.
+    """
     n = len(positions)
     if n == 0:
         return []
     positions = np.asarray(positions, dtype=float)
     inf = float("inf")
-    max_eps2 = max_eps * max_eps
-    core_dist = []
-    neigh = []   # per point: (index, distance) pairs within max_eps, ascending
-    for row in sq_distance_rows(positions, positions):
-        idx = np.flatnonzero(row <= max_eps2)
-        ds = np.sqrt(row[idx]).tolist()
-        neigh.append(list(zip(idx.tolist(), ds)))
-        core_dist.append(sorted(ds)[min_pts - 1] if len(ds) >= min_pts
-                         else inf)
+    dist = np.array(list(sq_distance_rows(positions, positions)))
+    dist[dist > max_eps * max_eps] = inf
+    np.sqrt(dist, out=dist)
+    if min_pts > n:
+        core_dist = np.full(n, inf)
+    else:
+        core_dist = np.partition(dist, min_pts - 1, axis=1)[:, min_pts - 1]
 
-    processed = [False] * n
-    reach = [inf] * n
+    processed = np.zeros(n, dtype=bool)
+    reach = np.full(n, inf)      # of unprocessed points; inf once processed
     order: list[OpticsPoint] = []
-
-    for start in range(n):
-        if processed[start]:
-            continue
-        # seed list as a dict for decrease-key; deterministic tie-break on index
-        seeds: dict[int, float] = {start: inf}
-        while seeds:
-            i = min(seeds, key=lambda k: (seeds[k], k))
-            r = seeds.pop(i)
-            processed[i] = True
-            reach[i] = r
-            order.append(OpticsPoint(index=i, reachability=r,
-                                     core_distance=core_dist[i]))
-            if core_dist[i] == inf:
-                continue
-            for j, d in neigh[i]:
-                if processed[j]:
-                    continue
-                new_r = max(core_dist[i], d)
-                if j not in seeds or new_r < seeds[j]:
-                    seeds[j] = new_r
+    for _ in range(n):
+        i = int(reach.argmin())
+        if reach[i] == inf:
+            i = int(processed.argmin())
+        order.append(OpticsPoint(index=i, reachability=float(reach[i]),
+                                 core_distance=float(core_dist[i])))
+        processed[i] = True
+        reach[i] = inf
+        if core_dist[i] != inf:
+            np.minimum(reach, np.maximum(dist[i], core_dist[i]), out=reach,
+                       where=~processed)
     return order
 
 
 def extract_eps_cut(order: list[OpticsPoint], eps: float, min_pts: int,
                     positions=None, ts_ns: int = 0) -> ClusterResult:
     """DBSCAN-equivalent clustering from an OPTICS ordering at radius eps."""
-    n = len(order)
-    labels_by_index: dict[int, int] = {}
-    core_by_index: dict[int, bool] = {}
-    cluster = -1
-    for op in order:
-        is_core = op.core_distance <= eps
-        core_by_index[op.index] = is_core
-        if op.reachability > eps:
-            if is_core:
-                cluster += 1
-                labels_by_index[op.index] = cluster
-            else:
-                labels_by_index[op.index] = NOISE
-        else:
-            labels_by_index[op.index] = cluster
-    labels = [labels_by_index[i] for i in range(n)]
-    is_core = [core_by_index[i] for i in range(n)]
+    index = np.array([op.index for op in order], dtype=int)
+    reach = np.array([op.reachability for op in order])
+    core = np.array([op.core_distance for op in order]) <= eps
+    starts = reach > eps
+    # a core point past eps starts the next cluster; any other point past
+    # eps is noise; a point within eps joins the current cluster
+    cluster = np.cumsum(starts & core) - 1
+    labels = np.empty(len(order), dtype=int)
+    labels[index] = np.where(starts & ~core, NOISE, cluster)
+    is_core = np.empty(len(order), dtype=bool)
+    is_core[index] = core
     if positions is None:
         centroids = []
     else:
         centroids = _centroids(np.asarray(positions, dtype=float), labels,
                                ts_ns)
-    return ClusterResult(labels=labels, centroids=centroids, ts_ns=ts_ns,
-                         is_core=is_core)
+    return ClusterResult(labels=labels.tolist(), centroids=centroids,
+                         ts_ns=ts_ns, is_core=is_core.tolist())
 
 
 def cluster_points(points, cfg: ClusterConfig, ts_ns: int) -> ClusterResult:

@@ -110,9 +110,17 @@ def predict(track: TargetTrack, dt: float, cfg: TrackerConfig) -> TargetTrack:
     return t
 
 
+def gated_distance(track: TargetTrack, centroid_pos,
+                   cfg: TrackerConfig) -> float | None:
+    """Distance from the predicted position to a centroid inside the
+    inclusive Euclidean gate, or None outside it."""
+    d = math.dist(tuple(track.position), tuple(centroid_pos))
+    return d if d <= cfg.gate_distance else None
+
+
 def gate(track: TargetTrack, centroid_pos, cfg: TrackerConfig) -> bool:
     """Inclusive Euclidean gate on the predicted position."""
-    return math.dist(tuple(track.position), tuple(centroid_pos)) <= cfg.gate_distance
+    return gated_distance(track, centroid_pos, cfg) is not None
 
 
 def update(track: TargetTrack, centroid_pos, ts_ns: int,
@@ -153,8 +161,8 @@ def associate(tracks: list[TargetTrack], centroid_positions,
     pairs = []
     for t in tracks:
         for ci, pos in enumerate(centroid_positions):
-            d = math.dist(tuple(t.position), tuple(pos))
-            if d <= cfg.gate_distance:
+            d = gated_distance(t, pos, cfg)
+            if d is not None:
                 pairs.append((d, t.track_id, ci, t))
     pairs.sort(key=lambda p: (p[0], p[1], p[2]))
     used_tracks: set[int] = set()

@@ -37,6 +37,41 @@ def brute_dbscan(positions, eps, min_pts):
     return labels, core
 
 
+def brute_optics(positions, min_pts, max_eps):
+    """Textbook OPTICS with an explicit seed list; returns one
+    (index, reachability, core_distance) triple per point, in order.
+    The next point is the seed of least (reachability, index); with no
+    seeds left, the lowest unprocessed index starts a new component."""
+    pts = np.asarray(positions, dtype=float)
+    n = len(pts)
+    inf = float("inf")
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
+    neigh = [np.flatnonzero(d2[i] <= max_eps * max_eps).tolist()
+             for i in range(n)]
+    core = []
+    for i in range(n):
+        ds = sorted(float(np.sqrt(d2[i, j])) for j in neigh[i])
+        core.append(ds[min_pts - 1] if len(ds) >= min_pts else inf)
+    processed = [False] * n
+    out = []
+    for start in range(n):
+        if processed[start]:
+            continue
+        seeds = {start: inf}
+        while seeds:
+            i = min(seeds, key=lambda k: (seeds[k], k))
+            reach = seeds.pop(i)
+            processed[i] = True
+            out.append((i, reach, core[i]))
+            if core[i] == inf:
+                continue
+            for j in neigh[i]:
+                if not processed[j]:
+                    r = max(core[i], float(np.sqrt(d2[i, j])))
+                    seeds[j] = min(seeds.get(j, inf), r)
+    return out
+
+
 def core_partition(labels, core):
     """Frozen set-of-sets of core point indices per cluster."""
     groups = {}

@@ -9,6 +9,10 @@ once per session and shared by the criteria that score it.
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 from collections import Counter
 
@@ -399,6 +403,21 @@ def test_golden_jsonl(paper_run):
                     "--event-log", str(events)]) == 0
     assert _md5(status) == GOLDEN_STATUS_MD5
     assert _md5(events) == GOLDEN_EVENTS_MD5
+
+
+def test_compare_clustering_script(paper_run):
+    """The A/B tool runs from a checkout and scores both backends alike."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "compare_clustering.py"),
+         "--log", str(paper_run["log"]), "--truth", str(paper_run["truth"]),
+         "--workdir", str(paper_run["dir"] / "ab")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    assert set(results) == {"dbscan", "optics"}
+    assert results["dbscan"] == results["optics"]
 
 
 def test_backward_record_dropped(paper_run):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _reference import brute_dbscan, core_partition
+from _reference import brute_dbscan, brute_optics, core_partition
 from radarfuse.clustering import (NOISE, ClusterConfig, WindowClusterer,
                                   cluster_points, dbscan, extract_eps_cut,
                                   optics)
@@ -12,6 +12,33 @@ from radarfuse.geometry import WorldPoint
 def wp(x, y, z=0.0, doppler=0.0, ts_ns=0):
     return WorldPoint(x=x, y=y, z=z, doppler=doppler, snr=15.0,
                       radar_id="r0", ts_ns=ts_ns)
+
+
+BOUNDARY_CASES = ("lattice", "duplicates", "min_pts_above_n")
+
+
+def instance(case):
+    """(positions, eps, min_pts): a random window for an int seed, else
+    a boundary input: a 0.5 m lattice with eps 0.5 (d² == eps² exactly),
+    duplicate points, or min_pts above n."""
+    if case == "lattice":
+        rng = np.random.default_rng(1)
+        grid = np.array([[x, y, z] for x in range(8) for y in range(8)
+                         for z in range(2)]) * 0.5
+        return grid[rng.permutation(len(grid))[:70]], 0.5, 3
+    if case == "duplicates":
+        rng = np.random.default_rng(2)
+        base = rng.uniform(0, 3, size=(20, 3))
+        return base[rng.integers(0, 20, 90)], 0.6, 4
+    if case == "min_pts_above_n":
+        rng = np.random.default_rng(3)
+        return rng.uniform(0, 1, size=(10, 3)), 0.5, 11
+    rng = np.random.default_rng(case)
+    n = int(rng.integers(0, 120))
+    pts = rng.uniform(0, 6, size=(n, 3))
+    eps = float(rng.uniform(0.3, 1.2))
+    min_pts = int(rng.integers(1, 6))
+    return pts, eps, min_pts
 
 
 class TestDbscan:
@@ -38,21 +65,14 @@ class TestDbscan:
         assert res.labels[3] != res.labels[0]
         assert res.labels[3] != NOISE
 
-    @pytest.mark.parametrize("seed", range(25))
+    @pytest.mark.parametrize("seed", [*range(25), *BOUNDARY_CASES])
     def test_matches_brute_force(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(0, 120))
-        pts = rng.uniform(0, 6, size=(n, 3))
-        eps = float(rng.uniform(0.3, 1.2))
-        min_pts = int(rng.integers(1, 6))
+        pts, eps, min_pts = instance(seed)
         res = dbscan(pts, eps, min_pts)
         ref_labels, ref_core = brute_dbscan(pts, eps, min_pts)
         assert res.is_core == ref_core
-        # same noise set and same core partition
-        assert [l == NOISE for l in res.labels] == \
-            [l == NOISE for l in ref_labels]
-        assert core_partition(res.labels, res.is_core) == \
-            core_partition(ref_labels, ref_core)
+        # same cluster numbering, border points included
+        assert res.labels == ref_labels
 
 
 class TestOptics:
@@ -80,6 +100,13 @@ class TestOptics:
         order = optics(pts, min_pts=2, max_eps=2.0)
         res = extract_eps_cut(order, eps=0.5, min_pts=2)
         assert len(set(res.labels)) == 1 and res.labels[0] != NOISE
+
+    @pytest.mark.parametrize("case", [*range(10), *BOUNDARY_CASES])
+    def test_matches_brute_optics(self, case):
+        pts, eps, min_pts = instance(case)
+        order = optics(pts, min_pts, max_eps=4 * eps)
+        got = [(op.index, op.reachability, op.core_distance) for op in order]
+        assert got == brute_optics(pts, min_pts, 4 * eps)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_eps_cut_matches_dbscan_core_partition(self, seed):
