@@ -2,11 +2,11 @@
 
 Both DBSCAN and OPTICS are implemented directly (3D Euclidean metric)
 as array operations over one window, which holds a few hundred points
-at most.  Distances come from one row-blocked numpy pass,
-:func:`radarfuse.geometry.sq_distance_rows`: DBSCAN keeps a boolean
-``n x n`` eps adjacency and grows each cluster by frontier expansion
-over it; OPTICS keeps an ``n x n`` distance matrix and takes ``n``
-argmin steps over one reachability array.  OPTICS cluster extraction is
+at most.  Distances come from one ``n x n`` matrix,
+:func:`radarfuse.geometry.sq_distances`: DBSCAN thresholds it into a
+boolean eps adjacency and grows each cluster by frontier expansion
+over it; OPTICS keeps it as the distance matrix and takes ``n`` argmin
+steps over one reachability array.  OPTICS cluster extraction is
 an eps-cut, which makes its core-point partition provably comparable
 to DBSCAN at the same eps and is exercised as a cross-check in the
 tests.
@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import sq_distance_rows
+from .geometry import sq_distances
 
 NOISE = -1
 
@@ -92,9 +92,7 @@ def dbscan(positions: np.ndarray, eps: float, min_pts: int,
     if n == 0:
         return ClusterResult(labels=[], centroids=[], ts_ns=ts_ns, is_core=[])
     positions = np.asarray(positions, dtype=float)
-    eps2 = eps * eps
-    adj = np.array([row <= eps2
-                    for row in sq_distance_rows(positions, positions)])
+    adj = sq_distances(positions, positions) <= eps * eps
     core = adj.sum(1) >= min_pts
     labels = np.full(n, NOISE)
     cluster = 0
@@ -133,7 +131,7 @@ def optics(positions: np.ndarray, min_pts: int, max_eps: float) -> list[OpticsPo
         return []
     positions = np.asarray(positions, dtype=float)
     inf = float("inf")
-    dist = np.array(list(sq_distance_rows(positions, positions)))
+    dist = sq_distances(positions, positions)
     dist[dist > max_eps * max_eps] = inf
     np.sqrt(dist, out=dist)
     if min_pts > n:

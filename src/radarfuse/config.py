@@ -198,7 +198,7 @@ def paper_config_doc(algorithm: str = "dbscan") -> dict:
         "radars": [radar("wall_a", 0.05, -90.0, -5.0),
                    radar("wall_b", 11.95, 90.0, -5.0),
                    radar("ceiling", 6.0, 0.0, -90.0)],
-        "merge": {"reorder_horizon_ms": 100.0, "late_policy": "drop"},
+        "merge": {"reorder_horizon_ms": 100.0},
         "clustering": {"window_seconds": 0.5, "algorithm": algorithm,
                        "eps": 0.45, "min_pts": 4, "optics_max_eps": 2.0},
         "tracker": {"gate_distance": 1.0, "miss_timeout": 10.0,

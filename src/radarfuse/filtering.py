@@ -7,6 +7,8 @@ Two stages, run per radar stream before fusion:
 * buffer filter: hold each frame for F subsequent frames and keep only
   points that gather enough spatial support in those later frames.
   Ghosts flash once and vanish; real bodies keep shedding nearby points.
+  A frame's support is one count per row of its squared-distance
+  matrix to the later frames (:func:`radarfuse.geometry.sq_distances`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import WorldPoint, sq_distance_rows
+from .geometry import WorldPoint, sq_distances
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,9 @@ class BufferFilter:
         r, k = self.cfg.support_radius, self.cfg.min_support
         # positions[:0] keeps the (0, 3) shape once no later frame is left
         later = np.concatenate([positions[:0]] + [f[2] for f in self._pending])
-        kept = [p for p, row in zip(points, sq_distance_rows(positions, later))
-                if np.count_nonzero(row <= r * r) >= k]
+        support = np.count_nonzero(sq_distances(positions, later) <= r * r,
+                                   axis=1)
+        kept = [p for p, s in zip(points, support) if s >= k]
         return ts, kept
 
     def push(self, ts_ns: int, points: list[WorldPoint]):

@@ -3,19 +3,18 @@
 Watermark logic runs in the timestamp domain so replay at any speed is
 bit-identical to live operation.  A frame is released once every
 registered source has progressed past its timestamp, or once newer
-traffic has advanced more than the reorder horizon beyond it.
+traffic has advanced more than the reorder horizon beyond it.  The
+watermark is the timestamp of the last frame released; a frame stamped
+before it is late, and late data is discarded and counted, the one
+rule of watermark stream processing (Akidau et al., "The Dataflow
+Model", VLDB 2015).
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
-from enum import Enum
-
-
-class LatePolicy(str, Enum):
-    DROP = "drop"
-    EMIT_OUT_OF_ORDER = "emit_out_of_order"
 
 
 class UnknownSource(KeyError):
@@ -25,7 +24,6 @@ class UnknownSource(KeyError):
 @dataclass(frozen=True)
 class MergeConfig:
     reorder_horizon_ms: float = 100.0
-    late_policy: LatePolicy = LatePolicy.DROP
 
     def __post_init__(self):
         if self.reorder_horizon_ms <= 0:
@@ -37,68 +35,53 @@ class Merger:
 
     Frames are (ts_ns, source_id, payload) triples internally; ``push``
     returns the list of frames released by that push, in timestamp
-    order.  Counters: ``received``, ``emitted``, ``late_dropped``,
-    ``emitted_out_of_order``.
+    order.  A frame stamped before the watermark is dropped.  Counters:
+    ``received``, ``emitted``, ``late_dropped``.
     """
 
     def __init__(self, cfg: MergeConfig, source_ids):
         self.cfg = cfg
+        self._horizon_ns = int(cfg.reorder_horizon_ms * 1e6)
         self._latest: dict[str, int | None] = {s: None for s in source_ids}
         self._heap: list[tuple[int, int, str, object]] = []
         self._seq = 0
-        self._max_ts: int | None = None
-        self._emit_watermark: int | None = None
+        self._max_ts = -math.inf
+        self._watermark = -math.inf
         self.received = 0
         self.emitted = 0
         self.late_dropped = 0
-        self.emitted_out_of_order = 0
 
     def push(self, source_id: str, ts_ns: int, frame):
         if source_id not in self._latest:
             raise UnknownSource(source_id)
         self.received += 1
-        # anything behind the emitted watermark can no longer be merged in
-        # order, so it takes the late path regardless of the horizon (the
-        # horizon governs how far ahead the watermark is forced, below)
-        if self._emit_watermark is not None and ts_ns < self._emit_watermark:
-            if self.cfg.late_policy is LatePolicy.DROP:
-                self.late_dropped += 1
-                return []
-            self.emitted += 1
-            self.emitted_out_of_order += 1
-            return [(ts_ns, source_id, frame)]
+        if ts_ns < self._watermark:
+            self.late_dropped += 1
+            return []
         prev = self._latest[source_id]
         self._latest[source_id] = ts_ns if prev is None else max(prev, ts_ns)
         heapq.heappush(self._heap, (ts_ns, self._seq, source_id, frame))
         self._seq += 1
-        self._max_ts = ts_ns if self._max_ts is None else max(self._max_ts, ts_ns)
-        return self._release()
+        self._max_ts = max(self._max_ts, ts_ns)
+        # the horizon forces the watermark along; once every source has
+        # reported, the slowest one's latest frame may raise it further
+        limit = self._max_ts - self._horizon_ns
+        latest = self._latest.values()
+        if None not in latest:
+            limit = max(limit, min(latest))
+        return self._release(limit)
 
-    def _release(self):
-        horizon_ns = int(self.cfg.reorder_horizon_ms * 1e6)
-        seen = [t for t in self._latest.values() if t is not None]
-        low = min(seen) if len(seen) == len(self._latest) else None
-        forced = self._max_ts - horizon_ns if self._max_ts is not None else None
+    def _release(self, limit):
+        """Pop every buffered frame stamped at or before ``limit``."""
         out = []
-        while self._heap:
-            ts = self._heap[0][0]
-            ok = (low is not None and ts <= low) or (forced is not None and ts <= forced)
-            if not ok:
-                break
+        while self._heap and self._heap[0][0] <= limit:
             ts, _, src, frame = heapq.heappop(self._heap)
             out.append((ts, src, frame))
-            if self._emit_watermark is None or ts > self._emit_watermark:
-                self._emit_watermark = ts
+        if out:
+            self._watermark = out[-1][0]
         self.emitted += len(out)
         return out
 
     def flush(self):
         """Release everything still buffered, in timestamp order."""
-        out = []
-        while self._heap:
-            ts, _, src, frame = heapq.heappop(self._heap)
-            out.append((ts, src, frame))
-            if self._emit_watermark is None or ts > self._emit_watermark:
-                self._emit_watermark = ts
-        self.emitted += len(out)
-        return out
+        return self._release(math.inf)

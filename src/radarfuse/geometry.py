@@ -6,6 +6,10 @@ plane, elevation rises out of it.  A pose's rotation is applied as
 yaw about Z, then pitch about the carried X axis, then roll about the
 carried Y (boresight) axis, so a wall radar tilted down 5 degrees is
 simply ``pitch = -5 deg``.
+
+:func:`sq_distances` is the package's one neighbour query: the full
+squared-distance matrix between two point sets, which clustering and
+the buffer filter compare with a radius.
 """
 
 from __future__ import annotations
@@ -49,9 +53,6 @@ class Pose:
     def translation(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
 
-    def apply(self, point) -> np.ndarray:
-        return self.matrix() @ np.asarray(point, dtype=float) + self.translation
-
 
 def spherical_to_cartesian(p: RadarPoint) -> np.ndarray:
     """Local Cartesian coordinates; boresight (+Y) at zero azimuth/elevation."""
@@ -74,21 +75,23 @@ class WorldPoint:
     ts_ns: int
 
 
-# Rows of ``a`` per block in :func:`sq_distance_rows`: the temporary is
-# at most _ROW_BLOCK x len(b) x 3 floats, whatever len(a).
-_ROW_BLOCK = 32
-
-
-def sq_distance_rows(a: np.ndarray, b: np.ndarray):
-    """For each row of ``a`` in order, the squared Euclidean distances
-    to every row of ``b`` (both (n, 3) float arrays).
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The ``(len(a), len(b))`` matrix of squared Euclidean distances
+    between the rows of ``a`` and ``b`` (both (n, 3) float arrays).
 
     This is the one fixed-radius neighbour query of the package: callers
-    compare a row with ``r * r``, so a point exactly ``r`` away counts.
+    compare it with ``r * r``, so a point exactly ``r`` away counts.
+    The squares are summed one axis at a time, x then y then z, the
+    order ``(d * d).sum(-1)`` uses, so every entry is bit-identical to
+    the 3-D difference form with no ``(n, m, 3)`` temporary.
     """
-    for s in range(0, len(a), _ROW_BLOCK):
-        d = a[s:s + _ROW_BLOCK, None, :] - b[None, :, :]
-        yield from (d * d).sum(-1)
+    out = np.zeros((len(a), len(b)))
+    d = np.empty_like(out)
+    for k in range(3):
+        np.subtract.outer(a[:, k], b[:, k], out=d)
+        d *= d
+        out += d
+    return out
 
 
 class TransformTree:

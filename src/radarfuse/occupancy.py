@@ -26,6 +26,11 @@ class Zone:
     len_y: float
 
     def __post_init__(self):
+        # the id is an MQTT topic level, so it may hold no separator or
+        # wildcard
+        if any(c in self.zone_id for c in "/+#"):
+            raise ValueError(f"zone_id {self.zone_id!r} contains an MQTT "
+                             "wildcard or separator")
         if self.len_x <= 0 or self.len_y <= 0:
             raise ValueError("zone side lengths must be > 0")
 

@@ -67,16 +67,7 @@ class Pipeline:
         lane = self.lanes.get(record.radar_id)
         if lane is None:
             return
-        if record.kind == "raw_tlv":
-            for points in lane.decoder.feed(record.payload, record.ts_ns):
-                self._feed_points(lane, record.ts_ns, points)
-        elif record.kind == "points":
-            points = [tlv.RadarPoint(range_m=p["range_m"], azimuth=p["azimuth"],
-                                     elevation=p["elevation"],
-                                     doppler=p["doppler"], snr=p["snr"],
-                                     radar_id=record.radar_id,
-                                     ts_ns=record.ts_ns)
-                      for p in record.payload]
+        for points in lane.decoder.feed(record.payload, record.ts_ns):
             self._feed_points(lane, record.ts_ns, points)
 
     def _feed_points(self, lane: _RadarLane, ts_ns: int, points):

@@ -1,9 +1,10 @@
 """Record and replay timestamped radar streams as JSON-lines logs.
 
 First line is a header carrying the format version and the radar
-registry; every following line is one record.  Timestamps inside the
-records drive all downstream logic, so replays are bit-reproducible at
-any speed.
+registry; every following line is one record of kind ``raw_tlv``: the
+radar's TLV bytes as received, base64-encoded.  A line of any other
+kind is a :class:`FormatError`.  Timestamps inside the records drive
+all downstream logic, so replays are bit-reproducible at any speed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 FORMAT_NAME = "radarfuse-log"
 FORMAT_VERSION = 1
 FLUSH_INTERVAL = 1.0  # s
+RECORD_KIND = "raw_tlv"
 
 
 class FormatError(ValueError):
@@ -32,8 +34,7 @@ class VersionMismatch(FormatError):
 class LogRecord:
     ts_ns: int
     radar_id: str
-    kind: str              # "raw_tlv" | "points"
-    payload: object        # bytes for raw_tlv, list of dicts for points
+    payload: bytes         # TLV bytes as received from the radar
 
 
 class Recorder:
@@ -53,12 +54,9 @@ class Recorder:
             raise ValueError(f"record for {record.radar_id} at {record.ts_ns} "
                              f"regresses behind {prev}")
         self._last_ts[record.radar_id] = record.ts_ns
-        if record.kind == "raw_tlv":
-            payload = base64.b64encode(record.payload).decode("ascii")
-        else:
-            payload = record.payload
         doc = {"ts_ns": record.ts_ns, "radar_id": record.radar_id,
-               "kind": record.kind, "payload": payload}
+               "kind": RECORD_KIND,
+               "payload": base64.b64encode(record.payload).decode("ascii")}
         self._fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
         now = self._clock()
         if now - self._last_flush >= FLUSH_INTERVAL:
@@ -111,16 +109,17 @@ def replay(path, speed: float = 1.0, as_fast_as_possible: bool = False,
                 doc = json.loads(line)
                 ts_ns = int(doc["ts_ns"])
                 radar_id = doc["radar_id"]
-                kind = doc["kind"]
-                payload = doc["payload"]
+                if doc["kind"] != RECORD_KIND:
+                    raise ValueError(f"record kind {doc['kind']!r}, "
+                                     f"expected {RECORD_KIND!r}")
+                # non-strict: stray characters are discarded, and the TLV
+                # scanner resyncs past any bytes they leave out
+                payload = base64.b64decode(doc["payload"])
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
                 raise FormatError(line_no, str(e)) from None
-            if kind == "raw_tlv":
-                payload = base64.b64decode(payload)
             if not as_fast_as_possible and prev_ts is not None:
                 delta = (ts_ns - prev_ts) / 1e9 / speed
                 if delta > 0:
                     sleep(delta)
             prev_ts = ts_ns
-            yield LogRecord(ts_ns=ts_ns, radar_id=radar_id, kind=kind,
-                            payload=payload)
+            yield LogRecord(ts_ns=ts_ns, radar_id=radar_id, payload=payload)

@@ -270,7 +270,7 @@ def simulate(sc: Scenario, log_path, truth_path=None, clock=None):
         for frame in simulate_frames(sc):
             blob = tlv.encode_frame(list(frame.points), _UNITS)
             rec.write(LogRecord(ts_ns=frame.ts_ns, radar_id=frame.radar_id,
-                                kind="raw_tlv", payload=blob))
+                                payload=blob))
     finally:
         rec.close()
     if truth_path is not None:
@@ -334,9 +334,6 @@ class EvalMetrics:
     mae: float
     convergence_time_s: float | None
     peak_estimate: float
-    times: tuple
-    truth_smoothed: tuple
-    estimate_smoothed: tuple
 
     def to_dict(self) -> dict:
         return {"mae": self.mae,
@@ -404,7 +401,4 @@ def evaluate(estimate_series, truth_series, smoothing_seconds: float = 30.0,
         mae=mae,
         convergence_time_s=float(times[conv_idx]) if conv_idx is not None else None,
         peak_estimate=float(np.max(est)),
-        times=tuple(times.tolist()),
-        truth_smoothed=tuple(tru_s.tolist()),
-        estimate_smoothed=tuple(est_s.tolist()),
     )

@@ -23,12 +23,7 @@ from dataclasses import dataclass, field
 
 from .occupancy import OccupancyEvent, ZoneStatus
 
-MQTT_WILDCARDS = ("/", "+", "#")
 BACKOFF_CAP = 30.0  # s
-
-
-class InvalidZoneId(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -73,19 +68,12 @@ def serialize_event(event: OccupancyEvent) -> bytes:
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
 
-def _check_zone_id(zone_id: str) -> str:
-    if any(c in zone_id for c in MQTT_WILDCARDS):
-        raise InvalidZoneId(f"zone id {zone_id!r} contains an MQTT wildcard "
-                            "or separator")
-    return zone_id
-
-
 def status_topic(prefix: str, zone_id: str) -> str:
-    return f"{prefix}/occupancy/{_check_zone_id(zone_id)}/state"
+    return f"{prefix}/occupancy/{zone_id}/state"
 
 
 def event_topic(prefix: str, zone_id: str) -> str:
-    return f"{prefix}/occupancy/{_check_zone_id(zone_id)}/events"
+    return f"{prefix}/occupancy/{zone_id}/events"
 
 
 class MiniMqttClient:

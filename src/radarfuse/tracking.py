@@ -118,11 +118,6 @@ def gated_distance(track: TargetTrack, centroid_pos,
     return d if d <= cfg.gate_distance else None
 
 
-def gate(track: TargetTrack, centroid_pos, cfg: TrackerConfig) -> bool:
-    """Inclusive Euclidean gate on the predicted position."""
-    return gated_distance(track, centroid_pos, cfg) is not None
-
-
 def update(track: TargetTrack, centroid_pos, ts_ns: int,
            cfg: TrackerConfig) -> TargetTrack:
     """Linear Kalman measurement update with z = position."""

@@ -420,6 +420,19 @@ def test_compare_clustering_script(paper_run):
     assert results["dbscan"] == results["optics"]
 
 
+def test_reference_experiment_script(tmp_path):
+    """The reference script reproduces the paper run and says so; it
+    exits 1 when the result is degraded."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_reference_experiment.py"),
+         "--outdir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "result: OK" in proc.stderr
+
+
 def test_backward_record_dropped(paper_run):
     """A radar record stamped 1 s before its predecessor is dropped: the
     replay finishes, and every status from more than 1 s before the

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from radarfuse.fusion import LatePolicy, MergeConfig, Merger, UnknownSource
+from radarfuse.fusion import MergeConfig, Merger, UnknownSource
 
 MS = 1_000_000
 
@@ -41,16 +41,6 @@ class TestMerger:
         m.push("b", 100 * MS, None)   # 100 ms behind watermark > 50 ms
         assert m.late_dropped == 1
 
-    def test_late_emit_out_of_order_policy(self):
-        m = Merger(MergeConfig(reorder_horizon_ms=50,
-                               late_policy=LatePolicy.EMIT_OUT_OF_ORDER),
-                   ["a", "b"])
-        m.push("a", 200 * MS, None)
-        m.push("b", 210 * MS, None)
-        released = m.push("b", 100 * MS, "late")
-        assert released == [(100 * MS, "b", "late")]
-        assert m.emitted_out_of_order == 1
-
     def test_horizon_forces_release_with_silent_source(self):
         m = Merger(MergeConfig(reorder_horizon_ms=100), ["a", "b"])
         out = m.push("a", 0, None)
@@ -71,4 +61,4 @@ class TestMerger:
         assert m.emitted + m.late_dropped == m.received == 500
         assert len(emitted) == m.emitted
         ts_series = [ts for ts, _, _ in emitted]
-        assert ts_series == sorted(ts_series)  # drop policy: monotone
+        assert ts_series == sorted(ts_series)  # late frames dropped: monotone

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radarfuse.geometry import Pose, TransformTree, spherical_to_cartesian
+from radarfuse.geometry import (Pose, TransformTree, spherical_to_cartesian,
+                                sq_distances)
 from radarfuse.tlv import RadarPoint
 
 
@@ -35,15 +36,19 @@ class TestSpherical:
         assert np.linalg.norm(out) == pytest.approx(r, abs=1e-9)
 
 
+def apply(pose, v):
+    return pose.matrix() @ np.asarray(v, dtype=float) + pose.translation
+
+
 class TestApplyPose:
     def test_identity(self):
-        np.testing.assert_allclose(Pose().apply([1, 2, 3]), [1, 2, 3])
+        np.testing.assert_allclose(apply(Pose(), [1, 2, 3]), [1, 2, 3])
 
     def test_pure_translation(self):
-        np.testing.assert_allclose(Pose(x=10).apply([1, 2, 3]), [11, 2, 3])
+        np.testing.assert_allclose(apply(Pose(x=10), [1, 2, 3]), [11, 2, 3])
 
     def test_quarter_turn_yaw(self):
-        np.testing.assert_allclose(Pose(yaw=math.pi / 2).apply([0, 1, 0]),
+        np.testing.assert_allclose(apply(Pose(yaw=math.pi / 2), [0, 1, 0]),
                                    [-1, 0, 0], atol=1e-12)
 
     def test_rotation_orthonormal(self):
@@ -100,5 +105,28 @@ vec_strategy = st.tuples(st.floats(-20, 20), st.floats(-20, 20),
 @given(pose=pose_strategy, a=vec_strategy, b=vec_strategy)
 def test_isometry(pose, a, b):
     da = np.linalg.norm(np.array(a) - np.array(b))
-    db = np.linalg.norm(pose.apply(a) - pose.apply(b))
+    db = np.linalg.norm(apply(pose, a) - apply(pose, b))
     assert db == pytest.approx(da, abs=1e-9)
+
+
+_rng = np.random.default_rng(3)
+_lattice = np.stack(np.meshgrid(*[np.arange(4) * 0.5] * 3),
+                    -1).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("a,b", [
+    pytest.param(_rng.uniform(-8, 8, (57, 3)), _rng.uniform(-8, 8, (41, 3)),
+                 id="random"),
+    pytest.param(_lattice, _lattice, id="lattice"),
+    pytest.param(np.repeat(_rng.uniform(0, 5, (6, 3)), 4, axis=0),
+                 _rng.uniform(0, 5, (9, 3)), id="duplicates"),
+    pytest.param(np.empty((0, 3)), _lattice, id="empty-a"),
+    pytest.param(_lattice, np.empty((0, 3)), id="empty-b"),
+])
+def test_sq_distances_bit_identical(a, b):
+    out = sq_distances(a, b)
+    assert out.shape == (len(a), len(b))
+    # the lattice puts neighbours at d^2 == 0.25 exactly, where an
+    # inclusive radius query turns on the last bit
+    assert np.array_equal(out, ((a[:, None] - b[None]) ** 2).sum(-1))
+

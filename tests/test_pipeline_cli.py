@@ -78,12 +78,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="algorithm"):
             load_config(doc)
 
-    def test_unknown_late_policy(self):
-        doc = paper_config_doc()
-        doc["merge"]["late_policy"] = "teleport"
-        with pytest.raises(ConfigError, match="late_policy"):
-            load_config(doc)
-
     def test_default_whole_room_zone(self):
         doc = paper_config_doc()
         doc.pop("zones")
@@ -110,6 +104,9 @@ class TestConfig:
         pytest.param(load_config,
                      lambda d: d["merge"].update(reorder_horizon=100.0),
                      "merge.reorder_horizon", id="merge-reorder_horizon"),
+        pytest.param(load_config,
+                     lambda d: d["merge"].update(late_policy="drop"),
+                     "merge.late_policy", id="merge-late_policy"),
         pytest.param(load_scenario,
                      lambda d: d.update(walker=d.pop("walkers")),
                      "walker", id="scenario-walker"),
@@ -161,7 +158,7 @@ class TestPipeline:
 
     def test_unknown_radar_ignored(self):
         pipe = Pipeline(small_config())
-        pipe.feed_record(LogRecord(0, "nope", "raw_tlv", b"junk"))
+        pipe.feed_record(LogRecord(0, "nope", b"junk"))
         pipe.flush()
 
     def test_replay_produces_statuses(self, sim_log):
@@ -173,29 +170,6 @@ class TestPipeline:
         assert statuses
         assert max(s.count for s in statuses) == 1
         assert any(e.kind == "enter" for e in events)
-
-    def test_points_kind_equivalent_to_raw(self, sim_log):
-        log, _ = sim_log
-        from radarfuse import tlv
-        units = tlv.DecodeUnits()
-        as_points = []
-        for rec in recording.replay(log, as_fast_as_possible=True):
-            pts = tlv.FrameDecoder(units=units, radar_id=rec.radar_id)
-            frames = list(pts.feed(rec.payload, rec.ts_ns))
-            payload = [{"range_m": p.range_m, "azimuth": p.azimuth,
-                        "elevation": p.elevation, "doppler": p.doppler,
-                        "snr": p.snr}
-                       for frame in frames for p in frame]
-            as_points.append(LogRecord(rec.ts_ns, rec.radar_id, "points",
-                                       payload))
-        raw_statuses, pt_statuses = [], []
-        replay_through(small_config(),
-                       recording.replay(log, as_fast_as_possible=True),
-                       status_sink=raw_statuses.append)
-        replay_through(small_config(), as_points,
-                       status_sink=pt_statuses.append)
-        assert [(s.ts_ns, s.count) for s in raw_statuses] == \
-            [(s.ts_ns, s.count) for s in pt_statuses]
 
     def test_replay_deterministic(self, sim_log):
         log, _ = sim_log
@@ -234,7 +208,7 @@ class TestPipeline:
 
     def test_source_error_propagates(self):
         def bad_records():
-            yield LogRecord(0, "r0", "raw_tlv", b"")
+            yield LogRecord(0, "r0", b"")
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError, match="boom"):
@@ -338,6 +312,8 @@ class TestCli:
                      "grid.bounds_y", id="grid-bounds_y-no-zones"),
         pytest.param(lambda d: d["clustering"].update(min_pts=4.7),
                      "clustering.min_pts", id="clustering-min_pts"),
+        pytest.param(lambda d: d["zones"][0].update(zone_id="lab/1"),
+                     "zones[0].zone_id", id="zones-zone_id"),
     ])
     def test_bad_value_exit_2(self, tmp_path, sim_log, capsys, edit, path):
         log, _ = sim_log

@@ -14,12 +14,9 @@ def write_log(path, records, radars=("r0",)):
 
 
 SAMPLE = [
-    LogRecord(ts_ns=0, radar_id="r0", kind="raw_tlv", payload=b"\x01\x02"),
-    LogRecord(ts_ns=100_000_000, radar_id="r0", kind="points",
-              payload=[{"x": 1.0, "y": 2.0, "z": 0.0, "doppler": 0.1,
-                        "snr": 12.0}]),
-    LogRecord(ts_ns=200_000_000, radar_id="r0", kind="raw_tlv",
-              payload=b"\xff" * 16),
+    LogRecord(ts_ns=0, radar_id="r0", payload=b"\x01\x02"),
+    LogRecord(ts_ns=100_000_000, radar_id="r0", payload=b"\x00\x7f" * 4),
+    LogRecord(ts_ns=200_000_000, radar_id="r0", payload=b"\xff" * 16),
 ]
 
 
@@ -74,21 +71,38 @@ def test_bad_speed(tmp_path):
 def test_per_radar_monotonicity_enforced(tmp_path):
     p = tmp_path / "a.jsonl"
     with Recorder(p, ["r0", "r1"], clock=lambda: 0.0) as rec:
-        rec.write(LogRecord(5, "r0", "raw_tlv", b""))
-        rec.write(LogRecord(1, "r1", "raw_tlv", b""))  # other radar: fine
+        rec.write(LogRecord(5, "r0", b""))
+        rec.write(LogRecord(1, "r1", b""))  # other radar: fine
         with pytest.raises(ValueError):
-            rec.write(LogRecord(4, "r0", "raw_tlv", b""))
+            rec.write(LogRecord(4, "r0", b""))
 
 
-def test_format_error_line_number(tmp_path):
+@pytest.mark.parametrize("bad", [
+    pytest.param('{"ts_ns": "nope"}', id="bad-ts"),
+    pytest.param('{"ts_ns": 1, "radar_id": "r0", "kind": "raw_tlv", '
+                 '"payload": "AQI"}', id="bad-padding"),
+    pytest.param('{"ts_ns": 1, "radar_id": "r0", "kind": "points", '
+                 '"payload": [{"x": 1.0}]}', id="points-kind"),
+])
+def test_format_error_line_number(tmp_path, bad):
     p = tmp_path / "a.jsonl"
     write_log(p, SAMPLE)
     lines = p.read_text().splitlines()
-    lines[2] = '{"ts_ns": "nope"}'
+    lines[2] = bad
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError) as ei:
         list(replay(p, as_fast_as_possible=True))
     assert ei.value.line_no == 3
+
+
+def test_stray_base64_characters_discarded(tmp_path):
+    p = tmp_path / "a.jsonl"
+    p.write_text(json.dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION,
+                             "radars": ["r0"]}) + "\n"
+                 + '{"ts_ns": 1, "radar_id": "r0", "kind": "raw_tlv", '
+                   '"payload": "AQ!I="}\n')
+    (rec,) = replay(p, as_fast_as_possible=True)
+    assert rec.payload == b"\x01\x02"
 
 
 def test_not_a_log(tmp_path):

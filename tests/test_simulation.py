@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from radarfuse.geometry import Pose
+from radarfuse.geometry import Pose, TransformTree
 from radarfuse.simulation import (EmptySeries, InvalidScenario, NoiseSpec,
                                   RadarSpec, Scenario, WalkerSpec, evaluate,
                                   ground_truth_series, paper_scenario,
@@ -158,16 +158,13 @@ class TestFrameGeneration:
             t = f.ts_ns / 1e9
             expect = walker_position(one_walker(), t)
             radar = overhead_radar()
+            tree = TransformTree({radar.radar_id: radar.pose})
             for p in f.points:
-                local = np.array([
-                    p.range_m * math.cos(p.elevation) * math.sin(p.azimuth),
-                    p.range_m * math.cos(p.elevation) * math.cos(p.azimuth),
-                    p.range_m * math.sin(p.elevation)])
-                world = radar.pose.apply(local)
+                world = tree.to_world(p)
                 # quantization of the wire format dominates the error
-                assert abs(world[0] - expect[0]) < 0.05
-                assert abs(world[1] - expect[1]) < 0.05
-                assert abs(world[2] - 1.0) < 0.05
+                assert abs(world.x - expect[0]) < 0.05
+                assert abs(world.y - expect[1]) < 0.05
+                assert abs(world.z - 1.0) < 0.05
 
     def test_ghost_labels(self):
         sc = Scenario(radars=(overhead_radar(),), walkers=(),

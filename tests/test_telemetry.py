@@ -4,9 +4,9 @@ import threading
 
 import pytest
 
-from radarfuse.occupancy import OccupancyEvent, ZoneStatus
-from radarfuse.telemetry import (InvalidZoneId, MiniMqttClient, MqttConfig,
-                                 Publisher, event_topic, serialize_event,
+from radarfuse.occupancy import OccupancyEvent, Zone, ZoneStatus
+from radarfuse.telemetry import (MiniMqttClient, MqttConfig, Publisher,
+                                 event_topic, serialize_event,
                                  serialize_status, status_topic)
 
 
@@ -49,8 +49,10 @@ class TestTopics:
 
     @pytest.mark.parametrize("bad", ["a/b", "a+b", "a#b"])
     def test_wildcards_rejected(self, bad):
-        with pytest.raises(InvalidZoneId):
-            status_topic("lab", bad)
+        # a zone id is one topic level, so the zone refuses it at load
+        with pytest.raises(ValueError, match="^zone_id "):
+            Zone(zone_id=bad, center_x=0.0, center_y=0.0, len_x=1.0,
+                 len_y=1.0)
 
 
 class FakeClient:

@@ -7,7 +7,7 @@ from scipy import stats
 
 from radarfuse.tracking import (EventKind, OutOfOrderWindow, TargetTrack,
                                 Tracker, TrackerConfig, TrackStatus, associate,
-                                gate, predict, update)
+                                gated_distance, predict, update)
 
 SEC = 1_000_000_000
 
@@ -42,12 +42,13 @@ class TestPredict:
 
 class TestGate:
     def test_zero_distance(self):
-        assert gate(make_track(), (0, 0, 0), TrackerConfig())
+        assert gated_distance(make_track(), (0, 0, 0),
+                              TrackerConfig()) is not None
 
     def test_boundary_inclusive(self):
         cfg = TrackerConfig(gate_distance=1.0)
-        assert gate(make_track(), (1.0, 0, 0), cfg)
-        assert not gate(make_track(), (1.0 + 1e-9, 0, 0), cfg)
+        assert gated_distance(make_track(), (1.0, 0, 0), cfg) is not None
+        assert gated_distance(make_track(), (1.0 + 1e-9, 0, 0), cfg) is None
 
 
 class TestUpdate:
