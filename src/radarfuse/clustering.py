@@ -6,10 +6,12 @@ at most.  Distances come from one ``n x n`` matrix,
 :func:`radarfuse.geometry.sq_distances`: DBSCAN thresholds it into a
 boolean eps adjacency and grows each cluster by frontier expansion
 over it; OPTICS keeps it as the distance matrix and takes ``n`` argmin
-steps over one reachability array.  OPTICS cluster extraction is
-an eps-cut, which makes its core-point partition provably comparable
-to DBSCAN at the same eps and is exercised as a cross-check in the
-tests.
+steps over one reachability array, returning the ordering as three
+arrays.  OPTICS cluster extraction is an eps-cut, which makes its
+core-point partition provably comparable to DBSCAN at the same eps and
+is exercised as a cross-check in the tests.  A window's result carries
+its centroids as one ``(k, 3)`` array, row ``k`` the mean position of
+cluster ``k``, which the tracker takes as is.
 """
 
 from __future__ import annotations
@@ -48,35 +50,18 @@ class ClusterConfig:
             raise ValueError("optics_max_eps must be >= eps")
 
 
-@dataclass(frozen=True)
-class Centroid:
-    x: float
-    y: float
-    z: float
-    members: int
-    ts_ns: int
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-
 @dataclass
 class ClusterResult:
     labels: list[int]          # per input point; NOISE (-1) for outliers
-    centroids: list[Centroid]
+    centroids: np.ndarray      # (k, 3); row k is cluster k's mean position
     ts_ns: int                 # window end
     is_core: list[bool] = field(default_factory=list)
 
 
-def _centroids(positions, labels: np.ndarray, ts_ns) -> list[Centroid]:
-    out = []
-    for lab in range(labels.max(initial=NOISE) + 1):
-        mask = labels == lab
-        mean = positions[mask].mean(axis=0)
-        out.append(Centroid(
-            x=float(mean[0]), y=float(mean[1]), z=float(mean[2]),
-            members=int(np.count_nonzero(mask)), ts_ns=ts_ns))
+def _centroids(positions: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    out = np.empty((labels.max(initial=NOISE) + 1, 3))
+    for lab in range(len(out)):
+        out[lab] = positions[labels == lab].mean(axis=0)
     return out
 
 
@@ -90,7 +75,8 @@ def dbscan(positions: np.ndarray, eps: float, min_pts: int,
     """
     n = len(positions)
     if n == 0:
-        return ClusterResult(labels=[], centroids=[], ts_ns=ts_ns, is_core=[])
+        return ClusterResult(labels=[], centroids=np.empty((0, 3)),
+                             ts_ns=ts_ns, is_core=[])
     positions = np.asarray(positions, dtype=float)
     adj = sq_distances(positions, positions) <= eps * eps
     core = adj.sum(1) >= min_pts
@@ -108,27 +94,21 @@ def dbscan(positions: np.ndarray, eps: float, min_pts: int,
         labels[adj[members].any(0) & (labels == NOISE)] = cluster
         cluster += 1
     return ClusterResult(labels=labels.tolist(),
-                         centroids=_centroids(positions, labels, ts_ns),
+                         centroids=_centroids(positions, labels),
                          ts_ns=ts_ns, is_core=core.tolist())
 
 
-@dataclass
-class OpticsPoint:
-    index: int
-    reachability: float      # inf for the first point of each component
-    core_distance: float     # inf if never a core point under max_eps
-
-
-def optics(positions: np.ndarray, min_pts: int, max_eps: float) -> list[OpticsPoint]:
+def optics(positions: np.ndarray, min_pts: int, max_eps: float):
     """OPTICS ordering with core and reachability distances.
 
+    Returns three arrays, one entry per point in processing order: its
+    index, its reachability (inf for the first point of each component)
+    and its core distance (inf if never a core point under max_eps).
     The next point is the unprocessed one of least reachability, the
     lowest index on ties; when none is reachable, the lowest unprocessed
     index starts a new component.
     """
     n = len(positions)
-    if n == 0:
-        return []
     positions = np.asarray(positions, dtype=float)
     inf = float("inf")
     dist = sq_distances(positions, positions)
@@ -141,40 +121,40 @@ def optics(positions: np.ndarray, min_pts: int, max_eps: float) -> list[OpticsPo
 
     processed = np.zeros(n, dtype=bool)
     reach = np.full(n, inf)      # of unprocessed points; inf once processed
-    order: list[OpticsPoint] = []
-    for _ in range(n):
+    order = np.empty(n, dtype=int)
+    reachability = np.empty(n)
+    for k in range(n):
         i = int(reach.argmin())
         if reach[i] == inf:
             i = int(processed.argmin())
-        order.append(OpticsPoint(index=i, reachability=float(reach[i]),
-                                 core_distance=float(core_dist[i])))
+        order[k] = i
+        reachability[k] = reach[i]
         processed[i] = True
         reach[i] = inf
         if core_dist[i] != inf:
             np.minimum(reach, np.maximum(dist[i], core_dist[i]), out=reach,
                        where=~processed)
-    return order
+    return order, reachability, core_dist[order]
 
 
-def extract_eps_cut(order: list[OpticsPoint], eps: float, min_pts: int,
+def extract_eps_cut(ordering, eps: float, min_pts: int,
                     positions=None, ts_ns: int = 0) -> ClusterResult:
-    """DBSCAN-equivalent clustering from an OPTICS ordering at radius eps."""
-    index = np.array([op.index for op in order], dtype=int)
-    reach = np.array([op.reachability for op in order])
-    core = np.array([op.core_distance for op in order]) <= eps
+    """DBSCAN-equivalent clustering at radius eps from the
+    ``(order, reachability, core_distance)`` arrays of :func:`optics`."""
+    index, reach, core_dist = ordering
+    core = core_dist <= eps
     starts = reach > eps
     # a core point past eps starts the next cluster; any other point past
     # eps is noise; a point within eps joins the current cluster
     cluster = np.cumsum(starts & core) - 1
-    labels = np.empty(len(order), dtype=int)
+    labels = np.empty(len(index), dtype=int)
     labels[index] = np.where(starts & ~core, NOISE, cluster)
-    is_core = np.empty(len(order), dtype=bool)
+    is_core = np.empty(len(index), dtype=bool)
     is_core[index] = core
     if positions is None:
-        centroids = []
+        centroids = np.empty((0, 3))
     else:
-        centroids = _centroids(np.asarray(positions, dtype=float), labels,
-                               ts_ns)
+        centroids = _centroids(np.asarray(positions, dtype=float), labels)
     return ClusterResult(labels=labels.tolist(), centroids=centroids,
                          ts_ns=ts_ns, is_core=is_core.tolist())
 
@@ -184,8 +164,8 @@ def cluster_points(points, cfg: ClusterConfig, ts_ns: int) -> ClusterResult:
     positions = np.array([[p.x, p.y, p.z] for p in points], dtype=float)
     if cfg.algorithm is ClusterAlgorithm.DBSCAN:
         return dbscan(positions, cfg.eps, cfg.min_pts, ts_ns)
-    order = optics(positions, cfg.min_pts, cfg.optics_max_eps)
-    return extract_eps_cut(order, cfg.eps, cfg.min_pts, positions, ts_ns)
+    ordering = optics(positions, cfg.min_pts, cfg.optics_max_eps)
+    return extract_eps_cut(ordering, cfg.eps, cfg.min_pts, positions, ts_ns)
 
 
 class WindowClusterer:

@@ -13,7 +13,6 @@ Two stages, run per radar stream before fusion:
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -55,7 +54,7 @@ def threshold_filter(points: list[WorldPoint], cfg: ThresholdConfig,
     """Keep points passing all thresholds; order preserved, no mutation.
 
     ``radar_origin`` (world xyz of the source radar) is only needed when
-    ``range_max`` is set.
+    ``range_max`` is set; a point exactly ``range_max`` away is kept.
     """
     out = []
     for p in points:
@@ -63,12 +62,12 @@ def threshold_filter(points: list[WorldPoint], cfg: ThresholdConfig,
             continue
         if abs(p.doppler) > cfg.doppler_abs_max:
             continue
-        if cfg.range_max is not None and radar_origin is not None:
-            d = math.dist((p.x, p.y, p.z), tuple(radar_origin))
-            if d > cfg.range_max:
-                continue
         out.append(p)
-    return out
+    if cfg.range_max is None or radar_origin is None or not out:
+        return out
+    d2 = sq_distances(np.array([[p.x, p.y, p.z] for p in out]),
+                      np.array([radar_origin], dtype=float))[:, 0]
+    return [p for p, d in zip(out, d2) if d <= cfg.range_max ** 2]
 
 
 class BufferFilter:

@@ -8,8 +8,8 @@ carried Y (boresight) axis, so a wall radar tilted down 5 degrees is
 simply ``pitch = -5 deg``.
 
 :func:`sq_distances` is the package's one neighbour query: the full
-squared-distance matrix between two point sets, which clustering and
-the buffer filter compare with a radius.
+squared-distance matrix between two point sets, which clustering, the
+filters and the track gate compare with a radius.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Zone occupancy over a hysteresis grid.
 
 The floor plan is discretized into square cells.  Each cell is a small
-two-counter automaton: a run of H_on consecutive presence ticks turns
+one-counter automaton: a run of H_on consecutive presence ticks turns
 it occupied, a run of H_off consecutive absence ticks turns it back
-off, and any contradicting tick resets the run.  A track is considered
-inside a zone only while its current cell is occupied and that cell's
-center falls inside the zone rectangle, so the hysteresis latency
-governs zone membership directly.
+off, and any tick that agrees with the cell's state resets the run.
+A track is considered inside a zone only while its current cell is
+occupied and that cell's center falls inside the zone rectangle, so
+the hysteresis latency governs zone membership directly.
 """
 
 from __future__ import annotations
@@ -62,28 +62,17 @@ class GridConfig:
 @dataclass
 class CellState:
     occupied: bool = False
-    presence_run: int = 0
-    absence_run: int = 0
+    run: int = 0    # consecutive ticks that contradict `occupied`
 
 
 def cell_tick(cell: CellState, present: bool, h_on: int, h_off: int) -> CellState:
-    """One tick of the two-counter hysteresis automaton (pure)."""
-    c = CellState(cell.occupied, cell.presence_run, cell.absence_run)
-    if present:
-        c.absence_run = 0
-        if not c.occupied:
-            c.presence_run += 1
-            if c.presence_run >= h_on:
-                c.occupied = True
-                c.presence_run = 0
-    else:
-        c.presence_run = 0
-        if c.occupied:
-            c.absence_run += 1
-            if c.absence_run >= h_off:
-                c.occupied = False
-                c.absence_run = 0
-    return c
+    """One tick of the hysteresis automaton (pure)."""
+    if present == cell.occupied:
+        return CellState(cell.occupied, 0)
+    run = cell.run + 1
+    if run >= (h_off if cell.occupied else h_on):
+        return CellState(not cell.occupied, 0)
+    return CellState(cell.occupied, run)
 
 
 @dataclass(frozen=True)
@@ -146,7 +135,7 @@ class OccupancyGrid:
         for key in list(self.cells):
             if key not in present_cells:
                 nxt = cell_tick(self.cells[key], False, h_on, h_off)
-                if nxt.occupied or nxt.presence_run or nxt.absence_run:
+                if nxt.occupied or nxt.run:
                     self.cells[key] = nxt
                 else:
                     del self.cells[key]

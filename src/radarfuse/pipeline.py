@@ -86,8 +86,7 @@ class Pipeline:
             self._feed_tracker(result)
 
     def _feed_tracker(self, result):
-        positions = [c.position for c in result.centroids]
-        snapshot, track_events = self.tracker.step(positions, result.ts_ns)
+        snapshot, _ = self.tracker.step(result.centroids, result.ts_ns)
         events, statuses = self.grid.step(snapshot, result.ts_ns)
         for ev in events:
             self.event_sink(ev)

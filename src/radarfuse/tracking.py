@@ -4,16 +4,21 @@ One filter per target, created on an unmatched centroid and retired
 after a configurable silence.  Constant-velocity motion with
 white-acceleration process noise; the observation is the centroid
 position itself, so the update step is the linear Kalman form.
-Association is greedy globally-nearest over gated pairs.
+A window's centroids arrive as one ``(k, 3)`` array.  Association is
+greedy globally-nearest over gated pairs of one track x centroid
+distance matrix, :func:`radarfuse.geometry.sq_distances`.  Tracks are
+never mutated once built: ``predict`` and ``update`` return new ones,
+so a snapshot returned by ``Tracker.step`` stays as it was.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
+
+from .geometry import sq_distances
 
 VELOCITY_CLAMP = 10.0  # m/s, sanity bound on |v|
 
@@ -47,7 +52,7 @@ class TrackStatus(str, Enum):
     CONFIRMED = "confirmed"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TargetTrack:
     track_id: int
     state: np.ndarray        # (x, y, z, vx, vy, vz)
@@ -63,11 +68,6 @@ class TargetTrack:
     @property
     def velocity(self) -> np.ndarray:
         return self.state[3:]
-
-    def copy(self) -> "TargetTrack":
-        return TargetTrack(self.track_id, self.state.copy(),
-                           self.covariance.copy(), self.status, self.hits,
-                           self.last_update_ns)
 
 
 class EventKind(str, Enum):
@@ -90,9 +90,8 @@ def _check_psd(p: np.ndarray):
 
 def predict(track: TargetTrack, dt: float, cfg: TrackerConfig) -> TargetTrack:
     """Constant-velocity propagation by dt seconds."""
-    t = track.copy()
     if dt == 0.0:
-        return t
+        return track
     f = np.eye(6)
     f[0, 3] = f[1, 4] = f[2, 5] = dt
     q_accel = cfg.process_noise_accel ** 2
@@ -104,75 +103,68 @@ def predict(track: TargetTrack, dt: float, cfg: TrackerConfig) -> TargetTrack:
         q[a, a] = q11
         q[a, a + 3] = q[a + 3, a] = q12
         q[a + 3, a + 3] = q22
-    t.state = f @ t.state
-    t.covariance = f @ t.covariance @ f.T + q
-    t.covariance = 0.5 * (t.covariance + t.covariance.T)
-    return t
+    cov = f @ track.covariance @ f.T + q
+    return replace(track, state=f @ track.state,
+                   covariance=0.5 * (cov + cov.T))
 
 
-def gated_distance(track: TargetTrack, centroid_pos,
-                   cfg: TrackerConfig) -> float | None:
-    """Distance from the predicted position to a centroid inside the
-    inclusive Euclidean gate, or None outside it."""
-    d = math.dist(tuple(track.position), tuple(centroid_pos))
-    return d if d <= cfg.gate_distance else None
+def gated_distances(tracks: list[TargetTrack], centroids,
+                    cfg: TrackerConfig) -> np.ndarray:
+    """The track x centroid matrix of distances from each predicted
+    position to each centroid, inf outside the inclusive Euclidean
+    gate."""
+    predicted = np.array([t.position for t in tracks]).reshape(-1, 3)
+    centroids = np.asarray(centroids, dtype=float).reshape(-1, 3)
+    d = np.sqrt(sq_distances(predicted, centroids))
+    d[d > cfg.gate_distance] = np.inf
+    return d
 
 
 def update(track: TargetTrack, centroid_pos, ts_ns: int,
            cfg: TrackerConfig) -> TargetTrack:
     """Linear Kalman measurement update with z = position."""
-    t = track.copy()
-    h = np.zeros((3, 6))
-    h[0, 0] = h[1, 1] = h[2, 2] = 1.0
+    p = track.covariance
     r = cfg.measurement_noise ** 2 * np.eye(3)
-    z = np.asarray(centroid_pos, dtype=float)
-    innovation = z - h @ t.state
-    s = h @ t.covariance @ h.T + r
-    k = t.covariance @ h.T @ np.linalg.inv(s)
-    t.state = t.state + k @ innovation
-    ikh = np.eye(6) - k @ h
+    innovation = np.asarray(centroid_pos, dtype=float) - track.state[:3]
+    k = p[:, :3] @ np.linalg.inv(p[:3, :3] + r)
+    state = track.state + k @ innovation
+    ikh = np.eye(6)
+    ikh[:, :3] -= k
     # Joseph form keeps the covariance PSD under roundoff
-    t.covariance = ikh @ t.covariance @ ikh.T + k @ r @ k.T
-    t.covariance = 0.5 * (t.covariance + t.covariance.T)
-    _check_psd(t.covariance)
-    speed = float(np.linalg.norm(t.state[3:]))
+    cov = ikh @ p @ ikh.T + k @ r @ k.T
+    cov = 0.5 * (cov + cov.T)
+    _check_psd(cov)
+    speed = float(np.linalg.norm(state[3:]))
     if speed > VELOCITY_CLAMP:
-        t.state[3:] *= VELOCITY_CLAMP / speed
-    t.hits += 1
-    t.last_update_ns = ts_ns
-    if t.status is TrackStatus.TENTATIVE and t.hits >= cfg.confirm_hits:
-        t.status = TrackStatus.CONFIRMED
-    return t
+        state[3:] *= VELOCITY_CLAMP / speed
+    hits = track.hits + 1
+    status = TrackStatus.CONFIRMED if hits >= cfg.confirm_hits else track.status
+    return replace(track, state=state, covariance=cov, status=status,
+                   hits=hits, last_update_ns=ts_ns)
 
 
-def associate(tracks: list[TargetTrack], centroid_positions,
-              cfg: TrackerConfig):
+def associate(tracks: list[TargetTrack], centroids, cfg: TrackerConfig):
     """Greedy globally-nearest matching over gated pairs.
 
-    Returns (matches, unmatched_centroid_indices, unmatched_tracks) where
-    matches is a list of (track, centroid_index).  Ties break on lower
-    track_id, then lower centroid index.
+    Returns (matches, unmatched_centroid_indices) where matches is a
+    list of (track, centroid_index).  Ties break on lower track_id,
+    then lower centroid index.
     """
-    pairs = []
-    for t in tracks:
-        for ci, pos in enumerate(centroid_positions):
-            d = gated_distance(t, pos, cfg)
-            if d is not None:
-                pairs.append((d, t.track_id, ci, t))
-    pairs.sort(key=lambda p: (p[0], p[1], p[2]))
+    d = gated_distances(tracks, centroids, cfg)
+    ti, ci = np.nonzero(np.isfinite(d))
+    track_ids = np.array([t.track_id for t in tracks], dtype=int)
+    order = np.lexsort((ci, track_ids[ti], d[ti, ci]))
     used_tracks: set[int] = set()
     used_centroids: set[int] = set()
     matches = []
-    for d, tid, ci, t in pairs:
-        if tid in used_tracks or ci in used_centroids:
+    for i, c in zip(ti[order].tolist(), ci[order].tolist()):
+        if i in used_tracks or c in used_centroids:
             continue
-        used_tracks.add(tid)
-        used_centroids.add(ci)
-        matches.append((t, ci))
-    unmatched_c = [ci for ci in range(len(centroid_positions))
-                   if ci not in used_centroids]
-    unmatched_t = [t for t in tracks if t.track_id not in used_tracks]
-    return matches, unmatched_c, unmatched_t
+        used_tracks.add(i)
+        used_centroids.add(c)
+        matches.append((tracks[i], c))
+    unmatched = [c for c in range(d.shape[1]) if c not in used_centroids]
+    return matches, unmatched
 
 
 @dataclass
@@ -185,52 +177,49 @@ class Tracker:
     dropped_new_targets: int = 0
     _last_ts: int | None = None
 
-    def step(self, centroid_positions, ts_ns: int):
-        """Process one clustering window; returns (snapshot, events)."""
+    def step(self, centroids, ts_ns: int):
+        """Process one clustering window's (k, 3) centroid array;
+        returns (snapshot, events)."""
         if self._last_ts is not None and ts_ns < self._last_ts:
             raise OutOfOrderWindow(f"window {ts_ns} after {self._last_ts}")
         events: list[TrackEvent] = []
         dt = 0.0 if self._last_ts is None else (ts_ns - self._last_ts) / 1e9
         self._last_ts = ts_ns
 
-        self.tracks = [predict(t, dt, self.cfg) for t in self.tracks]
-        matches, unmatched_c, _ = associate(self.tracks, centroid_positions,
-                                            self.cfg)
+        # a track silent past miss_timeout is retired before association,
+        # so no centroid can revive it
+        timeout_ns = int(self.cfg.miss_timeout * 1e9)
+        live = []
+        for t in self.tracks:
+            if ts_ns - t.last_update_ns > timeout_ns:
+                events.append(TrackEvent(EventKind.DELETED, t.track_id, ts_ns))
+            else:
+                live.append(predict(t, dt, self.cfg))
+        matches, unmatched_c = associate(live, centroids, self.cfg)
 
         updated: dict[int, TargetTrack] = {}
         for t, ci in matches:
-            was_tentative = t.status is TrackStatus.TENTATIVE
-            u = update(t, centroid_positions[ci], ts_ns, self.cfg)
-            if was_tentative and u.status is TrackStatus.CONFIRMED:
+            u = update(t, centroids[ci], ts_ns, self.cfg)
+            if u.status is not t.status:
                 events.append(TrackEvent(EventKind.CONFIRMED, u.track_id, ts_ns))
             updated[u.track_id] = u
-        self.tracks = [updated.get(t.track_id, t) for t in self.tracks]
+        self.tracks = [updated.get(t.track_id, t) for t in live]
 
         for ci in unmatched_c:
             if len(self.tracks) >= self.cfg.max_targets:
                 self.dropped_new_targets += 1
                 continue
-            pos = centroid_positions[ci]
+            pos = centroids[ci]
             state = np.array([pos[0], pos[1], pos[2], 0.0, 0.0, 0.0])
             cov = np.diag([self.cfg.measurement_noise ** 2] * 3 + [4.0] * 3)
+            status = (TrackStatus.CONFIRMED if self.cfg.confirm_hits == 1
+                      else TrackStatus.TENTATIVE)
             t = TargetTrack(track_id=self.next_id, state=state, covariance=cov,
-                            status=TrackStatus.TENTATIVE, hits=1,
-                            last_update_ns=ts_ns)
+                            status=status, hits=1, last_update_ns=ts_ns)
             self.next_id += 1
             self.tracks.append(t)
             events.append(TrackEvent(EventKind.CREATED, t.track_id, ts_ns))
-            if self.cfg.confirm_hits == 1:
-                t.status = TrackStatus.CONFIRMED
+            if status is TrackStatus.CONFIRMED:
                 events.append(TrackEvent(EventKind.CONFIRMED, t.track_id, ts_ns))
 
-        timeout_ns = int(self.cfg.miss_timeout * 1e9)
-        alive = []
-        for t in self.tracks:
-            if ts_ns - t.last_update_ns > timeout_ns:
-                events.append(TrackEvent(EventKind.DELETED, t.track_id, ts_ns))
-            else:
-                alive.append(t)
-        self.tracks = alive
-
-        snapshot = [t.copy() for t in self.tracks]
-        return snapshot, events
+        return list(self.tracks), events

@@ -6,6 +6,8 @@ straight from the textbook semantics, kept simple enough to audit by
 eye.
 """
 
+import math
+
 import numpy as np
 
 NOISE = -1
@@ -70,6 +72,33 @@ def brute_optics(positions, min_pts, max_eps):
                     r = max(core[i], float(np.sqrt(d2[i, j])))
                     seeds[j] = min(seeds.get(j, inf), r)
     return out
+
+
+def brute_associate(tracks, centroids, gate):
+    """Greedy globally-nearest matching by a double loop: every (track,
+    centroid) pair within the inclusive gate, taken in order of
+    (distance, track_id, centroid index), matches when neither side is
+    taken yet.  Returns ([(track_id, centroid_index)], unmatched
+    centroid indices)."""
+    pairs = []
+    for t in tracks:
+        x, y, z = (float(v) for v in t.state[:3])
+        for ci, (cx, cy, cz) in enumerate(centroids):
+            dx, dy, dz = x - cx, y - cy, z - cz
+            d = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if d <= gate:
+                pairs.append((d, t.track_id, ci))
+    pairs.sort()
+    used_tracks, used_centroids, matches = set(), set(), []
+    for _, tid, ci in pairs:
+        if tid in used_tracks or ci in used_centroids:
+            continue
+        used_tracks.add(tid)
+        used_centroids.add(ci)
+        matches.append((tid, ci))
+    unmatched = [ci for ci in range(len(centroids))
+                 if ci not in used_centroids]
+    return matches, unmatched
 
 
 def core_partition(labels, core):

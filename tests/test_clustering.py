@@ -48,14 +48,13 @@ class TestDbscan:
         assert res.labels[:3] == [0, 0, 0]
         assert res.labels[3] == NOISE
         assert len(res.centroids) == 1
-        c = res.centroids[0]
-        assert (c.x, c.y, c.z) == pytest.approx((0.0333333, 0.0333333, 0.0),
-                                                abs=1e-6)
-        assert c.members == 3
+        assert tuple(res.centroids[0]) == pytest.approx(
+            (0.0333333, 0.0333333, 0.0), abs=1e-6)
+        assert res.labels.count(0) == 3
 
     def test_empty(self):
         res = dbscan(np.empty((0, 3)), eps=0.5, min_pts=3)
-        assert res.labels == [] and res.centroids == []
+        assert res.labels == [] and len(res.centroids) == 0
 
     def test_min_pts_one_connected_components(self):
         pts = np.array([[0, 0, 0], [0.4, 0, 0], [0.8, 0, 0], [5, 0, 0]])
@@ -78,8 +77,9 @@ class TestDbscan:
 class TestOptics:
     def test_single_point(self):
         order = optics(np.array([[1.0, 2.0, 3.0]]), min_pts=1, max_eps=2.0)
-        assert len(order) == 1
-        assert order[0].reachability == float("inf")
+        index, reachability, _ = order
+        assert len(index) == 1
+        assert reachability[0] == float("inf")
         res = extract_eps_cut(order, eps=0.5, min_pts=1)
         assert res.labels == [0]
 
@@ -105,7 +105,7 @@ class TestOptics:
     def test_matches_brute_optics(self, case):
         pts, eps, min_pts = instance(case)
         order = optics(pts, min_pts, max_eps=4 * eps)
-        got = [(op.index, op.reachability, op.core_distance) for op in order]
+        got = list(zip(*(a.tolist() for a in order)))
         assert got == brute_optics(pts, min_pts, 4 * eps)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -146,8 +146,8 @@ def test_centroid_inside_member_bbox():
     res = dbscan(pts, 0.7, 3)
     for label, c in enumerate(res.centroids):
         members = pts[[i for i, l in enumerate(res.labels) if l == label]]
-        assert np.all(c.position >= members.min(axis=0) - 1e-12)
-        assert np.all(c.position <= members.max(axis=0) + 1e-12)
+        assert np.all(c >= members.min(axis=0) - 1e-12)
+        assert np.all(c <= members.max(axis=0) + 1e-12)
 
 
 class TestWindowClusterer:
@@ -163,8 +163,8 @@ class TestWindowClusterer:
         results += wc.flush()
         assert len(results) == 2
         # first window holds the three frames in [0, 0.5)
-        assert sum(c.members for c in results[0].centroids) == 3
-        assert sum(c.members for c in results[1].centroids) == 1
+        assert sum(lab != NOISE for lab in results[0].labels) == 3
+        assert sum(lab != NOISE for lab in results[1].labels) == 1
         assert results[0].ts_ns == int(0.5 * sec)
 
     def test_empty_window_no_output(self):
@@ -196,6 +196,6 @@ class TestWindowClusterer:
                 points.append(wp(x, y, z))
         res = cluster_points(points, cfg, ts_ns=0)
         assert len(res.centroids) == 2
-        got = sorted(c.position[0] for c in res.centroids)
+        got = sorted(res.centroids[:, 0])
         for g, t in zip(got, [1.0, 4.0]):
             assert abs(g - t) < 0.15

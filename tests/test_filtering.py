@@ -28,9 +28,9 @@ class TestThresholdFilter:
 
     def test_range_max_uses_radar_origin(self):
         cfg = ThresholdConfig(range_max=5.0)
-        pts = [wp(x=3.0), wp(x=9.0)]
+        pts = [wp(x=3.0), wp(x=9.0), wp(x=3.0, y=4.0)]
         kept = threshold_filter(pts, cfg, radar_origin=(0.0, 0.0, 1.0))
-        assert kept == [pts[0]]
+        assert kept == [pts[0], pts[2]]   # exactly range_max away is kept
 
     def test_order_preserved_subset(self):
         pts = [wp(snr=s) for s in (12, 3, 15, 7, 20)]

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from _reference import brute_associate
 from radarfuse.tracking import (EventKind, OutOfOrderWindow, TargetTrack,
                                 Tracker, TrackerConfig, TrackStatus, associate,
-                                gated_distance, predict, update)
+                                gated_distances, predict, update)
 
 SEC = 1_000_000_000
 
@@ -42,13 +44,15 @@ class TestPredict:
 
 class TestGate:
     def test_zero_distance(self):
-        assert gated_distance(make_track(), (0, 0, 0),
-                              TrackerConfig()) is not None
+        d = gated_distances([make_track()], [(0, 0, 0)], TrackerConfig())
+        assert d[0, 0] == 0.0
 
     def test_boundary_inclusive(self):
         cfg = TrackerConfig(gate_distance=1.0)
-        assert gated_distance(make_track(), (1.0, 0, 0), cfg) is not None
-        assert gated_distance(make_track(), (1.0 + 1e-9, 0, 0), cfg) is None
+        d = gated_distances([make_track()], [(1.0, 0, 0), (1.0 + 1e-9, 0, 0)],
+                            cfg)
+        assert d[0, 0] == 1.0
+        assert d[0, 1] == float("inf")
 
 
 class TestUpdate:
@@ -84,14 +88,14 @@ class TestUpdate:
 class TestAssociate:
     def test_single_pair(self):
         cfg = TrackerConfig()
-        matches, uc, ut = associate([make_track()], [(0.2, 0, 0)], cfg)
-        assert len(matches) == 1 and uc == [] and ut == []
+        matches, uc = associate([make_track()], [(0.2, 0, 0)], cfg)
+        assert len(matches) == 1 and uc == []
 
     def test_tie_breaks_to_lower_track_id(self):
         cfg = TrackerConfig()
         tracks = [make_track(track_id=5, pos=(-0.5, 0, 0)),
                   make_track(track_id=2, pos=(0.5, 0, 0))]
-        matches, uc, ut = associate(tracks, [(0.0, 0, 0)], cfg)
+        matches, uc = associate(tracks, [(0.0, 0, 0)], cfg)
         assert len(matches) == 1
         assert matches[0][0].track_id == 2
 
@@ -101,7 +105,7 @@ class TestAssociate:
         cent_pos = [(0.3, 0, 0), (2.2, 0, 0), (3.8, 0, 0)]
         tracks = [make_track(track_id=i, pos=p)
                   for i, p in enumerate(track_pos)]
-        matches, _, _ = associate(tracks, cent_pos, cfg)
+        matches, _ = associate(tracks, cent_pos, cfg)
         got = {t.track_id: ci for t, ci in matches}
 
         def cost(perm):
@@ -109,6 +113,35 @@ class TestAssociate:
                        for i in range(3))
         best = min(itertools.permutations(range(3)), key=cost)
         assert got == {i: best[i] for i in range(3)}
+
+
+@st.composite
+def association_case(draw):
+    """Tracks with distinct ids and centroids on a small lattice, so
+    distances tie exactly and land exactly on the gate; the centroids
+    may repeat, and either side may be empty."""
+    scale = draw(st.sampled_from([0.3, 0.5, 1.0]))
+    lattice = st.tuples(*[st.integers(-2, 2)] * 3).map(
+        lambda p: tuple(scale * v for v in p))
+    ids = draw(st.lists(st.integers(0, 30), unique=True, max_size=6))
+    tracks = [make_track(track_id=i, pos=draw(lattice)) for i in ids]
+    cents = draw(st.lists(lattice, max_size=6))
+    if cents:
+        cents += draw(st.lists(st.sampled_from(cents), max_size=3))
+    gate = draw(st.sampled_from([0.5, 1.0, 1.5, 2.0]))
+    return tracks, cents, gate
+
+
+@settings(max_examples=300, deadline=None)
+@given(association_case())
+def test_associate_matches_brute_force(case):
+    tracks, cents, gate = case
+    matches, unmatched = associate(
+        tracks, np.array(cents, dtype=float).reshape(-1, 3),
+        TrackerConfig(gate_distance=gate))
+    ref_matches, ref_unmatched = brute_associate(tracks, cents, gate)
+    assert [(t.track_id, ci) for t, ci in matches] == ref_matches
+    assert unmatched == ref_unmatched
 
 
 class TestTrackerStep:
@@ -143,6 +176,27 @@ class TestTrackerStep:
                               k * SEC)
             seen.update(t.track_id for t in snap)
         assert len(seen) >= 3   # recreated each time, fresh ids
+
+    def test_timed_out_track_is_not_revived(self):
+        tr = Tracker(TrackerConfig())
+        tr.step([(1, 1, 1)], 0)
+        snap, events = tr.step([(1.05, 1, 1)], 1000 * SEC)
+        assert [(e.kind, e.track_id) for e in events] == \
+            [(EventKind.DELETED, 0), (EventKind.CREATED, 1)]
+        assert tr.next_id == 2
+        assert [t.track_id for t in snap] == [1]
+
+    def test_snapshot_survives_next_step(self):
+        tr = Tracker(TrackerConfig(confirm_hits=2))
+        tr.step([(1, 1, 1)], 0)
+        (track,), _ = tr.step([(1.1, 1, 1)], SEC // 2)
+        state, cov = track.state.copy(), track.covariance.copy()
+        hits, status = track.hits, track.status
+        (nxt,), _ = tr.step([(1.2, 1, 1)], SEC)
+        assert nxt.hits == hits + 1
+        np.testing.assert_array_equal(track.state, state)
+        np.testing.assert_array_equal(track.covariance, cov)
+        assert (track.hits, track.status) == (hits, status)
 
     def test_out_of_order_window(self):
         tr = Tracker(TrackerConfig())
