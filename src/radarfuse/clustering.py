@@ -137,8 +137,8 @@ def optics(positions: np.ndarray, min_pts: int, max_eps: float):
     return order, reachability, core_dist[order]
 
 
-def extract_eps_cut(ordering, eps: float, min_pts: int,
-                    positions=None, ts_ns: int = 0) -> ClusterResult:
+def extract_eps_cut(ordering, eps: float, positions=None,
+                    ts_ns: int = 0) -> ClusterResult:
     """DBSCAN-equivalent clustering at radius eps from the
     ``(order, reachability, core_distance)`` arrays of :func:`optics`."""
     index, reach, core_dist = ordering
@@ -165,7 +165,7 @@ def cluster_points(points, cfg: ClusterConfig, ts_ns: int) -> ClusterResult:
     if cfg.algorithm is ClusterAlgorithm.DBSCAN:
         return dbscan(positions, cfg.eps, cfg.min_pts, ts_ns)
     ordering = optics(positions, cfg.min_pts, cfg.optics_max_eps)
-    return extract_eps_cut(ordering, cfg.eps, cfg.min_pts, positions, ts_ns)
+    return extract_eps_cut(ordering, cfg.eps, positions, ts_ns)
 
 
 class WindowClusterer:

@@ -68,24 +68,10 @@ def _key(name: str) -> str:
     return f"{name}_deg" if name in _ANGLES else name
 
 
-def _zone_doc(doc: dict, path: str) -> dict:
-    """A zone's ``center: [x, y]`` as its fields center_x and center_y."""
-    for k in ("center_x", "center_y"):
-        if k in doc:
-            raise ConfigError(_join(path, k), "unknown field")
-    d = dict(doc)
-    d["center_x"], d["center_y"] = _load(
-        tuple[float, float], d.pop("center", (0.0, 0.0)),
-        _join(path, "center"))
-    return d
-
-
 def _load_dataclass(cls, doc, path: str):
     if not isinstance(doc, dict):
         raise ConfigError(path or "<root>",
                           f"expected a mapping, got {type(doc).__name__}")
-    if cls is Zone:
-        doc = _zone_doc(doc, path)
     by_key = {_key(f.name): f for f in fields(cls)}
     for k in doc:
         if k not in by_key:
@@ -175,7 +161,7 @@ def load_config(path_or_doc) -> PipelineConfig:
     # no zones configured: the whole grid plane is one default zone
     (x0, x1), (y0, y1) = cfg.grid.bounds_x, cfg.grid.bounds_y
     return replace(cfg, zones=(Zone(
-        zone_id="room", center_x=(x0 + x1) / 2, center_y=(y0 + y1) / 2,
+        zone_id="room", center=((x0 + x1) / 2, (y0 + y1) / 2),
         len_x=x1 - x0, len_y=y1 - y0),))
 
 

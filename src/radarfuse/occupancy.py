@@ -20,10 +20,9 @@ from .tracking import TargetTrack, TrackStatus
 @dataclass(frozen=True)
 class Zone:
     zone_id: str
-    center_x: float
-    center_y: float
     len_x: float
     len_y: float
+    center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         # the id is an MQTT topic level, so it may hold no separator or
@@ -35,8 +34,9 @@ class Zone:
             raise ValueError("zone side lengths must be > 0")
 
     def contains(self, x: float, y: float) -> bool:
-        return (abs(x - self.center_x) <= self.len_x / 2.0
-                and abs(y - self.center_y) <= self.len_y / 2.0)
+        cx, cy = self.center
+        return (abs(x - cx) <= self.len_x / 2.0
+                and abs(y - cy) <= self.len_y / 2.0)
 
 
 @dataclass(frozen=True)

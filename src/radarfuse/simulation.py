@@ -8,12 +8,18 @@ When doppler-zero suppression is on, a walker whose radial speed toward
 a radar is below the suppression threshold sheds nothing to that radar,
 mimicking firmware that only reports moving reflectors.
 
+A tick is array code: its walker and ghost rows go through one
+spherical conversion and one encodability mask, and a :class:`SimFrame`
+holds the kept points as an ``(n, 5)`` array in :class:`tlv.RadarPoint`
+field order, which :func:`tlv.encode_frame` packs as it is.
+
 Everything is driven by one seeded generator in a fixed iteration
 order, so a scenario renders to byte-identical logs every run.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -144,25 +150,32 @@ def walker_velocity(w: WalkerSpec, t: float, h: float = 0.02):
 class SimFrame:
     radar_id: str
     ts_ns: int
-    points: tuple          # RadarPoints
-    labels: tuple          # "walker:<id>" | "ghost", aligned with points
+    points: np.ndarray     # (n, 5): range_m, azimuth, elevation, doppler, snr
+    labels: tuple          # "walker:<id>" | "ghost", one per row of points
 
 
-def _spherical(local: np.ndarray):
-    rng = float(np.linalg.norm(local))
-    if rng == 0:
-        return 0.0, 0.0, 0.0
-    az = math.atan2(local[0], local[1])
-    el = math.asin(max(-1.0, min(1.0, local[2] / rng)))
-    return rng, az, el
+# raw bounds of the wire fields, in tlv.POINT_DTYPE order, that a
+# simulated point meets: symmetric, so one short of the codec's -128 and
+# -32768
+_RAW_LO = np.array([-127, -127, -32767, 0, 0])
+_RAW_HI = np.array([127, 127, 32767, 65535, 65535])
 
 
-def _encodable(rng, az, el, dop, snr) -> bool:
-    return (abs(round(az / _UNITS.azimuth_scale)) <= 127
-            and abs(round(el / _UNITS.elevation_scale)) <= 127
-            and abs(round(dop / _UNITS.doppler_scale)) <= 32767
-            and 0 <= round(rng / _UNITS.range_scale) <= 65535
-            and 0 <= round(snr / _UNITS.snr_scale) <= 65535)
+def _encodable(points) -> np.ndarray:
+    """Mask of the rows of an ``(n, 5)`` point array kept by the
+    simulator: every raw value within the bounds above."""
+    raw = tlv.quantize(points, _UNITS)
+    return ((raw >= _RAW_LO) & (raw <= _RAW_HI)).all(axis=1)
+
+
+def _spherical(local: np.ndarray) -> np.ndarray:
+    """Range, azimuth and elevation of each row of an ``(n, 3)`` array of
+    radar-frame positions, as an ``(n, 3)`` array; the origin is 0, 0, 0."""
+    rng = np.linalg.norm(local, axis=1)
+    sin_el = np.divide(local[:, 2], rng, out=np.zeros_like(rng),
+                       where=rng > 0)
+    return np.column_stack([rng, np.arctan2(local[:, 0], local[:, 1]),
+                            np.arcsin(np.clip(sin_el, -1.0, 1.0))])
 
 
 def simulate_frames(sc: Scenario):
@@ -177,6 +190,13 @@ def simulate_frames(sc: Scenario):
             if t <= sc.duration:
                 ticks.append((t, radar.radar_id, radar))
     ticks.sort(key=lambda x: (x[0], x[1]))
+    walkers = sorted(sc.walkers, key=lambda w: w.walker_id)
+    # a walker row is (x, y, z, doppler, snr) = z * spread + center for
+    # five standard normals z; a ghost row is uniform in [lo, hi)
+    spread = np.array([sc.noise.pos_sigma] * 3 + [0.03, 3.0])
+    ghost_lo = np.array([sc.room_x[0], sc.room_y[0], 0.2, -3.0, 8.0])
+    ghost_hi = np.array([sc.room_x[1], sc.room_y[1], sc.room_height, 3.0,
+                         20.0])
 
     for t, _, radar in ticks:
         ts_ns = int(round(t * 1e9))
@@ -184,18 +204,17 @@ def simulate_frames(sc: Scenario):
         rot = radar.pose.matrix().T
         radar_pos = radar.pose.translation
         offset = rot @ radar_pos
-        points, labels = [], []
+        rows, labels = [], []
 
-        for w in sorted(sc.walkers, key=lambda w: w.walker_id):
-            xy = walker_position(w, t)
-            if xy is None:
-                continue
-            body = np.array([xy[0], xy[1], sc.body_height])
-            local = rot @ body - offset
-            if local[1] <= 0:
-                continue
-            r0, az0, el0 = _spherical(local)
-            if (r0 > radar.max_range or abs(az0) > radar.azimuth_fov / 2
+        present = [(w, xy) for w in walkers
+                   if (xy := walker_position(w, t)) is not None]
+        bodies = np.array([[x, y, sc.body_height]
+                           for _, (x, y) in present]).reshape(-1, 3)
+        local = bodies @ rot.T - offset
+        for (w, _), body, ahead, (r0, az0, el0) in zip(
+                present, bodies, local[:, 1] > 0, _spherical(local)):
+            if (not ahead or r0 > radar.max_range
+                    or abs(az0) > radar.azimuth_fov / 2
                     or abs(el0) > radar.elevation_fov / 2):
                 continue
             vel2 = walker_velocity(w, t)
@@ -208,37 +227,28 @@ def simulate_frames(sc: Scenario):
             if rng.random() < sc.noise.dropout_prob:
                 continue
             n_pts = rng.poisson(sc.noise.points_per_target)
-            for _ in range(n_pts):
-                noisy = body + rng.normal(0.0, sc.noise.pos_sigma, 3)
-                r, az, el = _spherical(rot @ noisy - offset)
-                dop = radial + rng.normal(0.0, 0.03)
-                snr = max(0.0, 15.0 + 3.0 * rng.standard_normal())
-                if not _encodable(r, az, el, dop, snr):
-                    continue
-                points.append(tlv.RadarPoint(
-                    range_m=r, azimuth=az, elevation=el, doppler=dop,
-                    snr=snr, radar_id=radar.radar_id, ts_ns=ts_ns))
-                labels.append(f"walker:{w.walker_id}")
+            z = rng.standard_normal((n_pts, 5))
+            walker = z * spread + [*body, radial, 15.0]
+            walker[:, 4] = np.maximum(0.0, walker[:, 4])
+            rows.append(walker)
+            labels += [f"walker:{w.walker_id}"] * len(walker)
 
+        n_walker = len(labels)
         n_ghosts = rng.poisson(sc.noise.ghost_rate)
-        for _ in range(n_ghosts):
-            gx = rng.uniform(*sc.room_x)
-            gy = rng.uniform(*sc.room_y)
-            gz = rng.uniform(0.2, sc.room_height)
-            r, az, el = _spherical(rot @ np.array([gx, gy, gz]) - offset)
-            dop = rng.uniform(-3.0, 3.0)
-            snr = rng.uniform(8.0, 20.0)
-            if r <= 0 or r > radar.max_range:
-                continue
-            if not _encodable(r, az, el, dop, snr):
-                continue
-            points.append(tlv.RadarPoint(
-                range_m=r, azimuth=az, elevation=el, doppler=dop,
-                snr=snr, radar_id=radar.radar_id, ts_ns=ts_ns))
-            labels.append("ghost")
+        rows.append(ghost_lo + (ghost_hi - ghost_lo)
+                    * rng.random((n_ghosts, 5)))
+        labels += ["ghost"] * n_ghosts
 
+        rows = np.concatenate(rows)
+        points = np.column_stack([_spherical(rows[:, :3] @ rot.T - offset),
+                                  rows[:, 3:]])
+        # a ghost also needs a range the radar reports
+        r = points[n_walker:, 0]
+        keep = _encodable(points)
+        keep[n_walker:] &= (r > 0) & (r <= radar.max_range)
         yield SimFrame(radar_id=radar.radar_id, ts_ns=ts_ns,
-                       points=tuple(points), labels=tuple(labels))
+                       points=points[keep],
+                       labels=tuple(itertools.compress(labels, keep)))
 
 
 def ground_truth_series(sc: Scenario, tick: float = 0.5):
@@ -268,7 +278,7 @@ def simulate(sc: Scenario, log_path, truth_path=None, clock=None):
                    clock=clock or (lambda: 0.0))
     try:
         for frame in simulate_frames(sc):
-            blob = tlv.encode_frame(list(frame.points), _UNITS)
+            blob = tlv.encode_frame(frame.points, _UNITS)
             rec.write(LogRecord(ts_ns=frame.ts_ns, radar_id=frame.radar_id,
                                 payload=blob))
     finally:
@@ -343,24 +353,16 @@ class EvalMetrics:
 
 def _step_sample(series, times):
     """Sample a step series [(t, v), ...] (sorted) at the given times."""
-    ts = [t for t, _ in series]
-    vs = [v for _, v in series]
-    out = np.empty(len(times))
-    j = -1
-    for i, t in enumerate(times):
-        while j + 1 < len(ts) and ts[j + 1] <= t + 1e-9:
-            j += 1
-        out[i] = vs[j] if j >= 0 else 0.0
-    return out
+    ts, vs = np.array(series, dtype=float).T
+    j = np.searchsorted(ts, times + 1e-9, side="right") - 1
+    return np.where(j >= 0, vs[j], 0.0)
 
 
 def _moving_average(values: np.ndarray, window_samples: int) -> np.ndarray:
-    out = np.empty_like(values, dtype=float)
     csum = np.concatenate([[0.0], np.cumsum(values)])
-    for i in range(len(values)):
-        lo = max(0, i + 1 - window_samples)
-        out[i] = (csum[i + 1] - csum[lo]) / (i + 1 - lo)
-    return out
+    hi = np.arange(1, len(values) + 1)
+    lo = np.maximum(0, hi - window_samples)
+    return (csum[hi] - csum[lo]) / (hi - lo)
 
 
 def evaluate(estimate_series, truth_series, smoothing_seconds: float = 30.0,

@@ -7,16 +7,21 @@ Wire layout (all little-endian):
   point  : int8 elevation, int8 azimuth, int16 doppler,
            uint16 range, uint16 snr     (8 bytes per point)
 
-Raw integers are converted to physical units through per-radar scale
-factors (:class:`DecodeUnits`).  Every frame starts with the magic
-preamble, which lets the scanner resynchronize after byte loss on a
-serial link or a corrupt length field.
+The point layout is defined once, as :data:`POINT_DTYPE`.  Raw
+integers are converted to physical units through per-radar scale
+factors (:class:`DecodeUnits`).  The encoder packs an ``(n, 5)`` float
+array, columns in :class:`RadarPoint` field order; the decoder returns
+one :class:`RadarPoint` per detection.  Every frame starts with the
+magic preamble, which lets the scanner resynchronize after byte loss
+on a serial link or a corrupt length field.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+
+import numpy as np
 
 # Type id of compressed point-cloud TLVs; every other type is skipped.
 COMPRESSED_POINTS_TYPE_ID = 1044
@@ -29,10 +34,18 @@ MAGIC = bytes([0x02, 0x01, 0x04, 0x03, 0x06, 0x05, 0x08, 0x07])
 MAX_PAYLOAD_BYTES = 64 * 1024
 
 _HEADER = struct.Struct("<II")
-_POINT = struct.Struct("<bbhHH")
+POINT_DTYPE = np.dtype([("elevation", "<i1"), ("azimuth", "<i1"),
+                        ("doppler", "<i2"), ("range", "<u2"),
+                        ("snr", "<u2")])
 
-HEADER_SIZE = _HEADER.size   # 8
-POINT_SIZE = _POINT.size     # 8
+HEADER_SIZE = _HEADER.size        # 8
+POINT_SIZE = POINT_DTYPE.itemsize  # 8
+
+# column of each wire field, in POINT_DTYPE order, in a point array whose
+# columns follow RadarPoint: range_m, azimuth, elevation, doppler, snr
+_WIRE_COLUMNS = [2, 1, 3, 0, 4]
+_RAW_LO = np.array([np.iinfo(POINT_DTYPE[f]).min for f in POINT_DTYPE.names])
+_RAW_HI = np.array([np.iinfo(POINT_DTYPE[f]).max for f in POINT_DTYPE.names])
 
 
 class TlvError(Exception):
@@ -105,54 +118,46 @@ def decode_points(payload: bytes, units: DecodeUnits, radar_id: str,
     if len(payload) % POINT_SIZE != 0:
         raise MisalignedPayload(
             f"payload length {len(payload)} is not a multiple of {POINT_SIZE}")
-    out = []
-    for off in range(0, len(payload), POINT_SIZE):
-        el, az, dop, rng, snr = _POINT.unpack_from(payload, off)
-        out.append(RadarPoint(
-            range_m=rng * units.range_scale,
-            azimuth=az * units.azimuth_scale,
-            elevation=el * units.elevation_scale,
-            doppler=dop * units.doppler_scale,
-            snr=snr * units.snr_scale,
-            radar_id=radar_id,
-            ts_ns=ts_ns,
-        ))
-    return out
+    es, azs = units.elevation_scale, units.azimuth_scale
+    ds, rs, ss = units.doppler_scale, units.range_scale, units.snr_scale
+    return [RadarPoint(rng * rs, az * azs, el * es, dop * ds, snr * ss,
+                       radar_id, ts_ns)
+            for el, az, dop, rng, snr
+            in np.frombuffer(payload, POINT_DTYPE).tolist()]
 
 
-_RAW_BOUNDS = {
-    "elevation": (-128, 127),
-    "azimuth": (-128, 127),
-    "doppler": (-32768, 32767),
-    "range": (0, 65535),
-    "snr": (0, 65535),
-}
+def quantize(points, units: DecodeUnits) -> np.ndarray:
+    """Raw values of an ``(n, 5)`` point array (columns in RadarPoint
+    field order) as ``(n, 5)`` floats in wire field order: each column
+    divided by its scale and rounded half to even.  Nothing is checked:
+    a value may lie outside its integer width, or be NaN or infinite."""
+    scales = [units.elevation_scale, units.azimuth_scale,
+              units.doppler_scale, units.range_scale, units.snr_scale]
+    return np.rint(np.asarray(points, dtype=float)[:, _WIRE_COLUMNS] / scales)
 
 
-def _raw(value: float, scale: float, field_name: str, index: int) -> int:
-    r = round(value / scale)
-    lo, hi = _RAW_BOUNDS[field_name]
-    if not lo <= r <= hi:
-        raise ValueOutOfRange(field_name, index, value)
-    return r
-
-
-def encode_points(points: list[RadarPoint], units: DecodeUnits,
+def encode_points(points, units: DecodeUnits,
                   type_id: int = COMPRESSED_POINTS_TYPE_ID) -> bytes:
-    """Header plus packed point records, inverse of :func:`decode_points`."""
-    chunks = [_HEADER.pack(type_id, len(points) * POINT_SIZE)]
-    for i, p in enumerate(points):
-        chunks.append(_POINT.pack(
-            _raw(p.elevation, units.elevation_scale, "elevation", i),
-            _raw(p.azimuth, units.azimuth_scale, "azimuth", i),
-            _raw(p.doppler, units.doppler_scale, "doppler", i),
-            _raw(p.range_m, units.range_scale, "range", i),
-            _raw(p.snr, units.snr_scale, "snr", i),
-        ))
-    return b"".join(chunks)
+    """Header plus packed point records, inverse of :func:`decode_points`.
+
+    ``points`` is an ``(n, 5)`` float array, columns in RadarPoint field
+    order.  A value whose raw integer does not fit its field, NaN and
+    infinity included, raises :class:`ValueOutOfRange` for the first
+    such point and, within it, the first such field in wire order."""
+    points = np.asarray(points, dtype=float).reshape(-1, 5)
+    raw = quantize(points, units)
+    bad = ~((raw >= _RAW_LO) & (raw <= _RAW_HI))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise ValueOutOfRange(POINT_DTYPE.names[j], int(i),
+                              float(points[i, _WIRE_COLUMNS[j]]))
+    rec = np.empty(len(raw), POINT_DTYPE)
+    for j, name in enumerate(POINT_DTYPE.names):
+        rec[name] = raw[:, j]
+    return _HEADER.pack(type_id, rec.nbytes) + rec.tobytes()
 
 
-def encode_frame(points: list[RadarPoint], units: DecodeUnits,
+def encode_frame(points, units: DecodeUnits,
                  type_id: int = COMPRESSED_POINTS_TYPE_ID) -> bytes:
     """A full on-wire frame: magic preamble, then header+payload."""
     return MAGIC + encode_points(points, units, type_id)

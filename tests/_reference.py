@@ -156,3 +156,27 @@ def reference_hysteresis(sequence, h_on, h_off):
             history = []
         out.append(occupied)
     return out
+
+
+def loop_step_sample(series, times):
+    """A sorted step series [(t, v), ...] sampled at ``times`` by one
+    forward scan: the value of the last step at or before t + 1e-9,
+    else 0."""
+    out = np.empty(len(times))
+    j = -1
+    for i, t in enumerate(times):
+        while j + 1 < len(series) and series[j + 1][0] <= t + 1e-9:
+            j += 1
+        out[i] = series[j][1] if j >= 0 else 0.0
+    return out
+
+
+def loop_moving_average(values, window_samples):
+    """Trailing mean over at most ``window_samples`` values, one
+    cumulative-sum difference per index."""
+    out = np.empty(len(values))
+    csum = np.concatenate([[0.0], np.cumsum(values)])
+    for i in range(len(values)):
+        lo = max(0, i + 1 - window_samples)
+        out[i] = (csum[i + 1] - csum[lo]) / (i + 1 - lo)
+    return out

@@ -6,6 +6,7 @@ criterion.  The bundled reference scenario is simulated and replayed
 once per session and shared by the criteria that score it.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -27,7 +28,8 @@ from radarfuse.filtering import (BufferConfig, BufferFilter, ThresholdConfig,
 from radarfuse.geometry import Pose, TransformTree
 from radarfuse.occupancy import CellState, cell_tick
 from radarfuse.simulation import (NoiseSpec, RadarSpec, Scenario, WalkerSpec,
-                                  evaluate, simulate_frames)
+                                  evaluate, paper_scenario, simulate,
+                                  simulate_frames)
 from radarfuse.telemetry import MqttConfig, Publisher, serialize_status
 from radarfuse.occupancy import OccupancyEvent, ZoneStatus
 from radarfuse.tracking import (TargetTrack, TrackerConfig, TrackStatus,
@@ -103,7 +105,7 @@ def test_criterion_02_optics_dbscan_agreement(paper_run):
         min_pts = int(rng.integers(2, 8))
         a = dbscan(pts, eps, min_pts)
         order = optics(pts, min_pts, max_eps=2.0)
-        b = extract_eps_cut(order, eps, min_pts)
+        b = extract_eps_cut(order, eps)
         assert core_partition(a.labels, a.is_core) == \
             core_partition(b.labels, b.is_core)
         assert a.is_core == b.is_core
@@ -127,14 +129,11 @@ def test_criterion_04_codec_round_trip_and_resync():
     rng = np.random.default_rng(47)
     for _ in range(1000):
         n = int(rng.integers(0, 40))
-        pts = [tlv.RadarPoint(
-            range_m=float(rng.uniform(0, 16)),
-            azimuth=float(rng.uniform(-1.27, 1.27)),
-            elevation=float(rng.uniform(-1.27, 1.27)),
-            doppler=float(rng.uniform(-5, 5)),
-            snr=float(rng.uniform(0, 40)),
-            radar_id="r", ts_ns=0) for _ in range(n)]
-        blob = tlv.encode_points(pts, units)
+        rows = [[rng.uniform(0, 16), rng.uniform(-1.27, 1.27),
+                 rng.uniform(-1.27, 1.27), rng.uniform(-5, 5),
+                 rng.uniform(0, 40)] for _ in range(n)]
+        pts = [tlv.RadarPoint(*row, "r", 0) for row in rows]
+        blob = tlv.encode_points(rows, units)
         header = tlv.parse_header(blob)
         assert header.length == n * tlv.POINT_SIZE
         back = tlv.decode_points(blob[tlv.HEADER_SIZE:], units, "r", 0)
@@ -147,9 +146,8 @@ def test_criterion_04_codec_round_trip_and_resync():
             assert abs(p.snr - q.snr) <= units.snr_scale
 
     # corruption injection: garbage between intact framed records
-    frames = [tlv.encode_frame(
-        [tlv.RadarPoint(1.0 + i, 0.1, 0.0, 0.5, 12.0, "r", 0)], units)
-        for i in range(3)]
+    frames = [tlv.encode_frame([[1.0 + i, 0.1, 0.0, 0.5, 12.0]], units)
+              for i in range(3)]
     garbage = bytes([0x13, 0x37, 0xAA, 0xBB, 0x02, 0x01])
     stream = garbage + frames[0] + garbage + frames[1] + frames[2] + garbage
     scanner = tlv.FrameScanner()
@@ -261,8 +259,9 @@ def test_criterion_07_ghost_robustness():
 
     for frame in simulate_frames(sc):
         wps = []
-        for p, lab in zip(frame.points, frame.labels):
-            wp = tree.to_world(p)
+        for row, lab in zip(frame.points, frame.labels):
+            wp = tree.to_world(tlv.RadarPoint(*row, frame.radar_id,
+                                              frame.ts_ns))
             label_of[id(wp)] = "ghost" if lab == "ghost" else "walker"
             wps.append(wp)
         kept = threshold_filter(wps, ThresholdConfig())
@@ -403,6 +402,21 @@ def test_golden_jsonl(paper_run):
                     "--event-log", str(events)]) == 0
     assert _md5(status) == GOLDEN_STATUS_MD5
     assert _md5(events) == GOLDEN_EVENTS_MD5
+
+
+# md5 of the clutter variant's rendered log (seed 7): the paper scenario
+# with walker 0 alone and 40 ghosts per radar frame, so most of its bytes
+# come from the ghost path
+GOLDEN_CLUTTER_LOG_MD5 = "9ee97e9b2f7e6bd2cced00a08174752c"
+
+
+def test_golden_clutter_log(tmp_path):
+    sc = paper_scenario(seed=7)
+    sc = dataclasses.replace(
+        sc, walkers=sc.walkers[:1],
+        noise=dataclasses.replace(sc.noise, ghost_rate=40.0))
+    simulate(sc, tmp_path / "clutter.log")
+    assert _md5(tmp_path / "clutter.log") == GOLDEN_CLUTTER_LOG_MD5
 
 
 def test_compare_clustering_script(paper_run):

@@ -80,7 +80,7 @@ class TestOptics:
         index, reachability, _ = order
         assert len(index) == 1
         assert reachability[0] == float("inf")
-        res = extract_eps_cut(order, eps=0.5, min_pts=1)
+        res = extract_eps_cut(order, eps=0.5)
         assert res.labels == [0]
 
     def test_two_blobs(self):
@@ -89,7 +89,7 @@ class TestOptics:
         b = rng.normal([5, 0, 0], 0.05, size=(5, 3))
         pts = np.vstack([a, b])
         order = optics(pts, min_pts=3, max_eps=2.0)
-        res = extract_eps_cut(order, eps=0.5, min_pts=3, positions=pts)
+        res = extract_eps_cut(order, eps=0.5, positions=pts)
         labels = res.labels
         assert len(set(labels[:5])) == 1 and len(set(labels[5:])) == 1
         assert labels[0] != labels[5]
@@ -98,7 +98,7 @@ class TestOptics:
     def test_chain_at_exact_eps(self):
         pts = np.array([[0.5 * i, 0.0, 0.0] for i in range(6)])
         order = optics(pts, min_pts=2, max_eps=2.0)
-        res = extract_eps_cut(order, eps=0.5, min_pts=2)
+        res = extract_eps_cut(order, eps=0.5)
         assert len(set(res.labels)) == 1 and res.labels[0] != NOISE
 
     @pytest.mark.parametrize("case", [*range(10), *BOUNDARY_CASES])
@@ -117,7 +117,7 @@ class TestOptics:
         min_pts = int(rng.integers(1, 6))
         db = dbscan(pts, eps, min_pts)
         op = extract_eps_cut(optics(pts, min_pts, max_eps=5.0 * np.sqrt(3)),
-                             eps, min_pts)
+                             eps)
         assert op.is_core == db.is_core
         assert core_partition(op.labels, op.is_core) == \
             core_partition(db.labels, db.is_core)

@@ -20,17 +20,17 @@ def track(track_id, x, y, status=TrackStatus.CONFIRMED):
 
 class TestZone:
     def test_center(self):
-        z = Zone("z1", 3, 3, 2, 2)
+        z = Zone("z1", center=(3, 3), len_x=2, len_y=2)
         assert z.contains(3, 3)
 
     def test_edge_closed(self):
-        z = Zone("z1", 3, 3, 2, 2)
+        z = Zone("z1", center=(3, 3), len_x=2, len_y=2)
         assert z.contains(4, 3)
         assert not z.contains(4.01, 3)
 
     def test_bad_lengths(self):
         with pytest.raises(ValueError):
-            Zone("z", 0, 0, -1, 2)
+            Zone("z", len_x=-1, len_y=2)
 
 
 class TestCellTick:
@@ -65,8 +65,8 @@ class TestOccupancyGrid:
     def grid(self, h_on=3, h_off=2, zones=None):
         cfg = GridConfig(cell_size=0.5, on_threshold=h_on, off_threshold=h_off,
                          status_period=1.0, bounds_x=(0, 12), bounds_y=(0, 6))
-        return OccupancyGrid(cfg=cfg,
-                             zones=zones or [Zone("room", 6, 3, 12, 6)])
+        zones = zones or [Zone("room", center=(6, 3), len_x=12, len_y=6)]
+        return OccupancyGrid(cfg=cfg, zones=zones)
 
     def test_single_enter_after_h_on(self):
         g = self.grid(h_on=3)
@@ -84,7 +84,8 @@ class TestOccupancyGrid:
         assert events == []
 
     def test_overlapping_zones_two_enters(self):
-        zones = [Zone("a", 3, 3, 4, 4), Zone("b", 4, 3, 4, 4)]
+        zones = [Zone("a", center=(3, 3), len_x=4, len_y=4),
+                 Zone("b", center=(4, 3), len_x=4, len_y=4)]
         g = self.grid(h_on=1, zones=zones)
         events, _ = g.step([track(0, 3.6, 3.1)], 0)
         assert sorted(e.zone_id for e in events) == ["a", "b"]

@@ -84,7 +84,7 @@ class TestConfig:
         cfg = load_config(doc)
         (zone,) = cfg.zones
         assert zone.zone_id == "room"
-        assert (zone.center_x, zone.center_y) == (6.0, 3.0)
+        assert zone.center == (6.0, 3.0)
         assert (zone.len_x, zone.len_y) == (12.0, 6.0)
 
     @pytest.mark.parametrize("load,edit,path", [
@@ -107,6 +107,9 @@ class TestConfig:
         pytest.param(load_config,
                      lambda d: d["merge"].update(late_policy="drop"),
                      "merge.late_policy", id="merge-late_policy"),
+        pytest.param(load_config,
+                     lambda d: d["zones"][0].update(center_x=6.0),
+                     "zones[0].center_x", id="zone-center_x"),
         pytest.param(load_scenario,
                      lambda d: d.update(walker=d.pop("walkers")),
                      "walker", id="scenario-walker"),

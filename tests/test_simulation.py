@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from radarfuse import tlv
 from radarfuse.geometry import Pose, TransformTree
 from radarfuse.simulation import (EmptySeries, InvalidScenario, NoiseSpec,
-                                  RadarSpec, Scenario, WalkerSpec, evaluate,
-                                  ground_truth_series, paper_scenario,
-                                  simulate, simulate_frames, walker_position,
-                                  walker_velocity)
+                                  RadarSpec, Scenario, WalkerSpec,
+                                  _encodable, _moving_average, _step_sample,
+                                  evaluate, ground_truth_series,
+                                  paper_scenario, simulate, simulate_frames,
+                                  walker_position, walker_velocity)
+
+from _reference import loop_moving_average, loop_step_sample
 
 
 def overhead_radar(**kw):
@@ -129,14 +134,14 @@ class TestFrameGeneration:
                       walkers=(one_walker(waypoints=((0.5, 0.05),)),),
                       noise=quiet_noise(), doppler_zero_suppression=False,
                       duration=2.0, seed=1)
-        assert all(not f.points for f in simulate_frames(sc))
+        assert all(len(f.points) == 0 for f in simulate_frames(sc))
 
     def test_suppression_hides_stationary_walker(self):
         sc = Scenario(radars=(overhead_radar(),),
                       walkers=(one_walker(waypoints=((3.0, 3.0),)),),
                       noise=quiet_noise(), doppler_zero_suppression=True,
                       duration=2.0, seed=1)
-        assert all(not f.points for f in simulate_frames(sc))
+        assert all(len(f.points) == 0 for f in simulate_frames(sc))
 
     def test_suppression_off_shows_stationary_walker(self):
         sc = Scenario(radars=(overhead_radar(),),
@@ -144,7 +149,7 @@ class TestFrameGeneration:
                       noise=quiet_noise(), doppler_zero_suppression=False,
                       duration=2.0, seed=1)
         frames = list(simulate_frames(sc))
-        assert any(f.points for f in frames)
+        assert any(len(f.points) for f in frames)
         for f in frames:
             assert all(lab == "walker:0" for lab in f.labels)
 
@@ -153,14 +158,15 @@ class TestFrameGeneration:
                       walkers=(one_walker(),), noise=quiet_noise(),
                       doppler_zero_suppression=False, duration=3.0, seed=1)
         for f in simulate_frames(sc):
-            if not f.points:
+            if len(f.points) == 0:
                 continue
             t = f.ts_ns / 1e9
             expect = walker_position(one_walker(), t)
             radar = overhead_radar()
             tree = TransformTree({radar.radar_id: radar.pose})
-            for p in f.points:
-                world = tree.to_world(p)
+            for row in f.points:
+                world = tree.to_world(tlv.RadarPoint(*row, f.radar_id,
+                                                     f.ts_ns))
                 # quantization of the wire format dominates the error
                 assert abs(world.x - expect[0]) < 0.05
                 assert abs(world.y - expect[1]) < 0.05
@@ -181,7 +187,16 @@ class TestFrameGeneration:
         assert ts == sorted(ts)
         assert {f.radar_id for f in frames} == {"wall_a", "wall_b", "ceiling"}
         for f in frames:
-            assert len(f.points) == len(f.labels)
+            assert f.points.shape == (len(f.labels), 5)
+
+    def test_mask_keeps_wire_range_symmetric(self):
+        # -1.28 rad quantizes to -128, which the codec accepts but the
+        # simulator does not; +1.27 rad (raw 127) passes both
+        rows = [[1.0, -1.28, 0.0, 0.0, 10.0], [1.0, 1.27, 0.0, 0.0, 10.0]]
+        assert tlv.quantize(rows, tlv.DecodeUnits())[:, 1].tolist() == \
+            [-128.0, 127.0]
+        tlv.encode_points(rows, tlv.DecodeUnits())
+        assert _encodable(rows).tolist() == [False, True]
 
 
 class TestGroundTruth:
@@ -229,6 +244,22 @@ class TestEvaluate:
         assert m.convergence_time_s == pytest.approx(40.5, abs=1.0)
         assert m.mae <= 0.5
         assert m.peak_estimate == 6.0
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(st.one_of(
+        st.integers(0, 40).map(lambda k: k * 0.25),
+        st.integers(-1, 21).map(lambda k: k * 0.5 + 1e-9)),
+        st.integers(0, 6)), min_size=1, max_size=30), st.integers(1, 12))
+    def test_sampling_and_smoothing_match_loops(self, series, window):
+        # steps on a 0.25 s lattice and exactly 1e-9 s after a sample
+        # time, so a step lands on, just before and just after a sample,
+        # and duplicate step times occur
+        series = sorted(series)
+        times = np.arange(-0.5, 11.0, 0.5)
+        got = _step_sample(series, times)
+        assert got.tolist() == loop_step_sample(series, times).tolist()
+        assert _moving_average(got, window).tolist() == \
+            loop_moving_average(got, window).tolist()
 
     def test_to_dict_keys(self):
         m = evaluate([(0.0, 1)], [(0.0, 1)])

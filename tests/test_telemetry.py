@@ -51,8 +51,7 @@ class TestTopics:
     def test_wildcards_rejected(self, bad):
         # a zone id is one topic level, so the zone refuses it at load
         with pytest.raises(ValueError, match="^zone_id "):
-            Zone(zone_id=bad, center_x=0.0, center_y=0.0, len_x=1.0,
-                 len_y=1.0)
+            Zone(zone_id=bad, len_x=1.0, len_y=1.0)
 
 
 class FakeClient:

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import pytest
@@ -10,10 +11,9 @@ UNITS = tlv.DecodeUnits()
 
 
 def make_point(range_m=1.0, azimuth=0.0, elevation=0.0, doppler=0.0,
-               snr=10.0, radar_id="r0", ts_ns=0):
-    return tlv.RadarPoint(range_m=range_m, azimuth=azimuth,
-                          elevation=elevation, doppler=doppler, snr=snr,
-                          radar_id=radar_id, ts_ns=ts_ns)
+               snr=10.0):
+    """One point row, columns in RadarPoint field order."""
+    return [range_m, azimuth, elevation, doppler, snr]
 
 
 class TestParseHeader:
@@ -70,6 +70,36 @@ class TestEncodePoints:
         assert exc.value.field_name == "range"
         assert exc.value.index == 0
 
+    def test_wire_layout(self):
+        # wire order is elevation, azimuth, doppler, range, snr; the
+        # negative azimuth and doppler exercise the signed fields
+        buf = tlv.encode_points([make_point(range_m=2.5, azimuth=-0.5,
+                                            elevation=0.25, doppler=-1.4,
+                                            snr=20.0)], UNITS)
+        assert buf[8:] == struct.pack("<bbhHH", 25, -50, -5000, 10000, 200)
+
+    def test_first_bad_point_then_first_bad_field_in_wire_order(self):
+        # point 1 overflows range (column 0) and doppler (column 3), and
+        # doppler comes first on the wire; point 2's elevation, the first
+        # wire field, is reported only after every field of point 1
+        pts = [make_point(), make_point(range_m=99.0, doppler=99.0),
+               make_point(elevation=2.0)]
+        with pytest.raises(tlv.ValueOutOfRange) as exc:
+            tlv.encode_points(pts, UNITS)
+        assert (exc.value.field_name, exc.value.index) == ("doppler", 1)
+        assert exc.value.value == 99.0
+
+    @pytest.mark.parametrize("field,column", [("range", 0), ("azimuth", 1),
+                                              ("elevation", 2),
+                                              ("doppler", 3), ("snr", 4)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_is_out_of_range(self, field, column, value):
+        bad = make_point()
+        bad[column] = value
+        with pytest.raises(tlv.ValueOutOfRange) as exc:
+            tlv.encode_points([make_point(), bad], UNITS)
+        assert (exc.value.field_name, exc.value.index) == (field, 1)
+
     def test_length_matches_count(self):
         pts = [make_point(range_m=i * 0.1) for i in range(5)]
         buf = tlv.encode_points(pts, UNITS)
@@ -94,12 +124,12 @@ def test_round_trip_within_one_quantum(points):
     buf = tlv.encode_points(points, UNITS)
     back = tlv.decode_points(buf[8:], UNITS, "r0", 0)
     assert len(back) == len(points)
-    for orig, dec in zip(points, back):
-        assert abs(orig.range_m - dec.range_m) <= UNITS.range_scale
-        assert abs(orig.azimuth - dec.azimuth) <= UNITS.azimuth_scale
-        assert abs(orig.elevation - dec.elevation) <= UNITS.elevation_scale
-        assert abs(orig.doppler - dec.doppler) <= UNITS.doppler_scale
-        assert abs(orig.snr - dec.snr) <= UNITS.snr_scale
+    for (range_m, azimuth, elevation, doppler, snr), dec in zip(points, back):
+        assert abs(range_m - dec.range_m) <= UNITS.range_scale
+        assert abs(azimuth - dec.azimuth) <= UNITS.azimuth_scale
+        assert abs(elevation - dec.elevation) <= UNITS.elevation_scale
+        assert abs(doppler - dec.doppler) <= UNITS.doppler_scale
+        assert abs(snr - dec.snr) <= UNITS.snr_scale
 
 
 class TestFrameScanner:
