@@ -8,6 +8,11 @@ When doppler-zero suppression is on, a walker whose radial speed toward
 a radar is below the suppression threshold sheds nothing to that radar,
 mimicking firmware that only reports moving reflectors.
 
+Trajectories are arrays: :func:`walker_positions` and
+:func:`walker_velocities` evaluate a walker's path over a whole array of
+times, NaN before entry, so each radar's ticks get every walker's
+position, velocity and field-of-view check in one pass before the tick
+loop, which keeps only the seeded draws and the doppler arithmetic.
 A tick is array code: its walker and ghost rows go through one
 spherical conversion and one encodability mask, and a :class:`SimFrame`
 holds the kept points as an ``(n, 5)`` array in :class:`tlv.RadarPoint`
@@ -108,42 +113,47 @@ def validate_scenario(sc: Scenario):
                                       "outside room bounds")
 
 
-def _polyline_pos(waypoints, arc: float) -> np.ndarray:
-    """Position at arc length along a ping-pong loop over the polyline."""
-    pts = [np.array(p, dtype=float) for p in waypoints]
-    if len(pts) == 1:
-        return pts[0]
-    seg = [float(np.linalg.norm(b - a)) for a, b in zip(pts, pts[1:])]
-    total = sum(seg)
-    if total == 0:
-        return pts[0]
-    m = arc % (2 * total)
-    if m > total:
-        m = 2 * total - m
-    for a, b, L in zip(pts, pts[1:], seg):
-        if m <= L and L > 0:
-            return a + (m / L) * (b - a)
-        m -= L
-    return pts[-1]
+def walker_positions(w: WalkerSpec, times) -> np.ndarray:
+    """World XY at each scenario time, as an ``(n, 2)`` array; rows
+    before entry are NaN.
 
-
-def walker_position(w: WalkerSpec, t: float):
-    """World XY at scenario time t, or None before entry."""
-    if t < w.entry_time:
-        return None
+    Dwell time is subtracted from the time since entry, the arc length
+    is folded into a ping-pong loop over the polyline, and each row is
+    interpolated on the first segment that holds it."""
+    t = np.asarray(times, dtype=float)
     travel = t - w.entry_time
     for start, end in w.dwells:
         lo = max(start, w.entry_time)
-        travel -= max(0.0, min(t, end) - lo) if lo < min(t, end) else 0.0
-    return _polyline_pos(w.waypoints, w.speed * travel)
+        hi = np.minimum(t, end)
+        travel -= np.where(lo < hi, hi - lo, 0.0)
+    m = w.speed * travel
+    pts = [np.array(p, dtype=float) for p in w.waypoints]
+    seg = [float(np.linalg.norm(b - a)) for a, b in zip(pts, pts[1:])]
+    total = sum(seg)
+    out = np.tile(pts[-1] if total else pts[0], (len(t), 1))
+    if total:
+        m %= 2 * total
+        m = np.where(m > total, 2 * total - m, m)
+        placed = np.zeros(len(t), dtype=bool)
+        for a, b, L in zip(pts, pts[1:], seg):
+            here = ~placed & (m <= L) & (L > 0)
+            out[here] = a + (m[here, None] / L) * (b - a)
+            placed |= here
+            m -= L
+    out[t < w.entry_time] = np.nan
+    return out
 
 
-def walker_velocity(w: WalkerSpec, t: float, h: float = 0.02):
-    if walker_position(w, t) is None:
-        return None
-    a = walker_position(w, max(t - h, w.entry_time))
-    b = walker_position(w, t + h)
-    return (b - a) / (2 * h) if a is not None else np.zeros(2)
+def walker_velocities(w: WalkerSpec, times, h: float = 0.02) -> np.ndarray:
+    """World XY velocity at each scenario time, as an ``(n, 2)`` array:
+    the central difference of :func:`walker_positions` over ``h`` either
+    side, clipped at entry; rows before entry are NaN."""
+    t = np.asarray(times, dtype=float)
+    a = walker_positions(w, np.maximum(t - h, w.entry_time))
+    b = walker_positions(w, t + h)
+    vel = (b - a) / (2 * h)
+    vel[t < w.entry_time] = np.nan
+    return vel
 
 
 @dataclass(frozen=True)
@@ -178,19 +188,43 @@ def _spherical(local: np.ndarray) -> np.ndarray:
                             np.arcsin(np.clip(sin_el, -1.0, 1.0))])
 
 
+def _in_view(radar: RadarSpec, local: np.ndarray) -> np.ndarray:
+    """Mask of the rows of an ``(n, 3)`` array of radar-frame positions
+    that lie ahead of the radar, within its range and its field of view;
+    a NaN row is out of view."""
+    r, az, el = _spherical(local).T
+    return ((local[:, 1] > 0) & (r <= radar.max_range)
+            & (np.abs(az) <= radar.azimuth_fov / 2)
+            & (np.abs(el) <= radar.elevation_fov / 2))
+
+
 def simulate_frames(sc: Scenario):
     """Yield labeled SimFrames for every radar tick, in timestamp order."""
     validate_scenario(sc)
     rng = np.random.default_rng(sc.seed)
+    walkers = sorted(sc.walkers, key=lambda w: w.walker_id)
+    names = [f"walker:{w.walker_id}" for w in walkers]
     ticks = []
     for radar in sorted(sc.radars, key=lambda r: r.radar_id):
         n = int(sc.duration * radar.frame_rate)
-        for k in range(n):
-            t = radar.phase + k / radar.frame_rate
-            if t <= sc.duration:
-                ticks.append((t, radar.radar_id, radar))
+        times = [t for k in range(n)
+                 if (t := radar.phase + k / radar.frame_rate) <= sc.duration]
+        # world -> radar: rot @ v - offset, the inverse of the pose
+        pos = radar.pose.translation
+        rot = radar.pose.matrix().T
+        offset = rot @ pos
+        # every walker's body position and velocity at every tick, tick
+        # by walker; NaN before the walker enters
+        bodies = np.full((len(times), len(walkers), 3), sc.body_height)
+        vel = np.zeros_like(bodies)
+        for j, w in enumerate(walkers):
+            bodies[:, j, :2] = walker_positions(w, times)
+            vel[:, j, :2] = walker_velocities(w, times)
+        seen = _in_view(radar, bodies.reshape(-1, 3) @ rot.T - offset)
+        ticks += [(t, radar.radar_id, radar, pos, rot, offset, *row)
+                  for t, *row in zip(times, bodies, vel,
+                                     seen.reshape(bodies.shape[:2]))]
     ticks.sort(key=lambda x: (x[0], x[1]))
-    walkers = sorted(sc.walkers, key=lambda w: w.walker_id)
     # a walker row is (x, y, z, doppler, snr) = z * spread + center for
     # five standard normals z; a ghost row is uniform in [lo, hi)
     spread = np.array([sc.noise.pos_sigma] * 3 + [0.03, 3.0])
@@ -198,29 +232,12 @@ def simulate_frames(sc: Scenario):
     ghost_hi = np.array([sc.room_x[1], sc.room_y[1], sc.room_height, 3.0,
                          20.0])
 
-    for t, _, radar in ticks:
+    for t, _, radar, pos, rot, offset, bodies, vel, seen in ticks:
         ts_ns = int(round(t * 1e9))
-        # world -> radar: rot @ v - offset, the inverse of the pose
-        rot = radar.pose.matrix().T
-        radar_pos = radar.pose.translation
-        offset = rot @ radar_pos
         rows, labels = [], []
-
-        present = [(w, xy) for w in walkers
-                   if (xy := walker_position(w, t)) is not None]
-        bodies = np.array([[x, y, sc.body_height]
-                           for _, (x, y) in present]).reshape(-1, 3)
-        local = bodies @ rot.T - offset
-        for (w, _), body, ahead, (r0, az0, el0) in zip(
-                present, bodies, local[:, 1] > 0, _spherical(local)):
-            if (not ahead or r0 > radar.max_range
-                    or abs(az0) > radar.azimuth_fov / 2
-                    or abs(el0) > radar.elevation_fov / 2):
-                continue
-            vel2 = walker_velocity(w, t)
-            vel = np.array([vel2[0], vel2[1], 0.0])
-            to_radar = body - radar_pos
-            radial = float(vel @ to_radar) / max(float(np.linalg.norm(to_radar)), 1e-9)
+        for j in np.flatnonzero(seen):
+            to_radar = bodies[j] - pos
+            radial = float(vel[j] @ to_radar) / max(float(np.linalg.norm(to_radar)), 1e-9)
             if (sc.doppler_zero_suppression
                     and abs(radial) < DOPPLER_SUPPRESSION_THRESHOLD):
                 continue
@@ -228,10 +245,10 @@ def simulate_frames(sc: Scenario):
                 continue
             n_pts = rng.poisson(sc.noise.points_per_target)
             z = rng.standard_normal((n_pts, 5))
-            walker = z * spread + [*body, radial, 15.0]
+            walker = z * spread + [*bodies[j], radial, 15.0]
             walker[:, 4] = np.maximum(0.0, walker[:, 4])
             rows.append(walker)
-            labels += [f"walker:{w.walker_id}"] * len(walker)
+            labels += [names[j]] * len(walker)
 
         n_walker = len(labels)
         n_ghosts = rng.poisson(sc.noise.ghost_rate)
@@ -253,22 +270,22 @@ def simulate_frames(sc: Scenario):
 
 def ground_truth_series(sc: Scenario, tick: float = 0.5):
     """Per-tick occupancy truth: list of dicts with time, count, walkers."""
-    out = []
+    times = []
     t = 0.0
     while t <= sc.duration + 1e-9:
-        walkers = []
-        for w in sc.walkers:
-            xy = walker_position(w, t)
-            if xy is None:
-                continue
-            vel = walker_velocity(w, t)
-            walkers.append({"id": w.walker_id,
-                            "x": round(float(xy[0]), 3),
-                            "y": round(float(xy[1]), 3),
-                            "speed": round(float(np.linalg.norm(vel)), 3)})
+        times.append(t)
+        t += tick
+    paths = [(w, walker_positions(w, times), walker_velocities(w, times))
+             for w in sc.walkers]
+    out = []
+    for i, t in enumerate(times):
+        walkers = [{"id": w.walker_id,
+                    "x": round(float(xy[i, 0]), 3),
+                    "y": round(float(xy[i, 1]), 3),
+                    "speed": round(float(np.linalg.norm(vel[i])), 3)}
+                   for w, xy, vel in paths if not np.isnan(xy[i, 0])]
         out.append({"t_s": round(t, 3), "count": len(walkers),
                     "walkers": walkers})
-        t += tick
     return out
 
 

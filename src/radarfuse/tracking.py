@@ -143,6 +143,13 @@ def update(track: TargetTrack, centroid_pos, ts_ns: int,
                    hits=hits, last_update_ns=ts_ns)
 
 
+def birth(pos, cfg: TrackerConfig):
+    """(state, covariance) of a filter started at a measurement: at rest,
+    with the measurement noise on position."""
+    state = np.array([pos[0], pos[1], pos[2], 0.0, 0.0, 0.0])
+    return state, np.diag([cfg.measurement_noise ** 2] * 3 + [4.0] * 3)
+
+
 def associate(tracks: list[TargetTrack], centroids, cfg: TrackerConfig):
     """Greedy globally-nearest matching over gated pairs.
 
@@ -175,6 +182,7 @@ class Tracker:
     tracks: list[TargetTrack] = field(default_factory=list)
     next_id: int = 0
     dropped_new_targets: int = 0
+    covariance_resets: int = 0
     _last_ts: int | None = None
 
     def step(self, centroids, ts_ns: int):
@@ -199,7 +207,15 @@ class Tracker:
 
         updated: dict[int, TargetTrack] = {}
         for t, ci in matches:
-            u = update(t, centroids[ci], ts_ns, self.cfg)
+            try:
+                u = update(t, centroids[ci], ts_ns, self.cfg)
+            except NonPSDCovariance:
+                # restart the filter at its measurement, keeping the
+                # track's id, hits and status
+                self.covariance_resets += 1
+                state, cov = birth(centroids[ci], self.cfg)
+                u = replace(t, state=state, covariance=cov,
+                            last_update_ns=ts_ns)
             if u.status is not t.status:
                 events.append(TrackEvent(EventKind.CONFIRMED, u.track_id, ts_ns))
             updated[u.track_id] = u
@@ -209,11 +225,9 @@ class Tracker:
             if len(self.tracks) >= self.cfg.max_targets:
                 self.dropped_new_targets += 1
                 continue
-            pos = centroids[ci]
-            state = np.array([pos[0], pos[1], pos[2], 0.0, 0.0, 0.0])
-            cov = np.diag([self.cfg.measurement_noise ** 2] * 3 + [4.0] * 3)
             status = (TrackStatus.CONFIRMED if self.cfg.confirm_hits == 1
                       else TrackStatus.TENTATIVE)
+            state, cov = birth(centroids[ci], self.cfg)
             t = TargetTrack(track_id=self.next_id, state=state, covariance=cov,
                             status=status, hits=1, last_update_ns=ts_ns)
             self.next_id += 1

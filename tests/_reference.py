@@ -180,3 +180,34 @@ def loop_moving_average(values, window_samples):
         lo = max(0, i + 1 - window_samples)
         out[i] = (csum[i + 1] - csum[lo]) / (i + 1 - lo)
     return out
+
+
+def _polyline_pos(waypoints, arc: float) -> np.ndarray:
+    """Position at arc length along a ping-pong loop over the polyline."""
+    pts = [np.array(p, dtype=float) for p in waypoints]
+    if len(pts) == 1:
+        return pts[0]
+    seg = [float(np.linalg.norm(b - a)) for a, b in zip(pts, pts[1:])]
+    total = sum(seg)
+    if total == 0:
+        return pts[0]
+    m = arc % (2 * total)
+    if m > total:
+        m = 2 * total - m
+    for a, b, L in zip(pts, pts[1:], seg):
+        if m <= L and L > 0:
+            return a + (m / L) * (b - a)
+        m -= L
+    return pts[-1]
+
+
+def brute_walker_position(w, t: float):
+    """World XY of walker spec ``w`` at scenario time t, or None before
+    entry: one time at a time, the polyline rebuilt on every call."""
+    if t < w.entry_time:
+        return None
+    travel = t - w.entry_time
+    for start, end in w.dwells:
+        lo = max(start, w.entry_time)
+        travel -= max(0.0, min(t, end) - lo) if lo < min(t, end) else 0.0
+    return _polyline_pos(w.waypoints, w.speed * travel)

@@ -377,10 +377,11 @@ def test_criterion_10_telemetry_outage_recovery():
     assert len(broker["published"]) == 1 + 50 + 1
 
 
-# md5 of the paper scenario's rendered log (seed 7), and of the status and
-# event JSONL that ``replay --fast`` writes for it; DBSCAN and OPTICS give
-# the same bytes
+# md5 of the paper scenario's rendered log and truth file (seed 7), and of
+# the status and event JSONL that ``replay --fast`` writes for it; DBSCAN
+# and OPTICS give the same bytes
 GOLDEN_LOG_MD5 = "f117d33393c08abb1e4c80f8e0c36097"
+GOLDEN_TRUTH_MD5 = "0f4ebb9a36ce8305d920670a581c4593"
 GOLDEN_STATUS_MD5 = "83cb92296961bce60c70e86400e369ea"
 GOLDEN_EVENTS_MD5 = "e5ea56bad07eef9dfb18e205b0c2a10d"
 
@@ -392,6 +393,7 @@ def _md5(path):
 def test_golden_jsonl(paper_run):
     """Refactors keep the reference outputs byte for byte."""
     assert _md5(paper_run["log"]) == GOLDEN_LOG_MD5
+    assert _md5(paper_run["truth"]) == GOLDEN_TRUTH_MD5
     assert _md5(paper_run["status"]) == GOLDEN_STATUS_MD5
     assert _md5(paper_run["events"]) == GOLDEN_EVENTS_MD5
     d = paper_run["dir"]

@@ -11,9 +11,10 @@ from radarfuse.simulation import (EmptySeries, InvalidScenario, NoiseSpec,
                                   _encodable, _moving_average, _step_sample,
                                   evaluate, ground_truth_series,
                                   paper_scenario, simulate, simulate_frames,
-                                  walker_position, walker_velocity)
+                                  walker_positions, walker_velocities)
 
-from _reference import loop_moving_average, loop_step_sample
+from _reference import (brute_walker_position, loop_moving_average,
+                        loop_step_sample)
 
 
 def overhead_radar(**kw):
@@ -44,33 +45,91 @@ def quiet_noise(**kw):
 class TestWalkerKinematics:
     def test_before_entry(self):
         w = one_walker(entry_time=5.0)
-        assert walker_position(w, 4.9) is None
+        pos = walker_positions(w, [4.9, 5.0])
+        assert np.isnan(pos[0]).all()
+        assert pos[1].tolist() == [1.0, 1.0]
+        assert np.isnan(walker_velocities(w, [4.9])).all()
 
     def test_constant_speed_on_segment(self):
         w = one_walker(speed=2.0)
-        assert walker_position(w, 3.0) == pytest.approx([7.0, 1.0])
+        assert walker_positions(w, [3.0])[0] == pytest.approx([7.0, 1.0])
 
     def test_ping_pong_reflects(self):
         w = one_walker(speed=1.0)  # 10 m segment
-        assert walker_position(w, 12.0) == pytest.approx([9.0, 1.0])
-        assert walker_position(w, 20.0) == pytest.approx([1.0, 1.0])
+        assert walker_positions(w, [12.0, 20.0]) == pytest.approx(
+            np.array([[9.0, 1.0], [1.0, 1.0]]))
 
     def test_dwell_freezes_position(self):
         w = one_walker(speed=1.0, dwells=((2.0, 4.0),))
-        frozen = walker_position(w, 2.0)
-        assert walker_position(w, 3.5) == pytest.approx(frozen)
+        frozen, still, moving = walker_positions(w, [2.0, 3.5, 5.0])
+        assert still == pytest.approx(frozen)
         # afterwards motion resumes from where it stopped
-        assert walker_position(w, 5.0) == pytest.approx([4.0, 1.0])
+        assert moving == pytest.approx([4.0, 1.0])
 
     def test_velocity_zero_during_dwell(self):
         w = one_walker(speed=1.0, dwells=((2.0, 4.0),))
-        assert np.linalg.norm(walker_velocity(w, 3.0)) == pytest.approx(0.0)
-        assert np.linalg.norm(walker_velocity(w, 8.0)) == pytest.approx(
-            1.0, abs=1e-6)
+        still, moving = walker_velocities(w, [3.0, 8.0])
+        assert np.linalg.norm(still) == pytest.approx(0.0)
+        assert np.linalg.norm(moving) == pytest.approx(1.0, abs=1e-6)
 
     def test_single_waypoint_is_stationary(self):
         w = one_walker(waypoints=((3.0, 3.0),))
-        assert walker_position(w, 9.0) == pytest.approx([3.0, 3.0])
+        assert walker_positions(w, [9.0])[0] == pytest.approx([3.0, 3.0])
+
+
+# coordinates and times on a 0.5 lattice, so waypoints repeat, segments
+# have zero length and times fall on entries, dwell ends, segment ends
+# and fold points; plus arbitrary floats
+_coord = st.one_of(st.integers(0, 12).map(lambda k: k * 0.5),
+                   st.floats(0.0, 6.0))
+_time = st.one_of(st.integers(-2, 60).map(lambda k: k * 0.5),
+                  st.floats(-1.0, 40.0))
+
+
+@st.composite
+def walkers_and_times(draw):
+    pool = draw(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=4))
+    waypoints = tuple(draw(st.lists(st.sampled_from(pool), min_size=1,
+                                    max_size=6)))
+    w = WalkerSpec(walker_id=0, waypoints=waypoints,
+                   entry_time=draw(_time),
+                   speed=draw(st.one_of(st.sampled_from([0.0, 1.0, 1.1]),
+                                        st.floats(0.1, 3.0))),
+                   dwells=tuple(draw(st.lists(st.tuples(_time, _time),
+                                              max_size=3))))
+    times = draw(st.lists(_time, max_size=20))
+    times += [w.entry_time] + [t for d in w.dwells for t in d]
+    if w.speed > 0:
+        # arc lengths of every segment end and of the fold points
+        pts = [np.array(p, dtype=float) for p in waypoints]
+        arcs = np.cumsum([0.0] + [float(np.linalg.norm(b - a))
+                                  for a, b in zip(pts, pts[1:])])
+        for arc in [*arcs, 2 * arcs[-1], 3 * arcs[-1]]:
+            times.append(w.entry_time + float(arc) / w.speed)
+    return w, times
+
+
+@settings(max_examples=400, deadline=None)
+@given(walkers_and_times())
+def test_walker_positions_match_brute_force(case):
+    w, times = case
+    h = 0.02
+    nan = [math.nan, math.nan]
+
+    def brute(t):
+        xy = brute_walker_position(w, t)
+        return nan if xy is None else xy
+
+    expect = np.array([brute(t) for t in times]).reshape(-1, 2)
+    got = walker_positions(w, times)
+    assert np.array_equal(got, expect, equal_nan=True)
+    assert np.isnan(got[np.array(times) < w.entry_time]).all()
+    expect_vel = np.array(
+        [nan if t < w.entry_time else
+         (brute(t + h) - brute(max(t - h, w.entry_time))) / (2 * h)
+         for t in times]).reshape(-1, 2)
+    assert np.array_equal(walker_velocities(w, times, h), expect_vel,
+                          equal_nan=True)
 
 
 class TestValidation:
@@ -161,7 +220,7 @@ class TestFrameGeneration:
             if len(f.points) == 0:
                 continue
             t = f.ts_ns / 1e9
-            expect = walker_position(one_walker(), t)
+            expect = walker_positions(one_walker(), [t])[0]
             radar = overhead_radar()
             tree = TransformTree({radar.radar_id: radar.pose})
             for row in f.points:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from _reference import brute_associate
-from radarfuse.tracking import (EventKind, OutOfOrderWindow, TargetTrack,
-                                Tracker, TrackerConfig, TrackStatus, associate,
+from radarfuse.tracking import (EventKind, NonPSDCovariance,
+                                OutOfOrderWindow, TargetTrack, Tracker,
+                                TrackerConfig, TrackStatus, associate, birth,
                                 gated_distances, predict, update)
 
 SEC = 1_000_000_000
@@ -197,6 +199,28 @@ class TestTrackerStep:
         np.testing.assert_array_equal(track.state, state)
         np.testing.assert_array_equal(track.covariance, cov)
         assert (track.hits, track.status) == (hits, status)
+
+    def test_non_psd_covariance_resets_track(self):
+        cfg = TrackerConfig(confirm_hits=2)
+        tr = Tracker(cfg)
+        tr.step([(1, 1, 1)], 0)
+        tr.step([(1.1, 1, 1)], SEC // 10)
+        # a covariance no update can bring back to PSD
+        tr.tracks[0] = replace(tr.tracks[0], covariance=-np.eye(6))
+        with pytest.raises(NonPSDCovariance):
+            update(predict(tr.tracks[0], 0.1, cfg), (1.2, 1, 1), 0, cfg)
+        (track,), events = tr.step([(1.2, 1, 1)], 2 * SEC // 10)
+        assert tr.covariance_resets == 1
+        assert events == []
+        assert (track.track_id, track.hits, track.status) == \
+            (0, 2, TrackStatus.CONFIRMED)
+        assert track.last_update_ns == 2 * SEC // 10
+        state, cov = birth((1.2, 1, 1), cfg)
+        np.testing.assert_array_equal(track.state, state)
+        np.testing.assert_array_equal(track.covariance, cov)
+        # the restarted filter updates normally again
+        (track,), _ = tr.step([(1.3, 1, 1)], 3 * SEC // 10)
+        assert track.hits == 3 and tr.covariance_resets == 1
 
     def test_out_of_order_window(self):
         tr = Tracker(TrackerConfig())
