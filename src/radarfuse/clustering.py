@@ -9,14 +9,16 @@ over it; OPTICS keeps it as the distance matrix and takes ``n`` argmin
 steps over one reachability array, returning the ordering as three
 arrays.  OPTICS cluster extraction is an eps-cut, which makes its
 core-point partition provably comparable to DBSCAN at the same eps and
-is exercised as a cross-check in the tests.  A window's result carries
-its centroids as one ``(k, 3)`` array, row ``k`` the mean position of
+is exercised as a cross-check in the tests.  A window is one ``(N, 3)``
+position array, its frames' arrays concatenated once when it closes;
+its result carries per-point labels and core flags as arrays and its
+centroids as one ``(k, 3)`` array, row ``k`` the mean position of
 cluster ``k``, which the tracker takes as is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -52,10 +54,10 @@ class ClusterConfig:
 
 @dataclass
 class ClusterResult:
-    labels: list[int]          # per input point; NOISE (-1) for outliers
+    labels: np.ndarray         # (N,) int per point; NOISE (-1) for outliers
     centroids: np.ndarray      # (k, 3); row k is cluster k's mean position
     ts_ns: int                 # window end
-    is_core: list[bool] = field(default_factory=list)
+    is_core: np.ndarray        # (N,) bool
 
 
 def _centroids(positions: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -74,9 +76,6 @@ def dbscan(positions: np.ndarray, eps: float, min_pts: int,
     index order would assign them.
     """
     n = len(positions)
-    if n == 0:
-        return ClusterResult(labels=[], centroids=np.empty((0, 3)),
-                             ts_ns=ts_ns, is_core=[])
     positions = np.asarray(positions, dtype=float)
     adj = sq_distances(positions, positions) <= eps * eps
     core = adj.sum(1) >= min_pts
@@ -93,9 +92,9 @@ def dbscan(positions: np.ndarray, eps: float, min_pts: int,
             frontier = adj[frontier].any(0) & core & ~members
         labels[adj[members].any(0) & (labels == NOISE)] = cluster
         cluster += 1
-    return ClusterResult(labels=labels.tolist(),
+    return ClusterResult(labels=labels,
                          centroids=_centroids(positions, labels),
-                         ts_ns=ts_ns, is_core=core.tolist())
+                         ts_ns=ts_ns, is_core=core)
 
 
 def optics(positions: np.ndarray, min_pts: int, max_eps: float):
@@ -137,7 +136,7 @@ def optics(positions: np.ndarray, min_pts: int, max_eps: float):
     return order, reachability, core_dist[order]
 
 
-def extract_eps_cut(ordering, eps: float, positions=None,
+def extract_eps_cut(ordering, eps: float, positions: np.ndarray,
                     ts_ns: int = 0) -> ClusterResult:
     """DBSCAN-equivalent clustering at radius eps from the
     ``(order, reachability, core_distance)`` arrays of :func:`optics`."""
@@ -151,17 +150,14 @@ def extract_eps_cut(ordering, eps: float, positions=None,
     labels[index] = np.where(starts & ~core, NOISE, cluster)
     is_core = np.empty(len(index), dtype=bool)
     is_core[index] = core
-    if positions is None:
-        centroids = np.empty((0, 3))
-    else:
-        centroids = _centroids(np.asarray(positions, dtype=float), labels)
-    return ClusterResult(labels=labels.tolist(), centroids=centroids,
-                         ts_ns=ts_ns, is_core=is_core.tolist())
+    return ClusterResult(labels=labels,
+                         centroids=_centroids(positions, labels),
+                         ts_ns=ts_ns, is_core=is_core)
 
 
-def cluster_points(points, cfg: ClusterConfig, ts_ns: int) -> ClusterResult:
-    """Cluster one window of WorldPoints with the configured algorithm."""
-    positions = np.array([[p.x, p.y, p.z] for p in points], dtype=float)
+def cluster_points(positions: np.ndarray, cfg: ClusterConfig,
+                   ts_ns: int) -> ClusterResult:
+    """Cluster one window's (N, 3) positions with ``cfg.algorithm``."""
     if cfg.algorithm is ClusterAlgorithm.DBSCAN:
         return dbscan(positions, cfg.eps, cfg.min_pts, ts_ns)
     ordering = optics(positions, cfg.min_pts, cfg.optics_max_eps)
@@ -169,16 +165,16 @@ def cluster_points(points, cfg: ClusterConfig, ts_ns: int) -> ClusterResult:
 
 
 class WindowClusterer:
-    """Tumbling-window driver: frames in, one ClusterResult per non-empty
-    window out.  Window w covers [w0, w0 + window) by timestamp."""
+    """Tumbling-window driver: (n, 3) frames in, one ClusterResult per
+    window holding a point out.  Window w covers [w0, w0 + window)."""
 
     def __init__(self, cfg: ClusterConfig):
         self.cfg = cfg
         self._window_ns = int(round(cfg.window_seconds * 1e9))
         self._start: int | None = None
-        self._points: list = []
+        self._frames: list[np.ndarray] = []   # the non-empty ones only
 
-    def push(self, ts_ns: int, points) -> list[ClusterResult]:
+    def push(self, ts_ns: int, positions: np.ndarray) -> list[ClusterResult]:
         out = []
         start = ts_ns - ts_ns % self._window_ns
         if self._start is None:
@@ -189,15 +185,16 @@ class WindowClusterer:
             if res is not None:
                 out.append(res)
             self._start = start
-        self._points.extend(points)
+        if len(positions):
+            self._frames.append(positions)
         return out
 
     def _close_window(self):
-        if not self._points:
+        if not self._frames:
             return None
-        res = cluster_points(self._points, self.cfg,
+        res = cluster_points(np.concatenate(self._frames), self.cfg,
                              ts_ns=self._start + self._window_ns)
-        self._points = []
+        self._frames = []
         return res
 
     def flush(self):

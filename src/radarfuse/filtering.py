@@ -1,14 +1,17 @@
 """Per-radar rejection of implausible and spurious detections.
 
-Two stages, run per radar stream before fusion:
+Two stages, run per radar stream before fusion, on the frame arrays
+laid out in :mod:`radarfuse.geometry`:
 
-* threshold filter: drop points with low SNR, implausible doppler, or
-  (optionally) excessive distance from the radar.
-* buffer filter: hold each frame for F subsequent frames and keep only
-  points that gather enough spatial support in those later frames.
-  Ghosts flash once and vanish; real bodies keep shedding nearby points.
-  A frame's support is one count per row of its squared-distance
-  matrix to the later frames (:func:`radarfuse.geometry.sq_distances`).
+* threshold filter: one boolean mask over a frame's ``(n, 5)`` world
+  rows drops low SNR, implausible doppler and (optionally) excessive
+  distance from the radar.
+* buffer filter: hold each frame's ``(n, 3)`` positions for F
+  subsequent frames and keep only points that gather enough spatial
+  support in those later frames.  Ghosts flash once and vanish; real
+  bodies keep shedding nearby points.  A frame's support is one count
+  per row of its squared-distance matrix to the later frames
+  (:func:`radarfuse.geometry.sq_distances`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import WorldPoint, sq_distances
+from .geometry import sq_distances
 
 
 @dataclass(frozen=True)
@@ -49,63 +52,57 @@ class BufferConfig:
             raise ValueError("min_support must be >= 1")
 
 
-def threshold_filter(points: list[WorldPoint], cfg: ThresholdConfig,
-                     radar_origin=None) -> list[WorldPoint]:
-    """Keep points passing all thresholds; order preserved, no mutation.
+def threshold_filter(rows: np.ndarray, cfg: ThresholdConfig,
+                     radar_origin) -> np.ndarray:
+    """The rows of an ``(n, 5)`` world frame that pass all thresholds,
+    in order.
 
-    ``radar_origin`` (world xyz of the source radar) is only needed when
+    ``radar_origin`` is the world xyz of the source radar, read when
     ``range_max`` is set; a point exactly ``range_max`` away is kept.
     """
-    out = []
-    for p in points:
-        if p.snr < cfg.snr_min:
-            continue
-        if abs(p.doppler) > cfg.doppler_abs_max:
-            continue
-        out.append(p)
-    if cfg.range_max is None or radar_origin is None or not out:
-        return out
-    d2 = sq_distances(np.array([[p.x, p.y, p.z] for p in out]),
-                      np.array([radar_origin], dtype=float))[:, 0]
-    return [p for p, d in zip(out, d2) if d <= cfg.range_max ** 2]
+    keep = ((rows[:, 4] >= cfg.snr_min)
+            & (np.abs(rows[:, 3]) <= cfg.doppler_abs_max))
+    if cfg.range_max is not None:
+        d2 = sq_distances(rows[:, :3],
+                          np.array([radar_origin], dtype=float))[:, 0]
+        keep &= d2 <= cfg.range_max ** 2
+    return rows[keep]
 
 
 class BufferFilter:
     """Forward-support ghost filter with a fixed latency of F frames.
 
-    ``push`` accepts the frame for time t and, once frames t+1..t+F have
-    all arrived, emits the filtered frame for t - F (a (ts, points)
-    pair) or None while the pipeline is still filling.  A frame stamped
-    before the last one is dropped and counted in ``out_of_order_dropped``.
+    ``push`` accepts the ``(n, 3)`` positions of the frame for time t
+    and, once frames t+1..t+F have all arrived, emits the filtered frame
+    for t - F (a (ts, positions) pair) or None while the pipeline is
+    still filling.  A frame stamped before the last one is dropped and
+    counted in ``out_of_order_dropped``.
     """
 
     def __init__(self, cfg: BufferConfig):
         self.cfg = cfg
-        # (ts, points, their (n, 3) positions) per frame not yet emitted
-        self._pending: deque[tuple[int, list, np.ndarray]] = deque()
+        # (ts, positions) per frame not yet emitted
+        self._pending: deque[tuple[int, np.ndarray]] = deque()
         self._last_ts: int | None = None
         self.out_of_order_dropped = 0
 
-    def _evaluate(self, frame) -> tuple[int, list[WorldPoint]]:
+    def _evaluate(self, frame) -> tuple[int, np.ndarray]:
         """Judge a frame just taken off ``_pending`` against the frames
         still in it, which are the later ones."""
-        ts, points, positions = frame
+        ts, positions = frame
         r, k = self.cfg.support_radius, self.cfg.min_support
         # positions[:0] keeps the (0, 3) shape once no later frame is left
-        later = np.concatenate([positions[:0]] + [f[2] for f in self._pending])
+        later = np.concatenate([positions[:0]] + [p for _, p in self._pending])
         support = np.count_nonzero(sq_distances(positions, later) <= r * r,
                                    axis=1)
-        kept = [p for p, s in zip(points, support) if s >= k]
-        return ts, kept
+        return ts, positions[support >= k]
 
-    def push(self, ts_ns: int, points: list[WorldPoint]):
+    def push(self, ts_ns: int, positions: np.ndarray):
         if self._last_ts is not None and ts_ns < self._last_ts:
             self.out_of_order_dropped += 1
             return None
         self._last_ts = ts_ns
-        positions = np.array([(p.x, p.y, p.z) for p in points],
-                             dtype=float).reshape(-1, 3)
-        self._pending.append((ts_ns, list(points), positions))
+        self._pending.append((ts_ns, positions))
         if len(self._pending) <= self.cfg.window_frames:
             return None
         return self._evaluate(self._pending.popleft())

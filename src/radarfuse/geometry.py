@@ -7,6 +7,12 @@ yaw about Z, then pitch about the carried X axis, then roll about the
 carried Y (boresight) axis, so a wall radar tilted down 5 degrees is
 simply ``pitch = -5 deg``.
 
+From the to-world step to the tracker a frame is one float array.
+:meth:`TransformTree.to_world` gives a detection's world row
+``(x, y, z, doppler, snr)``; a radar frame is the ``(n, 5)`` array of
+its rows, and from the buffer filter on a frame is the ``(n, 3)``
+array of its positions, the first three columns.
+
 :func:`sq_distances` is the package's one neighbour query: the full
 squared-distance matrix between two point sets, which clustering, the
 filters and the track gate compare with a radius.
@@ -64,17 +70,6 @@ def spherical_to_cartesian(p: RadarPoint) -> np.ndarray:
     ])
 
 
-@dataclass(frozen=True)
-class WorldPoint:
-    x: float
-    y: float
-    z: float
-    doppler: float
-    snr: float
-    radar_id: str
-    ts_ns: int
-
-
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The ``(len(a), len(b))`` matrix of squared Euclidean distances
     between the rows of ``a`` and ``b`` (both (n, 3) float arrays).
@@ -105,9 +100,8 @@ class TransformTree:
         self._frames = {radar_id: (pose.matrix(), pose.translation)
                         for radar_id, pose in poses.items()}
 
-    def to_world(self, p: RadarPoint) -> WorldPoint:
+    def to_world(self, p: RadarPoint) -> np.ndarray:
+        """The world row ``(x, y, z, doppler, snr)`` of one detection."""
         rotation, translation = self._frames[p.radar_id]
         pos = rotation @ spherical_to_cartesian(p) + translation
-        return WorldPoint(x=float(pos[0]), y=float(pos[1]), z=float(pos[2]),
-                          doppler=p.doppler, snr=p.snr,
-                          radar_id=p.radar_id, ts_ns=p.ts_ns)
+        return np.array([pos[0], pos[1], pos[2], p.doppler, p.snr])

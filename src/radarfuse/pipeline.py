@@ -3,6 +3,9 @@
 Stage order mirrors the node architecture: per-radar decode ->
 world-frame transform -> threshold filter -> buffer filter -> merge ->
 windowed clustering -> tracking -> occupancy -> telemetry/logs.
+From the world-frame transform on, a frame is one float array (layout
+in :mod:`radarfuse.geometry`).  A record from a radar the config does
+not name is dropped and counted in ``unknown_radar_records``.
 
 :class:`Pipeline` is the one driver: synchronous and push-based.  The
 timestamps inside the data drive all logic, so a replay is fully
@@ -16,6 +19,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import tlv
 from .clustering import WindowClusterer
@@ -59,6 +64,7 @@ class Pipeline:
         self.status_sink = status_sink or (lambda s: None)
         self.event_sink = event_sink or (lambda e: None)
         self.publisher = publisher
+        self.unknown_radar_records = 0
 
     # -- per-stage feeds -------------------------------------------------
 
@@ -66,23 +72,25 @@ class Pipeline:
         """Entry point for one replayed/recorded log record."""
         lane = self.lanes.get(record.radar_id)
         if lane is None:
+            self.unknown_radar_records += 1
             return
         for points in lane.decoder.feed(record.payload, record.ts_ns):
             self._feed_points(lane, record.ts_ns, points)
 
     def _feed_points(self, lane: _RadarLane, ts_ns: int, points):
-        world = [self.tree.to_world(p) for p in points]
-        kept = threshold_filter(world, lane.cfg.threshold, lane.origin)
-        emitted = lane.buffer.push(ts_ns, kept)
+        rows = np.array([self.tree.to_world(p) for p in points],
+                        dtype=float).reshape(-1, 5)
+        kept = threshold_filter(rows, lane.cfg.threshold, lane.origin)
+        emitted = lane.buffer.push(ts_ns, kept[:, :3])
         if emitted is not None:
             self._feed_merger(lane.cfg.radar_id, *emitted)
 
-    def _feed_merger(self, radar_id: str, ts_ns: int, points):
-        for ts, _, frame_points in self.merger.push(radar_id, ts_ns, points):
-            self._feed_clusterer(ts, frame_points)
+    def _feed_merger(self, radar_id: str, ts_ns: int, positions):
+        for ts, _, frame in self.merger.push(radar_id, ts_ns, positions):
+            self._feed_clusterer(ts, frame)
 
-    def _feed_clusterer(self, ts_ns: int, points):
-        for result in self.clusterer.push(ts_ns, points):
+    def _feed_clusterer(self, ts_ns: int, positions):
+        for result in self.clusterer.push(ts_ns, positions):
             self._feed_tracker(result)
 
     def _feed_tracker(self, result):
@@ -102,10 +110,10 @@ class Pipeline:
     def flush(self):
         """Drain every stage at end of input."""
         for radar_id, lane in self.lanes.items():
-            for ts, points in lane.buffer.flush():
-                self._feed_merger(radar_id, ts, points)
-        for ts, _, points in self.merger.flush():
-            self._feed_clusterer(ts, points)
+            for ts, positions in lane.buffer.flush():
+                self._feed_merger(radar_id, ts, positions)
+        for ts, _, positions in self.merger.flush():
+            self._feed_clusterer(ts, positions)
         for result in self.clusterer.flush():
             self._feed_tracker(result)
         if self.publisher is not None:

@@ -289,10 +289,10 @@ def ground_truth_series(sc: Scenario, tick: float = 0.5):
     return out
 
 
-def simulate(sc: Scenario, log_path, truth_path=None, clock=None):
+def simulate(sc: Scenario, log_path, truth_path=None):
     """Render a scenario to a raw-TLV recording plus a truth file."""
     rec = Recorder(log_path, radar_ids=sorted(r.radar_id for r in sc.radars),
-                   clock=clock or (lambda: 0.0))
+                   clock=lambda: 0.0)
     try:
         for frame in simulate_frames(sc):
             blob = tlv.encode_frame(frame.points, _UNITS)

@@ -146,7 +146,7 @@ class Publisher:
     """Bounded-queue MQTT publisher with reconnect backoff.
 
     Drive it with ``offer_status``/``offer_event`` from the pipeline and
-    ``pump(now)`` after them, on the same thread.  The clock is
+    ``pump()`` after them, on the same thread.  The clock is
     injectable so outage behavior is testable without wall time.
     """
 
@@ -181,10 +181,9 @@ class Publisher:
         self._enqueue(event_topic(self.cfg.topic_prefix, event.zone_id),
                       serialize_event(event), self.cfg.qos_event, False)
 
-    def pump(self, now: float | None = None):
+    def pump(self):
         """One maintenance step: reconnect if due, then drain the queue."""
-        if now is None:
-            now = self.clock()
+        now = self.clock()
         if not self.connected:
             if now < self._next_connect_at:
                 return

@@ -111,14 +111,14 @@ def core_partition(labels, core):
 
 
 def brute_buffer_survival(frames, frame_index, point_index, radius, min_support):
-    """Survival predicate for one point: >= min_support points within
-    radius across all subsequent frames."""
-    p = frames[frame_index][1][point_index]
-    pos = np.array([p.x, p.y, p.z])
+    """Survival predicate for one point (a row of its frame's (n, 3)
+    positions): >= min_support points within radius across all
+    subsequent frames."""
+    pos = np.array(frames[frame_index][1][point_index], dtype=float)
     support = 0
     for _, pts in frames[frame_index + 1:]:
         for q in pts:
-            if np.linalg.norm(pos - np.array([q.x, q.y, q.z])) <= radius:
+            if np.linalg.norm(pos - np.array(q, dtype=float)) <= radius:
                 support += 1
     return support >= min_support
 
@@ -128,12 +128,11 @@ def brute_buffer_survival_window(frames, frame_index, point_index, radius,
     """Survival predicate for one point under a buffer of F =
     window_frames: >= min_support points with squared distance <= radius**2
     across the next F frames only (fewer at the end of the stream)."""
-    p = frames[frame_index][1][point_index]
-    pos = np.array([p.x, p.y, p.z])
+    pos = np.array(frames[frame_index][1][point_index], dtype=float)
     support = 0
     for _, pts in frames[frame_index + 1:frame_index + 1 + window_frames]:
         for q in pts:
-            q = np.array([q.x, q.y, q.z])
+            q = np.array(q, dtype=float)
             if ((pos - q) ** 2).sum() <= radius * radius:
                 support += 1
     return support >= min_support

@@ -105,10 +105,10 @@ def test_criterion_02_optics_dbscan_agreement(paper_run):
         min_pts = int(rng.integers(2, 8))
         a = dbscan(pts, eps, min_pts)
         order = optics(pts, min_pts, max_eps=2.0)
-        b = extract_eps_cut(order, eps)
+        b = extract_eps_cut(order, eps, pts)
         assert core_partition(a.labels, a.is_core) == \
             core_partition(b.labels, b.is_core)
-        assert a.is_core == b.is_core
+        assert np.array_equal(a.is_core, b.is_core)
 
 
 def test_criterion_03_dbscan_brute_force_match():
@@ -120,8 +120,8 @@ def test_criterion_03_dbscan_brute_force_match():
         min_pts = int(rng.integers(2, 8))
         got = dbscan(pts, eps, min_pts)
         labels, core = brute_dbscan(pts, eps, min_pts)
-        assert got.labels == labels
-        assert got.is_core == core
+        assert got.labels.tolist() == labels
+        assert got.is_core.tolist() == core
 
 
 def test_criterion_04_codec_round_trip_and_resync():
@@ -252,25 +252,35 @@ def test_criterion_07_ghost_robustness():
                   noise=NoiseSpec(ghost_rate=2.0, dropout_prob=0.0),
                   doppler_zero_suppression=False, duration=40.0, seed=61)
     tree = TransformTree({"r0": radar.pose})
+    origin = tuple(radar.pose.translation)
     buf = BufferFilter(BufferConfig())
-    label_of = {}
-    pending_in: dict[int, Counter] = {}
+    pending_in: dict[int, tuple] = {}
     seen_in, seen_out = Counter(), Counter()
 
+    def survivors(rows, labels, out):
+        """Labels of the rows kept in ``out``.  Both filters judge a row
+        by its values alone, so equal rows share their fate and value
+        membership picks out exactly the kept ones."""
+        out = {tuple(r) for r in out.tolist()}
+        return [lab for r, lab in zip(rows.tolist(), labels)
+                if tuple(r) in out]
+
     for frame in simulate_frames(sc):
-        wps = []
-        for row, lab in zip(frame.points, frame.labels):
-            wp = tree.to_world(tlv.RadarPoint(*row, frame.radar_id,
-                                              frame.ts_ns))
-            label_of[id(wp)] = "ghost" if lab == "ghost" else "walker"
-            wps.append(wp)
-        kept = threshold_filter(wps, ThresholdConfig())
-        pending_in[frame.ts_ns] = Counter(label_of[id(p)] for p in kept)
-        emitted = buf.push(frame.ts_ns, kept)
+        rows = np.array([tree.to_world(tlv.RadarPoint(*row, frame.radar_id,
+                                                      frame.ts_ns))
+                         for row in frame.points]).reshape(-1, 5)
+        labels = ["ghost" if lab == "ghost" else "walker"
+                  for lab in frame.labels]
+        kept = threshold_filter(rows, ThresholdConfig(), origin)
+        positions = kept[:, :3]
+        pending_in[frame.ts_ns] = (positions,
+                                   survivors(rows, labels, kept))
+        emitted = buf.push(frame.ts_ns, positions)
         if emitted is not None:
             ts, pts = emitted
-            seen_in += pending_in.pop(ts)
-            seen_out += Counter(label_of[id(p)] for p in pts)
+            positions, labels = pending_in.pop(ts)
+            seen_in += Counter(labels)
+            seen_out += Counter(survivors(positions, labels, pts))
     # trailing frames judged on partial support are not scored
 
     assert seen_in["ghost"] > 100 and seen_in["walker"] > 1000
@@ -408,8 +418,12 @@ def test_golden_jsonl(paper_run):
 
 # md5 of the clutter variant's rendered log (seed 7): the paper scenario
 # with walker 0 alone and 40 ghosts per radar frame, so most of its bytes
-# come from the ghost path
+# come from the ghost path; and of the status and event JSONL that
+# `replay --fast` (paper config, DBSCAN) writes for it, whose dwell
+# windows pass frames left with zero rows through the clusterer
 GOLDEN_CLUTTER_LOG_MD5 = "9ee97e9b2f7e6bd2cced00a08174752c"
+GOLDEN_CLUTTER_STATUS_MD5 = "ffc313781cce4d11bc442e24df41e91a"
+GOLDEN_CLUTTER_EVENTS_MD5 = "8e84b99433f6f8dba93728015de28a57"
 
 
 def test_golden_clutter_log(tmp_path):
@@ -417,8 +431,16 @@ def test_golden_clutter_log(tmp_path):
     sc = dataclasses.replace(
         sc, walkers=sc.walkers[:1],
         noise=dataclasses.replace(sc.noise, ghost_rate=40.0))
-    simulate(sc, tmp_path / "clutter.log")
-    assert _md5(tmp_path / "clutter.log") == GOLDEN_CLUTTER_LOG_MD5
+    log = tmp_path / "clutter.log"
+    status, events = tmp_path / "status.jsonl", tmp_path / "events.jsonl"
+    simulate(sc, log)
+    assert _md5(log) == GOLDEN_CLUTTER_LOG_MD5
+    assert cli.cli(["replay", "--config", "paper", "--log", str(log),
+                    "--fast", "--clustering", "dbscan",
+                    "--status-log", str(status),
+                    "--event-log", str(events)]) == 0
+    assert _md5(status) == GOLDEN_CLUTTER_STATUS_MD5
+    assert _md5(events) == GOLDEN_CLUTTER_EVENTS_MD5
 
 
 def test_compare_clustering_script(paper_run):

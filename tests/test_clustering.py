@@ -6,12 +6,11 @@ from _reference import brute_dbscan, brute_optics, core_partition
 from radarfuse.clustering import (NOISE, ClusterConfig, WindowClusterer,
                                   cluster_points, dbscan, extract_eps_cut,
                                   optics)
-from radarfuse.geometry import WorldPoint
 
 
-def wp(x, y, z=0.0, doppler=0.0, ts_ns=0):
-    return WorldPoint(x=x, y=y, z=z, doppler=doppler, snr=15.0,
-                      radar_id="r0", ts_ns=ts_ns)
+def positions(*xyz):
+    """An (n, 3) position frame."""
+    return np.array(xyz, dtype=float).reshape(-1, 3)
 
 
 BOUNDARY_CASES = ("lattice", "duplicates", "min_pts_above_n")
@@ -45,16 +44,17 @@ class TestDbscan:
     def test_small_instance(self):
         pts = np.array([[0, 0, 0], [0.1, 0, 0], [0, 0.1, 0], [5, 5, 0]])
         res = dbscan(pts, eps=0.5, min_pts=3)
-        assert res.labels[:3] == [0, 0, 0]
+        assert res.labels[:3].tolist() == [0, 0, 0]
         assert res.labels[3] == NOISE
         assert len(res.centroids) == 1
         assert tuple(res.centroids[0]) == pytest.approx(
             (0.0333333, 0.0333333, 0.0), abs=1e-6)
-        assert res.labels.count(0) == 3
+        assert res.labels.tolist().count(0) == 3
 
     def test_empty(self):
         res = dbscan(np.empty((0, 3)), eps=0.5, min_pts=3)
-        assert res.labels == [] and len(res.centroids) == 0
+        assert res.labels.tolist() == [] and res.is_core.tolist() == []
+        assert res.centroids.shape == (0, 3)
 
     def test_min_pts_one_connected_components(self):
         pts = np.array([[0, 0, 0], [0.4, 0, 0], [0.8, 0, 0], [5, 0, 0]])
@@ -69,19 +69,20 @@ class TestDbscan:
         pts, eps, min_pts = instance(seed)
         res = dbscan(pts, eps, min_pts)
         ref_labels, ref_core = brute_dbscan(pts, eps, min_pts)
-        assert res.is_core == ref_core
+        assert res.is_core.tolist() == ref_core
         # same cluster numbering, border points included
-        assert res.labels == ref_labels
+        assert res.labels.tolist() == ref_labels
 
 
 class TestOptics:
     def test_single_point(self):
-        order = optics(np.array([[1.0, 2.0, 3.0]]), min_pts=1, max_eps=2.0)
+        pts = np.array([[1.0, 2.0, 3.0]])
+        order = optics(pts, min_pts=1, max_eps=2.0)
         index, reachability, _ = order
         assert len(index) == 1
         assert reachability[0] == float("inf")
-        res = extract_eps_cut(order, eps=0.5)
-        assert res.labels == [0]
+        res = extract_eps_cut(order, eps=0.5, positions=pts)
+        assert res.labels.tolist() == [0]
 
     def test_two_blobs(self):
         rng = np.random.default_rng(0)
@@ -98,7 +99,7 @@ class TestOptics:
     def test_chain_at_exact_eps(self):
         pts = np.array([[0.5 * i, 0.0, 0.0] for i in range(6)])
         order = optics(pts, min_pts=2, max_eps=2.0)
-        res = extract_eps_cut(order, eps=0.5)
+        res = extract_eps_cut(order, eps=0.5, positions=pts)
         assert len(set(res.labels)) == 1 and res.labels[0] != NOISE
 
     @pytest.mark.parametrize("case", [*range(10), *BOUNDARY_CASES])
@@ -117,8 +118,8 @@ class TestOptics:
         min_pts = int(rng.integers(1, 6))
         db = dbscan(pts, eps, min_pts)
         op = extract_eps_cut(optics(pts, min_pts, max_eps=5.0 * np.sqrt(3)),
-                             eps)
-        assert op.is_core == db.is_core
+                             eps, pts)
+        assert np.array_equal(op.is_core, db.is_core)
         assert core_partition(op.labels, op.is_core) == \
             core_partition(db.labels, db.is_core)
 
@@ -159,7 +160,7 @@ class TestWindowClusterer:
         sec = 1_000_000_000
         results = []
         for t in (0.0, 0.2, 0.4, 0.6):
-            results += wc.push(int(t * sec), [wp(t, 0.0, ts_ns=int(t * sec))])
+            results += wc.push(int(t * sec), positions((t, 0.0, 0.0)))
         results += wc.flush()
         assert len(results) == 2
         # first window holds the three frames in [0, 0.5)
@@ -170,18 +171,36 @@ class TestWindowClusterer:
     def test_empty_window_no_output(self):
         wc = WindowClusterer(self.cfg())
         sec = 1_000_000_000
-        out = wc.push(0, [wp(0, 0)])
-        out += wc.push(3 * sec, [wp(1, 1)])   # several empty windows skipped
+        out = wc.push(0, positions((0, 0, 0)))
+        # several empty windows skipped
+        out += wc.push(3 * sec, positions((1, 1, 0)))
         out += wc.flush()
         assert len(out) == 2
+
+    def test_zero_row_frames_close_with_nothing(self):
+        # a window whose frames all hold zero rows emits no result, and
+        # zero-row frames beside points leave that window's result as is
+        wc = WindowClusterer(self.cfg())
+        w = int(0.5 * 1_000_000_000)
+        out = []
+        for ts in (0, w // 4, w // 2):
+            out += wc.push(ts, positions())
+        for ts, frame in ((w, positions()), (w + 1, positions((2, 2, 0))),
+                          (w + 2, positions())):
+            out += wc.push(ts, frame)
+        out += wc.push(2 * w, positions())
+        out += wc.flush()
+        assert [r.ts_ns for r in out] == [2 * w]
+        assert out[0].labels.tolist() == [0]
+        assert out[0].centroids.tolist() == [[2.0, 2.0, 0.0]]
 
     def test_gap_jumps_to_window(self):
         # a gap of 10**12 windows closes one window and returns at once
         wc = WindowClusterer(self.cfg())
         w = int(0.5 * 1_000_000_000)
-        assert wc.push(0, [wp(0, 0)]) == []
+        assert wc.push(0, positions((0, 0, 0))) == []
         far = 10**12 * w + w // 2
-        out = wc.push(far, [wp(1, 1, ts_ns=far)])
+        out = wc.push(far, positions((1, 1, 0)))
         assert [r.ts_ns for r in out] == [w]
         assert [r.ts_ns for r in wc.flush()] == [10**12 * w + w]
 
@@ -189,11 +208,8 @@ class TestWindowClusterer:
         rng = np.random.default_rng(42)
         cfg = ClusterConfig(window_seconds=0.5, eps=0.5, min_pts=4)
         truth = [np.array([1.0, 1.0, 1.0]), np.array([4.0, 1.0, 1.0])]
-        points = []
-        for center in truth:
-            for _ in range(10):
-                x, y, z = center + rng.normal(0, 0.1, 3)
-                points.append(wp(x, y, z))
+        points = positions(*(center + rng.normal(0, 0.1, 3)
+                             for center in truth for _ in range(10)))
         res = cluster_points(points, cfg, ts_ns=0)
         assert len(res.centroids) == 2
         got = sorted(res.centroids[:, 0])

@@ -4,98 +4,117 @@ from hypothesis import given, settings, strategies as st
 from _reference import brute_buffer_survival, brute_buffer_survival_window
 from radarfuse.filtering import (BufferConfig, BufferFilter, ThresholdConfig,
                                  threshold_filter)
-from radarfuse.geometry import WorldPoint
+
+ORIGIN = (0.0, 0.0, 1.0)
 
 
-def wp(x=0.0, y=0.0, z=1.0, doppler=0.0, snr=15.0, ts_ns=0, radar_id="r0"):
-    return WorldPoint(x=x, y=y, z=z, doppler=doppler, snr=snr,
-                      radar_id=radar_id, ts_ns=ts_ns)
+def row(x=0.0, y=0.0, z=1.0, doppler=0.0, snr=15.0):
+    """One world row (x, y, z, doppler, snr)."""
+    return (x, y, z, doppler, snr)
+
+
+def rows(*r):
+    """An (n, 5) world frame."""
+    return np.array(r, dtype=float).reshape(-1, 5)
+
+
+def positions(*xyz):
+    """An (n, 3) position frame."""
+    return np.array(xyz, dtype=float).reshape(-1, 3)
+
+
+def has_row(a, r):
+    return bool((a == r).all(axis=1).any())
 
 
 class TestThresholdFilter:
     def test_snr_boundary_inclusive(self):
         cfg = ThresholdConfig(snr_min=10.0)
-        kept = threshold_filter([wp(snr=9.9), wp(snr=10.0)], cfg)
-        assert [p.snr for p in kept] == [10.0]
+        kept = threshold_filter(rows(row(snr=9.9), row(snr=10.0)), cfg,
+                                ORIGIN)
+        assert kept[:, 4].tolist() == [10.0]
 
     def test_doppler_absolute(self):
         cfg = ThresholdConfig(doppler_abs_max=5.0)
-        kept = threshold_filter([wp(doppler=-6.0), wp(doppler=4.9)], cfg)
-        assert [p.doppler for p in kept] == [4.9]
+        kept = threshold_filter(rows(row(doppler=-6.0), row(doppler=4.9)),
+                                cfg, ORIGIN)
+        assert kept[:, 3].tolist() == [4.9]
 
     def test_empty(self):
-        assert threshold_filter([], ThresholdConfig()) == []
+        for cfg in (ThresholdConfig(), ThresholdConfig(range_max=5.0)):
+            assert threshold_filter(rows(), cfg, ORIGIN).shape == (0, 5)
 
     def test_range_max_uses_radar_origin(self):
         cfg = ThresholdConfig(range_max=5.0)
-        pts = [wp(x=3.0), wp(x=9.0), wp(x=3.0, y=4.0)]
+        pts = rows(row(x=3.0), row(x=9.0), row(x=3.0, y=4.0))
         kept = threshold_filter(pts, cfg, radar_origin=(0.0, 0.0, 1.0))
-        assert kept == [pts[0], pts[2]]   # exactly range_max away is kept
+        # exactly range_max away is kept
+        assert np.array_equal(kept, pts[[0, 2]])
 
     def test_order_preserved_subset(self):
-        pts = [wp(snr=s) for s in (12, 3, 15, 7, 20)]
-        kept = threshold_filter(pts, ThresholdConfig(snr_min=8))
-        assert kept == [pts[0], pts[2], pts[4]]
+        pts = rows(*(row(snr=s) for s in (12, 3, 15, 7, 20)))
+        kept = threshold_filter(pts, ThresholdConfig(snr_min=8), ORIGIN)
+        assert np.array_equal(kept, pts[[0, 2, 4]])
 
 
 @settings(max_examples=100)
 @given(snrs=st.lists(st.floats(0, 40), max_size=30),
        snr_min=st.floats(0, 40))
 def test_threshold_idempotent_and_monotone(snrs, snr_min):
-    pts = [wp(snr=s) for s in snrs]
+    pts = rows(*(row(snr=s) for s in snrs))
     cfg = ThresholdConfig(snr_min=snr_min)
-    once = threshold_filter(pts, cfg)
-    assert threshold_filter(once, cfg) == once
-    assert all(p in pts for p in once)
+    once = threshold_filter(pts, cfg, ORIGIN)
+    assert np.array_equal(threshold_filter(once, cfg, ORIGIN), once)
+    assert all(has_row(pts, p) for p in once)
     stricter = ThresholdConfig(snr_min=min(snr_min + 5.0, 40.0))
-    assert len(threshold_filter(pts, stricter)) <= len(once)
+    assert len(threshold_filter(pts, stricter, ORIGIN)) <= len(once)
 
 
 class TestBufferFilter:
     def test_supported_point_kept(self):
         f = BufferFilter(BufferConfig(window_frames=2, support_radius=0.5,
                                       min_support=1))
-        assert f.push(0, [wp(x=0, y=0, z=1)]) is None
-        assert f.push(1, [wp(x=0.1, y=0, z=1)]) is None
-        ts, kept = f.push(2, [])
+        assert f.push(0, positions((0, 0, 1))) is None
+        assert f.push(1, positions((0.1, 0, 1))) is None
+        ts, kept = f.push(2, positions())
         assert ts == 0
         assert len(kept) == 1
 
     def test_spontaneous_point_dropped(self):
         f = BufferFilter(BufferConfig(window_frames=2, support_radius=0.5,
                                       min_support=1))
-        f.push(0, [wp(x=0, y=0, z=1)])
-        f.push(1, [])
-        ts, kept = f.push(2, [])
+        f.push(0, positions((0, 0, 1)))
+        f.push(1, positions())
+        ts, kept = f.push(2, positions())
         assert ts == 0
-        assert kept == []
+        assert kept.shape == (0, 3)
 
     def test_latency_exactly_f_frames(self):
         f = BufferFilter(BufferConfig(window_frames=3))
         for i in range(3):
-            assert f.push(i, []) is None
-        ts, _ = f.push(3, [])
+            assert f.push(i, positions()) is None
+        ts, _ = f.push(3, positions())
         assert ts == 0
 
     def test_out_of_order_dropped_and_counted(self):
         f = BufferFilter(BufferConfig(window_frames=1, min_support=1))
-        assert f.push(10, [wp(x=0, y=0, z=1)]) is None
-        assert f.push(5, [wp(x=0, y=0, z=1)]) is None
+        assert f.push(10, positions((0, 0, 1))) is None
+        assert f.push(5, positions((0, 0, 1))) is None
         assert f.out_of_order_dropped == 1
         # the dropped frame neither lends support nor comes out later
-        ts, kept = f.push(11, [])
-        assert (ts, kept) == (10, [])
-        assert f.flush() == [(11, [])]
+        ts, kept = f.push(11, positions())
+        assert (ts, kept.shape) == (10, (0, 3))
+        assert [(ts, p.shape) for ts, p in f.flush()] == [(11, (0, 3))]
 
     def test_emitted_subset_of_input(self):
         f = BufferFilter(BufferConfig(window_frames=2, min_support=1))
-        frames = [[wp(x=0.05 * i + 0.01 * j, y=0, z=1, ts_ns=i)
-                   for j in range(3)] for i in range(6)]
+        frames = [positions(*((0.05 * i + 0.01 * j, 0, 1) for j in range(3)))
+                  for i in range(6)]
         for i, frame in enumerate(frames):
             out = f.push(i, frame)
             if out is not None:
                 ts, kept = out
-                assert all(p in frames[ts] for p in kept)
+                assert all(has_row(frames[ts], p) for p in kept)
 
     def test_scripted_walker_and_ghosts_match_brute_force(self):
         # walker advancing 0.1 m per frame with two points per frame;
@@ -107,12 +126,11 @@ class TestBufferFilter:
                        4: (9.0, 3.3)}
         for i in range(9):
             x = 0.1 * i
-            pts = [wp(x=x, y=0.0, z=1.0, ts_ns=i),
-                   wp(x=x, y=0.05, z=1.0, ts_ns=i)]
+            pts = [(x, 0.0, 1.0), (x, 0.05, 1.0)]
             if i in ghost_spots:
                 gx, gy = ghost_spots[i]
-                pts.append(wp(x=gx, y=gy, z=1.0, ts_ns=i))
-            frames.append((i, pts))
+                pts.append((gx, gy, 1.0))
+            frames.append((i, positions(*pts)))
 
         f = BufferFilter(cfg)
         emitted = {}
@@ -128,15 +146,15 @@ class TestBufferFilter:
                 expect = brute_buffer_survival(frames, fi, pi,
                                                cfg.support_radius,
                                                cfg.min_support)
-                assert (p in emitted[ts]) == expect, (fi, pi)
+                assert has_row(emitted[ts], p) == expect, (fi, pi)
 
         # and the spec-level claim: ghosts gone, early walker points kept
         for fi in range(1, 5):
             ghost = frames[fi][1][-1]
-            assert ghost not in emitted[fi]
+            assert not has_row(emitted[fi], ghost)
         for fi in range(6):
             for p in frames[fi][1][:2]:
-                assert p in emitted[fi]
+                assert has_row(emitted[fi], p)
 
     def test_clutter_frames_match_windowed_oracle(self):
         # clutter-sized frames (0-80 points, so support queries cross the
@@ -146,18 +164,19 @@ class TestBufferFilter:
         cfg = BufferConfig(window_frames=3, support_radius=0.625,
                            min_support=2)
         sizes = [0, 80, 33, 1, 32, 64, 0, 31] + list(rng.integers(0, 81, 24))
-        frames = [(i, [wp(x, y, z, ts_ns=i) for x, y, z in rng.uniform(
+        frames = [(i, [tuple(p) for p in rng.uniform(
             (0.0, 0.0, 0.0), (12.0, 6.0, 2.35), size=(n, 3))])
             for i, n in enumerate(sizes)]
         exact, beyond = [], []
         for i in range(0, 24, 3):
             ax = 0.5 + 1.5 * i / 3
             for dz, anchors in ((0.0, exact), (2.0 ** -20, beyond)):
-                a = wp(ax, 1.0 + 3.0 * (dz > 0), 5.0)
+                a = (ax, 1.0 + 3.0 * (dz > 0), 5.0)
                 frames[i][1].insert(i % 5, a)
-                frames[i + 1][1].append(wp(ax + 0.375, a.y + 0.5, 5.0))
-                frames[i + 2][1].append(wp(ax, a.y, 5.0 - 0.625 - dz))
+                frames[i + 1][1].append((ax + 0.375, a[1] + 0.5, 5.0))
+                frames[i + 2][1].append((ax, a[1], 5.0 - 0.625 - dz))
                 anchors.append((i, a))
+        frames = [(ts, positions(*pts)) for ts, pts in frames]
 
         f = BufferFilter(cfg)
         emitted = [f.push(ts, pts) for ts, pts in frames]
@@ -169,8 +188,8 @@ class TestBufferFilter:
                       if brute_buffer_survival_window(
                           frames, fi, pi, cfg.support_radius,
                           cfg.min_support, cfg.window_frames)]
-            assert emitted[ts] == expect, fi
-        assert all(a in emitted[i] for i, a in exact)
-        assert not any(a in emitted[i] for i, a in beyond)
+            assert np.array_equal(emitted[ts], positions(*expect)), fi
+        assert all(has_row(emitted[i], a) for i, a in exact)
+        assert not any(has_row(emitted[i], a) for i, a in beyond)
         kept = sum(map(len, emitted.values()))
         assert 0 < kept < sum(len(pts) for _, pts in frames)

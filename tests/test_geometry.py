@@ -63,31 +63,33 @@ class TestTransformTree:
         # 5 degree downward tilt: boresight point 5 m out lands
         # 5*cos(5deg) forward and 5*sin(5deg) below the mount
         tree = TransformTree({"wall": Pose(z=2.35, pitch=math.radians(-5))})
-        wp = tree.to_world(point(5.0, radar_id="wall"))
-        assert wp.y == pytest.approx(5 * math.cos(math.radians(5)), abs=1e-9)
-        assert wp.z == pytest.approx(2.35 - 5 * math.sin(math.radians(5)),
-                                     abs=1e-9)
+        _, y, z, _, _ = tree.to_world(point(5.0, radar_id="wall"))
+        assert y == pytest.approx(5 * math.cos(math.radians(5)), abs=1e-9)
+        assert z == pytest.approx(2.35 - 5 * math.sin(math.radians(5)),
+                                  abs=1e-9)
 
     def test_ceiling_radar(self):
         tree = TransformTree({
             "ceil": Pose(x=6, y=3, z=2.35, pitch=-math.pi / 2)})
         h = 1.35
-        wp = tree.to_world(point(h, radar_id="ceil"))
-        np.testing.assert_allclose([wp.x, wp.y, wp.z], [6, 3, 2.35 - h],
-                                   atol=1e-9)
+        row = tree.to_world(point(h, radar_id="ceil"))
+        np.testing.assert_allclose(row[:3], [6, 3, 2.35 - h], atol=1e-9)
 
     def test_to_world_zero_range(self):
         tree = TransformTree({
             "r0": Pose(x=1, y=2, z=3, yaw=0.7, pitch=-0.3)})
-        wp = tree.to_world(point(0.0))
-        np.testing.assert_allclose([wp.x, wp.y, wp.z], [1, 2, 3], atol=1e-12)
+        row = tree.to_world(point(0.0))
+        np.testing.assert_allclose(row[:3], [1, 2, 3], atol=1e-12)
 
     def test_to_world_carries_metadata(self):
         tree = TransformTree({"r0": Pose()})
         p = RadarPoint(range_m=2, azimuth=0.1, elevation=0.0, doppler=-1.5,
                        snr=33.0, radar_id="r0", ts_ns=777)
-        wp = tree.to_world(p)
-        assert (wp.doppler, wp.snr, wp.radar_id, wp.ts_ns) == (-1.5, 33.0, "r0", 777)
+        row = tree.to_world(p)
+        # the row is (x, y, z, doppler, snr); the frame carries id and time
+        assert row.shape == (5,)
+        assert np.array_equal(row[:3], spherical_to_cartesian(p))
+        assert row[3:].tolist() == [-1.5, 33.0]
 
 
 pose_strategy = st.builds(

@@ -162,7 +162,9 @@ class TestPipeline:
     def test_unknown_radar_ignored(self):
         pipe = Pipeline(small_config())
         pipe.feed_record(LogRecord(0, "nope", b"junk"))
+        pipe.feed_record(LogRecord(1, "nope", b"junk"))
         pipe.flush()
+        assert pipe.unknown_radar_records == 2
 
     def test_replay_produces_statuses(self, sim_log):
         log, _ = sim_log

@@ -224,12 +224,12 @@ class TestFrameGeneration:
             radar = overhead_radar()
             tree = TransformTree({radar.radar_id: radar.pose})
             for row in f.points:
-                world = tree.to_world(tlv.RadarPoint(*row, f.radar_id,
-                                                     f.ts_ns))
+                x, y, z, _, _ = tree.to_world(tlv.RadarPoint(*row, f.radar_id,
+                                                             f.ts_ns))
                 # quantization of the wire format dominates the error
-                assert abs(world.x - expect[0]) < 0.05
-                assert abs(world.y - expect[1]) < 0.05
-                assert abs(world.z - 1.0) < 0.05
+                assert abs(x - expect[0]) < 0.05
+                assert abs(y - expect[1]) < 0.05
+                assert abs(z - 1.0) < 0.05
 
     def test_ghost_labels(self):
         sc = Scenario(radars=(overhead_radar(),), walkers=(),
