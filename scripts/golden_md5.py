@@ -7,7 +7,10 @@ seeds 0-13 and prints one line per render: scenario, seed, log md5 and
 truth md5.  Under it, one indented line per ``replay --fast`` of that
 log with the paper config: clustering algorithm, status JSONL md5 and
 event JSONL md5 (DBSCAN and OPTICS for the paper scenario, DBSCAN for
-the clutter variant).  Run it on two checkouts and diff the output to
+the clutter variant), and under that the md5 of the tracker: the state
+and covariance bytes of every track in every snapshot ``Tracker.step``
+returned, so a last-bit drift in a filter shows even where the counts
+and dwell times do not.  Run it on two checkouts and diff the output to
 show that a change keeps the logs and the pipeline's output byte for
 byte.
 
@@ -21,6 +24,7 @@ import tempfile
 
 from radarfuse import cli
 from radarfuse.simulation import paper_scenario, simulate
+from radarfuse.tracking import Tracker
 
 SEEDS = range(14)
 CLUTTER_GHOSTS_PER_FRAME = 40.0
@@ -41,6 +45,30 @@ def md5(path):
     return hashlib.md5(path.read_bytes()).hexdigest()
 
 
+def replay(log, algorithm, status, events):
+    """``replay --fast`` of ``log``; returns the tracker md5."""
+    digest = hashlib.md5()
+    step = Tracker.step
+
+    def digested_step(tracker, centroids, ts_ns):
+        snapshot, track_events = step(tracker, centroids, ts_ns)
+        for track in snapshot:
+            digest.update(track.state.tobytes())
+            digest.update(track.covariance.tobytes())
+        return snapshot, track_events
+
+    Tracker.step = digested_step
+    try:
+        code = cli.cli(["replay", "--config", "paper", "--log", str(log),
+                        "--fast", "--clustering", algorithm, "--status-log",
+                        str(status), "--event-log", str(events)])
+    finally:
+        Tracker.step = step
+    if code != 0:
+        raise SystemExit(f"replay exited {code}")
+    return digest.hexdigest()
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         log, truth, status, events = (pathlib.Path(tmp, name) for name in
@@ -51,14 +79,9 @@ def main():
                 print(f"{name:8s} {seed:2d} {md5(log)} {md5(truth)}",
                       flush=True)
                 for algorithm in algorithms:
-                    code = cli.cli(["replay", "--config", "paper", "--log",
-                                    str(log), "--fast", "--clustering",
-                                    algorithm, "--status-log", str(status),
-                                    "--event-log", str(events)])
-                    if code != 0:
-                        raise SystemExit(f"replay exited {code}")
-                    print(f"  {algorithm:6s} {md5(status)} {md5(events)}",
-                          flush=True)
+                    tracker = replay(log, algorithm, status, events)
+                    print(f"  {algorithm:6s} {md5(status)} {md5(events)}\n"
+                          f"    tracker {tracker}", flush=True)
 
 
 if __name__ == "__main__":

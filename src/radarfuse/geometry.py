@@ -78,11 +78,16 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     compare it with ``r * r``, so a point exactly ``r`` away counts.
     The squares are summed one axis at a time, x then y then z, the
     order ``(d * d).sum(-1)`` uses, so every entry is bit-identical to
-    the 3-D difference form with no ``(n, m, 3)`` temporary.
+    the 3-D difference form with no ``(n, m, 3)`` temporary.  Each input
+    is copied once into Fortran order, so every column it is read by is
+    contiguous.
     """
-    out = np.zeros((len(a), len(b)))
+    a = np.array(a, dtype=float, order="F")
+    b = np.array(b, dtype=float, order="F")
+    out = np.subtract.outer(a[:, 0], b[:, 0])
+    out *= out
     d = np.empty_like(out)
-    for k in range(3):
+    for k in (1, 2):
         np.subtract.outer(a[:, k], b[:, k], out=d)
         d *= d
         out += d

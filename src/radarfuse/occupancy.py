@@ -104,11 +104,17 @@ class OccupancyGrid:
     _last_status_ns: int | None = None
 
     def _cell_key(self, x: float, y: float):
+        """The cell holding (x, y), or None outside the bounds.  Bounds
+        are closed, as ``Zone.contains`` is: the far edge belongs to the
+        last cell of its row or column."""
         (x0, x1), (y0, y1) = self.cfg.bounds_x, self.cfg.bounds_y
         if not (x0 <= x <= x1 and y0 <= y <= y1):
             return None
-        return (int(math.floor((x - x0) / self.cfg.cell_size)),
-                int(math.floor((y - y0) / self.cfg.cell_size)))
+        size = self.cfg.cell_size
+        return (min(math.floor((x - x0) / size),
+                    math.ceil((x1 - x0) / size) - 1),
+                min(math.floor((y - y0) / size),
+                    math.ceil((y1 - y0) / size) - 1))
 
     def _cell_center(self, key):
         return (self.cfg.bounds_x[0] + (key[0] + 0.5) * self.cfg.cell_size,

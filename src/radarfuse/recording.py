@@ -96,7 +96,7 @@ def replay(path, speed: float = 1.0, as_fast_as_possible: bool = False,
     With ``as_fast_as_possible`` no wall delay is inserted at all; the
     records (and their embedded timestamps) are identical either way.
     """
-    if speed <= 0:
+    if not speed > 0:
         raise ValueError("speed must be > 0")
     read_header(path)
     prev_ts = None

@@ -4,15 +4,26 @@ One filter per target, created on an unmatched centroid and retired
 after a configurable silence.  Constant-velocity motion with
 white-acceleration process noise; the observation is the centroid
 position itself, so the update step is the linear Kalman form.
-A window's centroids arrive as one ``(k, 3)`` array.  Association is
+
+A window's tracks are stepped together.  Their states and covariances
+are stacked into ``(T, 6)`` and ``(T, 6, 6)`` arrays, and
+:func:`predict_stacked` propagates them all with one F and Q.  The
+window's centroids arrive as one ``(k, 3)`` array; association is
 greedy globally-nearest over gated pairs of one track x centroid
-distance matrix, :func:`radarfuse.geometry.sq_distances`.  Tracks are
-never mutated once built: ``predict`` and ``update`` return new ones,
-so a snapshot returned by ``Tracker.step`` stays as it was.
+distance matrix (:func:`radarfuse.geometry.sq_distances` from the
+stacked predicted positions).  :func:`update_stacked` applies the
+Joseph-form update to the matched rows with one stacked ``inv`` and
+one stacked ``eigvalsh`` PSD check.  Each matrix of a stack goes
+through the same BLAS and LAPACK calls as it would alone, so the
+results are bit-identical to stepping the tracks one at a time;
+``predict`` and ``update`` are the one-track (T = 1) case.  Tracks are
+never mutated once built, so a snapshot returned by ``Tracker.step``
+stays as it was.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -83,15 +94,8 @@ class TrackEvent:
     ts_ns: int
 
 
-def _check_psd(p: np.ndarray):
-    if np.min(np.linalg.eigvalsh(p)) < -1e-9:
-        raise NonPSDCovariance("covariance lost positive semi-definiteness")
-
-
-def predict(track: TargetTrack, dt: float, cfg: TrackerConfig) -> TargetTrack:
-    """Constant-velocity propagation by dt seconds."""
-    if dt == 0.0:
-        return track
+def _transition(dt: float, cfg: TrackerConfig):
+    """(F, Q) of the constant-velocity model over dt seconds."""
     f = np.eye(6)
     f[0, 3] = f[1, 4] = f[2, 5] = dt
     q_accel = cfg.process_noise_accel ** 2
@@ -103,44 +107,92 @@ def predict(track: TargetTrack, dt: float, cfg: TrackerConfig) -> TargetTrack:
         q[a, a] = q11
         q[a, a + 3] = q[a + 3, a] = q12
         q[a + 3, a + 3] = q22
-    cov = f @ track.covariance @ f.T + q
-    return replace(track, state=f @ track.state,
-                   covariance=0.5 * (cov + cov.T))
+    return f, q
 
 
-def gated_distances(tracks: list[TargetTrack], centroids,
-                    cfg: TrackerConfig) -> np.ndarray:
-    """The track x centroid matrix of distances from each predicted
-    position to each centroid, inf outside the inclusive Euclidean
-    gate."""
-    predicted = np.array([t.position for t in tracks]).reshape(-1, 3)
-    centroids = np.asarray(centroids, dtype=float).reshape(-1, 3)
-    d = np.sqrt(sq_distances(predicted, centroids))
-    d[d > cfg.gate_distance] = np.inf
-    return d
+def predict_stacked(states: np.ndarray, covs: np.ndarray, dt: float,
+                    cfg: TrackerConfig):
+    """Constant-velocity propagation of ``(T, 6)`` states and ``(T, 6,
+    6)`` covariances by dt seconds, one F and Q for all T."""
+    if dt == 0.0:
+        return states, covs
+    f, q = _transition(dt, cfg)
+    cov = f @ covs @ f.T + q
+    return (f @ states[:, :, None])[:, :, 0], 0.5 * (cov + cov.swapaxes(1, 2))
+
+
+def _clamp_speed(v: np.ndarray):
+    """Scale each ``(m, 3)`` velocity row faster than VELOCITY_CLAMP
+    back onto it, in place."""
+    # |v| <= sqrt(3) max|v_i| < 1.75 max|v_i|: below this no row can
+    # pass the clamp, and no norm is taken
+    if not np.abs(v).max(initial=0.0) * 1.75 > VELOCITY_CLAMP:
+        return
+    for row in v:
+        speed = float(np.linalg.norm(row))
+        if speed > VELOCITY_CLAMP:
+            row *= VELOCITY_CLAMP / speed
+
+
+def update_stacked(states: np.ndarray, covs: np.ndarray, z: np.ndarray,
+                   cfg: TrackerConfig):
+    """Linear Kalman measurement update of ``(m, 6)`` states and ``(m,
+    6, 6)`` covariances with ``(m, 3)`` measured positions.
+
+    Returns (states, covariances, psd): ``psd[i]`` is False when row
+    i's updated covariance lost positive semi-definiteness, and that
+    row is then not to be used.
+    """
+    r = cfg.measurement_noise ** 2 * np.eye(3)
+    innovation = z - states[:, :3]
+    k = covs[:, :, :3] @ np.linalg.inv(covs[:, :3, :3] + r)
+    states = states + (k @ innovation[:, :, None])[:, :, 0]
+    ikh = np.eye(6)[None].repeat(len(k), axis=0)
+    ikh[:, :, :3] -= k
+    # Joseph form keeps the covariance PSD under roundoff
+    cov = ikh @ covs @ ikh.swapaxes(1, 2) + k @ r @ k.swapaxes(1, 2)
+    cov = 0.5 * (cov + cov.swapaxes(1, 2))
+    psd = ~(np.linalg.eigvalsh(cov).min(axis=1) < -1e-9)
+    _clamp_speed(states[:, 3:])
+    return states, cov, psd
+
+
+def _hit(track: TargetTrack, state, cov, ts_ns: int,
+         cfg: TrackerConfig) -> TargetTrack:
+    """``track`` after a successful update to (state, cov) at ts_ns."""
+    hits = track.hits + 1
+    status = TrackStatus.CONFIRMED if hits >= cfg.confirm_hits else track.status
+    return TargetTrack(track.track_id, state, cov, status, hits, ts_ns)
+
+
+def predict(track: TargetTrack, dt: float, cfg: TrackerConfig) -> TargetTrack:
+    """One track through :func:`predict_stacked`."""
+    states, covs = predict_stacked(track.state[None], track.covariance[None],
+                                   dt, cfg)
+    return replace(track, state=states[0], covariance=covs[0])
 
 
 def update(track: TargetTrack, centroid_pos, ts_ns: int,
            cfg: TrackerConfig) -> TargetTrack:
-    """Linear Kalman measurement update with z = position."""
-    p = track.covariance
-    r = cfg.measurement_noise ** 2 * np.eye(3)
-    innovation = np.asarray(centroid_pos, dtype=float) - track.state[:3]
-    k = p[:, :3] @ np.linalg.inv(p[:3, :3] + r)
-    state = track.state + k @ innovation
-    ikh = np.eye(6)
-    ikh[:, :3] -= k
-    # Joseph form keeps the covariance PSD under roundoff
-    cov = ikh @ p @ ikh.T + k @ r @ k.T
-    cov = 0.5 * (cov + cov.T)
-    _check_psd(cov)
-    speed = float(np.linalg.norm(state[3:]))
-    if speed > VELOCITY_CLAMP:
-        state[3:] *= VELOCITY_CLAMP / speed
-    hits = track.hits + 1
-    status = TrackStatus.CONFIRMED if hits >= cfg.confirm_hits else track.status
-    return replace(track, state=state, covariance=cov, status=status,
-                   hits=hits, last_update_ns=ts_ns)
+    """One track through :func:`update_stacked`; raises
+    NonPSDCovariance where that flags the row."""
+    z = np.asarray(centroid_pos, dtype=float).reshape(1, 3)
+    states, covs, psd = update_stacked(track.state[None],
+                                       track.covariance[None], z, cfg)
+    if not psd[0]:
+        raise NonPSDCovariance("covariance lost positive semi-definiteness")
+    return _hit(track, states[0], covs[0], ts_ns, cfg)
+
+
+def gated_distances(positions, centroids, cfg: TrackerConfig) -> np.ndarray:
+    """The track x centroid matrix of distances from each ``(T, 3)``
+    predicted position to each centroid, inf outside the inclusive
+    Euclidean gate."""
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    centroids = np.asarray(centroids, dtype=float).reshape(-1, 3)
+    d = np.sqrt(sq_distances(positions, centroids))
+    d[d > cfg.gate_distance] = np.inf
+    return d
 
 
 def birth(pos, cfg: TrackerConfig):
@@ -150,27 +202,31 @@ def birth(pos, cfg: TrackerConfig):
     return state, np.diag([cfg.measurement_noise ** 2] * 3 + [4.0] * 3)
 
 
-def associate(tracks: list[TargetTrack], centroids, cfg: TrackerConfig):
-    """Greedy globally-nearest matching over gated pairs.
+def associate(positions, track_ids, centroids, cfg: TrackerConfig):
+    """Greedy globally-nearest matching over gated pairs of predicted
+    track positions and centroids.
 
     Returns (matches, unmatched_centroid_indices) where matches is a
-    list of (track, centroid_index).  Ties break on lower track_id,
-    then lower centroid index.
+    list of (track row, centroid_index) in match order.  Ties break on
+    lower track id, then lower centroid index.
     """
-    d = gated_distances(tracks, centroids, cfg)
-    ti, ci = np.nonzero(np.isfinite(d))
-    track_ids = np.array([t.track_id for t in tracks], dtype=int)
-    order = np.lexsort((ci, track_ids[ti], d[ti, ci]))
+    d = gated_distances(positions, centroids, cfg)
+    n_centroids = d.shape[1]
+    # a window has a handful of gated pairs: sorting them in Python
+    # costs less than numpy's per-call overhead
+    pairs = sorted((dist, tid, i, c)
+                   for i, (tid, row) in enumerate(zip(track_ids, d.tolist()))
+                   for c, dist in enumerate(row) if dist != math.inf)
     used_tracks: set[int] = set()
     used_centroids: set[int] = set()
     matches = []
-    for i, c in zip(ti[order].tolist(), ci[order].tolist()):
+    for _, _, i, c in pairs:
         if i in used_tracks or c in used_centroids:
             continue
         used_tracks.add(i)
         used_centroids.add(c)
-        matches.append((tracks[i], c))
-    unmatched = [c for c in range(d.shape[1]) if c not in used_centroids]
+        matches.append((i, c))
+    unmatched = [c for c in range(n_centroids) if c not in used_centroids]
     return matches, unmatched
 
 
@@ -190,44 +246,60 @@ class Tracker:
         returns (snapshot, events)."""
         if self._last_ts is not None and ts_ns < self._last_ts:
             raise OutOfOrderWindow(f"window {ts_ns} after {self._last_ts}")
-        events: list[TrackEvent] = []
+        cfg = self.cfg
+        centroids = np.asarray(centroids, dtype=float).reshape(-1, 3)
         dt = 0.0 if self._last_ts is None else (ts_ns - self._last_ts) / 1e9
         self._last_ts = ts_ns
 
         # a track silent past miss_timeout is retired before association,
         # so no centroid can revive it
-        timeout_ns = int(self.cfg.miss_timeout * 1e9)
-        live = []
-        for t in self.tracks:
-            if ts_ns - t.last_update_ns > timeout_ns:
-                events.append(TrackEvent(EventKind.DELETED, t.track_id, ts_ns))
-            else:
-                live.append(predict(t, dt, self.cfg))
-        matches, unmatched_c = associate(live, centroids, self.cfg)
+        timeout_ns = int(cfg.miss_timeout * 1e9)
+        events = [TrackEvent(EventKind.DELETED, t.track_id, ts_ns)
+                  for t in self.tracks if ts_ns - t.last_update_ns > timeout_ns]
+        live = [t for t in self.tracks
+                if ts_ns - t.last_update_ns <= timeout_ns]
+
+        states, covs = predict_stacked(
+            np.array([t.state for t in live]).reshape(-1, 6),
+            np.array([t.covariance for t in live]).reshape(-1, 6, 6), dt, cfg)
+        matches, unmatched_c = associate(states[:, :3],
+                                         [t.track_id for t in live],
+                                         centroids, cfg)
 
         updated: dict[int, TargetTrack] = {}
-        for t, ci in matches:
-            try:
-                u = update(t, centroids[ci], ts_ns, self.cfg)
-            except NonPSDCovariance:
-                # restart the filter at its measurement, keeping the
-                # track's id, hits and status
-                self.covariance_resets += 1
-                state, cov = birth(centroids[ci], self.cfg)
-                u = replace(t, state=state, covariance=cov,
-                            last_update_ns=ts_ns)
-            if u.status is not t.status:
-                events.append(TrackEvent(EventKind.CONFIRMED, u.track_id, ts_ns))
-            updated[u.track_id] = u
-        self.tracks = [updated.get(t.track_id, t) for t in live]
+        if matches:
+            rows, cols = [i for i, _ in matches], [c for _, c in matches]
+            new_states, new_covs, psd = update_stacked(
+                states.take(rows, axis=0), covs.take(rows, axis=0),
+                centroids.take(cols, axis=0), cfg)
+            for j, (i, ci) in enumerate(matches):
+                t = live[i]
+                if psd[j]:
+                    u = _hit(t, new_states[j], new_covs[j], ts_ns, cfg)
+                else:
+                    # restart the filter at its measurement, keeping the
+                    # track's id, hits and status
+                    self.covariance_resets += 1
+                    state, cov = birth(centroids[ci], cfg)
+                    u = TargetTrack(t.track_id, state, cov, t.status, t.hits,
+                                    ts_ns)
+                if u.status is not t.status:
+                    events.append(TrackEvent(EventKind.CONFIRMED, u.track_id,
+                                             ts_ns))
+                updated[i] = u
+        self.tracks = [
+            updated[i] if i in updated else
+            TargetTrack(t.track_id, states[i], covs[i], t.status, t.hits,
+                        t.last_update_ns)
+            for i, t in enumerate(live)]
 
         for ci in unmatched_c:
-            if len(self.tracks) >= self.cfg.max_targets:
+            if len(self.tracks) >= cfg.max_targets:
                 self.dropped_new_targets += 1
                 continue
-            status = (TrackStatus.CONFIRMED if self.cfg.confirm_hits == 1
+            status = (TrackStatus.CONFIRMED if cfg.confirm_hits == 1
                       else TrackStatus.TENTATIVE)
-            state, cov = birth(centroids[ci], self.cfg)
+            state, cov = birth(centroids[ci], cfg)
             t = TargetTrack(track_id=self.next_id, state=state, covariance=cov,
                             status=status, hits=1, last_update_ns=ts_ns)
             self.next_id += 1

@@ -7,8 +7,13 @@ eye.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
+
+from radarfuse.tracking import (VELOCITY_CLAMP, EventKind, NonPSDCovariance,
+                                OutOfOrderWindow, TargetTrack, TrackEvent,
+                                TrackStatus)
 
 NOISE = -1
 
@@ -210,3 +215,109 @@ def brute_walker_position(w, t: float):
         lo = max(start, w.entry_time)
         travel -= max(0.0, min(t, end) - lo) if lo < min(t, end) else 0.0
     return _polyline_pos(w.waypoints, w.speed * travel)
+
+
+def _brute_check_psd(p):
+    if np.min(np.linalg.eigvalsh(p)) < -1e-9:
+        raise NonPSDCovariance("covariance lost positive semi-definiteness")
+
+
+def brute_predict(track, dt, cfg):
+    """Constant-velocity propagation of one track by dt seconds."""
+    if dt == 0.0:
+        return track
+    f = np.eye(6)
+    f[0, 3] = f[1, 4] = f[2, 5] = dt
+    q_accel = cfg.process_noise_accel ** 2
+    q11 = q_accel * dt ** 4 / 4.0
+    q12 = q_accel * dt ** 3 / 2.0
+    q22 = q_accel * dt ** 2
+    q = np.zeros((6, 6))
+    for a in range(3):
+        q[a, a] = q11
+        q[a, a + 3] = q[a + 3, a] = q12
+        q[a + 3, a + 3] = q22
+    cov = f @ track.covariance @ f.T + q
+    return replace(track, state=f @ track.state,
+                   covariance=0.5 * (cov + cov.T))
+
+
+def brute_update(track, centroid_pos, ts_ns, cfg):
+    """Joseph-form Kalman update of one track with z = position."""
+    p = track.covariance
+    r = cfg.measurement_noise ** 2 * np.eye(3)
+    innovation = np.asarray(centroid_pos, dtype=float) - track.state[:3]
+    k = p[:, :3] @ np.linalg.inv(p[:3, :3] + r)
+    state = track.state + k @ innovation
+    ikh = np.eye(6)
+    ikh[:, :3] -= k
+    cov = ikh @ p @ ikh.T + k @ r @ k.T
+    cov = 0.5 * (cov + cov.T)
+    _brute_check_psd(cov)
+    speed = float(np.linalg.norm(state[3:]))
+    if speed > VELOCITY_CLAMP:
+        state[3:] *= VELOCITY_CLAMP / speed
+    hits = track.hits + 1
+    status = TrackStatus.CONFIRMED if hits >= cfg.confirm_hits else track.status
+    return replace(track, state=state, covariance=cov, status=status,
+                   hits=hits, last_update_ns=ts_ns)
+
+
+def _brute_birth(pos, cfg):
+    state = np.array([pos[0], pos[1], pos[2], 0.0, 0.0, 0.0])
+    return state, np.diag([cfg.measurement_noise ** 2] * 3 + [4.0] * 3)
+
+
+def brute_track_step(tracker, centroids, ts_ns):
+    """One window of a ``Tracker`` stepped one track at a time: predict
+    each live track, match by ``brute_associate``, update each match in
+    match order.  Mutates ``tracker``'s fields as ``Tracker.step`` does
+    and returns (snapshot, events)."""
+    cfg = tracker.cfg
+    if tracker._last_ts is not None and ts_ns < tracker._last_ts:
+        raise OutOfOrderWindow(f"window {ts_ns} after {tracker._last_ts}")
+    events = []
+    dt = 0.0 if tracker._last_ts is None else (ts_ns - tracker._last_ts) / 1e9
+    tracker._last_ts = ts_ns
+
+    timeout_ns = int(cfg.miss_timeout * 1e9)
+    live = []
+    for t in tracker.tracks:
+        if ts_ns - t.last_update_ns > timeout_ns:
+            events.append(TrackEvent(EventKind.DELETED, t.track_id, ts_ns))
+        else:
+            live.append(brute_predict(t, dt, cfg))
+    centroids = [tuple(float(v) for v in c) for c in centroids]
+    pairs, unmatched_c = brute_associate(live, centroids, cfg.gate_distance)
+    by_id = {t.track_id: t for t in live}
+
+    updated = {}
+    for tid, ci in pairs:
+        t = by_id[tid]
+        try:
+            u = brute_update(t, centroids[ci], ts_ns, cfg)
+        except NonPSDCovariance:
+            tracker.covariance_resets += 1
+            state, cov = _brute_birth(centroids[ci], cfg)
+            u = replace(t, state=state, covariance=cov, last_update_ns=ts_ns)
+        if u.status is not t.status:
+            events.append(TrackEvent(EventKind.CONFIRMED, u.track_id, ts_ns))
+        updated[u.track_id] = u
+    tracker.tracks = [updated.get(t.track_id, t) for t in live]
+
+    for ci in unmatched_c:
+        if len(tracker.tracks) >= cfg.max_targets:
+            tracker.dropped_new_targets += 1
+            continue
+        status = (TrackStatus.CONFIRMED if cfg.confirm_hits == 1
+                  else TrackStatus.TENTATIVE)
+        state, cov = _brute_birth(centroids[ci], cfg)
+        t = TargetTrack(track_id=tracker.next_id, state=state, covariance=cov,
+                        status=status, hits=1, last_update_ns=ts_ns)
+        tracker.next_id += 1
+        tracker.tracks.append(t)
+        events.append(TrackEvent(EventKind.CREATED, t.track_id, ts_ns))
+        if status is TrackStatus.CONFIRMED:
+            events.append(TrackEvent(EventKind.CONFIRMED, t.track_id, ts_ns))
+
+    return list(tracker.tracks), events

@@ -114,6 +114,9 @@ def test_isometry(pose, a, b):
 _rng = np.random.default_rng(3)
 _lattice = np.stack(np.meshgrid(*[np.arange(4) * 0.5] * 3),
                     -1).reshape(-1, 3)
+# the paper log's largest clustering window, measured against itself as
+# DBSCAN and OPTICS do
+_window = np.random.default_rng(374).uniform(0, 6, (374, 3))
 
 
 @pytest.mark.parametrize("a,b", [
@@ -124,10 +127,15 @@ _lattice = np.stack(np.meshgrid(*[np.arange(4) * 0.5] * 3),
                  _rng.uniform(0, 5, (9, 3)), id="duplicates"),
     pytest.param(np.empty((0, 3)), _lattice, id="empty-a"),
     pytest.param(_lattice, np.empty((0, 3)), id="empty-b"),
+    pytest.param(_rng.uniform(-8, 8, (33, 5))[:, :3],
+                 np.asfortranarray(_rng.uniform(-8, 8, (29, 3))),
+                 id="column-view-and-fortran"),
+    pytest.param(_window, _window, id="largest-paper-window"),
 ])
 def test_sq_distances_bit_identical(a, b):
     out = sq_distances(a, b)
     assert out.shape == (len(a), len(b))
+    assert out.flags.c_contiguous
     # the lattice puts neighbours at d^2 == 0.25 exactly, where an
     # inclusive radius query turns on the last bit
     assert np.array_equal(out, ((a[:, None] - b[None]) ** 2).sum(-1))

@@ -103,6 +103,16 @@ class TestOccupancyGrid:
         assert events == []
         assert g.out_of_bounds_count == 1
 
+    def test_far_edge_is_last_cell(self):
+        g = self.grid(h_on=1)
+        events, statuses = g.step([track(0, 12.0, 3.0), track(1, 6.0, 6.0)],
+                                  0)
+        assert set(g.cells) == {(23, 6), (12, 11)}
+        assert [(e.kind, e.track_id) for e in events] == \
+            [("enter", 0), ("enter", 1)]
+        assert statuses[0].count == 2
+        assert g.out_of_bounds_count == 0
+
     def test_enter_exit_strict_alternation(self):
         rng = np.random.default_rng(4)
         g = self.grid(h_on=2, h_off=2)

@@ -334,6 +334,21 @@ class TestCli:
     def test_usage_error_exit_2(self, capsys):
         assert cli.cli(["replay"]) == 2
 
+    @pytest.mark.parametrize("command", ["run", "replay", "record"])
+    @pytest.mark.parametrize("speed", ["0", "-1", "nan", "inf", "fast"])
+    def test_bad_speed_exit_2(self, tmp_path, sim_log, capsys, command,
+                              speed):
+        log, _ = sim_log
+        argv = [command, "--log", str(log), "--speed", speed]
+        if command == "record":
+            argv += ["--out", str(tmp_path / "copy.log")]
+        else:
+            argv += ["--config", "paper"]
+        assert cli.cli(argv) == 2
+        assert "argument --speed: expected a positive finite number" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "copy.log").exists()
+
     def test_module_entry_point(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run([sys.executable, "-m", "radarfuse.cli",

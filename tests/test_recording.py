@@ -64,8 +64,9 @@ def test_fast_replay_never_sleeps(tmp_path):
 def test_bad_speed(tmp_path):
     p = tmp_path / "a.jsonl"
     write_log(p, [])
-    with pytest.raises(ValueError):
-        list(replay(p, speed=0.0))
+    for speed in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            list(replay(p, speed=speed))
 
 
 def test_per_radar_monotonicity_enforced(tmp_path):

@@ -4,10 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from _reference import brute_associate
+from _reference import brute_associate, brute_track_step
 from radarfuse.tracking import (EventKind, NonPSDCovariance,
                                 OutOfOrderWindow, TargetTrack, Tracker,
                                 TrackerConfig, TrackStatus, associate, birth,
@@ -44,14 +44,23 @@ class TestPredict:
         assert np.trace(t.covariance) > np.trace(orig.covariance)
 
 
+def match(tracks, centroids, cfg):
+    """``associate`` over the tracks' positions, as (track_id, centroid
+    index) pairs, and the unmatched centroid indices."""
+    positions = np.array([t.position for t in tracks]).reshape(-1, 3)
+    matches, unmatched = associate(positions, [t.track_id for t in tracks],
+                                   centroids, cfg)
+    return [(tracks[i].track_id, ci) for i, ci in matches], unmatched
+
+
 class TestGate:
     def test_zero_distance(self):
-        d = gated_distances([make_track()], [(0, 0, 0)], TrackerConfig())
+        d = gated_distances([(0, 0, 0)], [(0, 0, 0)], TrackerConfig())
         assert d[0, 0] == 0.0
 
     def test_boundary_inclusive(self):
         cfg = TrackerConfig(gate_distance=1.0)
-        d = gated_distances([make_track()], [(1.0, 0, 0), (1.0 + 1e-9, 0, 0)],
+        d = gated_distances([(0, 0, 0)], [(1.0, 0, 0), (1.0 + 1e-9, 0, 0)],
                             cfg)
         assert d[0, 0] == 1.0
         assert d[0, 1] == float("inf")
@@ -90,16 +99,15 @@ class TestUpdate:
 class TestAssociate:
     def test_single_pair(self):
         cfg = TrackerConfig()
-        matches, uc = associate([make_track()], [(0.2, 0, 0)], cfg)
+        matches, uc = match([make_track()], [(0.2, 0, 0)], cfg)
         assert len(matches) == 1 and uc == []
 
     def test_tie_breaks_to_lower_track_id(self):
         cfg = TrackerConfig()
         tracks = [make_track(track_id=5, pos=(-0.5, 0, 0)),
                   make_track(track_id=2, pos=(0.5, 0, 0))]
-        matches, uc = associate(tracks, [(0.0, 0, 0)], cfg)
-        assert len(matches) == 1
-        assert matches[0][0].track_id == 2
+        matches, uc = match(tracks, [(0.0, 0, 0)], cfg)
+        assert matches == [(2, 0)]
 
     def test_crossing_matches_min_sum_assignment(self):
         cfg = TrackerConfig(gate_distance=2.0)
@@ -107,8 +115,8 @@ class TestAssociate:
         cent_pos = [(0.3, 0, 0), (2.2, 0, 0), (3.8, 0, 0)]
         tracks = [make_track(track_id=i, pos=p)
                   for i, p in enumerate(track_pos)]
-        matches, _ = associate(tracks, cent_pos, cfg)
-        got = {t.track_id: ci for t, ci in matches}
+        matches, _ = match(tracks, cent_pos, cfg)
+        got = dict(matches)
 
         def cost(perm):
             return sum(math.dist(track_pos[i], cent_pos[perm[i]])
@@ -138,11 +146,11 @@ def association_case(draw):
 @given(association_case())
 def test_associate_matches_brute_force(case):
     tracks, cents, gate = case
-    matches, unmatched = associate(
+    matches, unmatched = match(
         tracks, np.array(cents, dtype=float).reshape(-1, 3),
         TrackerConfig(gate_distance=gate))
     ref_matches, ref_unmatched = brute_associate(tracks, cents, gate)
-    assert [(t.track_id, ci) for t, ci in matches] == ref_matches
+    assert matches == ref_matches
     assert unmatched == ref_unmatched
 
 
@@ -239,6 +247,64 @@ class TestTrackerStep:
                 log.extend((e.kind, e.track_id, e.ts_ns) for e in events)
             return log
         assert run() == run()
+
+
+@st.composite
+def window_sequence(draw):
+    """A tracker config and a run of windows: each a time step (0 on
+    the first, may be 0 or tiny later, or past the timeout), a centroid
+    list (may be empty) in a small room, so tracks meet centroids, fill
+    ``max_targets`` and time out, and an optional track whose
+    covariance is replaced by -I before the window."""
+    cfg = TrackerConfig(
+        gate_distance=draw(st.sampled_from([0.5, 1.0, 2.0, 20.0])),
+        miss_timeout=draw(st.sampled_from([0.3, 1.0, 10.0])),
+        confirm_hits=draw(st.integers(1, 3)),
+        max_targets=draw(st.integers(1, 6)),
+        process_noise_accel=draw(st.sampled_from([0.5, 2.0])),
+        measurement_noise=draw(st.sampled_from([0.05, 0.15])))
+    coord = st.floats(0.0, 3.0, allow_nan=False, allow_infinity=False)
+    step_ns = st.sampled_from([0, 1_000_000, 100_000_000, 500_000_000,
+                               1_500_000_000])
+    windows = []
+    for k in range(draw(st.integers(1, 12))):
+        dt_ns = 0 if k == 0 else draw(step_ns)
+        cents = draw(st.lists(st.tuples(coord, coord, coord), max_size=6))
+        poison = draw(st.one_of(st.none(), st.integers(0, 5)))
+        windows.append((dt_ns, cents, poison))
+    return cfg, windows
+
+
+def snapshot_bits(tracks):
+    return [(t.track_id, t.state.tobytes(), t.covariance.tobytes(), t.hits,
+             t.status, t.last_update_ns) for t in tracks]
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_sequence())
+# track 0 jumps 10 m in 0.5 s, past the velocity clamp, and track 1's
+# covariance is poisoned before its next update
+@example((TrackerConfig(gate_distance=20.0, confirm_hits=2),
+          [(0, [(1, 1, 1), (1, 5, 1)], None),
+           (SEC // 2, [(11, 1, 1), (1, 5.1, 1)], None),
+           (SEC // 10, [(1, 5.2, 1)], 1)]))
+def test_step_matches_per_track_reference(case):
+    cfg, windows = case
+    tr, ref = Tracker(cfg), Tracker(cfg)
+    ts = 10 * SEC
+    for dt_ns, cents, poison in windows:
+        ts += dt_ns
+        if poison is not None and poison < len(tr.tracks):
+            for t in (tr, ref):
+                t.tracks[poison] = replace(t.tracks[poison],
+                                           covariance=-np.eye(6))
+        got = tr.step(np.array(cents, dtype=float).reshape(-1, 3), ts)
+        want = brute_track_step(ref, cents, ts)
+        assert snapshot_bits(got[0]) == snapshot_bits(want[0])
+        assert got[1] == want[1]
+        assert snapshot_bits(tr.tracks) == snapshot_bits(ref.tracks)
+        assert (tr.next_id, tr.covariance_resets, tr.dropped_new_targets) \
+            == (ref.next_id, ref.covariance_resets, ref.dropped_new_targets)
 
 
 def test_noise_free_convergence():
