@@ -2,18 +2,22 @@
 
 Both DBSCAN and OPTICS are implemented directly (3D Euclidean metric)
 as array operations over one window, which holds a few hundred points
-at most.  Distances come from one ``n x n`` matrix,
-:func:`radarfuse.geometry.sq_distances`: DBSCAN thresholds it into a
-boolean eps adjacency and grows each cluster by frontier expansion
-over it; OPTICS keeps it as the distance matrix and takes ``n`` argmin
-steps over one reachability array, returning the ordering as three
-arrays.  OPTICS cluster extraction is an eps-cut, which makes its
-core-point partition provably comparable to DBSCAN at the same eps and
-is exercised as a cross-check in the tests.  A window is one ``(N, 3)``
-position array, its frames' arrays concatenated once when it closes;
-its result carries per-point labels and core flags as arrays and its
-centroids as one ``(k, 3)`` array, row ``k`` the mean position of
-cluster ``k``, which the tracker takes as is.
+and never more than ``MAX_WINDOW_POINTS``.  Distances come from
+:func:`radarfuse.geometry.sq_distances`.  DBSCAN thresholds it, one
+block of rows at a time, into an ``n x n`` boolean eps adjacency; its
+column sums are the neighbour counts that mark core points.  Each
+cluster is seeded at the lowest core point not yet in a cluster (an
+``argmax`` over a mask) and grown by frontier expansion over the core
+points.  OPTICS keeps the whole matrix as its distance matrix and takes
+``n`` argmin steps over one reachability array, returning the ordering
+as three arrays.  OPTICS cluster extraction is an eps-cut, which makes
+its core-point partition provably comparable to DBSCAN at the same eps
+and is exercised as a cross-check in the tests.  A window is one
+``(N, 3)`` position array, its frames' arrays concatenated once when it
+closes; its result carries per-point labels and core flags as arrays
+and its centroids as one ``(k, 3)`` array, row ``k`` the mean position
+of cluster ``k`` (one ``bincount`` per axis), which the tracker takes
+as is.
 """
 
 from __future__ import annotations
@@ -26,6 +30,19 @@ import numpy as np
 from .geometry import sq_distances
 
 NOISE = -1
+
+# A window holds at most this many points: the clusterer drops the ones
+# past it, in merge order, and counts them in ``dropped_points``.  It is
+# over 5x the largest windows seen, 374 points on the paper log and 120
+# on its clutter variant.  At this size DBSCAN holds its boolean
+# adjacency, 1 B per point pair (4 MiB), plus the float distances of one
+# row block (4 MiB); OPTICS holds the whole float distance matrix, 16 B
+# per point pair at its peak (64 MiB).
+MAX_WINDOW_POINTS = 2048
+
+# DBSCAN builds its adjacency this many rows at a time, so its float
+# temporaries stay small however large the window
+_BLOCK_ROWS = 128
 
 
 class ClusterAlgorithm(str, Enum):
@@ -61,10 +78,15 @@ class ClusterResult:
 
 
 def _centroids(positions: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    out = np.empty((labels.max(initial=NOISE) + 1, 3))
-    for lab in range(len(out)):
-        out[lab] = positions[labels == lab].mean(axis=0)
-    return out
+    """Row k is the mean position of the points labelled k.  Each
+    ``bincount`` adds a cluster's members in index order, as
+    ``positions[labels == k].mean(axis=0)`` does, so the floats match."""
+    bins = labels + 1            # NOISE goes to bin 0, then dropped
+    size = labels.max(initial=NOISE) + 2
+    counts = np.bincount(bins, minlength=size)[1:]
+    sums = [np.bincount(bins, weights=positions[:, a], minlength=size)[1:]
+            for a in range(3)]
+    return np.stack(sums, axis=1) / counts[:, None]
 
 
 def dbscan(positions: np.ndarray, eps: float, min_pts: int,
@@ -77,20 +99,29 @@ def dbscan(positions: np.ndarray, eps: float, min_pts: int,
     """
     n = len(positions)
     positions = np.asarray(positions, dtype=float)
-    adj = sq_distances(positions, positions) <= eps * eps
-    core = adj.sum(1) >= min_pts
+    adj = np.empty((n, n), dtype=bool)
+    for lo in range(0, n, _BLOCK_ROWS):
+        np.less_equal(sq_distances(positions[lo:lo + _BLOCK_ROWS], positions),
+                      eps * eps, out=adj[lo:lo + _BLOCK_ROWS])
+    # adj is symmetric, so its column sums are the neighbour counts; a
+    # count is at most n, so the least unsigned type holding n is exact
+    core = adj.view(np.uint8).sum(0, dtype=np.min_scalar_type(n)) >= min_pts
+    unclustered = core.copy()    # core points in no cluster yet
     labels = np.full(n, NOISE)
     cluster = 0
-    for i in np.flatnonzero(core):
-        if labels[i] != NOISE:
-            continue
-        # the core points density-connected to i, one hop per pass
-        members = np.zeros(n, dtype=bool)
-        frontier = np.arange(n) == i
+    while unclustered.any():
+        # grow from the lowest unclustered core point, one hop per pass:
+        # each hop's neighbours join the cluster, and its unclustered
+        # core points among them are the next hop
+        frontier = np.zeros(n, dtype=bool)
+        frontier[unclustered.argmax()] = True
+        reached = frontier
         while frontier.any():
-            members |= frontier
-            frontier = adj[frontier].any(0) & core & ~members
-        labels[adj[members].any(0) & (labels == NOISE)] = cluster
+            unclustered &= ~frontier
+            reach = adj[frontier].any(0)
+            reached = reached | reach
+            frontier = reach & unclustered
+        labels[reached & (labels == NOISE)] = cluster
         cluster += 1
     return ClusterResult(labels=labels,
                          centroids=_centroids(positions, labels),
@@ -166,13 +197,17 @@ def cluster_points(positions: np.ndarray, cfg: ClusterConfig,
 
 class WindowClusterer:
     """Tumbling-window driver: (n, 3) frames in, one ClusterResult per
-    window holding a point out.  Window w covers [w0, w0 + window)."""
+    window holding a point out.  Window w covers [w0, w0 + window).
+    Points past ``MAX_WINDOW_POINTS`` in a window are counted in
+    ``dropped_points`` and not clustered."""
 
     def __init__(self, cfg: ClusterConfig):
         self.cfg = cfg
         self._window_ns = int(round(cfg.window_seconds * 1e9))
         self._start: int | None = None
         self._frames: list[np.ndarray] = []   # the non-empty ones only
+        self._points = 0                      # rows in _frames
+        self.dropped_points = 0
 
     def push(self, ts_ns: int, positions: np.ndarray) -> list[ClusterResult]:
         out = []
@@ -185,8 +220,13 @@ class WindowClusterer:
             if res is not None:
                 out.append(res)
             self._start = start
+        room = MAX_WINDOW_POINTS - self._points
+        if len(positions) > room:
+            self.dropped_points += len(positions) - room
+            positions = positions[:room]
         if len(positions):
             self._frames.append(positions)
+            self._points += len(positions)
         return out
 
     def _close_window(self):
@@ -195,6 +235,7 @@ class WindowClusterer:
         res = cluster_points(np.concatenate(self._frames), self.cfg,
                              ts_ns=self._start + self._window_ns)
         self._frames = []
+        self._points = 0
         return res
 
     def flush(self):

@@ -78,17 +78,23 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     compare it with ``r * r``, so a point exactly ``r`` away counts.
     The squares are summed one axis at a time, x then y then z, the
     order ``(d * d).sum(-1)`` uses, so every entry is bit-identical to
-    the 3-D difference form with no ``(n, m, 3)`` temporary.  Each input
-    is copied once into Fortran order, so every column it is read by is
-    contiguous.
+    the 3-D difference form with no ``(n, m, 3)`` temporary.  Each axis
+    is written as ``b`` broadcast down the rows minus ``a`` across them,
+    in place: ``(b - a)**2`` is the same float as ``(a - b)**2``, and a
+    row copy plus an in-place subtract is cheaper than an outer
+    subtract.  Each input is copied once into Fortran order, so every
+    column it is read by is contiguous.
     """
     a = np.array(a, dtype=float, order="F")
     b = np.array(b, dtype=float, order="F")
-    out = np.subtract.outer(a[:, 0], b[:, 0])
+    out = np.empty((len(a), len(b)))
+    out[...] = b[:, 0]
+    out -= a[:, 0, None]
     out *= out
     d = np.empty_like(out)
     for k in (1, 2):
-        np.subtract.outer(a[:, k], b[:, k], out=d)
+        d[...] = b[:, k]
+        d -= a[:, k, None]
         d *= d
         out += d
     return out

@@ -7,22 +7,25 @@ position itself, so the update step is the linear Kalman form.
 
 A window's tracks are stepped together.  Their states and covariances
 are stacked into ``(T, 6)`` and ``(T, 6, 6)`` arrays, and
-:func:`predict_stacked` propagates them all with one F and Q.  The
-window's centroids arrive as one ``(k, 3)`` array; association is
-greedy globally-nearest over gated pairs of one track x centroid
-distance matrix (:func:`radarfuse.geometry.sq_distances` from the
-stacked predicted positions).  :func:`update_stacked` applies the
-Joseph-form update to the matched rows with one stacked ``inv`` and
-one stacked ``eigvalsh`` PSD check.  Each matrix of a stack goes
-through the same BLAS and LAPACK calls as it would alone, so the
-results are bit-identical to stepping the tracks one at a time;
-``predict`` and ``update`` are the one-track (T = 1) case.  Tracks are
-never mutated once built, so a snapshot returned by ``Tracker.step``
-stays as it was.
+:func:`predict_stacked` propagates them all with one F and Q.  F and Q
+are cached per (dt, config) and R per config, all read-only: windows
+are almost always one window length apart, so a step builds no
+constant matrix.  The window's centroids arrive as one ``(k, 3)``
+array; association is greedy globally-nearest over gated pairs of one
+track x centroid distance matrix
+(:func:`radarfuse.geometry.sq_distances` from the stacked predicted
+positions).  :func:`update_stacked` applies the Joseph-form update to
+the matched rows with one stacked ``inv`` and one stacked ``eigvalsh``
+PSD check.  Each matrix of a stack goes through the same BLAS and
+LAPACK calls as it would alone, so the results are bit-identical to
+stepping the tracks one at a time; ``predict`` and ``update`` are the
+one-track (T = 1) case.  Tracks are never mutated once built, so a
+snapshot returned by ``Tracker.step`` stays as it was.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -94,8 +97,19 @@ class TrackEvent:
     ts_ns: int
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+_EYE6 = _read_only(np.eye(6))
+
+
+@functools.lru_cache(maxsize=64)
 def _transition(dt: float, cfg: TrackerConfig):
-    """(F, Q) of the constant-velocity model over dt seconds."""
+    """(F, Q) of the constant-velocity model over dt seconds.  Cached
+    and read-only: nearly every window is one window length after the
+    last, so the same pair serves almost every step."""
     f = np.eye(6)
     f[0, 3] = f[1, 4] = f[2, 5] = dt
     q_accel = cfg.process_noise_accel ** 2
@@ -107,7 +121,13 @@ def _transition(dt: float, cfg: TrackerConfig):
         q[a, a] = q11
         q[a, a + 3] = q[a + 3, a] = q12
         q[a + 3, a + 3] = q22
-    return f, q
+    return _read_only(f), _read_only(q)
+
+
+@functools.lru_cache(maxsize=8)
+def _measurement_cov(cfg: TrackerConfig) -> np.ndarray:
+    """R, the 3x3 measurement noise covariance; cached and read-only."""
+    return _read_only(cfg.measurement_noise ** 2 * np.eye(3))
 
 
 def predict_stacked(states: np.ndarray, covs: np.ndarray, dt: float,
@@ -143,12 +163,13 @@ def update_stacked(states: np.ndarray, covs: np.ndarray, z: np.ndarray,
     i's updated covariance lost positive semi-definiteness, and that
     row is then not to be used.
     """
-    r = cfg.measurement_noise ** 2 * np.eye(3)
+    r = _measurement_cov(cfg)
     innovation = z - states[:, :3]
     k = covs[:, :, :3] @ np.linalg.inv(covs[:, :3, :3] + r)
     states = states + (k @ innovation[:, :, None])[:, :, 0]
-    ikh = np.eye(6)[None].repeat(len(k), axis=0)
-    ikh[:, :, :3] -= k
+    ikh = np.empty((len(k), 6, 6))     # I - KH, with H = [I 0]
+    np.subtract(_EYE6[:, :3], k, out=ikh[:, :, :3])
+    ikh[:, :, 3:] = _EYE6[:, 3:]
     # Joseph form keeps the covariance PSD under roundoff
     cov = ikh @ covs @ ikh.swapaxes(1, 2) + k @ r @ k.swapaxes(1, 2)
     cov = 0.5 * (cov + cov.swapaxes(1, 2))
@@ -254,10 +275,12 @@ class Tracker:
         # a track silent past miss_timeout is retired before association,
         # so no centroid can revive it
         timeout_ns = int(cfg.miss_timeout * 1e9)
-        events = [TrackEvent(EventKind.DELETED, t.track_id, ts_ns)
-                  for t in self.tracks if ts_ns - t.last_update_ns > timeout_ns]
-        live = [t for t in self.tracks
-                if ts_ns - t.last_update_ns <= timeout_ns]
+        live, events = [], []
+        for t in self.tracks:
+            if ts_ns - t.last_update_ns > timeout_ns:
+                events.append(TrackEvent(EventKind.DELETED, t.track_id, ts_ns))
+            else:
+                live.append(t)
 
         states, covs = predict_stacked(
             np.array([t.state for t in live]).reshape(-1, 6),
@@ -266,16 +289,22 @@ class Tracker:
                                          [t.track_id for t in live],
                                          centroids, cfg)
 
-        updated: dict[int, TargetTrack] = {}
+        # every live track moves to its prediction; a matched one then
+        # takes its update instead
+        self.tracks = tracks = [
+            TargetTrack(t.track_id, state, cov, t.status, t.hits,
+                        t.last_update_ns)
+            for t, state, cov in zip(live, states, covs)]
         if matches:
-            rows, cols = [i for i, _ in matches], [c for _, c in matches]
+            rows, cols = zip(*matches)
             new_states, new_covs, psd = update_stacked(
                 states.take(rows, axis=0), covs.take(rows, axis=0),
                 centroids.take(cols, axis=0), cfg)
-            for j, (i, ci) in enumerate(matches):
+            for i, ci, state, cov, ok in zip(rows, cols, new_states,
+                                             new_covs, psd):
                 t = live[i]
-                if psd[j]:
-                    u = _hit(t, new_states[j], new_covs[j], ts_ns, cfg)
+                if ok:
+                    u = _hit(t, state, cov, ts_ns, cfg)
                 else:
                     # restart the filter at its measurement, keeping the
                     # track's id, hits and status
@@ -286,12 +315,7 @@ class Tracker:
                 if u.status is not t.status:
                     events.append(TrackEvent(EventKind.CONFIRMED, u.track_id,
                                              ts_ns))
-                updated[i] = u
-        self.tracks = [
-            updated[i] if i in updated else
-            TargetTrack(t.track_id, states[i], covs[i], t.status, t.hits,
-                        t.last_update_ns)
-            for i, t in enumerate(live)]
+                tracks[i] = u
 
         for ci in unmatched_c:
             if len(self.tracks) >= cfg.max_targets:

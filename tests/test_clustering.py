@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from _reference import brute_dbscan, brute_optics, core_partition
-from radarfuse.clustering import (NOISE, ClusterConfig, WindowClusterer,
-                                  cluster_points, dbscan, extract_eps_cut,
-                                  optics)
+from radarfuse.clustering import (MAX_WINDOW_POINTS, NOISE, ClusterConfig,
+                                  WindowClusterer, _centroids, cluster_points,
+                                  dbscan, extract_eps_cut, optics)
 
 
 def positions(*xyz):
@@ -72,6 +72,46 @@ class TestDbscan:
         assert res.is_core.tolist() == ref_core
         # same cluster numbering, border points included
         assert res.labels.tolist() == ref_labels
+
+
+@st.composite
+def lattice_window(draw):
+    """(positions, eps, min_pts): points on a 0.5 m lattice, so that many
+    pair distances equal eps exactly (d² == eps² in floats), with some
+    points repeated; the window may be empty."""
+    cell = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 2))
+    cells = draw(st.lists(cell, max_size=60))
+    if cells:
+        cells += draw(st.lists(st.sampled_from(cells), max_size=15))
+    positions = np.array(cells, dtype=float).reshape(-1, 3) * 0.5
+    return (positions, draw(st.sampled_from([0.5, 1.0, 1.5])),
+            draw(st.integers(1, 6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lattice_window())
+@example((np.empty((0, 3)), 0.5, 3))
+# all noise: no point has a neighbour but itself
+@example((np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]]),
+          0.5, 2))
+def test_dbscan_matches_brute_force_on_lattice(case):
+    pts, eps, min_pts = case
+    res = dbscan(pts, eps, min_pts)
+    ref_labels, ref_core = brute_dbscan(pts, eps, min_pts)
+    assert res.is_core.tolist() == ref_core
+    assert res.labels.tolist() == ref_labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 400), st.integers(0, 6))
+def test_centroids_match_member_means(seed, n, k):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(0, rng.uniform(0.01, 100), size=(n, 3))
+    labels = rng.integers(NOISE, k, size=n) if k else np.full(n, NOISE)
+    labels[:min(n, k)] = np.arange(min(n, k))   # no empty cluster
+    want = np.array([pts[labels == lab].mean(axis=0)
+                     for lab in range(labels.max(initial=NOISE) + 1)])
+    assert np.array_equal(_centroids(pts, labels), want.reshape(-1, 3))
 
 
 class TestOptics:
@@ -203,6 +243,27 @@ class TestWindowClusterer:
         out = wc.push(far, positions((1, 1, 0)))
         assert [r.ts_ns for r in out] == [w]
         assert [r.ts_ns for r in wc.flush()] == [10**12 * w + w]
+
+    def test_window_capped_at_max_points(self):
+        # the first MAX_WINDOW_POINTS points in merge order are clustered
+        # (a blob at the origin); the rest, a blob far away, are dropped
+        wc = WindowClusterer(self.cfg())
+        rng = np.random.default_rng(11)
+        total = 50_000
+        pts = rng.normal(0, 0.05, size=(total, 3))
+        pts[MAX_WINDOW_POINTS:] += 10.0
+        out = []
+        for i, frame in enumerate(np.array_split(pts, 7)):
+            out += wc.push(i, frame)
+        out += wc.flush()
+        (res,) = out
+        assert len(res.labels) == MAX_WINDOW_POINTS
+        assert wc.dropped_points == total - MAX_WINDOW_POINTS
+        assert np.all(np.abs(res.centroids) < 1.0)
+        # the next window starts empty again
+        out = wc.push(10**9, positions((1, 1, 1))) + wc.flush()
+        assert len(out[0].labels) == 1
+        assert wc.dropped_points == total - MAX_WINDOW_POINTS
 
     def test_two_walkers_recovered(self):
         rng = np.random.default_rng(42)

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from _reference import brute_associate, brute_track_step
+from radarfuse import tracking
 from radarfuse.tracking import (EventKind, NonPSDCovariance,
                                 OutOfOrderWindow, TargetTrack, Tracker,
                                 TrackerConfig, TrackStatus, associate, birth,
@@ -235,6 +236,24 @@ class TestTrackerStep:
         tr.step([], 2 * SEC)
         with pytest.raises(OutOfOrderWindow):
             tr.step([], SEC)
+
+    def test_cached_constants_are_read_only(self):
+        cfg = TrackerConfig()
+        f, q = tracking._transition(0.5, cfg)
+        constants = (f, q, tracking._measurement_cov(cfg), tracking._EYE6)
+        before = [c.copy() for c in constants]
+        for c in constants:
+            with pytest.raises(ValueError):
+                c[0, 0] = 7.0
+            with pytest.raises(ValueError):
+                c *= 2.0
+        tr = Tracker(cfg)
+        rng = np.random.default_rng(4)
+        for k in range(100):
+            tr.step(rng.uniform(0, 3, size=(3, 3)), k * SEC // 2)
+        assert tracking._transition(0.5, cfg)[0] is f
+        for c, b in zip(constants, before):
+            np.testing.assert_array_equal(c, b)
 
     def test_determinism(self):
         def run():
