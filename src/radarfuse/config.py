@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 import types
 import typing
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import (MISSING, asdict, dataclass, fields, is_dataclass,
+                         replace)
 from enum import Enum
 
 from . import simulation
@@ -172,18 +173,17 @@ def load_scenario(path_or_doc) -> simulation.Scenario:
 
 
 def paper_config_doc(algorithm: str = "dbscan") -> dict:
-    """Config dict matching :func:`radarfuse.simulation.paper_scenario`."""
-    def radar(radar_id, x, yaw_deg, pitch_deg):
-        return {"radar_id": radar_id,
-                "pose": {"x": x, "y": 3.0, "z": 2.35, "yaw_deg": yaw_deg,
-                         "pitch_deg": pitch_deg},
+    """Config dict matching :func:`radarfuse.simulation.paper_scenario`,
+    whose radars' ids and poses it takes."""
+    def radar(spec):
+        return {"radar_id": spec.radar_id,
+                "pose": {_key(k): math.degrees(v) if k in _ANGLES else v
+                         for k, v in asdict(spec.pose).items()},
                 "threshold": {"snr_min": 8.0, "doppler_abs_max": 5.0},
                 "buffer": {"window_frames": 3, "support_radius": 0.4,
                            "min_support": 2}}
     return {
-        "radars": [radar("wall_a", 0.05, -90.0, -5.0),
-                   radar("wall_b", 11.95, 90.0, -5.0),
-                   radar("ceiling", 6.0, 0.0, -90.0)],
+        "radars": [radar(spec) for spec in simulation.paper_scenario().radars],
         "merge": {"reorder_horizon_ms": 100.0},
         "clustering": {"window_seconds": 0.5, "algorithm": algorithm,
                        "eps": 0.45, "min_pts": 4, "optics_max_eps": 2.0},

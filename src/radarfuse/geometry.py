@@ -7,11 +7,12 @@ yaw about Z, then pitch about the carried X axis, then roll about the
 carried Y (boresight) axis, so a wall radar tilted down 5 degrees is
 simply ``pitch = -5 deg``.
 
-From the to-world step to the tracker a frame is one float array.
-:meth:`TransformTree.to_world` gives a detection's world row
-``(x, y, z, doppler, snr)``; a radar frame is the ``(n, 5)`` array of
-its rows, and from the buffer filter on a frame is the ``(n, 3)``
-array of its positions, the first three columns.
+From the decoder to the tracker a frame is one float array.
+:meth:`TransformTree.to_world` maps a radar's decoded ``(n, 5)`` point
+array (layout in :mod:`radarfuse.tlv`) to the ``(n, 5)`` array of its
+world rows ``(x, y, z, doppler, snr)``, and from the buffer filter on a
+frame is the ``(n, 3)`` array of its positions, the first three
+columns.
 
 :func:`sq_distances` is the package's one neighbour query: the full
 squared-distance matrix between two point sets, which clustering, the
@@ -24,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .tlv import RadarPoint
 
 
 def _rot_z(a: float) -> np.ndarray:
@@ -60,14 +59,11 @@ class Pose:
         return np.array([self.x, self.y, self.z])
 
 
-def spherical_to_cartesian(p: RadarPoint) -> np.ndarray:
+def spherical_to_cartesian(r: float, az: float, el: float) -> np.ndarray:
     """Local Cartesian coordinates; boresight (+Y) at zero azimuth/elevation."""
-    ce = math.cos(p.elevation)
-    return np.array([
-        p.range_m * ce * math.sin(p.azimuth),
-        p.range_m * ce * math.cos(p.azimuth),
-        p.range_m * math.sin(p.elevation),
-    ])
+    ce = math.cos(el)
+    return np.array([r * ce * math.sin(az), r * ce * math.cos(az),
+                     r * math.sin(el)])
 
 
 def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -111,8 +107,11 @@ class TransformTree:
         self._frames = {radar_id: (pose.matrix(), pose.translation)
                         for radar_id, pose in poses.items()}
 
-    def to_world(self, p: RadarPoint) -> np.ndarray:
-        """The world row ``(x, y, z, doppler, snr)`` of one detection."""
-        rotation, translation = self._frames[p.radar_id]
-        pos = rotation @ spherical_to_cartesian(p) + translation
-        return np.array([pos[0], pos[1], pos[2], p.doppler, p.snr])
+    def to_world(self, radar_id: str, points: np.ndarray) -> np.ndarray:
+        """The world rows of one frame of radar ``radar_id``: its point
+        array with range, azimuth and elevation replaced by x, y, z."""
+        rotation, translation = self._frames[radar_id]
+        rows = np.array(points, dtype=float)
+        for row, (r, az, el) in zip(rows, rows[:, :3].tolist()):
+            row[:3] = rotation @ spherical_to_cartesian(r, az, el) + translation
+        return rows

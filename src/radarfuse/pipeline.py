@@ -3,8 +3,10 @@
 Stage order mirrors the node architecture: per-radar decode ->
 world-frame transform -> threshold filter -> buffer filter -> merge ->
 windowed clustering -> tracking -> occupancy -> telemetry/logs.
-From the world-frame transform on, a frame is one float array (layout
-in :mod:`radarfuse.geometry`).  A record from a radar the config does
+From the decoder on, a frame is one float array: decode yields a
+radar's ``(n, 5)`` point array (layout in :mod:`radarfuse.tlv`) and
+to-world maps it whole to world rows (layout in
+:mod:`radarfuse.geometry`).  A record from a radar the config does
 not name is dropped and counted in ``unknown_radar_records``.
 
 :class:`Pipeline` is the one driver: synchronous and push-based.  The
@@ -19,8 +21,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import tlv
 from .clustering import WindowClusterer
@@ -53,7 +53,7 @@ class Pipeline:
         for r in cfg.radars:
             self.lanes[r.radar_id] = _RadarLane(
                 cfg=r,
-                decoder=tlv.FrameDecoder(units=r.units, radar_id=r.radar_id),
+                decoder=tlv.FrameDecoder(units=r.units),
                 buffer=BufferFilter(r.buffer),
                 origin=(r.pose.x, r.pose.y, r.pose.z),
             )
@@ -78,8 +78,7 @@ class Pipeline:
             self._feed_points(lane, record.ts_ns, points)
 
     def _feed_points(self, lane: _RadarLane, ts_ns: int, points):
-        rows = np.array([self.tree.to_world(p) for p in points],
-                        dtype=float).reshape(-1, 5)
+        rows = self.tree.to_world(lane.cfg.radar_id, points)
         kept = threshold_filter(rows, lane.cfg.threshold, lane.origin)
         emitted = lane.buffer.push(ts_ns, kept[:, :3])
         if emitted is not None:

@@ -15,8 +15,8 @@ position, velocity and field-of-view check in one pass before the tick
 loop, which keeps only the seeded draws and the doppler arithmetic.
 A tick is array code: its walker and ghost rows go through one
 spherical conversion and one encodability mask, and a :class:`SimFrame`
-holds the kept points as an ``(n, 5)`` array in :class:`tlv.RadarPoint`
-field order, which :func:`tlv.encode_frame` packs as it is.
+holds the kept points as the ``(n, 5)`` point array of :mod:`radarfuse.tlv`,
+which :func:`tlv.encode_frame` packs as it is and the decoder returns.
 
 Everything is driven by one seeded generator in a fixed iteration
 order, so a scenario renders to byte-identical logs every run.
@@ -160,7 +160,7 @@ def walker_velocities(w: WalkerSpec, times, h: float = 0.02) -> np.ndarray:
 class SimFrame:
     radar_id: str
     ts_ns: int
-    points: np.ndarray     # (n, 5): range_m, azimuth, elevation, doppler, snr
+    points: np.ndarray     # (n, 5) point array, layout in radarfuse.tlv
     labels: tuple          # "walker:<id>" | "ghost", one per row of points
 
 

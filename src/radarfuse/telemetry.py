@@ -153,13 +153,16 @@ class Publisher:
     cfg: MqttConfig
     client_factory: object = None      # callable () -> client
     clock: object = time.monotonic
-    connected: bool = False
-    dropped: int = 0
-    published: int = 0
-    _queue: deque = field(default_factory=deque)
-    _client: object = None
-    _backoff: float = 1.0
-    _next_connect_at: float = 0.0
+    dropped: int = field(default=0, init=False)
+    published: int = field(default=0, init=False)
+    _queue: deque = field(default_factory=deque, init=False)
+    _client: object = field(default=None, init=False)
+    _backoff: float = field(default=1.0, init=False)
+    _next_connect_at: float = field(default=0.0, init=False)
+
+    @property
+    def connected(self) -> bool:
+        return self._client is not None
 
     def _make_client(self):
         if self.client_factory is not None:
@@ -184,31 +187,30 @@ class Publisher:
     def pump(self):
         """One maintenance step: reconnect if due, then drain the queue."""
         now = self.clock()
-        if not self.connected:
+        if self._client is None:
             if now < self._next_connect_at:
                 return
             try:
                 self._client = self._make_client()
                 self._client.connect()
-                self.connected = True
-                self._backoff = 1.0
             except (OSError, ConnectionError):
-                self._client = None
-                self._next_connect_at = now + self._backoff
-                self._backoff = min(self._backoff * 2.0, BACKOFF_CAP)
+                self._back_off(now)
                 return
+            self._backoff = 1.0
         while self._queue:
             topic, payload, qos, retain = self._queue[0]
             try:
                 self._client.publish(topic, payload, qos, retain)
             except (OSError, ConnectionError):
-                self.connected = False
-                self._client = None
-                self._next_connect_at = now + self._backoff
-                self._backoff = min(self._backoff * 2.0, BACKOFF_CAP)
+                self._back_off(now)
                 return
             self._queue.popleft()
             self.published += 1
+
+    def _back_off(self, now: float):
+        self._client = None
+        self._next_connect_at = now + self._backoff
+        self._backoff = min(self._backoff * 2.0, BACKOFF_CAP)
 
     def close(self):
         if self._client is not None:
@@ -216,4 +218,4 @@ class Publisher:
                 self._client.disconnect()
             except (OSError, ConnectionError):
                 pass
-        self.connected = False
+        self._client = None

@@ -9,11 +9,14 @@ Wire layout (all little-endian):
 
 The point layout is defined once, as :data:`POINT_DTYPE`.  Raw
 integers are converted to physical units through per-radar scale
-factors (:class:`DecodeUnits`).  The encoder packs an ``(n, 5)`` float
-array, columns in :class:`RadarPoint` field order; the decoder returns
-one :class:`RadarPoint` per detection.  Every frame starts with the
-magic preamble, which lets the scanner resynchronize after byte loss
-on a serial link or a corrupt length field.
+factors (:class:`DecodeUnits`).  In physical units a frame is one
+``(n, 5)`` float64 *point array*, a row per detection in the radar's
+own spherical frame with columns range (m), azimuth (rad), elevation
+(rad), doppler (m/s) and snr (dB): the simulator draws it,
+:func:`encode_points` packs it and :func:`decode_points` returns it.
+Every frame starts with the magic preamble, which lets the scanner
+resynchronize after byte loss on a serial link or a corrupt length
+field.
 """
 
 from __future__ import annotations
@@ -41,8 +44,7 @@ POINT_DTYPE = np.dtype([("elevation", "<i1"), ("azimuth", "<i1"),
 HEADER_SIZE = _HEADER.size        # 8
 POINT_SIZE = POINT_DTYPE.itemsize  # 8
 
-# column of each wire field, in POINT_DTYPE order, in a point array whose
-# columns follow RadarPoint: range_m, azimuth, elevation, doppler, snr
+# column of each wire field, in POINT_DTYPE order, in a point array
 _WIRE_COLUMNS = [2, 1, 3, 0, 4]
 _RAW_LO = np.array([np.iinfo(POINT_DTYPE[f]).min for f in POINT_DTYPE.names])
 _RAW_HI = np.array([np.iinfo(POINT_DTYPE[f]).max for f in POINT_DTYPE.names])
@@ -86,24 +88,15 @@ class DecodeUnits:
     snr_scale: float = 0.1           # dB / raw
 
     def __post_init__(self):
-        for name in ("elevation_scale", "azimuth_scale", "doppler_scale",
-                     "range_scale", "snr_scale"):
-            v = getattr(self, name)
+        for name, v in zip(POINT_DTYPE.names, self.wire_scales()):
             if not (v > 0.0 and v == v and v != float("inf")):
-                raise ValueError(f"{name} must be strictly positive and finite")
+                raise ValueError(
+                    f"{name}_scale must be strictly positive and finite")
 
-
-@dataclass(frozen=True)
-class RadarPoint:
-    """One decoded detection in the radar's own spherical frame."""
-
-    range_m: float
-    azimuth: float
-    elevation: float
-    doppler: float
-    snr: float
-    radar_id: str
-    ts_ns: int
+    def wire_scales(self) -> list[float]:
+        """The scale of each wire field, in POINT_DTYPE order."""
+        return [self.elevation_scale, self.azimuth_scale, self.doppler_scale,
+                self.range_scale, self.snr_scale]
 
 
 def parse_header(buf: bytes) -> TlvHeader:
@@ -113,37 +106,37 @@ def parse_header(buf: bytes) -> TlvHeader:
     return TlvHeader(type_id, length)
 
 
-def decode_points(payload: bytes, units: DecodeUnits, radar_id: str,
-                  ts_ns: int) -> list[RadarPoint]:
+def decode_points(payload: bytes, units: DecodeUnits) -> np.ndarray:
+    """The ``(n, 5)`` point array of a point TLV's payload: each raw
+    field times its scale, in its column."""
     if len(payload) % POINT_SIZE != 0:
         raise MisalignedPayload(
             f"payload length {len(payload)} is not a multiple of {POINT_SIZE}")
-    es, azs = units.elevation_scale, units.azimuth_scale
-    ds, rs, ss = units.doppler_scale, units.range_scale, units.snr_scale
-    return [RadarPoint(rng * rs, az * azs, el * es, dop * ds, snr * ss,
-                       radar_id, ts_ns)
-            for el, az, dop, rng, snr
-            in np.frombuffer(payload, POINT_DTYPE).tolist()]
+    raw = np.frombuffer(payload, POINT_DTYPE)
+    out = np.empty((len(raw), 5))
+    for name, col, scale in zip(POINT_DTYPE.names, _WIRE_COLUMNS,
+                                units.wire_scales()):
+        np.multiply(raw[name], scale, out=out[:, col])
+    return out
 
 
 def quantize(points, units: DecodeUnits) -> np.ndarray:
-    """Raw values of an ``(n, 5)`` point array (columns in RadarPoint
-    field order) as ``(n, 5)`` floats in wire field order: each column
-    divided by its scale and rounded half to even.  Nothing is checked:
-    a value may lie outside its integer width, or be NaN or infinite."""
-    scales = [units.elevation_scale, units.azimuth_scale,
-              units.doppler_scale, units.range_scale, units.snr_scale]
-    return np.rint(np.asarray(points, dtype=float)[:, _WIRE_COLUMNS] / scales)
+    """Raw values of an ``(n, 5)`` point array as ``(n, 5)`` floats in
+    wire field order: each column divided by its scale and rounded half
+    to even.  Nothing is checked: a value may lie outside its integer
+    width, or be NaN or infinite."""
+    return np.rint(np.asarray(points, dtype=float)[:, _WIRE_COLUMNS]
+                   / units.wire_scales())
 
 
 def encode_points(points, units: DecodeUnits,
                   type_id: int = COMPRESSED_POINTS_TYPE_ID) -> bytes:
     """Header plus packed point records, inverse of :func:`decode_points`.
 
-    ``points`` is an ``(n, 5)`` float array, columns in RadarPoint field
-    order.  A value whose raw integer does not fit its field, NaN and
-    infinity included, raises :class:`ValueOutOfRange` for the first
-    such point and, within it, the first such field in wire order."""
+    ``points`` is an ``(n, 5)`` point array.  A value whose raw integer
+    does not fit its field, NaN and infinity included, raises
+    :class:`ValueOutOfRange` for the first such point and, within it,
+    the first such field in wire order."""
     points = np.asarray(points, dtype=float).reshape(-1, 5)
     raw = quantize(points, units)
     bad = ~((raw >= _RAW_LO) & (raw <= _RAW_HI))
@@ -214,15 +207,16 @@ class FrameScanner:
 
 @dataclass
 class FrameDecoder:
-    """Scanner plus point decoding: bytes in, RadarPoint frames out.
+    """Scanner plus point decoding: bytes in, ``(n, 5)`` point arrays out.
 
     TLVs of any other type than COMPRESSED_POINTS_TYPE_ID are
     length-hopped and counted, never errors; so are point TLVs whose
-    payload is not a whole number of points.
+    payload is not a whole number of points.  ``feed`` does not read
+    ``ts_ns``, since a decoded frame carries no time; the argument
+    stays because ``perfbench/tracing.py`` proxies ``feed`` with it.
     """
 
     units: DecodeUnits
-    radar_id: str
     unknown_tlv_count: int = 0
     misaligned_tlv_count: int = 0
 
@@ -237,4 +231,4 @@ class FrameDecoder:
             if len(payload) % POINT_SIZE:
                 self.misaligned_tlv_count += 1
                 continue
-            yield decode_points(payload, self.units, self.radar_id, ts_ns)
+            yield decode_points(payload, self.units)

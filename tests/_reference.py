@@ -18,6 +18,18 @@ from radarfuse.tracking import (VELOCITY_CLAMP, EventKind, NonPSDCovariance,
 NOISE = -1
 
 
+def brute_to_world(pose, row):
+    """World row ``[x, y, z, doppler, snr]`` of one decoded point row
+    ``(range, azimuth, elevation, doppler, snr)``, one point at a time:
+    spherical to local Cartesian, then rotation and translation."""
+    r, az, el, doppler, snr = row
+    local = np.array([r * math.cos(el) * math.sin(az),
+                      r * math.cos(el) * math.cos(az),
+                      r * math.sin(el)])
+    x, y, z = pose.matrix() @ local + pose.translation
+    return [x, y, z, doppler, snr]
+
+
 def brute_dbscan(positions, eps, min_pts):
     """O(n^2) DBSCAN; returns (labels, core_flags)."""
     pts = np.asarray(positions, dtype=float)

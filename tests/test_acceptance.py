@@ -132,18 +132,17 @@ def test_criterion_04_codec_round_trip_and_resync():
         rows = [[rng.uniform(0, 16), rng.uniform(-1.27, 1.27),
                  rng.uniform(-1.27, 1.27), rng.uniform(-5, 5),
                  rng.uniform(0, 40)] for _ in range(n)]
-        pts = [tlv.RadarPoint(*row, "r", 0) for row in rows]
         blob = tlv.encode_points(rows, units)
         header = tlv.parse_header(blob)
         assert header.length == n * tlv.POINT_SIZE
-        back = tlv.decode_points(blob[tlv.HEADER_SIZE:], units, "r", 0)
-        assert len(back) == n
-        for p, q in zip(pts, back):
-            assert abs(p.range_m - q.range_m) <= units.range_scale
-            assert abs(p.azimuth - q.azimuth) <= units.azimuth_scale
-            assert abs(p.elevation - q.elevation) <= units.elevation_scale
-            assert abs(p.doppler - q.doppler) <= units.doppler_scale
-            assert abs(p.snr - q.snr) <= units.snr_scale
+        back = tlv.decode_points(blob[tlv.HEADER_SIZE:], units)
+        assert back.shape == (n, 5)
+        err = np.abs(np.array(rows).reshape(-1, 5) - back)
+        assert (err[:, 0] <= units.range_scale).all()
+        assert (err[:, 1] <= units.azimuth_scale).all()
+        assert (err[:, 2] <= units.elevation_scale).all()
+        assert (err[:, 3] <= units.doppler_scale).all()
+        assert (err[:, 4] <= units.snr_scale).all()
 
     # corruption injection: garbage between intact framed records
     frames = [tlv.encode_frame([[1.0 + i, 0.1, 0.0, 0.5, 12.0]], units)
@@ -266,9 +265,7 @@ def test_criterion_07_ghost_robustness():
                 if tuple(r) in out]
 
     for frame in simulate_frames(sc):
-        rows = np.array([tree.to_world(tlv.RadarPoint(*row, frame.radar_id,
-                                                      frame.ts_ns))
-                         for row in frame.points]).reshape(-1, 5)
+        rows = tree.to_world(frame.radar_id, frame.points)
         labels = ["ghost" if lab == "ghost" else "walker"
                   for lab in frame.labels]
         kept = threshold_filter(rows, ThresholdConfig(), origin)

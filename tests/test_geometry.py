@@ -4,35 +4,36 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _reference import brute_to_world
+from radarfuse.config import load_config, paper_config_doc
 from radarfuse.geometry import (Pose, TransformTree, spherical_to_cartesian,
                                 sq_distances)
-from radarfuse.tlv import RadarPoint
 
 
-def point(range_m, azimuth=0.0, elevation=0.0, radar_id="r0"):
-    return RadarPoint(range_m=range_m, azimuth=azimuth, elevation=elevation,
-                      doppler=0.0, snr=10.0, radar_id=radar_id, ts_ns=0)
+def frame(range_m, azimuth=0.0, elevation=0.0):
+    """A one-point frame: its ``(1, 5)`` point array."""
+    return np.array([[range_m, azimuth, elevation, 0.0, 10.0]])
 
 
 class TestSpherical:
     def test_boresight(self):
-        np.testing.assert_allclose(spherical_to_cartesian(point(1.0)),
+        np.testing.assert_allclose(spherical_to_cartesian(1.0, 0.0, 0.0),
                                    [0, 1, 0], atol=1e-12)
 
     def test_azimuth_axis(self):
         np.testing.assert_allclose(
-            spherical_to_cartesian(point(2.0, azimuth=math.pi / 2)),
+            spherical_to_cartesian(2.0, math.pi / 2, 0.0),
             [2, 0, 0], atol=1e-12)
 
     def test_zenith(self):
         np.testing.assert_allclose(
-            spherical_to_cartesian(point(1.0, elevation=math.pi / 2)),
+            spherical_to_cartesian(1.0, 0.0, math.pi / 2),
             [0, 0, 1], atol=1e-12)
 
     @given(r=st.floats(0, 100), az=st.floats(-math.pi, math.pi),
            el=st.floats(-math.pi / 2, math.pi / 2))
     def test_norm_preservation(self, r, az, el):
-        out = spherical_to_cartesian(point(r, az, el))
+        out = spherical_to_cartesian(r, az, el)
         assert np.linalg.norm(out) == pytest.approx(r, abs=1e-9)
 
 
@@ -63,7 +64,7 @@ class TestTransformTree:
         # 5 degree downward tilt: boresight point 5 m out lands
         # 5*cos(5deg) forward and 5*sin(5deg) below the mount
         tree = TransformTree({"wall": Pose(z=2.35, pitch=math.radians(-5))})
-        _, y, z, _, _ = tree.to_world(point(5.0, radar_id="wall"))
+        ((_, y, z, _, _),) = tree.to_world("wall", frame(5.0))
         assert y == pytest.approx(5 * math.cos(math.radians(5)), abs=1e-9)
         assert z == pytest.approx(2.35 - 5 * math.sin(math.radians(5)),
                                   abs=1e-9)
@@ -72,24 +73,43 @@ class TestTransformTree:
         tree = TransformTree({
             "ceil": Pose(x=6, y=3, z=2.35, pitch=-math.pi / 2)})
         h = 1.35
-        row = tree.to_world(point(h, radar_id="ceil"))
+        (row,) = tree.to_world("ceil", frame(h))
         np.testing.assert_allclose(row[:3], [6, 3, 2.35 - h], atol=1e-9)
 
     def test_to_world_zero_range(self):
         tree = TransformTree({
             "r0": Pose(x=1, y=2, z=3, yaw=0.7, pitch=-0.3)})
-        row = tree.to_world(point(0.0))
+        (row,) = tree.to_world("r0", frame(0.0))
         np.testing.assert_allclose(row[:3], [1, 2, 3], atol=1e-12)
 
     def test_to_world_carries_metadata(self):
         tree = TransformTree({"r0": Pose()})
-        p = RadarPoint(range_m=2, azimuth=0.1, elevation=0.0, doppler=-1.5,
-                       snr=33.0, radar_id="r0", ts_ns=777)
-        row = tree.to_world(p)
-        # the row is (x, y, z, doppler, snr); the frame carries id and time
-        assert row.shape == (5,)
-        assert np.array_equal(row[:3], spherical_to_cartesian(p))
-        assert row[3:].tolist() == [-1.5, 33.0]
+        points = np.array([[2.0, 0.1, 0.0, -1.5, 33.0]])
+        rows = tree.to_world("r0", points)
+        # a row is (x, y, z, doppler, snr); the caller knows the radar
+        assert rows.shape == (1, 5)
+        assert np.array_equal(rows[0, :3],
+                              spherical_to_cartesian(2.0, 0.1, 0.0))
+        assert rows[0, 3:].tolist() == [-1.5, 33.0]
+        assert points.tolist() == [[2.0, 0.1, 0.0, -1.5, 33.0]]  # unchanged
+
+
+_PAPER_RADARS = load_config(paper_config_doc()).radars
+
+
+@pytest.mark.parametrize("radar", _PAPER_RADARS, ids=lambda r: r.radar_id)
+@pytest.mark.parametrize("n", [0, 1, 37, 400])
+def test_to_world_matches_per_point_oracle(radar, n):
+    rng = np.random.default_rng(n)
+    points = np.column_stack([rng.uniform(0, 16, n),
+                              rng.uniform(-1.27, 1.27, (n, 2)),
+                              rng.uniform(-9, 9, n), rng.uniform(0, 100, n)])
+    tree = TransformTree({r.radar_id: r.pose for r in _PAPER_RADARS})
+    rows = tree.to_world(radar.radar_id, points)
+    expect = np.array([brute_to_world(radar.pose, row)
+                       for row in points.tolist()]).reshape(-1, 5)
+    assert rows.shape == (n, 5)
+    assert np.array_equal(rows, expect)
 
 
 pose_strategy = st.builds(

@@ -55,6 +55,13 @@ class TestConfig:
         assert cfg.clustering.algorithm is ClusterAlgorithm.DBSCAN
         assert [z.zone_id for z in cfg.zones] == ["room"]
 
+    def test_paper_config_poses_are_the_scenarios(self):
+        # the configured poses equal the simulated ones exactly: a pose
+        # error of a few degrees already shows in the count
+        cfg = load_config(paper_config_doc())
+        assert [(r.radar_id, r.pose) for r in cfg.radars] == \
+            [(r.radar_id, r.pose) for r in simulation.paper_scenario().radars]
+
     def test_missing_radars(self):
         with pytest.raises(ConfigError, match="radars"):
             load_config({"radars": []})

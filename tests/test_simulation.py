@@ -223,9 +223,7 @@ class TestFrameGeneration:
             expect = walker_positions(one_walker(), [t])[0]
             radar = overhead_radar()
             tree = TransformTree({radar.radar_id: radar.pose})
-            for row in f.points:
-                x, y, z, _, _ = tree.to_world(tlv.RadarPoint(*row, f.radar_id,
-                                                             f.ts_ns))
+            for x, y, z, _, _ in tree.to_world(f.radar_id, f.points):
                 # quantization of the wire format dominates the error
                 assert abs(x - expect[0]) < 0.05
                 assert abs(y - expect[1]) < 0.05

@@ -114,6 +114,24 @@ class TestPublisher:
         assert len(pub._queue) == 5
         assert pub.dropped == 7
 
+    def test_connection_state_is_the_client(self):
+        broker = {"up": True, "published": []}
+        pub, clock = make_publisher(broker)
+        pub.pump()
+        assert pub.connected
+        broker["up"] = False            # a failed publish backs off too
+        pub.offer_status(status())
+        pub.pump()
+        assert not pub.connected and pub._next_connect_at == 1.0
+        broker["up"] = True
+        clock["t"] = 1.0
+        pub.pump()
+        assert pub.connected and len(broker["published"]) == 1
+        pub.close()
+        assert not pub.connected
+        with pytest.raises(AttributeError):
+            pub.connected = True
+
     def test_backoff_grows_and_caps(self):
         broker = {"up": False, "published": []}
         pub, clock = make_publisher(broker)

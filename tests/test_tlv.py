@@ -1,8 +1,9 @@
 import math
 import struct
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from radarfuse import tlv
 
@@ -12,7 +13,7 @@ UNITS = tlv.DecodeUnits()
 
 def make_point(range_m=1.0, azimuth=0.0, elevation=0.0, doppler=0.0,
                snr=10.0):
-    """One point row, columns in RadarPoint field order."""
+    """One point row, columns in point-array order."""
     return [range_m, azimuth, elevation, doppler, snr]
 
 
@@ -29,27 +30,32 @@ class TestParseHeader:
             tlv.parse_header(bytes(7))
 
 
+@pytest.mark.parametrize("name", [f"{n}_scale" for n in tlv.POINT_DTYPE.names])
+@pytest.mark.parametrize("value", [0.0, -0.1, math.nan, math.inf])
+def test_bad_scale_named(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be strictly positive"):
+        tlv.DecodeUnits(**{name: value})
+
+
 class TestDecodePoints:
     def test_zero_record(self):
-        pts = tlv.decode_points(bytes(8), UNITS, "r0", 123)
-        assert len(pts) == 1
-        p = pts[0]
-        assert (p.range_m, p.azimuth, p.elevation, p.doppler, p.snr) == (0, 0, 0, 0, 0)
-        assert p.radar_id == "r0" and p.ts_ns == 123
+        pts = tlv.decode_points(bytes(8), UNITS)
+        assert pts.shape == (1, 5) and pts.dtype == np.float64
+        assert pts.tolist() == [[0, 0, 0, 0, 0]]
 
     def test_scale_multiplication(self):
         units = tlv.DecodeUnits(range_scale=0.01, snr_scale=0.5)
         payload = struct.pack("<bbhHH", 0, 0, 0, 250, 40)
-        p = tlv.decode_points(payload, units, "r0", 0)[0]
-        assert p.range_m == pytest.approx(2.5)
-        assert p.snr == pytest.approx(20.0)
+        range_m, _, _, _, snr = tlv.decode_points(payload, units)[0]
+        assert range_m == pytest.approx(2.5)
+        assert snr == pytest.approx(20.0)
 
     def test_stride(self):
-        assert len(tlv.decode_points(bytes(24), UNITS, "r0", 0)) == 3
+        assert tlv.decode_points(bytes(24), UNITS).shape == (3, 5)
 
     def test_misaligned(self):
         with pytest.raises(tlv.MisalignedPayload):
-            tlv.decode_points(bytes(9), UNITS, "r0", 0)
+            tlv.decode_points(bytes(9), UNITS)
 
 
 class TestEncodePoints:
@@ -105,7 +111,7 @@ class TestEncodePoints:
         buf = tlv.encode_points(pts, UNITS)
         header = tlv.parse_header(buf)
         assert header.length == 5 * tlv.POINT_SIZE
-        assert len(tlv.decode_points(buf[8:], UNITS, "r0", 0)) == 5
+        assert len(tlv.decode_points(buf[8:], UNITS)) == 5
 
 
 point_strategy = st.builds(
@@ -118,18 +124,42 @@ point_strategy = st.builds(
 )
 
 
+# one quantum per column of a point array
+QUANTA = [UNITS.range_scale, UNITS.azimuth_scale, UNITS.elevation_scale,
+          UNITS.doppler_scale, UNITS.snr_scale]
+
+
 @settings(max_examples=200)
 @given(st.lists(point_strategy, max_size=20))
 def test_round_trip_within_one_quantum(points):
     buf = tlv.encode_points(points, UNITS)
-    back = tlv.decode_points(buf[8:], UNITS, "r0", 0)
-    assert len(back) == len(points)
-    for (range_m, azimuth, elevation, doppler, snr), dec in zip(points, back):
-        assert abs(range_m - dec.range_m) <= UNITS.range_scale
-        assert abs(azimuth - dec.azimuth) <= UNITS.azimuth_scale
-        assert abs(elevation - dec.elevation) <= UNITS.elevation_scale
-        assert abs(doppler - dec.doppler) <= UNITS.doppler_scale
-        assert abs(snr - dec.snr) <= UNITS.snr_scale
+    back = tlv.decode_points(buf[8:], UNITS)
+    assert back.shape == (len(points), 5)
+    for point, dec in zip(points, back.tolist()):
+        for value, decoded, quantum in zip(point, dec, QUANTA):
+            assert abs(value - decoded) <= quantum
+
+
+def _records(fields):
+    return np.array(fields, tlv.POINT_DTYPE).tobytes()
+
+
+raw_strategy = st.lists(st.tuples(
+    *(st.integers(int(np.iinfo(tlv.POINT_DTYPE[name]).min),
+                  int(np.iinfo(tlv.POINT_DTYPE[name]).max))
+      for name in tlv.POINT_DTYPE.names)), max_size=20).map(_records)
+
+
+@settings(max_examples=300)
+@given(raw_strategy)
+@example(_records([(-128, -128, -32768, 65535, 65535),
+                   (127, 127, 32767, 0, 0)]))
+@example(b"")
+def test_wire_round_trip_is_exact(raw):
+    # every raw record decodes to floats that encode back to its bytes
+    points = tlv.decode_points(raw, UNITS)
+    assert points.shape == (len(raw) // tlv.POINT_SIZE, 5)
+    assert tlv.encode_points(points, UNITS)[tlv.HEADER_SIZE:] == raw
 
 
 class TestFrameScanner:
@@ -186,16 +216,20 @@ class TestFrameScanner:
 class TestFrameDecoder:
     def test_unknown_type_skipped_and_counted(self):
         units = UNITS
-        dec = tlv.FrameDecoder(units=units, radar_id="r0")
+        dec = tlv.FrameDecoder(units=units)
         known = tlv.encode_frame([make_point()], units)
-        unknown = tlv.encode_frame([make_point()], units, type_id=9999)
+        unknown = tlv.encode_frame([make_point(range_m=2.0)], units,
+                                   type_id=9999)
         frames = list(dec.feed(unknown + known, ts_ns=5))
         assert len(frames) == 1
         assert dec.unknown_tlv_count == 1
-        assert frames[0][0].ts_ns == 5
+        # the one frame out is the known TLV's point
+        (decoded,) = frames[0].tolist()
+        for value, got, quantum in zip(make_point(), decoded, QUANTA):
+            assert abs(value - got) <= quantum
 
     def test_misaligned_point_tlv_dropped_and_counted(self):
-        dec = tlv.FrameDecoder(units=UNITS, radar_id="r0")
+        dec = tlv.FrameDecoder(units=UNITS)
         bad = tlv.MAGIC + struct.pack(
             "<II", tlv.COMPRESSED_POINTS_TYPE_ID, 7) + bytes(7)
         good = tlv.encode_frame([make_point(), make_point()], UNITS)
