@@ -14,7 +14,15 @@ and dwell times do not.  Run it on two checkouts and diff the output to
 show that a change keeps the logs and the pipeline's output byte for
 byte.
 
-    PYTHONPATH=src python scripts/golden_md5.py
+``scripts/golden_md5.txt`` holds the expected output, and CI diffs
+against it:
+
+    PYTHONPATH=src python scripts/golden_md5.py | diff scripts/golden_md5.txt -
+
+A change that moves golden bytes on purpose re-pins that file with the
+script's new output and says which lines moved and why.  ROADMAP items
+1 (track gate), 7 (tracking through stillness), 8 (flush order and
+empty windows) and 13 (occupancy hysteresis) each do so.
 """
 
 import dataclasses

@@ -10,13 +10,19 @@ mimicking firmware that only reports moving reflectors.
 
 Trajectories are arrays: :func:`walker_positions` and
 :func:`walker_velocities` evaluate a walker's path over a whole array of
-times, NaN before entry, so each radar's ticks get every walker's
-position, velocity and field-of-view check in one pass before the tick
-loop, which keeps only the seeded draws and the doppler arithmetic.
-A tick is array code: its walker and ghost rows go through one
-spherical conversion and one encodability mask, and a :class:`SimFrame`
-holds the kept points as the ``(n, 5)`` point array of :mod:`radarfuse.tlv`,
-which :func:`tlv.encode_frame` packs as it is and the decoder returns.
+times, NaN before entry.  A scenario renders ``_CHUNK_TICKS`` ticks at
+a time, so a render's memory is bounded by the chunk, not by the
+duration.  Each radar's ticks get every walker's position, velocity,
+radial speed and field-of-view check a chunk at a time, and the ticks
+of all radars are merged in ``(timestamp, radar id)`` order.  Per tick
+only the seeded draws run, and the rotation of the tick's rows into its
+radar's frame (one product over a whole chunk can differ from it in the
+last bit on some BLAS builds).  The row arithmetic, the spherical
+conversion, the quantisation and the encodability mask run once per
+chunk.  A :class:`SimFrame` holds a tick's kept points as the ``(n, 5)``
+point array of :mod:`radarfuse.tlv`; :func:`simulate` packs the chunk's
+raw values with :func:`tlv.pack_raw` instead, so each point is
+quantised once.
 
 Everything is driven by one seeded generator in a fixed iteration
 order, so a scenario renders to byte-identical logs every run.
@@ -24,10 +30,12 @@ order, so a scenario renders to byte-identical logs every run.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,7 +95,24 @@ class Scenario:
     seed: int = 0
 
 
+def _non_finite(value, path: str = ""):
+    """Yield the path of every NaN or infinite float in ``value``, a
+    float, a dataclass or a tuple of these, in field order."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            yield path
+    elif is_dataclass(value):
+        for f in fields(value):
+            yield from _non_finite(getattr(value, f.name),
+                                   f"{path}.{f.name}" if path else f.name)
+    elif isinstance(value, tuple):
+        for i, v in enumerate(value):
+            yield from _non_finite(v, f"{path}[{i}]")
+
+
 def validate_scenario(sc: Scenario):
+    for path in _non_finite(sc):
+        raise InvalidScenario(path, "must be finite")
     if not sc.radars:
         raise InvalidScenario("radars", "at least one radar required")
     if sc.duration <= 0:
@@ -148,12 +173,19 @@ def walker_velocities(w: WalkerSpec, times, h: float = 0.02) -> np.ndarray:
     """World XY velocity at each scenario time, as an ``(n, 2)`` array:
     the central difference of :func:`walker_positions` over ``h`` either
     side, clipped at entry; rows before entry are NaN."""
+    return _walker_motion(w, times, h)[1]
+
+
+def _walker_motion(w: WalkerSpec, times, h: float = 0.02):
+    """:func:`walker_positions` and :func:`walker_velocities` at each
+    scenario time, from one evaluation of the path."""
     t = np.asarray(times, dtype=float)
-    a = walker_positions(w, np.maximum(t - h, w.entry_time))
-    b = walker_positions(w, t + h)
-    vel = (b - a) / (2 * h)
+    xy = walker_positions(w, np.concatenate(
+        [t, np.maximum(t - h, w.entry_time), t + h]))
+    n = len(t)
+    vel = (xy[2 * n:] - xy[n:2 * n]) / (2 * h)
     vel[t < w.entry_time] = np.nan
-    return vel
+    return xy[:n], vel
 
 
 @dataclass(frozen=True)
@@ -164,6 +196,12 @@ class SimFrame:
     labels: tuple          # "walker:<id>" | "ghost", one per row of points
 
 
+# ticks rendered together, in timestamp order over all radars and, for
+# each radar's walker paths, in time order: the array work of a chunk is
+# one call, and a render holds a chunk's arrays, not the scenario's.
+# Larger chunks leave numpy buffers above glibc's mmap threshold.
+_CHUNK_TICKS = 32
+
 # raw bounds of the wire fields, in tlv.POINT_DTYPE order, that a
 # simulated point meets: symmetric, so one short of the codec's -128 and
 # -32768
@@ -171,10 +209,10 @@ _RAW_LO = np.array([-127, -127, -32767, 0, 0])
 _RAW_HI = np.array([127, 127, 32767, 65535, 65535])
 
 
-def _encodable(points) -> np.ndarray:
-    """Mask of the rows of an ``(n, 5)`` point array kept by the
-    simulator: every raw value within the bounds above."""
-    raw = tlv.quantize(points, _UNITS)
+def _encodable(raw) -> np.ndarray:
+    """Mask of the rows of an ``(n, 5)`` array of raw values, as
+    :func:`tlv.quantize` gives them, kept by the simulator: every value
+    within the bounds above."""
     return ((raw >= _RAW_LO) & (raw <= _RAW_HI)).all(axis=1)
 
 
@@ -198,74 +236,141 @@ def _in_view(radar: RadarSpec, local: np.ndarray) -> np.ndarray:
             & (np.abs(el) <= radar.elevation_fov / 2))
 
 
-def simulate_frames(sc: Scenario):
-    """Yield labeled SimFrames for every radar tick, in timestamp order."""
-    validate_scenario(sc)
-    rng = np.random.default_rng(sc.seed)
-    walkers = sorted(sc.walkers, key=lambda w: w.walker_id)
-    names = [f"walker:{w.walker_id}" for w in walkers]
-    ticks = []
-    for radar in sorted(sc.radars, key=lambda r: r.radar_id):
-        n = int(sc.duration * radar.frame_rate)
-        times = [t for k in range(n)
-                 if (t := radar.phase + k / radar.frame_rate) <= sc.duration]
-        # world -> radar: rot @ v - offset, the inverse of the pose
-        pos = radar.pose.translation
-        rot = radar.pose.matrix().T
-        offset = rot @ pos
+def _radial_speeds(vel: np.ndarray, to_radar: np.ndarray) -> np.ndarray:
+    """Speed along ``to_radar`` of each row of two ``(n, 3)`` arrays:
+    ``float(v @ t) / max(float(norm(t)), 1e-9)`` row by row, bit for bit,
+    since a stacked ``(1, 3) @ (3, 1)`` product is numpy's 1-D dot."""
+    def dot(a, b):
+        return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    return dot(vel, to_radar) / np.maximum(np.sqrt(dot(to_radar, to_radar)),
+                                           1e-9)
+
+
+class _Tick(NamedTuple):
+    t: float                 # s
+    radar_id: str
+    max_range: float
+    rot: np.ndarray          # world -> radar: rot @ v - offset
+    offset: np.ndarray
+    centers: np.ndarray      # (walkers, 5): x, y, z, radial speed, 15
+    emitters: list           # indices of the walkers that shed points
+
+
+def _radar_ticks(sc: Scenario, radar: RadarSpec, walkers):
+    """The ticks of ``radar`` in time order.  A walker emits when it is
+    in view and, under doppler-zero suppression, moving toward or away
+    from the radar.  Positions, velocities and the view check are
+    computed ``_CHUNK_TICKS`` ticks at a time."""
+    # world -> radar: rot @ v - offset, the inverse of the pose
+    pos = radar.pose.translation
+    rot = radar.pose.matrix().T
+    offset = rot @ pos
+    n = int(sc.duration * radar.frame_rate)
+    for k in range(0, n, _CHUNK_TICKS):
+        times = radar.phase + np.arange(k, min(k + _CHUNK_TICKS, n)) \
+            / radar.frame_rate
+        times = times[times <= sc.duration]
         # every walker's body position and velocity at every tick, tick
         # by walker; NaN before the walker enters
         bodies = np.full((len(times), len(walkers), 3), sc.body_height)
         vel = np.zeros_like(bodies)
         for j, w in enumerate(walkers):
-            bodies[:, j, :2] = walker_positions(w, times)
-            vel[:, j, :2] = walker_velocities(w, times)
-        seen = _in_view(radar, bodies.reshape(-1, 3) @ rot.T - offset)
-        ticks += [(t, radar.radar_id, radar, pos, rot, offset, *row)
-                  for t, *row in zip(times, bodies, vel,
-                                     seen.reshape(bodies.shape[:2]))]
-    ticks.sort(key=lambda x: (x[0], x[1]))
+            bodies[:, j, :2], vel[:, j, :2] = _walker_motion(w, times)
+        flat = bodies.reshape(-1, 3)
+        emits = _in_view(radar, flat @ rot.T - offset)
+        radial = _radial_speeds(vel.reshape(-1, 3), flat - pos)
+        if sc.doppler_zero_suppression:
+            emits &= np.abs(radial) >= DOPPLER_SUPPRESSION_THRESHOLD
+        centers = np.column_stack([flat, radial, np.full(len(flat), 15.0)])
+        for t, row, emit in zip(times.tolist(),
+                                centers.reshape(len(times), len(walkers), 5),
+                                emits.reshape(len(times),
+                                              len(walkers)).tolist()):
+            yield _Tick(t, radar.radar_id, radar.max_range, rot, offset, row,
+                        [j for j, e in enumerate(emit) if e])
+
+
+def _chunks(sc: Scenario):
+    """Render a valid scenario a chunk of ticks at a time.
+
+    Yields ``(ticks, points, raw, keep, owner)`` per chunk of at most
+    ``_CHUNK_TICKS`` ticks of all radars in ``(timestamp, radar id)``
+    order.  ``ticks`` lists ``(ts_ns, radar_id, start, stop)``: the
+    tick's rows of the ``(n, 5)`` point array ``points`` and of its raw
+    values ``raw``, walker rows first, then ghost rows.  ``keep`` marks
+    the rows a radar reports, and ``owner`` is each row's walker index
+    among the walkers sorted by id, -1 for a ghost.
+
+    The seeded draws run tick by tick in a fixed order, and so does the
+    rotation of each tick's rows into its radar's frame; the rest runs
+    once per chunk."""
+    rng = np.random.default_rng(sc.seed)
+    noise = sc.noise
+    walkers = sorted(sc.walkers, key=lambda w: w.walker_id)
+    ticks = heapq.merge(*(_radar_ticks(sc, radar, walkers) for radar in
+                          sorted(sc.radars, key=lambda r: r.radar_id)),
+                        key=lambda tick: (tick.t, tick.radar_id))
     # a walker row is (x, y, z, doppler, snr) = z * spread + center for
-    # five standard normals z; a ghost row is uniform in [lo, hi)
-    spread = np.array([sc.noise.pos_sigma] * 3 + [0.03, 3.0])
+    # five standard normals z; a ghost row is lo + span * u, uniform in
+    # [lo, lo + span)
+    spread = np.array([noise.pos_sigma] * 3 + [0.03, 3.0])
     ghost_lo = np.array([sc.room_x[0], sc.room_y[0], 0.2, -3.0, 8.0])
-    ghost_hi = np.array([sc.room_x[1], sc.room_y[1], sc.room_height, 3.0,
-                         20.0])
-
-    for t, _, radar, pos, rot, offset, bodies, vel, seen in ticks:
-        ts_ns = int(round(t * 1e9))
-        rows, labels = [], []
-        for j in np.flatnonzero(seen):
-            to_radar = bodies[j] - pos
-            radial = float(vel[j] @ to_radar) / max(float(np.linalg.norm(to_radar)), 1e-9)
-            if (sc.doppler_zero_suppression
-                    and abs(radial) < DOPPLER_SUPPRESSION_THRESHOLD):
-                continue
-            if rng.random() < sc.noise.dropout_prob:
-                continue
-            n_pts = rng.poisson(sc.noise.points_per_target)
-            z = rng.standard_normal((n_pts, 5))
-            walker = z * spread + [*bodies[j], radial, 15.0]
-            walker[:, 4] = np.maximum(0.0, walker[:, 4])
-            rows.append(walker)
-            labels += [names[j]] * len(walker)
-
-        n_walker = len(labels)
-        n_ghosts = rng.poisson(sc.noise.ghost_rate)
-        rows.append(ghost_lo + (ghost_hi - ghost_lo)
-                    * rng.random((n_ghosts, 5)))
-        labels += ["ghost"] * n_ghosts
-
-        rows = np.concatenate(rows)
-        points = np.column_stack([_spherical(rows[:, :3] @ rot.T - offset),
-                                  rows[:, 3:]])
+    ghost_span = np.array([sc.room_x[1], sc.room_y[1], sc.room_height, 3.0,
+                           20.0]) - ghost_lo
+    while chunk := list(itertools.islice(ticks, _CHUNK_TICKS)):
+        draws, centers, owners, bounds = [], [], [], [0]
+        for tick in chunk:
+            n = bounds[-1]
+            for j in tick.emitters:
+                if rng.random() < noise.dropout_prob:
+                    continue
+                z = rng.standard_normal(
+                    (rng.poisson(noise.points_per_target), 5))
+                draws.append(z)
+                centers.append(tick.centers[j])
+                owners.append(j)
+                n += len(z)
+            u = rng.random((rng.poisson(noise.ghost_rate), 5))
+            draws.append(u)
+            centers.append(ghost_lo)
+            owners.append(-1)
+            bounds.append(n + len(u))
+        counts = [len(d) for d in draws]
+        owner = np.repeat(owners, counts)
+        ghost = owner < 0
+        rows = (np.concatenate(draws)
+                * np.where(ghost[:, None], ghost_span, spread)
+                + np.repeat(centers, counts, axis=0))
+        rows[:, 4] = np.maximum(0.0, rows[:, 4])  # a ghost's snr is >= 8
+        local = np.empty((len(rows), 3))
+        for tick, a, b in zip(chunk, bounds, bounds[1:]):
+            local[a:b] = rows[a:b, :3] @ tick.rot.T - tick.offset
+        points = np.column_stack([_spherical(local), rows[:, 3:]])
+        raw = tlv.quantize(points, _UNITS)
+        keep = _encodable(raw)
         # a ghost also needs a range the radar reports
-        r = points[n_walker:, 0]
-        keep = _encodable(points)
-        keep[n_walker:] &= (r > 0) & (r <= radar.max_range)
-        yield SimFrame(radar_id=radar.radar_id, ts_ns=ts_ns,
-                       points=points[keep],
-                       labels=tuple(itertools.compress(labels, keep)))
+        r = points[:, 0]
+        max_range = np.repeat([tick.max_range for tick in chunk],
+                              np.diff(bounds))
+        keep &= ~ghost | ((r > 0) & (r <= max_range))
+        yield ([(int(round(tick.t * 1e9)), tick.radar_id, a, b)
+                for tick, a, b in zip(chunk, bounds, bounds[1:])],
+               points, raw, keep, owner)
+
+
+def simulate_frames(sc: Scenario):
+    """Yield labeled SimFrames for every radar tick, in timestamp order."""
+    validate_scenario(sc)
+    names = [f"walker:{w.walker_id}"
+             for w in sorted(sc.walkers, key=lambda w: w.walker_id)]
+    names.append("ghost")  # owner -1
+    for ticks, points, _, keep, owner in _chunks(sc):
+        for ts_ns, radar_id, a, b in ticks:
+            kept = keep[a:b]
+            yield SimFrame(radar_id=radar_id, ts_ns=ts_ns,
+                           points=points[a:b][kept],
+                           labels=tuple(names[i]
+                                        for i in owner[a:b][kept].tolist()))
 
 
 def ground_truth_series(sc: Scenario, tick: float = 0.5):
@@ -275,8 +380,7 @@ def ground_truth_series(sc: Scenario, tick: float = 0.5):
     while t <= sc.duration + 1e-9:
         times.append(t)
         t += tick
-    paths = [(w, walker_positions(w, times), walker_velocities(w, times))
-             for w in sc.walkers]
+    paths = [(w, *_walker_motion(w, times)) for w in sc.walkers]
     out = []
     for i, t in enumerate(times):
         walkers = [{"id": w.walker_id,
@@ -290,14 +394,23 @@ def ground_truth_series(sc: Scenario, tick: float = 0.5):
 
 
 def simulate(sc: Scenario, log_path, truth_path=None):
-    """Render a scenario to a raw-TLV recording plus a truth file."""
+    """Render a scenario to a raw-TLV recording plus a truth file; an
+    invalid scenario raises :class:`InvalidScenario` before either file
+    is opened."""
+    validate_scenario(sc)
     rec = Recorder(log_path, radar_ids=sorted(r.radar_id for r in sc.radars),
                    clock=lambda: 0.0)
     try:
-        for frame in simulate_frames(sc):
-            blob = tlv.encode_frame(frame.points, _UNITS)
-            rec.write(LogRecord(ts_ns=frame.ts_ns, radar_id=frame.radar_id,
-                                payload=blob))
+        for ticks, _, raw, keep, _ in _chunks(sc):
+            # the kept rows of a chunk, packed once; a tick's records are
+            # the slice between the kept rows before it and through it
+            records = tlv.pack_raw(raw[keep])
+            ends = np.concatenate([[0], np.cumsum(keep)]) * tlv.POINT_SIZE
+            ends = ends.tolist()
+            for ts_ns, radar_id, a, b in ticks:
+                blob = tlv.MAGIC + tlv.pack_tlv(records[ends[a]:ends[b]])
+                rec.write(LogRecord(ts_ns=ts_ns, radar_id=radar_id,
+                                    payload=blob))
     finally:
         rec.close()
     if truth_path is not None:

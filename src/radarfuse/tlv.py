@@ -14,6 +14,10 @@ factors (:class:`DecodeUnits`).  In physical units a frame is one
 own spherical frame with columns range (m), azimuth (rad), elevation
 (rad), doppler (m/s) and snr (dB): the simulator draws it,
 :func:`encode_points` packs it and :func:`decode_points` returns it.
+Encoding is two steps, :func:`quantize` and a range check to raw
+values, then :func:`pack_raw` to records, so a caller holding raw
+values already known to fit (the simulator) packs them without
+quantising again.
 Every frame starts with the magic preamble, which lets the scanner
 resynchronize after byte loss on a serial link or a corrupt length
 field.
@@ -129,6 +133,22 @@ def quantize(points, units: DecodeUnits) -> np.ndarray:
                    / units.wire_scales())
 
 
+def pack_raw(raw) -> bytes:
+    """The packed point records of ``(n, 5)`` raw values in wire field
+    order, each within its field's integer width: ``n * POINT_SIZE``
+    bytes, as many rows as are given, so the records of consecutive
+    rows are consecutive slices of one call's bytes."""
+    rec = np.empty(len(raw), POINT_DTYPE)
+    for j, name in enumerate(POINT_DTYPE.names):
+        rec[name] = raw[:, j]
+    return rec.tobytes()
+
+
+def pack_tlv(records: bytes, type_id: int = COMPRESSED_POINTS_TYPE_ID) -> bytes:
+    """Header plus packed point records: one TLV."""
+    return _HEADER.pack(type_id, len(records)) + records
+
+
 def encode_points(points, units: DecodeUnits,
                   type_id: int = COMPRESSED_POINTS_TYPE_ID) -> bytes:
     """Header plus packed point records, inverse of :func:`decode_points`.
@@ -144,10 +164,7 @@ def encode_points(points, units: DecodeUnits,
         i, j = np.argwhere(bad)[0]
         raise ValueOutOfRange(POINT_DTYPE.names[j], int(i),
                               float(points[i, _WIRE_COLUMNS[j]]))
-    rec = np.empty(len(raw), POINT_DTYPE)
-    for j, name in enumerate(POINT_DTYPE.names):
-        rec[name] = raw[:, j]
-    return _HEADER.pack(type_id, rec.nbytes) + rec.tobytes()
+    return pack_tlv(pack_raw(raw), type_id)
 
 
 def encode_frame(points, units: DecodeUnits,

@@ -280,6 +280,22 @@ class TestCli:
         assert recording.read_header(out)["radars"] == ["ceiling", "wall_a",
                                                         "wall_b"]
 
+    @pytest.mark.parametrize("value", [".nan", ".inf"])
+    def test_non_finite_scenario_exit_2(self, tmp_path, capsys, value):
+        # rejected before the log is opened, so no file is left behind
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(
+            "radars: [{radar_id: r0}]\n"
+            "walkers: [{walker_id: 0, waypoints: [[1.0, 1.0]]}]\n"
+            f"duration: {value}\n")
+        out = tmp_path / "sim.log"
+        rc = cli.cli(["simulate", "--scenario", str(scenario), "--out",
+                      str(out), "--truth", str(tmp_path / "t.jsonl")])
+        assert rc == 2
+        assert "error: duration: must be finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "t.jsonl").exists()
+
     def test_record_round_trip(self, tmp_path, sim_log):
         log, _ = sim_log
         out = tmp_path / "copy.log"

@@ -1,14 +1,18 @@
+import dataclasses
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from radarfuse import tlv
+from radarfuse import simulation, tlv
 from radarfuse.geometry import Pose, TransformTree
 from radarfuse.simulation import (EmptySeries, InvalidScenario, NoiseSpec,
                                   RadarSpec, Scenario, WalkerSpec,
-                                  _encodable, _moving_average, _step_sample,
+                                  _encodable, _moving_average,
+                                  _radial_speeds, _step_sample,
                                   evaluate, ground_truth_series,
                                   paper_scenario, simulate, simulate_frames,
                                   walker_positions, walker_velocities)
@@ -162,6 +166,53 @@ class TestValidation:
                 list(simulate_frames(sc))
 
 
+def with_value(obj, steps, value):
+    """``obj`` with the number at ``steps`` (the parts of a path as
+    :class:`InvalidScenario` names it) replaced by ``value``."""
+    if not steps:
+        return value
+    step, rest = steps[0], steps[1:]
+    if step.startswith("["):
+        items = list(obj)
+        items[int(step[1:-1])] = with_value(items[int(step[1:-1])], rest,
+                                            value)
+        return tuple(items)
+    return dataclasses.replace(
+        obj, **{step: with_value(getattr(obj, step), rest, value)})
+
+
+NUMBER_PATHS = [
+    "room_x[0]", "room_x[1]", "room_y[0]", "room_y[1]", "room_height",
+    "body_height", "duration",
+    *(f"radars[1].pose.{name}" for name in
+      ("x", "y", "z", "yaw", "pitch", "roll")),
+    *(f"radars[1].{name}" for name in
+      ("azimuth_fov", "elevation_fov", "max_range", "frame_rate", "phase")),
+    "walkers[0].speed", "walkers[0].entry_time",
+    "walkers[0].waypoints[0][0]", "walkers[0].waypoints[1][1]",
+    "walkers[0].dwells[0][0]", "walkers[0].dwells[0][1]",
+    *(f"noise.{name}" for name in
+      ("pos_sigma", "points_per_target", "ghost_rate", "dropout_prob")),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("path", NUMBER_PATHS)
+def test_non_finite_number_rejected(path, value, tmp_path):
+    good = Scenario(radars=(overhead_radar(), overhead_radar(radar_id="r1")),
+                    walkers=(one_walker(dwells=((2.0, 4.0),)),),
+                    duration=1.0)
+    simulation.validate_scenario(good)
+    sc = with_value(good, re.findall(r"\w+|\[\d+\]", path), value)
+    with pytest.raises(InvalidScenario,
+                       match=f"^{re.escape(path)}: must be finite$"):
+        list(simulate_frames(sc))
+    log = tmp_path / "sim.log"
+    with pytest.raises(InvalidScenario):
+        simulate(sc, log)
+    assert not log.exists()
+
+
 class TestFrameGeneration:
     def test_seed_determinism_byte_identical(self, tmp_path):
         sc = paper_scenario(seed=3)
@@ -253,7 +304,99 @@ class TestFrameGeneration:
         assert tlv.quantize(rows, tlv.DecodeUnits())[:, 1].tolist() == \
             [-128.0, 127.0]
         tlv.encode_points(rows, tlv.DecodeUnits())
-        assert _encodable(rows).tolist() == [False, True]
+        raw = tlv.quantize(rows, tlv.DecodeUnits())
+        assert _encodable(raw).tolist() == [False, True]
+
+    def test_radial_speeds_match_scalar_form(self):
+        # the per-tick form the stacked one replaces, bit for bit
+        rng = np.random.default_rng(0)
+        vel = rng.normal(size=(3000, 3))
+        vel[:, 2] = 0.0
+        to_radar = rng.normal(size=(3000, 3)) * rng.uniform(0, 8, (3000, 1))
+        to_radar[:3] = [[0.0, 0.0, 0.0], [1e-12, 0.0, 0.0], [3.0, 4.0, 0.0]]
+        expect = [float(v @ t) / max(float(np.linalg.norm(t)), 1e-9)
+                  for v, t in zip(vel, to_radar)]
+        assert _radial_speeds(vel, to_radar).tolist() == expect
+
+
+def clutter(sc: Scenario) -> Scenario:
+    """``sc`` with its first walker only and 40 ghosts per radar frame."""
+    return dataclasses.replace(
+        sc, walkers=sc.walkers[:1],
+        noise=dataclasses.replace(sc.noise, ghost_rate=40.0))
+
+
+def render(sc, path):
+    frames = list(simulate_frames(sc))
+    simulate(sc, path)
+    return frames, path.read_bytes()
+
+
+class TestChunking:
+    """The number of ticks rendered per chunk changes no output."""
+
+    @pytest.mark.parametrize("sc", [
+        pytest.param(dataclasses.replace(paper_scenario(), duration=20.0),
+                     id="paper-20s"),
+        pytest.param(clutter(dataclasses.replace(paper_scenario(seed=3),
+                                                 duration=20.0)),
+                     id="clutter-20s"),
+        # 204 ticks per radar and 612 in all: no chunk size divides them
+        pytest.param(dataclasses.replace(paper_scenario(seed=1),
+                                         duration=20.45),
+                     id="paper-ragged"),
+        pytest.param(dataclasses.replace(
+            paper_scenario(), walkers=(), duration=5.0,
+            noise=dataclasses.replace(NoiseSpec(), ghost_rate=0.0)),
+            id="empty"),
+    ])
+    def test_chunk_size_changes_no_output(self, sc, tmp_path, monkeypatch):
+        sizes = [1, 7, simulation._CHUNK_TICKS]
+        renders = []
+        for size in sizes:
+            monkeypatch.setattr(simulation, "_CHUNK_TICKS", size)
+            renders.append(render(sc, tmp_path / f"{size}.log"))
+        (frames, blob), *others = renders
+        n_ticks = sum(int(sc.duration * r.frame_rate) for r in sc.radars)
+        assert len(frames) == n_ticks
+        for other_frames, other_blob in others:
+            assert other_blob == blob
+            assert len(other_frames) == len(frames)
+            for a, b in zip(frames, other_frames):
+                assert (a.ts_ns, a.radar_id, a.labels) == \
+                    (b.ts_ns, b.radar_id, b.labels)
+                assert np.array_equal(a.points, b.points)
+        if not sc.walkers and sc.noise.ghost_rate == 0:
+            assert all(len(f.points) == 0 for f in frames)
+
+    def test_ragged_duration_leaves_partial_chunks(self):
+        sc = dataclasses.replace(paper_scenario(seed=1), duration=20.45)
+        per_radar = {int(sc.duration * r.frame_rate) for r in sc.radars}
+        total = sum(int(sc.duration * r.frame_rate) for r in sc.radars)
+        for size in (7, simulation._CHUNK_TICKS):
+            assert total % size and all(n % size for n in per_radar)
+
+
+def test_render_memory_does_not_grow_with_duration(tmp_path):
+    # tracemalloc peak of simulate at 10x the duration within 1.5x of
+    # the peak at 1x: a render holds a chunk of ticks, not the scenario
+    sc = Scenario(radars=(overhead_radar(),), walkers=(one_walker(),),
+                  noise=quiet_noise(ghost_rate=0.5),
+                  doppler_zero_suppression=False, seed=1)
+
+    def peak(duration):
+        tracemalloc.start()
+        try:
+            simulate(dataclasses.replace(sc, duration=duration),
+                     tmp_path / "sim.log")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    simulate(dataclasses.replace(sc, duration=1.0), tmp_path / "sim.log")
+    # after that warm-up, the first render allocates nothing once only
+    short, long = peak(30.0), peak(300.0)
+    assert long <= 1.5 * short, (short, long)
 
 
 class TestGroundTruth:

@@ -162,6 +162,19 @@ def test_wire_round_trip_is_exact(raw):
     assert tlv.encode_points(points, UNITS)[tlv.HEADER_SIZE:] == raw
 
 
+@settings(max_examples=100)
+@given(raw_strategy, st.integers(0, 20), st.integers(0, 20))
+def test_packed_rows_are_record_slices(raw, a, b):
+    # pack_raw writes each row's record in place, so the records of rows
+    # a..b of one call are bytes a..b of it
+    rec = np.frombuffer(raw, tlv.POINT_DTYPE)
+    values = np.column_stack([rec[name] for name in
+                              tlv.POINT_DTYPE.names]).astype(float)
+    assert tlv.pack_raw(values.reshape(-1, 5)) == raw
+    assert tlv.pack_raw(values.reshape(-1, 5)[a:b]) == \
+        raw[a * tlv.POINT_SIZE:b * tlv.POINT_SIZE]
+
+
 class TestFrameScanner:
     def frame(self, n_points):
         pts = [make_point(range_m=0.5 + 0.1 * i) for i in range(n_points)]
