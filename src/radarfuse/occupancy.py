@@ -1,17 +1,17 @@
-"""Zone occupancy over a hysteresis grid.
+"""Zone occupancy: debounced (track, zone) membership.
 
-The floor plan is discretized into square cells.  Each cell is a small
-one-counter automaton: a run of H_on consecutive presence ticks turns
-it occupied, a run of H_off consecutive absence ticks turns it back
-off, and any tick that agrees with the cell's state resets the run.
-A track is considered inside a zone only while its current cell is
-occupied and that cell's center falls inside the zone rectangle, so
-the hysteresis latency governs zone membership directly.
+Membership is the pair (confirmed track, zone whose rectangle holds the
+track's position).  Each pair is a small one-counter automaton: a run of
+H_on consecutive ticks inside turns it occupied, a run of H_off
+consecutive ticks outside turns it back off, and any tick that agrees
+with the pair's state resets the run.  A pair whose track is gone from
+the snapshot (a deleted track) leaves at once.  Only tracks inside the
+closed grid bounds count; a confirmed track outside them is counted in
+``out_of_bounds_count`` and is outside every zone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .tracking import TargetTrack, TrackStatus
@@ -41,16 +41,13 @@ class Zone:
 
 @dataclass(frozen=True)
 class GridConfig:
-    cell_size: float = 0.5
-    on_threshold: int = 3     # H_on, consecutive presence ticks
-    off_threshold: int = 5    # H_off, consecutive absence ticks
+    on_threshold: int = 3     # H_on, consecutive ticks inside a zone
+    off_threshold: int = 5    # H_off, consecutive ticks outside it
     status_period: float = 2.0  # s
     bounds_x: tuple[float, float] = (0.0, 12.0)
     bounds_y: tuple[float, float] = (0.0, 6.0)
 
     def __post_init__(self):
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be > 0")
         if self.on_threshold < 1 or self.off_threshold < 1:
             raise ValueError("hysteresis thresholds must be >= 1")
         for name in ("bounds_x", "bounds_y"):
@@ -98,63 +95,36 @@ class OccupancyGrid:
 
     cfg: GridConfig
     zones: list[Zone]
-    cells: dict[tuple[int, int], CellState] = field(default_factory=dict)
     out_of_bounds_count: int = 0
+    _pairs: dict[tuple[int, str], CellState] = field(default_factory=dict)
     _membership: dict[tuple[int, str], int] = field(default_factory=dict)  # -> enter ts
     _last_status_ns: int | None = None
 
-    def _cell_key(self, x: float, y: float):
-        """The cell holding (x, y), or None outside the bounds.  Bounds
-        are closed, as ``Zone.contains`` is: the far edge belongs to the
-        last cell of its row or column."""
-        (x0, x1), (y0, y1) = self.cfg.bounds_x, self.cfg.bounds_y
-        if not (x0 <= x <= x1 and y0 <= y <= y1):
-            return None
-        size = self.cfg.cell_size
-        return (min(math.floor((x - x0) / size),
-                    math.ceil((x1 - x0) / size) - 1),
-                min(math.floor((y - y0) / size),
-                    math.ceil((y1 - y0) / size) - 1))
-
-    def _cell_center(self, key):
-        return (self.cfg.bounds_x[0] + (key[0] + 0.5) * self.cfg.cell_size,
-                self.cfg.bounds_y[0] + (key[1] + 0.5) * self.cfg.cell_size)
-
     def step(self, tracks: list[TargetTrack], ts_ns: int):
         """Returns (events, statuses); statuses is empty between periods."""
-        track_cell: dict[int, tuple[int, int]] = {}
-        present_cells: set[tuple[int, int]] = set()
+        (x0, x1), (y0, y1) = self.cfg.bounds_x, self.cfg.bounds_y
+        inside: set[tuple[int, str]] = set()
         for t in tracks:
             if t.status is not TrackStatus.CONFIRMED:
                 continue
-            key = self._cell_key(float(t.state[0]), float(t.state[1]))
-            if key is None:
+            x, y = float(t.state[0]), float(t.state[1])
+            if not (x0 <= x <= x1 and y0 <= y <= y1):
                 self.out_of_bounds_count += 1
                 continue
-            track_cell[t.track_id] = key
-            present_cells.add(key)
+            inside.update((t.track_id, zone.zone_id) for zone in self.zones
+                          if zone.contains(x, y))
 
+        alive = {t.track_id for t in tracks}
         h_on, h_off = self.cfg.on_threshold, self.cfg.off_threshold
-        for key in present_cells:
-            cell = self.cells.get(key, CellState())
-            self.cells[key] = cell_tick(cell, True, h_on, h_off)
-        for key in list(self.cells):
-            if key not in present_cells:
-                nxt = cell_tick(self.cells[key], False, h_on, h_off)
-                if nxt.occupied or nxt.run:
-                    self.cells[key] = nxt
-                else:
-                    del self.cells[key]
-
-        current: set[tuple[int, str]] = set()
-        for tid, key in track_cell.items():
-            cell = self.cells.get(key)
-            if cell is None or not cell.occupied:
-                continue
-            cx, cy = self._cell_center(key)
-            for zone in self.zones:
-                if zone.contains(cx, cy):
-                    current.add((tid, zone.zone_id))
+        for pair in inside | set(self._pairs):
+            nxt = cell_tick(self._pairs.get(pair, CellState()),
+                            pair in inside, h_on, h_off)
+            # a pair whose track was deleted leaves at once
+            if pair[0] in alive and (nxt.occupied or nxt.run):
+                self._pairs[pair] = nxt
+            else:
+                self._pairs.pop(pair, None)
+        current = {pair for pair, s in self._pairs.items() if s.occupied}
 
         events = []
         for pair in sorted(current - set(self._membership)):

@@ -44,6 +44,7 @@ from .geometry import Pose
 from .recording import LogRecord, Recorder
 
 DOPPLER_SUPPRESSION_THRESHOLD = 0.05  # m/s
+GHOST_FLOOR = 0.2  # m, the lowest world z a ghost is drawn at
 _UNITS = tlv.DecodeUnits()  # every simulated radar encodes with the defaults
 
 
@@ -117,7 +118,15 @@ def validate_scenario(sc: Scenario):
         raise InvalidScenario("radars", "at least one radar required")
     if sc.duration <= 0:
         raise InvalidScenario("duration", "must be > 0")
+    if not sc.room_height > GHOST_FLOOR:
+        raise InvalidScenario("room_height",
+                              f"must be > the ghost floor {GHOST_FLOOR} m")
+    seen = set()
     for i, r in enumerate(sc.radars):
+        if r.radar_id in seen:
+            raise InvalidScenario(f"radars[{i}].radar_id",
+                                  f"duplicate radar_id {r.radar_id!r}")
+        seen.add(r.radar_id)
         for name in ("frame_rate", "max_range"):
             if not getattr(r, name) > 0:
                 raise InvalidScenario(f"radars[{i}].{name}", "must be > 0")
@@ -314,7 +323,8 @@ def _chunks(sc: Scenario):
     # five standard normals z; a ghost row is lo + span * u, uniform in
     # [lo, lo + span)
     spread = np.array([noise.pos_sigma] * 3 + [0.03, 3.0])
-    ghost_lo = np.array([sc.room_x[0], sc.room_y[0], 0.2, -3.0, 8.0])
+    ghost_lo = np.array([sc.room_x[0], sc.room_y[0], GHOST_FLOOR, -3.0,
+                         8.0])
     ghost_span = np.array([sc.room_x[1], sc.room_y[1], sc.room_height, 3.0,
                            20.0]) - ghost_lo
     while chunk := list(itertools.islice(ticks, _CHUNK_TICKS)):

@@ -63,7 +63,7 @@ class TestCellTick:
 
 class TestOccupancyGrid:
     def grid(self, h_on=3, h_off=2, zones=None):
-        cfg = GridConfig(cell_size=0.5, on_threshold=h_on, off_threshold=h_off,
+        cfg = GridConfig(on_threshold=h_on, off_threshold=h_off,
                          status_period=1.0, bounds_x=(0, 12), bounds_y=(0, 6))
         zones = zones or [Zone("room", center=(6, 3), len_x=12, len_y=6)]
         return OccupancyGrid(cfg=cfg, zones=zones)
@@ -107,11 +107,36 @@ class TestOccupancyGrid:
         g = self.grid(h_on=1)
         events, statuses = g.step([track(0, 12.0, 3.0), track(1, 6.0, 6.0)],
                                   0)
-        assert set(g.cells) == {(23, 6), (12, 11)}
         assert [(e.kind, e.track_id) for e in events] == \
             [("enter", 0), ("enter", 1)]
         assert statuses[0].count == 2
         assert g.out_of_bounds_count == 0
+
+    @pytest.mark.parametrize("h_on,h_off,xs,expected,out_of_bounds", [
+        # crossing the zone's x = 5 edge every window is debounced away
+        pytest.param(1, 5, [4.9, 5.1] * 10, [("enter", 0)], 0,
+                     id="edge-crossing"),
+        # a pair, not a cell, is debounced: a track in a new 0.5 m cell
+        # every window still enters after H_on windows
+        pytest.param(3, 5, [1.25 + 0.5 * k for k in range(6)],
+                     [("enter", 2)], 0, id="new-cell-every-window"),
+        # a deleted track (None: not in the snapshot) leaves at once
+        pytest.param(1, 5, [3.0, None], [("enter", 0), ("exit", 1)], 0,
+                     id="deleted-track"),
+        # a confirmed track outside the bounds is outside every zone
+        pytest.param(1, 5, [3.0] + [50.0] * 6,
+                     [("enter", 0), ("exit", 5)], 6, id="leaves-bounds"),
+    ])
+    def test_pair_debounce(self, h_on, h_off, xs, expected, out_of_bounds):
+        g = self.grid(h_on=h_on, h_off=h_off,
+                      zones=[Zone("a", center=(3, 3), len_x=4, len_y=4)])
+        got = []
+        for k, x in enumerate(xs):
+            events, _ = g.step([] if x is None else [track(0, x, 3.0)],
+                               k * SEC)
+            got += [(e.kind, e.ts_ns // SEC) for e in events]
+        assert got == expected
+        assert g.out_of_bounds_count == out_of_bounds
 
     def test_enter_exit_strict_alternation(self):
         rng = np.random.default_rng(4)

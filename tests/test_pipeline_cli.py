@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +116,9 @@ class TestConfig:
                      lambda d: d["merge"].update(late_policy="drop"),
                      "merge.late_policy", id="merge-late_policy"),
         pytest.param(load_config,
+                     lambda d: d["grid"].update(cell_size=0.5),
+                     "grid.cell_size", id="grid-cell_size"),
+        pytest.param(load_config,
                      lambda d: d["zones"][0].update(center_x=6.0),
                      "zones[0].center_x", id="zone-center_x"),
         pytest.param(load_scenario,
@@ -145,6 +149,14 @@ class TestConfig:
                                "mqtt": {}})
         assert minimal.radars[0].pose == Pose()
         assert minimal.mqtt == telemetry.MqttConfig()
+
+    def test_readme_deployment_config_loads(self):
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        (block,) = [b for b in re.findall(r"```yaml\n(.*?)```", readme, re.S)
+                    if b.startswith("radars:")]
+        cfg = load_config(yaml.safe_load(block))
+        assert [r.radar_id for r in cfg.radars] == ["wall_a"]
+        assert cfg.grid == load_config(paper_config_doc()).grid
 
     def test_degrees_converted_once(self):
         doc = paper_config_doc()

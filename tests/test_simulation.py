@@ -165,6 +165,26 @@ class TestValidation:
             with pytest.raises(InvalidScenario, match=path):
                 list(simulate_frames(sc))
 
+    @pytest.mark.parametrize("kw,path", [
+        pytest.param({"radars": (overhead_radar(),
+                                 overhead_radar(radar_id="r1"),
+                                 overhead_radar())},
+                     "radars[2].radar_id", id="duplicate-radar_id"),
+        # ghosts are drawn from simulation.GHOST_FLOOR (0.2 m) up to the
+        # ceiling
+        pytest.param({"room_height": 0.2}, "room_height",
+                     id="ceiling-at-ghost-floor"),
+        pytest.param({"room_height": 0.1}, "room_height",
+                     id="ceiling-below-ghost-floor"),
+    ])
+    def test_rejected_before_log_opens(self, kw, path, tmp_path):
+        sc = Scenario(**{"radars": (overhead_radar(),), "duration": 1.0,
+                         **kw})
+        log = tmp_path / "sim.log"
+        with pytest.raises(InvalidScenario, match=f"^{re.escape(path)}: "):
+            simulate(sc, log)
+        assert not log.exists()
+
 
 def with_value(obj, steps, value):
     """``obj`` with the number at ``steps`` (the parts of a path as
