@@ -8,9 +8,10 @@ block of rows at a time, into an ``n x n`` boolean eps adjacency; its
 column sums are the neighbour counts that mark core points.  Each
 cluster is seeded at the lowest core point not yet in a cluster (an
 ``argmax`` over a mask) and grown by frontier expansion over the core
-points.  OPTICS keeps the whole matrix as its distance matrix and takes
-``n`` argmin steps over one reachability array, returning the ordering
-as three arrays.  OPTICS cluster extraction is an eps-cut, which makes
+points.  OPTICS fills its ``n x n`` float distance matrix and takes
+its core distances in the same row blocks, then takes ``n`` argmin
+steps over one reachability array, returning the ordering as three
+arrays.  OPTICS cluster extraction is an eps-cut, which makes
 its core-point partition provably comparable to DBSCAN at the same eps
 and is exercised as a cross-check in the tests.  A window is one
 ``(N, 3)`` position array, its frames' arrays concatenated once when it
@@ -36,12 +37,13 @@ NOISE = -1
 # over 5x the largest windows seen, 374 points on the paper log and 120
 # on its clutter variant.  At this size DBSCAN holds its boolean
 # adjacency, 1 B per point pair (4 MiB), plus the float distances of one
-# row block (4 MiB); OPTICS holds the whole float distance matrix, 16 B
-# per point pair at its peak (64 MiB).
+# row block (4 MiB); OPTICS holds the whole float distance matrix, 8 B
+# per point pair (32 MiB), plus the temporaries of one row block.
 MAX_WINDOW_POINTS = 2048
 
-# DBSCAN builds its adjacency this many rows at a time, so its float
-# temporaries stay small however large the window
+# DBSCAN builds its adjacency, and OPTICS its distance matrix and core
+# distances, this many rows at a time, so their float temporaries stay
+# small however large the window
 _BLOCK_ROWS = 128
 
 
@@ -141,13 +143,17 @@ def optics(positions: np.ndarray, min_pts: int, max_eps: float):
     n = len(positions)
     positions = np.asarray(positions, dtype=float)
     inf = float("inf")
-    dist = sq_distances(positions, positions)
-    dist[dist > max_eps * max_eps] = inf
-    np.sqrt(dist, out=dist)
-    if min_pts > n:
-        core_dist = np.full(n, inf)
-    else:
-        core_dist = np.partition(dist, min_pts - 1, axis=1)[:, min_pts - 1]
+    dist = np.empty((n, n))
+    core_dist = np.full(n, inf)
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        block = dist[rows]
+        block[...] = sq_distances(positions[rows], positions)
+        block[block > max_eps * max_eps] = inf
+        np.sqrt(block, out=block)
+        if min_pts <= n:
+            core_dist[rows] = np.partition(block, min_pts - 1,
+                                           axis=1)[:, min_pts - 1]
 
     processed = np.zeros(n, dtype=bool)
     reach = np.full(n, inf)      # of unprocessed points; inf once processed

@@ -11,7 +11,8 @@ laid out in :mod:`radarfuse.geometry`:
   support in those later frames.  Ghosts flash once and vanish; real
   bodies keep shedding nearby points.  A frame's support is one count
   per row of its squared-distance matrix to the later frames
-  (:func:`radarfuse.geometry.sq_distances`).
+  (:func:`radarfuse.geometry.sq_distances`), a boolean row sum; a
+  frame with no positions is emitted as it is, with no matrix built.
 """
 
 from __future__ import annotations
@@ -81,6 +82,7 @@ class BufferFilter:
 
     def __init__(self, cfg: BufferConfig):
         self.cfg = cfg
+        self._r2 = cfg.support_radius * cfg.support_radius
         # (ts, positions) per frame not yet emitted
         self._pending: deque[tuple[int, np.ndarray]] = deque()
         self._last_ts: int | None = None
@@ -90,12 +92,12 @@ class BufferFilter:
         """Judge a frame just taken off ``_pending`` against the frames
         still in it, which are the later ones."""
         ts, positions = frame
-        r, k = self.cfg.support_radius, self.cfg.min_support
+        if not len(positions):
+            return frame
         # positions[:0] keeps the (0, 3) shape once no later frame is left
         later = np.concatenate([positions[:0]] + [p for _, p in self._pending])
-        support = np.count_nonzero(sq_distances(positions, later) <= r * r,
-                                   axis=1)
-        return ts, positions[support >= k]
+        support = (sq_distances(positions, later) <= self._r2).sum(1)
+        return ts, positions[support >= self.cfg.min_support]
 
     def push(self, ts_ns: int, positions: np.ndarray):
         if self._last_ts is not None and ts_ns < self._last_ts:

@@ -52,30 +52,32 @@ class Merger:
         self.late_dropped = 0
 
     def push(self, source_id: str, ts_ns: int, frame):
-        if source_id not in self._latest:
+        latest = self._latest
+        if source_id not in latest:
             raise UnknownSource(source_id)
         self.received += 1
         if ts_ns < self._watermark:
             self.late_dropped += 1
             return []
-        prev = self._latest[source_id]
-        self._latest[source_id] = ts_ns if prev is None else max(prev, ts_ns)
+        prev = latest[source_id]
+        if prev is None or ts_ns > prev:
+            latest[source_id] = ts_ns
         heapq.heappush(self._heap, (ts_ns, self._seq, source_id, frame))
         self._seq += 1
-        self._max_ts = max(self._max_ts, ts_ns)
+        if ts_ns > self._max_ts:
+            self._max_ts = ts_ns
         # the horizon forces the watermark along; once every source has
         # reported, the slowest one's latest frame may raise it further
         limit = self._max_ts - self._horizon_ns
-        latest = self._latest.values()
-        if None not in latest:
-            limit = max(limit, min(latest))
+        if None not in latest.values():
+            limit = max(limit, min(latest.values()))
         return self._release(limit)
 
     def _release(self, limit):
         """Pop every buffered frame stamped at or before ``limit``."""
-        out = []
-        while self._heap and self._heap[0][0] <= limit:
-            ts, _, src, frame = heapq.heappop(self._heap)
+        heap, out = self._heap, []
+        while heap and heap[0][0] <= limit:
+            ts, _, src, frame = heapq.heappop(heap)
             out.append((ts, src, frame))
         if out:
             self._watermark = out[-1][0]

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 from . import tlv
 from .clustering import WindowClusterer
-from .config import PipelineConfig, RadarConfig
-from .filtering import BufferFilter, threshold_filter
+from .config import PipelineConfig
+from .filtering import BufferFilter, ThresholdConfig, threshold_filter
 from .fusion import Merger
 from .geometry import TransformTree
 from .occupancy import OccupancyGrid
@@ -36,7 +36,7 @@ from .tracking import Tracker
 
 @dataclass
 class _RadarLane:
-    cfg: RadarConfig
+    threshold: ThresholdConfig
     decoder: tlv.FrameDecoder
     buffer: BufferFilter
     origin: tuple
@@ -52,7 +52,7 @@ class Pipeline:
         self.lanes: dict[str, _RadarLane] = {}
         for r in cfg.radars:
             self.lanes[r.radar_id] = _RadarLane(
-                cfg=r,
+                threshold=r.threshold,
                 decoder=tlv.FrameDecoder(units=r.units),
                 buffer=BufferFilter(r.buffer),
                 origin=(r.pose.x, r.pose.y, r.pose.z),
@@ -70,19 +70,17 @@ class Pipeline:
 
     def feed_record(self, record: LogRecord):
         """Entry point for one replayed/recorded log record."""
-        lane = self.lanes.get(record.radar_id)
+        radar_id, ts_ns = record.radar_id, record.ts_ns
+        lane = self.lanes.get(radar_id)
         if lane is None:
             self.unknown_radar_records += 1
             return
-        for points in lane.decoder.feed(record.payload, record.ts_ns):
-            self._feed_points(lane, record.ts_ns, points)
-
-    def _feed_points(self, lane: _RadarLane, ts_ns: int, points):
-        rows = self.tree.to_world(lane.cfg.radar_id, points)
-        kept = threshold_filter(rows, lane.cfg.threshold, lane.origin)
-        emitted = lane.buffer.push(ts_ns, kept[:, :3])
-        if emitted is not None:
-            self._feed_merger(lane.cfg.radar_id, *emitted)
+        for points in lane.decoder.feed(record.payload, ts_ns):
+            rows = self.tree.to_world(radar_id, points)
+            kept = threshold_filter(rows, lane.threshold, lane.origin)
+            emitted = lane.buffer.push(ts_ns, kept[:, :3])
+            if emitted is not None:
+                self._feed_merger(radar_id, *emitted)
 
     def _feed_merger(self, radar_id: str, ts_ns: int, positions):
         for ts, _, frame in self.merger.push(radar_id, ts_ns, positions):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -47,9 +48,12 @@ POINT_DTYPE = np.dtype([("elevation", "<i1"), ("azimuth", "<i1"),
 
 HEADER_SIZE = _HEADER.size        # 8
 POINT_SIZE = POINT_DTYPE.itemsize  # 8
+# preamble plus header: the bytes before a frame's payload
+_PREFIX_SIZE = len(MAGIC) + HEADER_SIZE
 
 # column of each wire field, in POINT_DTYPE order, in a point array
 _WIRE_COLUMNS = [2, 1, 3, 0, 4]
+_FIELD_COLUMNS = list(zip(POINT_DTYPE.names, _WIRE_COLUMNS))
 _RAW_LO = np.array([np.iinfo(POINT_DTYPE[f]).min for f in POINT_DTYPE.names])
 _RAW_HI = np.array([np.iinfo(POINT_DTYPE[f]).max for f in POINT_DTYPE.names])
 
@@ -102,6 +106,15 @@ class DecodeUnits:
         return [self.elevation_scale, self.azimuth_scale, self.doppler_scale,
                 self.range_scale, self.snr_scale]
 
+    @cached_property
+    def column_scales(self) -> np.ndarray:
+        """The scales of :meth:`wire_scales` in point-array column order,
+        as one read-only row, computed once."""
+        row = np.empty(5)
+        row[_WIRE_COLUMNS] = self.wire_scales()
+        row.flags.writeable = False
+        return row
+
 
 def parse_header(buf: bytes) -> TlvHeader:
     if len(buf) < HEADER_SIZE:
@@ -112,15 +125,17 @@ def parse_header(buf: bytes) -> TlvHeader:
 
 def decode_points(payload: bytes, units: DecodeUnits) -> np.ndarray:
     """The ``(n, 5)`` point array of a point TLV's payload: each raw
-    field times its scale, in its column."""
+    field times its scale, in its column.  The raw integers are cast
+    into their columns, then the array is multiplied in place by
+    ``units.column_scales``, so each value is ``float64(raw) * scale``."""
     if len(payload) % POINT_SIZE != 0:
         raise MisalignedPayload(
             f"payload length {len(payload)} is not a multiple of {POINT_SIZE}")
     raw = np.frombuffer(payload, POINT_DTYPE)
     out = np.empty((len(raw), 5))
-    for name, col, scale in zip(POINT_DTYPE.names, _WIRE_COLUMNS,
-                                units.wire_scales()):
-        np.multiply(raw[name], scale, out=out[:, col])
+    for name, col in _FIELD_COLUMNS:
+        out[:, col] = raw[name]
+    out *= units.column_scales
     return out
 
 
@@ -177,49 +192,46 @@ def encode_frame(points, units: DecodeUnits,
 class FrameScanner:
     """Resynchronizing splitter over an arbitrary byte stream.
 
-    Feed chunks in arrival order; complete (header, payload) records come
-    out in order.  Garbage between frames is skipped up to the next
-    preamble and counted in ``dropped_bytes``, and so is the preamble of
-    a header whose length exceeds MAX_PAYLOAD_BYTES; nothing is ever
-    raised for corruption.
+    Feed chunks in arrival order; the ``(type_id, payload)`` of each
+    complete TLV comes out in order.  Garbage between frames is skipped
+    up to the next preamble and counted in ``dropped_bytes``, and so is
+    the preamble of a header whose length exceeds MAX_PAYLOAD_BYTES;
+    nothing is ever raised for corruption.  The header is read in place
+    from the buffer; only the payload is copied out.
     """
 
     dropped_bytes: int = 0
     _buf: bytearray = field(default_factory=bytearray)
 
     def feed(self, data: bytes):
-        self._buf.extend(data)
+        buf = self._buf
+        buf += data
         while True:
-            rec = self._next_record()
-            if rec is None:
+            idx = buf.find(MAGIC)
+            if idx < 0:
+                # keep a possible partial preamble at the tail
+                if len(buf) >= len(MAGIC):
+                    self._drop(len(buf) - (len(MAGIC) - 1))
                 return
-            yield rec
+            if idx:
+                self._drop(idx)
+            if len(buf) < _PREFIX_SIZE:
+                return
+            type_id, length = _HEADER.unpack_from(buf, len(MAGIC))
+            if length > MAX_PAYLOAD_BYTES:
+                # corrupt length: resync at the next preamble
+                self._drop(len(MAGIC))
+                continue
+            end = _PREFIX_SIZE + length
+            if len(buf) < end:
+                return
+            payload = bytes(buf[_PREFIX_SIZE:end])
+            del buf[:end]
+            yield type_id, payload
 
     def _drop(self, n: int):
         self.dropped_bytes += n
         del self._buf[:n]
-
-    def _next_record(self):
-        while True:
-            idx = self._buf.find(MAGIC)
-            if idx < 0:
-                # keep a possible partial preamble at the tail
-                self._drop(max(0, len(self._buf) - (len(MAGIC) - 1)))
-                return None
-            self._drop(idx)
-            base = len(MAGIC)
-            if len(self._buf) < base + HEADER_SIZE:
-                return None
-            header = parse_header(bytes(self._buf[base:base + HEADER_SIZE]))
-            if header.length <= MAX_PAYLOAD_BYTES:
-                break
-            self._drop(base)   # corrupt length: resync at the next preamble
-        end = base + HEADER_SIZE + header.length
-        if len(self._buf) < end:
-            return None
-        payload = bytes(self._buf[base + HEADER_SIZE:end])
-        del self._buf[:end]
-        return header, payload
 
 
 @dataclass
@@ -241,11 +253,10 @@ class FrameDecoder:
         self.scanner = FrameScanner()
 
     def feed(self, data: bytes, ts_ns: int):
-        for header, payload in self.scanner.feed(data):
-            if header.type_id != COMPRESSED_POINTS_TYPE_ID:
+        for type_id, payload in self.scanner.feed(data):
+            if type_id != COMPRESSED_POINTS_TYPE_ID:
                 self.unknown_tlv_count += 1
-                continue
-            if len(payload) % POINT_SIZE:
+            elif len(payload) % POINT_SIZE:
                 self.misaligned_tlv_count += 1
-                continue
-            yield decode_points(payload, self.units)
+            else:
+                yield decode_points(payload, self.units)

@@ -7,6 +7,7 @@ eye.
 """
 
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,21 @@ from radarfuse.tracking import (VELOCITY_CLAMP, EventKind, NonPSDCovariance,
                                 TrackStatus)
 
 NOISE = -1
+
+
+def brute_decode(payload, units):
+    """The point rows ``[range, azimuth, elevation, doppler, snr]`` of a
+    compressed-points payload, one 8-byte record at a time: each raw
+    integer (wire order elevation, azimuth, doppler, range, snr) as a
+    Python float times its field's scale."""
+    rows = []
+    for el, az, dop, rng, snr in struct.iter_unpack("<bbhHH", payload):
+        rows.append([float(rng) * units.range_scale,
+                     float(az) * units.azimuth_scale,
+                     float(el) * units.elevation_scale,
+                     float(dop) * units.doppler_scale,
+                     float(snr) * units.snr_scale])
+    return rows
 
 
 def brute_to_world(pose, row):

@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _reference import brute_dbscan, brute_optics, core_partition
-from radarfuse.clustering import (MAX_WINDOW_POINTS, NOISE, ClusterConfig,
-                                  WindowClusterer, _centroids, cluster_points,
-                                  dbscan, extract_eps_cut, optics)
+from radarfuse.clustering import (_BLOCK_ROWS, MAX_WINDOW_POINTS, NOISE,
+                                  ClusterConfig, WindowClusterer, _centroids,
+                                  cluster_points, dbscan, extract_eps_cut,
+                                  optics)
 
 
 def positions(*xyz):
@@ -148,6 +151,24 @@ class TestOptics:
         order = optics(pts, min_pts, max_eps=4 * eps)
         got = list(zip(*(a.tolist() for a in order)))
         assert got == brute_optics(pts, min_pts, 4 * eps)
+
+    def test_matches_brute_optics_across_row_blocks(self):
+        # two full row blocks and a partial one
+        pts = np.random.default_rng(9).uniform(0, 8, (2 * _BLOCK_ROWS + 44, 3))
+        got = list(zip(*(a.tolist() for a in optics(pts, 4, 1.5))))
+        assert got == brute_optics(pts, 4, 1.5)
+
+    def test_memory_bounded_at_max_window(self):
+        # the 8 B per pair distance matrix (32 MiB at 2048 points) plus
+        # one row block's temporaries, not a second n x n matrix
+        pts = np.random.default_rng(0).uniform(0, 1, (MAX_WINDOW_POINTS, 3))
+        tracemalloc.start()
+        try:
+            optics(pts, 4, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20
 
     @pytest.mark.parametrize("seed", range(20))
     def test_eps_cut_matches_dbscan_core_partition(self, seed):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from _reference import brute_decode
 from radarfuse import tlv
 
 
@@ -56,6 +57,14 @@ class TestDecodePoints:
     def test_misaligned(self):
         with pytest.raises(tlv.MisalignedPayload):
             tlv.decode_points(bytes(9), UNITS)
+
+    def test_column_scales_are_wire_scales_read_only(self):
+        units = tlv.DecodeUnits(range_scale=0.01, snr_scale=0.5)
+        assert units.column_scales.tolist() == [0.01, 0.01, 0.01, 0.00028,
+                                                0.5]
+        assert units.column_scales is units.column_scales
+        with pytest.raises(ValueError):
+            units.column_scales[0] = 1.0
 
 
 class TestEncodePoints:
@@ -162,6 +171,24 @@ def test_wire_round_trip_is_exact(raw):
     assert tlv.encode_points(points, UNITS)[tlv.HEADER_SIZE:] == raw
 
 
+scale_strategy = st.floats(min_value=0.0, max_value=1e6, exclude_min=True,
+                           allow_nan=False, allow_infinity=False)
+units_strategy = st.builds(tlv.DecodeUnits, **{
+    f"{name}_scale": scale_strategy for name in tlv.POINT_DTYPE.names})
+
+
+@settings(max_examples=300)
+@given(raw_strategy, units_strategy)
+@example(b"", UNITS)
+def test_decode_matches_brute_decode(raw, units):
+    # bit for bit: one in-place multiply by the column scales gives the
+    # oracle's Python float products
+    want = np.array(brute_decode(raw, units), dtype=float).reshape(-1, 5)
+    got = tlv.decode_points(raw, units)
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=100)
 @given(raw_strategy, st.integers(0, 20), st.integers(0, 20))
 def test_packed_rows_are_record_slices(raw, a, b):
@@ -183,7 +210,7 @@ class TestFrameScanner:
     def test_back_to_back(self):
         scanner = tlv.FrameScanner()
         recs = list(scanner.feed(self.frame(2) + self.frame(3)))
-        assert [h.length for h, _ in recs] == [16, 24]
+        assert [len(p) for _, p in recs] == [16, 24]
         assert scanner.dropped_bytes == 0
 
     def test_truncated_final_record(self):
@@ -210,7 +237,7 @@ class TestFrameScanner:
         recs = []
         for i in range(len(stream)):
             recs.extend(scanner.feed(stream[i:i + 1]))
-        assert [h.length for h, _ in recs] == [16, 8]
+        assert [len(p) for _, p in recs] == [16, 8]
 
     def test_implausible_length_resyncs(self):
         # a preamble and a header claiming ~4 GiB of payload, then 2000
@@ -222,7 +249,7 @@ class TestFrameScanner:
         for _ in range(2000):
             recs.extend(scanner.feed(self.frame(3)))
             assert len(scanner._buf) <= tlv.MAX_PAYLOAD_BYTES
-        assert [h.length for h, _ in recs] == [24] * 2000
+        assert [len(p) for _, p in recs] == [24] * 2000
         assert scanner.dropped_bytes == len(bad)
 
 
@@ -250,3 +277,45 @@ class TestFrameDecoder:
         assert [len(f) for f in frames] == [2]
         assert dec.misaligned_tlv_count == 1
         assert dec.unknown_tlv_count == 0
+
+
+def _framed(type_id, length, body=b""):
+    return tlv.MAGIC + struct.pack("<II", type_id, length) + body
+
+
+# stream pieces: whole point frames, unknown and misaligned TLVs, garbage
+# and headers whose length field is over MAX_PAYLOAD_BYTES
+piece_strategy = st.one_of(
+    raw_strategy.map(
+        lambda raw: _framed(tlv.COMPRESSED_POINTS_TYPE_ID, len(raw), raw)),
+    st.tuples(st.integers(0, 2**32 - 1).filter(
+                  lambda t: t != tlv.COMPRESSED_POINTS_TYPE_ID),
+              st.binary(max_size=24)).map(
+        lambda tb: _framed(tb[0], len(tb[1]), tb[1])),
+    st.binary(min_size=1, max_size=23).filter(
+        lambda b: len(b) % tlv.POINT_SIZE).map(
+        lambda b: _framed(tlv.COMPRESSED_POINTS_TYPE_ID, len(b), b)),
+    st.binary(max_size=20),
+    st.tuples(st.integers(0, 2**32 - 1),
+              st.integers(tlv.MAX_PAYLOAD_BYTES + 1, 2**32 - 1)).map(
+        lambda tl: _framed(*tl)),
+)
+
+
+def _decode_chunks(chunks):
+    dec = tlv.FrameDecoder(units=UNITS)
+    frames = [f.tobytes() for chunk in chunks for f in dec.feed(chunk, 0)]
+    return (frames, dec.scanner.dropped_bytes, dec.unknown_tlv_count,
+            dec.misaligned_tlv_count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(piece_strategy, max_size=10), st.data())
+def test_decoder_output_does_not_depend_on_chunking(pieces, data):
+    # cuts fall anywhere, splitting preambles, headers and payloads
+    stream = b"".join(pieces)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)),
+                                     max_size=12)))
+    chunks = [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)])]
+    bytewise = [stream[i:i + 1] for i in range(len(stream))]
+    assert _decode_chunks(chunks) == _decode_chunks(bytewise)
