@@ -46,16 +46,16 @@ def _make_publisher(cfg, mqtt_url: str | None):
     return Publisher(cfg=cfg.mqtt) if cfg.mqtt is not None else None
 
 
-def _speed(text: str) -> float:
-    """argparse type of ``--speed``: a positive finite float."""
+def _positive(text: str) -> float:
+    """argparse type of ``--speed`` and ``--window``: finite, > 0."""
     try:
-        speed = float(text)
+        value = float(text)
     except ValueError:
-        speed = math.nan
-    if not (speed > 0 and math.isfinite(speed)):
+        value = math.nan
+    if not (value > 0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError(
             f"expected a positive finite number, got {text!r}")
-    return speed
+    return value
 
 
 def _load_cfg(path: str):
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="paced replay of a log, MQTT on")
     run.add_argument("--config", required=True)
     run.add_argument("--log", required=True)
-    run.add_argument("--speed", type=_speed, default=1.0)
+    run.add_argument("--speed", type=_positive, default=1.0)
     run.add_argument("--mqtt-url")
     run.add_argument("--status-log")
     run.add_argument("--event-log")
@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp = sub.add_parser("replay", help="deterministic offline replay")
     rp.add_argument("--config", required=True)
     rp.add_argument("--log", required=True)
-    rp.add_argument("--speed", type=_speed, default=1.0)
+    rp.add_argument("--speed", type=_positive, default=1.0)
     rp.add_argument("--fast", action="store_true",
                     help="no wall pacing; output is identical either way")
     rp.add_argument("--clustering", choices=["dbscan", "optics"])
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec = sub.add_parser("record", help="re-record a replayed stream")
     rec.add_argument("--log", required=True)
     rec.add_argument("--out", required=True)
-    rec.add_argument("--speed", type=_speed, default=1.0)
+    rec.add_argument("--speed", type=_positive, default=1.0)
     rec.add_argument("--fast", action="store_true")
     rec.set_defaults(func=cmd_record)
 
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="score a status log against truth")
     ev.add_argument("--pipeline-log", required=True)
     ev.add_argument("--truth", required=True)
-    ev.add_argument("--window", type=float, default=30.0)
+    ev.add_argument("--window", type=_positive, default=30.0)
     ev.add_argument("--zone")
     ev.add_argument("--out")
     ev.set_defaults(func=cmd_eval)

@@ -190,12 +190,7 @@ def paper_config_doc(algorithm: str = "dbscan") -> dict:
         "tracker": {"gate_distance": 1.0, "miss_timeout": 10.0,
                     "confirm_hits": 3, "max_targets": 20,
                     "process_noise_accel": 2.0, "measurement_noise": 0.15},
-        # on_threshold 1: track confirmation already delays an enter.
-        # off_threshold 1: a track leaves a zone on its first window
-        # outside it; a longer exit debounce keeps tracks that coast out
-        # of the room counted for longer
-        "grid": {"on_threshold": 1, "off_threshold": 1,
-                 "status_period": 2.0, "bounds_x": [0.0, 12.0],
+        "grid": {"status_period": 2.0, "bounds_x": [0.0, 12.0],
                  "bounds_y": [0.0, 6.0]},
         "zones": [{"zone_id": "room", "center": [6.0, 3.0],
                    "len_x": 12.0, "len_y": 6.0}],

@@ -1,12 +1,12 @@
 """Per-radar rejection of implausible and spurious detections.
 
-Two stages, run per radar stream before fusion, on the frame arrays
-laid out in :mod:`radarfuse.geometry`:
+Two stages, run per radar stream before fusion:
 
-* threshold filter: one boolean mask over a frame's ``(n, 5)`` world
-  rows drops low SNR, implausible doppler and (optionally) excessive
-  distance from the radar.
-* buffer filter: hold each frame's ``(n, 3)`` positions for F
+* threshold filter: one boolean mask over a frame's decoded ``(n, 5)``
+  point array (layout in :mod:`radarfuse.tlv`) drops low SNR,
+  implausible doppler and (optionally) excessive reported range; it
+  runs before to-world, so only the kept points are mapped.
+* buffer filter: hold each frame's ``(n, 3)`` world positions for F
   subsequent frames and keep only points that gather enough spatial
   support in those later frames.  Ghosts flash once and vanish; real
   bodies keep shedding nearby points.  A frame's support is one count
@@ -29,7 +29,7 @@ from .geometry import sq_distances
 class ThresholdConfig:
     snr_min: float = 8.0            # dB
     doppler_abs_max: float = 5.0    # m/s
-    range_max: float | None = None  # m, from the radar origin
+    range_max: float | None = None  # m, the radar's reported range
 
     def __post_init__(self):
         if self.snr_min < 0:
@@ -53,21 +53,14 @@ class BufferConfig:
             raise ValueError("min_support must be >= 1")
 
 
-def threshold_filter(rows: np.ndarray, cfg: ThresholdConfig,
-                     radar_origin) -> np.ndarray:
-    """The rows of an ``(n, 5)`` world frame that pass all thresholds,
-    in order.
-
-    ``radar_origin`` is the world xyz of the source radar, read when
-    ``range_max`` is set; a point exactly ``range_max`` away is kept.
-    """
-    keep = ((rows[:, 4] >= cfg.snr_min)
-            & (np.abs(rows[:, 3]) <= cfg.doppler_abs_max))
+def threshold_filter(points: np.ndarray, cfg: ThresholdConfig) -> np.ndarray:
+    """The rows of an ``(n, 5)`` point array that pass all thresholds,
+    in order; a point at exactly ``range_max`` is kept."""
+    keep = ((points[:, 4] >= cfg.snr_min)
+            & (np.abs(points[:, 3]) <= cfg.doppler_abs_max))
     if cfg.range_max is not None:
-        d2 = sq_distances(rows[:, :3],
-                          np.array([radar_origin], dtype=float))[:, 0]
-        keep &= d2 <= cfg.range_max ** 2
-    return rows[keep]
+        keep &= points[:, 0] <= cfg.range_max
+    return points[keep]
 
 
 class BufferFilter:

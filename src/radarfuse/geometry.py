@@ -7,12 +7,9 @@ yaw about Z, then pitch about the carried X axis, then roll about the
 carried Y (boresight) axis, so a wall radar tilted down 5 degrees is
 simply ``pitch = -5 deg``.
 
-From the decoder to the tracker a frame is one float array.
-:meth:`TransformTree.to_world` maps a radar's decoded ``(n, 5)`` point
-array (layout in :mod:`radarfuse.tlv`) to the ``(n, 5)`` array of its
-world rows ``(x, y, z, doppler, snr)``, and from the buffer filter on a
-frame is the ``(n, 3)`` array of its positions, the first three
-columns.
+:meth:`TransformTree.to_world` maps a radar's ``(n, 5)`` point array
+(layout in :mod:`radarfuse.tlv`) to the ``(n, 3)`` array of its world
+positions, the form a frame keeps from there to the tracker.
 
 :func:`sq_distances` is the package's one neighbour query: the full
 squared-distance matrix between two point sets, which clustering, the
@@ -108,10 +105,10 @@ class TransformTree:
                         for radar_id, pose in poses.items()}
 
     def to_world(self, radar_id: str, points: np.ndarray) -> np.ndarray:
-        """The world rows of one frame of radar ``radar_id``: its point
-        array with range, azimuth and elevation replaced by x, y, z."""
+        """The ``(n, 3)`` world positions of one point-array frame of
+        radar ``radar_id``, one row per point."""
         rotation, translation = self._frames[radar_id]
-        rows = np.array(points, dtype=float)
-        for row, (r, az, el) in zip(rows, rows[:, :3].tolist()):
-            row[:3] = rotation @ spherical_to_cartesian(r, az, el) + translation
-        return rows
+        positions = np.empty((len(points), 3))
+        for row, (r, az, el) in zip(positions, points[:, :3].tolist()):
+            row[:] = rotation @ spherical_to_cartesian(r, az, el) + translation
+        return positions

@@ -41,8 +41,11 @@ class Zone:
 
 @dataclass(frozen=True)
 class GridConfig:
-    on_threshold: int = 3     # H_on, consecutive ticks inside a zone
-    off_threshold: int = 5    # H_off, consecutive ticks outside it
+    # 1/1: track confirmation already delays an enter, and a track
+    # leaves a zone on its first window outside it; a longer exit
+    # debounce keeps tracks that coast out of the room counted longer
+    on_threshold: int = 1     # H_on, consecutive ticks inside a zone
+    off_threshold: int = 1    # H_off, consecutive ticks outside it
     status_period: float = 2.0  # s
     bounds_x: tuple[float, float] = (0.0, 12.0)
     bounds_y: tuple[float, float] = (0.0, 6.0)

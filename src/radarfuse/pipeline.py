@@ -1,13 +1,13 @@
 """Wires the stages into a processing graph.
 
 Stage order mirrors the node architecture: per-radar decode ->
-world-frame transform -> threshold filter -> buffer filter -> merge ->
+threshold filter -> world-frame transform -> buffer filter -> merge ->
 windowed clustering -> tracking -> occupancy -> telemetry/logs.
-From the decoder on, a frame is one float array: decode yields a
-radar's ``(n, 5)`` point array (layout in :mod:`radarfuse.tlv`) and
-to-world maps it whole to world rows (layout in
-:mod:`radarfuse.geometry`).  A record from a radar the config does
-not name is dropped and counted in ``unknown_radar_records``.
+From the decoder on, a frame is one float array: a radar's ``(n, 5)``
+point array (layout in :mod:`radarfuse.tlv`) through the threshold,
+then its kept points' ``(n, 3)`` world positions from to-world on.  A
+record from a radar the config does not name is dropped and counted in
+``unknown_radar_records``.
 
 :class:`Pipeline` is the one driver: synchronous and push-based.  The
 timestamps inside the data drive all logic, so a replay is fully
@@ -39,7 +39,6 @@ class _RadarLane:
     threshold: ThresholdConfig
     decoder: tlv.FrameDecoder
     buffer: BufferFilter
-    origin: tuple
 
 
 class Pipeline:
@@ -55,7 +54,6 @@ class Pipeline:
                 threshold=r.threshold,
                 decoder=tlv.FrameDecoder(units=r.units),
                 buffer=BufferFilter(r.buffer),
-                origin=(r.pose.x, r.pose.y, r.pose.z),
             )
         self.merger = Merger(cfg.merge, source_ids=list(self.lanes))
         self.clusterer = WindowClusterer(cfg.clustering)
@@ -76,9 +74,9 @@ class Pipeline:
             self.unknown_radar_records += 1
             return
         for points in lane.decoder.feed(record.payload, ts_ns):
-            rows = self.tree.to_world(radar_id, points)
-            kept = threshold_filter(rows, lane.threshold, lane.origin)
-            emitted = lane.buffer.push(ts_ns, kept[:, :3])
+            kept = threshold_filter(points, lane.threshold)
+            positions = self.tree.to_world(radar_id, kept)
+            emitted = lane.buffer.push(ts_ns, positions)
             if emitted is not None:
                 self._feed_merger(radar_id, *emitted)
 

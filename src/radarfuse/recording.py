@@ -81,11 +81,15 @@ def read_header(path) -> dict:
         header = json.loads(first)
     except json.JSONDecodeError as e:
         raise FormatError(1, f"bad header: {e}") from None
-    if header.get("format") != FORMAT_NAME:
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise FormatError(1, "not a radarfuse log")
     if header.get("version") != FORMAT_VERSION:
         raise VersionMismatch(1, f"log version {header.get('version')}, "
                               f"reader supports {FORMAT_VERSION}")
+    radars = header.get("radars")
+    if not (isinstance(radars, list)
+            and all(isinstance(r, str) for r in radars)):
+        raise FormatError(1, "header radars must be a list of radar ids")
     return header
 
 

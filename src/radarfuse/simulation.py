@@ -118,6 +118,8 @@ def validate_scenario(sc: Scenario):
         raise InvalidScenario("radars", "at least one radar required")
     if sc.duration <= 0:
         raise InvalidScenario("duration", "must be > 0")
+    if sc.seed < 0:
+        raise InvalidScenario("seed", "must be >= 0")
     if not sc.room_height > GHOST_FLOOR:
         raise InvalidScenario("room_height",
                               f"must be > the ghost floor {GHOST_FLOOR} m")
@@ -524,7 +526,8 @@ def evaluate(estimate_series, truth_series, smoothing_seconds: float = 30.0,
     times = np.arange(t0, t1 + dt / 2, dt)
     est = _step_sample(estimate_series, times)
     tru = _step_sample(truth_series, times)
-    w = max(1, int(round(smoothing_seconds / dt)))
+    # a window past the series' length averages all of it
+    w = min(len(times), max(1, int(round(smoothing_seconds / dt))))
     est_s = _moving_average(est, w)
     tru_s = _moving_average(tru, w)
 

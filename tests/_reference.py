@@ -35,15 +35,14 @@ def brute_decode(payload, units):
 
 
 def brute_to_world(pose, row):
-    """World row ``[x, y, z, doppler, snr]`` of one decoded point row
+    """World position ``[x, y, z]`` of one decoded point row
     ``(range, azimuth, elevation, doppler, snr)``, one point at a time:
     spherical to local Cartesian, then rotation and translation."""
-    r, az, el, doppler, snr = row
+    r, az, el, _, _ = row
     local = np.array([r * math.cos(el) * math.sin(az),
                       r * math.cos(el) * math.cos(az),
                       r * math.sin(el)])
-    x, y, z = pose.matrix() @ local + pose.translation
-    return [x, y, z, doppler, snr]
+    return (pose.matrix() @ local + pose.translation).tolist()
 
 
 def brute_dbscan(positions, eps, min_pts):

@@ -251,7 +251,6 @@ def test_criterion_07_ghost_robustness():
                   noise=NoiseSpec(ghost_rate=2.0, dropout_prob=0.0),
                   doppler_zero_suppression=False, duration=40.0, seed=61)
     tree = TransformTree({"r0": radar.pose})
-    origin = tuple(radar.pose.translation)
     buf = BufferFilter(BufferConfig())
     pending_in: dict[int, tuple] = {}
     seen_in, seen_out = Counter(), Counter()
@@ -265,13 +264,12 @@ def test_criterion_07_ghost_robustness():
                 if tuple(r) in out]
 
     for frame in simulate_frames(sc):
-        rows = tree.to_world(frame.radar_id, frame.points)
         labels = ["ghost" if lab == "ghost" else "walker"
                   for lab in frame.labels]
-        kept = threshold_filter(rows, ThresholdConfig(), origin)
-        positions = kept[:, :3]
+        kept = threshold_filter(frame.points, ThresholdConfig())
+        positions = tree.to_world(frame.radar_id, kept)
         pending_in[frame.ts_ns] = (positions,
-                                   survivors(rows, labels, kept))
+                                   survivors(frame.points, labels, kept))
         emitted = buf.push(frame.ts_ns, positions)
         if emitted is not None:
             ts, pts = emitted

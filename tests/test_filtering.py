@@ -5,16 +5,13 @@ from _reference import brute_buffer_survival, brute_buffer_survival_window
 from radarfuse.filtering import (BufferConfig, BufferFilter, ThresholdConfig,
                                  threshold_filter)
 
-ORIGIN = (0.0, 0.0, 1.0)
-
-
-def row(x=0.0, y=0.0, z=1.0, doppler=0.0, snr=15.0):
-    """One world row (x, y, z, doppler, snr)."""
-    return (x, y, z, doppler, snr)
+def row(r=2.0, az=0.0, el=0.0, doppler=0.0, snr=15.0):
+    """One point-array row (range, azimuth, elevation, doppler, snr)."""
+    return (r, az, el, doppler, snr)
 
 
 def rows(*r):
-    """An (n, 5) world frame."""
+    """An (n, 5) point array."""
     return np.array(r, dtype=float).reshape(-1, 5)
 
 
@@ -30,30 +27,32 @@ def has_row(a, r):
 class TestThresholdFilter:
     def test_snr_boundary_inclusive(self):
         cfg = ThresholdConfig(snr_min=10.0)
-        kept = threshold_filter(rows(row(snr=9.9), row(snr=10.0)), cfg,
-                                ORIGIN)
+        kept = threshold_filter(rows(row(snr=9.9), row(snr=10.0)), cfg)
         assert kept[:, 4].tolist() == [10.0]
 
     def test_doppler_absolute(self):
         cfg = ThresholdConfig(doppler_abs_max=5.0)
         kept = threshold_filter(rows(row(doppler=-6.0), row(doppler=4.9)),
-                                cfg, ORIGIN)
+                                cfg)
         assert kept[:, 3].tolist() == [4.9]
 
     def test_empty(self):
         for cfg in (ThresholdConfig(), ThresholdConfig(range_max=5.0)):
-            assert threshold_filter(rows(), cfg, ORIGIN).shape == (0, 5)
+            assert threshold_filter(rows(), cfg).shape == (0, 5)
 
-    def test_range_max_uses_radar_origin(self):
+    def test_range_max_is_reported_range(self):
         cfg = ThresholdConfig(range_max=5.0)
-        pts = rows(row(x=3.0), row(x=9.0), row(x=3.0, y=4.0))
-        kept = threshold_filter(pts, cfg, radar_origin=(0.0, 0.0, 1.0))
-        # exactly range_max away is kept
+        beyond = np.nextafter(5.0, np.inf)
+        # angles do not enter: range is the radar's reported range
+        pts = rows(row(r=3.0), row(r=beyond, az=0.5), row(r=5.0, el=-1.0),
+                   row(r=9.0), row(r=beyond))
+        kept = threshold_filter(pts, cfg)
+        # exactly range_max away is kept, a hair beyond it is not
         assert np.array_equal(kept, pts[[0, 2]])
 
     def test_order_preserved_subset(self):
         pts = rows(*(row(snr=s) for s in (12, 3, 15, 7, 20)))
-        kept = threshold_filter(pts, ThresholdConfig(snr_min=8), ORIGIN)
+        kept = threshold_filter(pts, ThresholdConfig(snr_min=8))
         assert np.array_equal(kept, pts[[0, 2, 4]])
 
 
@@ -63,11 +62,11 @@ class TestThresholdFilter:
 def test_threshold_idempotent_and_monotone(snrs, snr_min):
     pts = rows(*(row(snr=s) for s in snrs))
     cfg = ThresholdConfig(snr_min=snr_min)
-    once = threshold_filter(pts, cfg, ORIGIN)
-    assert np.array_equal(threshold_filter(once, cfg, ORIGIN), once)
+    once = threshold_filter(pts, cfg)
+    assert np.array_equal(threshold_filter(once, cfg), once)
     assert all(has_row(pts, p) for p in once)
     stricter = ThresholdConfig(snr_min=min(snr_min + 5.0, 40.0))
-    assert len(threshold_filter(pts, stricter, ORIGIN)) <= len(once)
+    assert len(threshold_filter(pts, stricter)) <= len(once)
 
 
 class TestBufferFilter:

@@ -64,7 +64,7 @@ class TestTransformTree:
         # 5 degree downward tilt: boresight point 5 m out lands
         # 5*cos(5deg) forward and 5*sin(5deg) below the mount
         tree = TransformTree({"wall": Pose(z=2.35, pitch=math.radians(-5))})
-        ((_, y, z, _, _),) = tree.to_world("wall", frame(5.0))
+        ((_, y, z),) = tree.to_world("wall", frame(5.0))
         assert y == pytest.approx(5 * math.cos(math.radians(5)), abs=1e-9)
         assert z == pytest.approx(2.35 - 5 * math.sin(math.radians(5)),
                                   abs=1e-9)
@@ -73,24 +73,23 @@ class TestTransformTree:
         tree = TransformTree({
             "ceil": Pose(x=6, y=3, z=2.35, pitch=-math.pi / 2)})
         h = 1.35
-        (row,) = tree.to_world("ceil", frame(h))
-        np.testing.assert_allclose(row[:3], [6, 3, 2.35 - h], atol=1e-9)
+        (xyz,) = tree.to_world("ceil", frame(h))
+        np.testing.assert_allclose(xyz, [6, 3, 2.35 - h], atol=1e-9)
 
     def test_to_world_zero_range(self):
         tree = TransformTree({
             "r0": Pose(x=1, y=2, z=3, yaw=0.7, pitch=-0.3)})
-        (row,) = tree.to_world("r0", frame(0.0))
-        np.testing.assert_allclose(row[:3], [1, 2, 3], atol=1e-12)
+        (xyz,) = tree.to_world("r0", frame(0.0))
+        np.testing.assert_allclose(xyz, [1, 2, 3], atol=1e-12)
 
     def test_to_world_carries_metadata(self):
         tree = TransformTree({"r0": Pose()})
         points = np.array([[2.0, 0.1, 0.0, -1.5, 33.0]])
-        rows = tree.to_world("r0", points)
-        # a row is (x, y, z, doppler, snr); the caller knows the radar
-        assert rows.shape == (1, 5)
-        assert np.array_equal(rows[0, :3],
+        positions = tree.to_world("r0", points)
+        # positions only: doppler and snr stay in the point array
+        assert positions.shape == (1, 3)
+        assert np.array_equal(positions[0],
                               spherical_to_cartesian(2.0, 0.1, 0.0))
-        assert rows[0, 3:].tolist() == [-1.5, 33.0]
         assert points.tolist() == [[2.0, 0.1, 0.0, -1.5, 33.0]]  # unchanged
 
 
@@ -105,11 +104,11 @@ def test_to_world_matches_per_point_oracle(radar, n):
                               rng.uniform(-1.27, 1.27, (n, 2)),
                               rng.uniform(-9, 9, n), rng.uniform(0, 100, n)])
     tree = TransformTree({r.radar_id: r.pose for r in _PAPER_RADARS})
-    rows = tree.to_world(radar.radar_id, points)
+    positions = tree.to_world(radar.radar_id, points)
     expect = np.array([brute_to_world(radar.pose, row)
-                       for row in points.tolist()]).reshape(-1, 5)
-    assert rows.shape == (n, 5)
-    assert np.array_equal(rows, expect)
+                       for row in points.tolist()]).reshape(-1, 3)
+    assert positions.shape == (n, 3)
+    assert np.array_equal(positions, expect)
 
 
 pose_strategy = st.builds(

@@ -158,6 +158,13 @@ class TestConfig:
         assert [r.radar_id for r in cfg.radars] == ["wall_a"]
         assert cfg.grid == load_config(paper_config_doc()).grid
 
+    def test_grid_defaults_are_the_paper_grid(self):
+        # a config with no grid section gets the thresholds every
+        # shipped config uses
+        grid = load_config({"radars": [{"radar_id": "r0"}]}).grid
+        assert (grid.on_threshold, grid.off_threshold) == (1, 1)
+        assert grid == load_config(paper_config_doc()).grid
+
     def test_degrees_converted_once(self):
         doc = paper_config_doc()
         doc["radars"][2]["pose"]["pitch_deg"] = -90.0
@@ -308,6 +315,38 @@ class TestCli:
         assert not out.exists()
         assert not (tmp_path / "t.jsonl").exists()
 
+    @pytest.mark.parametrize("source", ["paper", "yaml"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, source):
+        argv = ["simulate", "--out", str(tmp_path / "sim.log"),
+                "--truth", str(tmp_path / "t.jsonl")]
+        if source == "paper":
+            argv += ["--scenario", "paper", "--seed", "-1"]
+        else:
+            scenario = tmp_path / "scenario.yaml"
+            scenario.write_text("radars: [{radar_id: r0}]\nseed: -1\n")
+            argv += ["--scenario", str(scenario)]
+        assert cli.cli(argv) == 2
+        assert "error: seed: must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "sim.log").exists()
+        assert not (tmp_path / "t.jsonl").exists()
+
+    @pytest.mark.parametrize("header", [
+        pytest.param('{"format":"radarfuse-log","version":1}',
+                     id="no-radars"),
+        pytest.param('{"format":"radarfuse-log","version":1,'
+                     '"radars":"wall_a"}', id="radars-string"),
+    ])
+    def test_record_bad_header_radars_exit_2(self, tmp_path, capsys,
+                                             header):
+        log = tmp_path / "bad.log"
+        log.write_text(header + "\n")
+        out = tmp_path / "copy.log"
+        assert cli.cli(["record", "--log", str(log), "--out", str(out),
+                        "--fast"]) == 2
+        assert "error: line 1: header radars must be a list" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_record_round_trip(self, tmp_path, sim_log):
         log, _ = sim_log
         out = tmp_path / "copy.log"
@@ -383,6 +422,16 @@ class TestCli:
         assert "argument --speed: expected a positive finite number" in \
             capsys.readouterr().err
         assert not (tmp_path / "copy.log").exists()
+
+    @pytest.mark.parametrize("window", ["0", "-5", "nan", "inf", "wide"])
+    def test_bad_window_exit_2(self, tmp_path, sim_log, capsys, window):
+        _, truth = sim_log
+        argv = ["eval", "--pipeline-log", str(truth), "--truth", str(truth),
+                "--window", window, "--out", str(tmp_path / "eval.json")]
+        assert cli.cli(argv) == 2
+        assert "argument --window: expected a positive finite number" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "eval.json").exists()
 
     def test_module_entry_point(self):
         env = dict(os.environ, PYTHONPATH=str(SRC))

@@ -113,6 +113,20 @@ def test_not_a_log(tmp_path):
         read_header(p)
 
 
+@pytest.mark.parametrize("header", [
+    {"format": FORMAT_NAME, "version": FORMAT_VERSION},
+    {"format": FORMAT_NAME, "version": FORMAT_VERSION, "radars": "wall_a"},
+    {"format": FORMAT_NAME, "version": FORMAT_VERSION, "radars": ["r0", 1]},
+    [FORMAT_NAME, FORMAT_VERSION],
+], ids=["no-radars", "radars-string", "radars-non-string-id", "not-object"])
+def test_bad_header_radars(tmp_path, header):
+    p = tmp_path / "a.jsonl"
+    p.write_text(json.dumps(header) + "\n")
+    with pytest.raises(FormatError) as ei:
+        read_header(p)
+    assert ei.value.line_no == 1
+
+
 def test_version_mismatch(tmp_path):
     p = tmp_path / "a.jsonl"
     p.write_text(json.dumps({"format": FORMAT_NAME, "version": 99}) + "\n")

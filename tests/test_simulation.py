@@ -176,6 +176,7 @@ class TestValidation:
                      id="ceiling-at-ghost-floor"),
         pytest.param({"room_height": 0.1}, "room_height",
                      id="ceiling-below-ghost-floor"),
+        pytest.param({"seed": -1}, "seed", id="negative-seed"),
     ])
     def test_rejected_before_log_opens(self, kw, path, tmp_path):
         sc = Scenario(**{"radars": (overhead_radar(),), "duration": 1.0,
@@ -294,7 +295,7 @@ class TestFrameGeneration:
             expect = walker_positions(one_walker(), [t])[0]
             radar = overhead_radar()
             tree = TransformTree({radar.radar_id: radar.pose})
-            for x, y, z, _, _ in tree.to_world(f.radar_id, f.points):
+            for x, y, z in tree.to_world(f.radar_id, f.points):
                 # quantization of the wire format dominates the error
                 assert abs(x - expect[0]) < 0.05
                 assert abs(y - expect[1]) < 0.05
@@ -456,6 +457,13 @@ class TestEvaluate:
         m = evaluate(est, truth, smoothing_seconds=5.0)
         assert m.convergence_time_s is None
         assert m.mae == pytest.approx(2.0)
+
+    def test_window_longer_than_series(self):
+        # a finite window of any size averages the whole series so far
+        truth = [(float(t), 1) for t in range(0, 100)]
+        est = [(float(t), 1 if t >= 40 else 6) for t in range(0, 100)]
+        whole = evaluate(est, truth, smoothing_seconds=100.0)
+        assert evaluate(est, truth, smoothing_seconds=1e300) == whole
 
     def test_late_lock_on(self):
         truth = [(float(t), 1) for t in range(0, 100)]
