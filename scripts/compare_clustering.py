@@ -25,7 +25,7 @@ def score(log, truth, algorithm, workdir, window, config):
     if rc != 0:
         raise SystemExit(rc)
     metrics = evaluate(cli.read_count_series(status),
-                       cli.read_truth_series(truth),
+                       cli.read_count_series(truth),
                        smoothing_seconds=window)
     return metrics.to_dict()
 

@@ -5,7 +5,8 @@ Subcommands:
   replay    deterministic offline replay (A/B clustering switch)
   record    copy a replayed stream into a new recording
   simulate  render a scenario to a log + ground-truth file
-  eval      compare a pipeline status log with ground truth
+  eval      compare a pipeline status log with ground truth, both read
+            by read_count_series
 
 Exit codes: 0 success, 2 configuration/usage error, 1 runtime failure.
 """
@@ -111,36 +112,47 @@ def cmd_simulate(args) -> int:
 
 
 def read_count_series(path, zone_id=None):
+    """The ``(t_s, count)`` series of a status or truth JSONL file.
+
+    Lines with no ``count`` (events) are skipped.  A line's zone is its
+    ``zone_id``, none if it has no such key.  With ``zone_id`` given
+    only that zone's lines are read; without it the file must hold one
+    zone.  A line that is not a JSON object, a ``count`` with no
+    ``t_s`` and a second zone raise :class:`recording.FormatError`
+    naming the file and the line."""
     series = []
-    zones = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            doc = json.loads(line)
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError:
+                doc = None
+            if not isinstance(doc, dict):
+                raise recording.FormatError(line_no, "not a JSON object",
+                                            path)
             if "count" not in doc:
                 continue
-            zones.add(doc["zone_id"])
-            if zone_id is None or doc["zone_id"] == zone_id:
-                series.append((doc["t_s"], doc["count"]))
-    if zone_id is None and len(zones) > 1:
-        raise ValueError(f"log has multiple zones {sorted(zones)}; pass --zone")
-    return series
-
-
-def read_truth_series(path):
-    series = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                doc = json.loads(line)
-                series.append((doc["t_s"], doc["count"]))
+            if "t_s" not in doc:
+                raise recording.FormatError(line_no, "count without t_s",
+                                            path)
+            zone = doc.get("zone_id")
+            if zone_id is None:
+                if series and zone != first:
+                    raise recording.FormatError(
+                        line_no, f"zone {zone!r} after zone {first!r}; "
+                        "pass --zone", path)
+                first = zone
+            elif zone != zone_id:
+                continue
+            series.append((doc["t_s"], doc["count"]))
     return series
 
 
 def cmd_eval(args) -> int:
     estimate = read_count_series(args.pipeline_log, args.zone)
-    truth = read_truth_series(args.truth)
+    truth = read_count_series(args.truth)
     metrics = simulation.evaluate(estimate, truth,
                                   smoothing_seconds=args.window)
     doc = metrics.to_dict()
@@ -156,25 +168,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="paced replay of a log, MQTT on")
-    run.add_argument("--config", required=True)
-    run.add_argument("--log", required=True)
-    run.add_argument("--speed", type=_positive, default=1.0)
-    run.add_argument("--mqtt-url")
-    run.add_argument("--status-log")
-    run.add_argument("--event-log")
     run.set_defaults(func=cmd_replay, fast=False, clustering=None)
-
     rp = sub.add_parser("replay", help="deterministic offline replay")
-    rp.add_argument("--config", required=True)
-    rp.add_argument("--log", required=True)
-    rp.add_argument("--speed", type=_positive, default=1.0)
+    rp.set_defaults(func=cmd_replay)
+    for p in (run, rp):
+        p.add_argument("--config", required=True)
+        p.add_argument("--log", required=True)
+        p.add_argument("--speed", type=_positive, default=1.0)
+        p.add_argument("--mqtt-url")
+        p.add_argument("--status-log")
+        p.add_argument("--event-log")
     rp.add_argument("--fast", action="store_true",
                     help="no wall pacing; output is identical either way")
     rp.add_argument("--clustering", choices=["dbscan", "optics"])
-    rp.add_argument("--mqtt-url")
-    rp.add_argument("--status-log")
-    rp.add_argument("--event-log")
-    rp.set_defaults(func=cmd_replay)
 
     rec = sub.add_parser("record", help="re-record a replayed stream")
     rec.add_argument("--log", required=True)
@@ -212,10 +218,8 @@ def cli(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (simulation.InvalidScenario, recording.FormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (simulation.InvalidScenario, recording.FormatError,
+            FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime failure

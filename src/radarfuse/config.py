@@ -153,6 +153,9 @@ def _check_unique(path: str, key: str, items):
 
 def load_config(path_or_doc) -> PipelineConfig:
     cfg = _load(PipelineConfig, _read_doc(path_or_doc), "")
+    for path in simulation._non_finite(cfg):
+        head, _, name = path.rpartition(".")
+        raise ConfigError(_join(head, _key(name)), "must be finite")
     if not cfg.radars:
         raise ConfigError("radars", "at least one radar required")
     _check_unique("radars", "radar_id", cfg.radars)

@@ -53,6 +53,8 @@ class GridConfig:
     def __post_init__(self):
         if self.on_threshold < 1 or self.off_threshold < 1:
             raise ValueError("hysteresis thresholds must be >= 1")
+        if self.status_period <= 0:
+            raise ValueError("status_period must be > 0")
         for name in ("bounds_x", "bounds_y"):
             lo, hi = getattr(self, name)
             if not lo < hi:

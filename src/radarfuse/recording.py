@@ -21,8 +21,9 @@ RECORD_KIND = "raw_tlv"
 
 
 class FormatError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    def __init__(self, line_no: int, message: str, path=None):
+        where = f"{path}: line {line_no}" if path else f"line {line_no}"
+        super().__init__(f"{where}: {message}")
         self.line_no = line_no
 
 

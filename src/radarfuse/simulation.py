@@ -9,10 +9,10 @@ a radar is below the suppression threshold sheds nothing to that radar,
 mimicking firmware that only reports moving reflectors.
 
 Trajectories are arrays: :func:`walker_positions` and
-:func:`walker_velocities` evaluate a walker's path over a whole array of
-times, NaN before entry.  A scenario renders ``_CHUNK_TICKS`` ticks at
-a time, so a render's memory is bounded by the chunk, not by the
-duration.  Each radar's ticks get every walker's position, velocity,
+:func:`walker_motion` (positions and velocities) evaluate a walker's
+path over a whole array of times, NaN before entry.  A scenario
+renders ``_CHUNK_TICKS`` ticks at a time, so a render's memory is
+bounded by the chunk, not by the duration.  Each radar's ticks get every walker's position, velocity,
 radial speed and field-of-view check a chunk at a time, and the ticks
 of all radars are merged in ``(timestamp, radar id)`` order.  Per tick
 only the seeded draws run, and the rotation of the tick's rows into its
@@ -180,16 +180,11 @@ def walker_positions(w: WalkerSpec, times) -> np.ndarray:
     return out
 
 
-def walker_velocities(w: WalkerSpec, times, h: float = 0.02) -> np.ndarray:
-    """World XY velocity at each scenario time, as an ``(n, 2)`` array:
-    the central difference of :func:`walker_positions` over ``h`` either
-    side, clipped at entry; rows before entry are NaN."""
-    return _walker_motion(w, times, h)[1]
-
-
-def _walker_motion(w: WalkerSpec, times, h: float = 0.02):
-    """:func:`walker_positions` and :func:`walker_velocities` at each
-    scenario time, from one evaluation of the path."""
+def walker_motion(w: WalkerSpec, times, h: float = 0.02):
+    """World XY positions and velocities at each scenario time, two
+    ``(n, 2)`` arrays from one evaluation of the path: the positions of
+    :func:`walker_positions`, and the central difference of them over
+    ``h`` either side, clipped at entry; rows before entry are NaN."""
     t = np.asarray(times, dtype=float)
     xy = walker_positions(w, np.concatenate(
         [t, np.maximum(t - h, w.entry_time), t + h]))
@@ -286,7 +281,7 @@ def _radar_ticks(sc: Scenario, radar: RadarSpec, walkers):
         bodies = np.full((len(times), len(walkers), 3), sc.body_height)
         vel = np.zeros_like(bodies)
         for j, w in enumerate(walkers):
-            bodies[:, j, :2], vel[:, j, :2] = _walker_motion(w, times)
+            bodies[:, j, :2], vel[:, j, :2] = walker_motion(w, times)
         flat = bodies.reshape(-1, 3)
         emits = _in_view(radar, flat @ rot.T - offset)
         radial = _radial_speeds(vel.reshape(-1, 3), flat - pos)
@@ -392,7 +387,7 @@ def ground_truth_series(sc: Scenario, tick: float = 0.5):
     while t <= sc.duration + 1e-9:
         times.append(t)
         t += tick
-    paths = [(w, *_walker_motion(w, times)) for w in sc.walkers]
+    paths = [(w, *walker_motion(w, times)) for w in sc.walkers]
     out = []
     for i, t in enumerate(times):
         walkers = [{"id": w.walker_id,

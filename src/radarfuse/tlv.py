@@ -20,7 +20,7 @@ values already known to fit (the simulator) packs them without
 quantising again.
 Every frame starts with the magic preamble, which lets the scanner
 resynchronize after byte loss on a serial link or a corrupt length
-field.
+field.  :class:`FrameScanner` is the one header reader.
 """
 
 from __future__ import annotations
@@ -62,10 +62,6 @@ class TlvError(Exception):
     pass
 
 
-class BufferTooShort(TlvError):
-    pass
-
-
 class MisalignedPayload(TlvError):
     pass
 
@@ -77,12 +73,6 @@ class ValueOutOfRange(TlvError):
         self.field_name = field_name
         self.index = index
         self.value = value
-
-
-@dataclass(frozen=True)
-class TlvHeader:
-    type_id: int
-    length: int
 
 
 @dataclass(frozen=True)
@@ -114,13 +104,6 @@ class DecodeUnits:
         row[_WIRE_COLUMNS] = self.wire_scales()
         row.flags.writeable = False
         return row
-
-
-def parse_header(buf: bytes) -> TlvHeader:
-    if len(buf) < HEADER_SIZE:
-        raise BufferTooShort(f"need {HEADER_SIZE} bytes, got {len(buf)}")
-    type_id, length = _HEADER.unpack_from(buf)
-    return TlvHeader(type_id, length)
 
 
 def decode_points(payload: bytes, units: DecodeUnits) -> np.ndarray:

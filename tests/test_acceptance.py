@@ -56,7 +56,7 @@ def paper_run(tmp_path_factory):
                     "--event-log", str(events)]) == 0
     elapsed = time.monotonic() - t0
     metrics = evaluate(cli.read_count_series(status),
-                       cli.read_truth_series(truth), smoothing_seconds=30.0)
+                       cli.read_count_series(truth), smoothing_seconds=30.0)
     return {"dir": d, "log": log, "truth": truth, "status": status,
             "events": events, "elapsed": elapsed, "metrics": metrics}
 
@@ -94,7 +94,7 @@ def test_criterion_02_optics_dbscan_agreement(paper_run):
                     str(paper_run["log"]), "--fast", "--clustering", "optics",
                     "--status-log", str(status_o)]) == 0
     metrics_o = evaluate(cli.read_count_series(status_o),
-                         cli.read_truth_series(paper_run["truth"]),
+                         cli.read_count_series(paper_run["truth"]),
                          smoothing_seconds=30.0)
     assert metrics_o.mae <= 0.5  # both arms produce a usable series
 
@@ -133,8 +133,9 @@ def test_criterion_04_codec_round_trip_and_resync():
                  rng.uniform(-1.27, 1.27), rng.uniform(-5, 5),
                  rng.uniform(0, 40)] for _ in range(n)]
         blob = tlv.encode_points(rows, units)
-        header = tlv.parse_header(blob)
-        assert header.length == n * tlv.POINT_SIZE
+        ((type_id, payload),) = tlv.FrameScanner().feed(tlv.MAGIC + blob)
+        assert type_id == tlv.COMPRESSED_POINTS_TYPE_ID
+        assert len(payload) == n * tlv.POINT_SIZE
         back = tlv.decode_points(blob[tlv.HEADER_SIZE:], units)
         assert back.shape == (n, 5)
         err = np.abs(np.array(rows).reshape(-1, 5) - back)
@@ -323,7 +324,7 @@ def test_criterion_09_replay_determinism(paper_run):
     assert events2.read_bytes() == paper_run["events"].read_bytes()
     assert status2.read_bytes() == paper_run["status"].read_bytes()
     metrics2 = evaluate(cli.read_count_series(status2),
-                        cli.read_truth_series(paper_run["truth"]),
+                        cli.read_count_series(paper_run["truth"]),
                         smoothing_seconds=30.0)
     assert metrics2.to_dict() == paper_run["metrics"].to_dict()
 

@@ -405,6 +405,91 @@ class TestCli:
         assert rc == 2
         assert f"config error: {path}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit,path,message", [
+        pytest.param(lambda d: d["tracker"].update(miss_timeout=math.inf),
+                     "tracker.miss_timeout", "must be finite",
+                     id="tracker-miss_timeout-inf"),
+        pytest.param(lambda d: d["merge"].update(reorder_horizon_ms=math.inf),
+                     "merge.reorder_horizon_ms", "must be finite",
+                     id="merge-reorder_horizon_ms-inf"),
+        pytest.param(lambda d: d["grid"].update(status_period=math.nan),
+                     "grid.status_period", "must be finite",
+                     id="grid-status_period-nan"),
+        pytest.param(lambda d: d["clustering"].update(eps=math.nan),
+                     "clustering.eps", "must be finite",
+                     id="clustering-eps-nan"),
+        pytest.param(lambda d: d["grid"].update(status_period=-1),
+                     "grid.status_period", "status_period must be > 0",
+                     id="grid-status_period-negative"),
+        pytest.param(lambda d: d["radars"][0]["pose"].update(
+                         pitch_deg=math.nan),
+                     "radars[0].pose.pitch_deg", "must be finite",
+                     id="pose-pitch_deg-nan"),
+    ])
+    def test_bad_number_exit_2_at_load(self, tmp_path, sim_log,
+                                       small_cfg_path, capsys, edit, path,
+                                       message):
+        log, _ = sim_log
+        doc = yaml.safe_load(small_cfg_path.read_text())
+        edit(doc)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        status = tmp_path / "status.jsonl"
+        rc = cli.cli(["replay", "--config", str(bad), "--log", str(log),
+                      "--fast", "--status-log", str(status)])
+        assert rc == 2
+        assert f"config error: {path}: {message}" in capsys.readouterr().err
+        assert not status.exists()
+
+    def test_eval_reads_truth_and_one_zone(self, tmp_path, sim_log, capsys):
+        _, truth = sim_log
+        rows = [json.loads(line) for line in truth.read_text().splitlines()]
+        assert cli.read_count_series(truth) == \
+            [(r["t_s"], r["count"]) for r in rows]
+        # a truth file passed as the pipeline log is read, not a crash
+        assert cli.cli(["eval", "--pipeline-log", str(truth),
+                        "--truth", str(truth), "--window", "10"]) == 0
+        assert json.loads(capsys.readouterr().out)["mae"] == 0.0
+
+        status = tmp_path / "status.jsonl"
+        status.write_text(
+            '{"t_s":0.5,"zone_id":"a","count":1,"targets":[]}\n'
+            '{"t_s":0.5,"zone_id":"b","count":2,"targets":[]}\n'
+            '{"t_s":0.9,"kind":"exit","track_id":3,"zone_id":"b"}\n'
+            '{"t_s":2.5,"zone_id":"a","count":0,"targets":[]}\n'
+            '{"t_s":2.5,"zone_id":"b","count":1,"targets":[]}\n')
+        assert cli.read_count_series(status, "a") == [(0.5, 1), (2.5, 0)]
+        assert cli.read_count_series(status, "b") == [(0.5, 2), (2.5, 1)]
+        assert cli.read_count_series(status, "c") == []
+        assert cli.cli(["eval", "--pipeline-log", str(status),
+                        "--truth", str(truth), "--zone", "b"]) == 0
+
+    @pytest.mark.parametrize("flag", ["--pipeline-log", "--truth"])
+    @pytest.mark.parametrize("text,message", [
+        pytest.param('{"t_s":0.5,"zone_id":"a","count":1}\n{"t_s":\n',
+                     "line 2: not a JSON object", id="not-json"),
+        pytest.param('\n[1, 2]\n', "line 2: not a JSON object",
+                     id="not-object"),
+        pytest.param('{"zone_id":"a","count":1}\n',
+                     "line 1: count without t_s", id="no-t_s"),
+        pytest.param('{"t_s":0.5,"zone_id":"a","count":1}\n'
+                     '{"t_s":0.5,"zone_id":"b","count":2}\n',
+                     "line 2: zone 'b' after zone 'a'; pass --zone",
+                     id="two-zones"),
+    ])
+    def test_eval_bad_input_exit_2(self, tmp_path, sim_log, capsys, flag,
+                                   text, message):
+        _, truth = sim_log
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(text)
+        argv = {"--pipeline-log": str(truth), "--truth": str(truth)}
+        argv[flag] = str(bad)
+        out = tmp_path / "eval.json"
+        assert cli.cli(["eval", *(x for kv in argv.items() for x in kv),
+                        "--out", str(out)]) == 2
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exit_2(self, capsys):
         assert cli.cli(["replay"]) == 2
 

@@ -15,7 +15,7 @@ from radarfuse.simulation import (EmptySeries, InvalidScenario, NoiseSpec,
                                   _radial_speeds, _step_sample,
                                   evaluate, ground_truth_series,
                                   paper_scenario, simulate, simulate_frames,
-                                  walker_positions, walker_velocities)
+                                  walker_motion, walker_positions)
 
 from _reference import (brute_walker_position, loop_moving_average,
                         loop_step_sample)
@@ -52,7 +52,7 @@ class TestWalkerKinematics:
         pos = walker_positions(w, [4.9, 5.0])
         assert np.isnan(pos[0]).all()
         assert pos[1].tolist() == [1.0, 1.0]
-        assert np.isnan(walker_velocities(w, [4.9])).all()
+        assert np.isnan(walker_motion(w, [4.9])[1]).all()
 
     def test_constant_speed_on_segment(self):
         w = one_walker(speed=2.0)
@@ -72,7 +72,7 @@ class TestWalkerKinematics:
 
     def test_velocity_zero_during_dwell(self):
         w = one_walker(speed=1.0, dwells=((2.0, 4.0),))
-        still, moving = walker_velocities(w, [3.0, 8.0])
+        still, moving = walker_motion(w, [3.0, 8.0])[1]
         assert np.linalg.norm(still) == pytest.approx(0.0)
         assert np.linalg.norm(moving) == pytest.approx(1.0, abs=1e-6)
 
@@ -132,7 +132,7 @@ def test_walker_positions_match_brute_force(case):
         [nan if t < w.entry_time else
          (brute(t + h) - brute(max(t - h, w.entry_time))) / (2 * h)
          for t in times]).reshape(-1, 2)
-    assert np.array_equal(walker_velocities(w, times, h), expect_vel,
+    assert np.array_equal(walker_motion(w, times, h)[1], expect_vel,
                           equal_nan=True)
 
 

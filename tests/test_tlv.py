@@ -19,16 +19,23 @@ def make_point(range_m=1.0, azimuth=0.0, elevation=0.0, doppler=0.0,
 
 
 class TestParseHeader:
+    """The scanner is the one header reader."""
+
     def test_little_endian_read(self):
-        buf = bytes([0x14, 0x04, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00])
-        assert tlv.parse_header(buf) == tlv.TlvHeader(type_id=1044, length=32)
+        header = bytes([0x14, 0x04, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00])
+        payload = bytes(range(32))
+        assert list(tlv.FrameScanner().feed(tlv.MAGIC + header + payload)) \
+            == [(1044, payload)]
 
     def test_zero_case(self):
-        assert tlv.parse_header(bytes(8)) == tlv.TlvHeader(0, 0)
+        assert list(tlv.FrameScanner().feed(tlv.MAGIC + bytes(8))) == \
+            [(0, b"")]
 
     def test_short_buffer(self):
-        with pytest.raises(tlv.BufferTooShort):
-            tlv.parse_header(bytes(7))
+        scanner = tlv.FrameScanner()
+        assert list(scanner.feed(tlv.MAGIC + bytes(7))) == []
+        assert list(scanner.feed(bytes(1))) == [(0, b"")]
+        assert scanner.dropped_bytes == 0
 
 
 @pytest.mark.parametrize("name", [f"{n}_scale" for n in tlv.POINT_DTYPE.names])
@@ -71,7 +78,8 @@ class TestEncodePoints:
     def test_empty(self):
         buf = tlv.encode_points([], UNITS)
         assert len(buf) == 8
-        assert tlv.parse_header(buf).length == 0
+        assert list(tlv.FrameScanner().feed(tlv.MAGIC + buf)) == \
+            [(tlv.COMPRESSED_POINTS_TYPE_ID, b"")]
 
     def test_one_zero_point(self):
         buf = tlv.encode_points([make_point(range_m=0, snr=0)], UNITS)
@@ -118,8 +126,9 @@ class TestEncodePoints:
     def test_length_matches_count(self):
         pts = [make_point(range_m=i * 0.1) for i in range(5)]
         buf = tlv.encode_points(pts, UNITS)
-        header = tlv.parse_header(buf)
-        assert header.length == 5 * tlv.POINT_SIZE
+        ((type_id, payload),) = tlv.FrameScanner().feed(tlv.MAGIC + buf)
+        assert type_id == tlv.COMPRESSED_POINTS_TYPE_ID
+        assert len(payload) == 5 * tlv.POINT_SIZE
         assert len(tlv.decode_points(buf[8:], UNITS)) == 5
 
 
