@@ -1,9 +1,8 @@
 """Command-line entry point.
 
 Subcommands:
-  run       paced replay of a recorded log, publishing when MQTT is set
-  replay    deterministic offline replay (A/B clustering switch)
-  record    copy a replayed stream into a new recording
+  replay    deterministic replay of a recorded log, paced by --speed or
+            --fast, publishing when MQTT is set (A/B clustering switch)
   simulate  render a scenario to a log + ground-truth file
   eval      compare a pipeline status log with ground truth, both read
             by read_count_series
@@ -24,7 +23,6 @@ from . import recording, simulation
 from .clustering import ClusterAlgorithm
 from .config import ConfigError, load_config, load_scenario, paper_config_doc
 from .pipeline import JsonlSink, replay_through
-from .recording import Recorder
 from .telemetry import MqttConfig, Publisher
 
 
@@ -59,29 +57,19 @@ def _positive(text: str) -> float:
     return value
 
 
-def _load_cfg(path: str):
-    if path == "paper":
-        return load_config(paper_config_doc())
-    return load_config(path)
-
-
-def _apply_clustering(cfg, algorithm: str | None):
-    if not algorithm:
-        return cfg
-    return replace(cfg, clustering=replace(
-        cfg.clustering, algorithm=ClusterAlgorithm(algorithm)))
-
-
 def cmd_replay(args) -> int:
-    """Serves ``replay`` and ``run`` (paced, without --fast/--clustering)."""
-    cfg = _apply_clustering(_load_cfg(args.config), args.clustering)
+    cfg = load_config(paper_config_doc() if args.config == "paper"
+                      else args.config)
+    if args.clustering:
+        cfg = replace(cfg, clustering=replace(
+            cfg.clustering, algorithm=ClusterAlgorithm(args.clustering)))
+    records = recording.replay(args.log, speed=args.speed,
+                               as_fast_as_possible=args.fast)
     publisher = _make_publisher(cfg, args.mqtt_url)
     sink = esink = None
     try:
         sink = JsonlSink(args.status_log) if args.status_log else None
         esink = JsonlSink(args.event_log) if args.event_log else None
-        records = recording.replay(args.log, speed=args.speed,
-                                   as_fast_as_possible=args.fast)
         replay_through(cfg, records,
                        status_sink=sink.status if sink else None,
                        event_sink=esink.event if esink else None,
@@ -90,15 +78,6 @@ def cmd_replay(args) -> int:
         for s in (sink, esink, publisher):
             if s is not None:
                 s.close()
-    return 0
-
-
-def cmd_record(args) -> int:
-    header = recording.read_header(args.log)
-    with Recorder(args.out, radar_ids=header["radars"]) as rec:
-        for record in recording.replay(args.log, speed=args.speed,
-                                       as_fast_as_possible=args.fast):
-            rec.write(record)
     return 0
 
 
@@ -118,7 +97,8 @@ def read_count_series(path, zone_id=None):
     ``zone_id``, none if it has no such key.  With ``zone_id`` given
     only that zone's lines are read; without it the file must hold one
     zone.  A line that is not a JSON object, a ``count`` with no
-    ``t_s`` and a second zone raise :class:`recording.FormatError`
+    ``t_s``, a ``t_s`` or ``count`` that is not a finite number (a bool
+    is not one) and a second zone raise :class:`recording.FormatError`
     naming the file and the line."""
     series = []
     with open(path, encoding="utf-8") as fh:
@@ -137,6 +117,12 @@ def read_count_series(path, zone_id=None):
             if "t_s" not in doc:
                 raise recording.FormatError(line_no, "count without t_s",
                                             path)
+            t_s, count = doc["t_s"], doc["count"]
+            if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                       for v in (t_s, count)):
+                raise recording.FormatError(
+                    line_no, f"t_s {t_s!r} and count {count!r} must be "
+                    "finite numbers", path)
             zone = doc.get("zone_id")
             if zone_id is None:
                 if series and zone != first:
@@ -146,13 +132,22 @@ def read_count_series(path, zone_id=None):
                 first = zone
             elif zone != zone_id:
                 continue
-            series.append((doc["t_s"], doc["count"]))
+            series.append((t_s, count))
+    return series
+
+
+def _count_series(path, zone_id=None):
+    """:func:`read_count_series`, where no count line is a usage error."""
+    series = read_count_series(path, zone_id)
+    if not series:
+        zone = "" if zone_id is None else f" of zone {zone_id!r}"
+        raise simulation.EmptySeries(f"{path}: no count lines{zone}")
     return series
 
 
 def cmd_eval(args) -> int:
-    estimate = read_count_series(args.pipeline_log, args.zone)
-    truth = read_count_series(args.truth)
+    estimate = _count_series(args.pipeline_log, args.zone)
+    truth = _count_series(args.truth)
     metrics = simulation.evaluate(estimate, truth,
                                   smoothing_seconds=args.window)
     doc = metrics.to_dict()
@@ -167,27 +162,18 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="radarfuse")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="paced replay of a log, MQTT on")
-    run.set_defaults(func=cmd_replay, fast=False, clustering=None)
-    rp = sub.add_parser("replay", help="deterministic offline replay")
+    rp = sub.add_parser("replay", help="replay a log through the pipeline")
     rp.set_defaults(func=cmd_replay)
-    for p in (run, rp):
-        p.add_argument("--config", required=True)
-        p.add_argument("--log", required=True)
-        p.add_argument("--speed", type=_positive, default=1.0)
-        p.add_argument("--mqtt-url")
-        p.add_argument("--status-log")
-        p.add_argument("--event-log")
-    rp.add_argument("--fast", action="store_true",
-                    help="no wall pacing; output is identical either way")
+    rp.add_argument("--config", required=True)
+    rp.add_argument("--log", required=True)
+    pacing = rp.add_mutually_exclusive_group()
+    pacing.add_argument("--speed", type=_positive, default=1.0)
+    pacing.add_argument("--fast", action="store_true",
+                        help="no wall pacing; output is identical either way")
     rp.add_argument("--clustering", choices=["dbscan", "optics"])
-
-    rec = sub.add_parser("record", help="re-record a replayed stream")
-    rec.add_argument("--log", required=True)
-    rec.add_argument("--out", required=True)
-    rec.add_argument("--speed", type=_positive, default=1.0)
-    rec.add_argument("--fast", action="store_true")
-    rec.set_defaults(func=cmd_record)
+    rp.add_argument("--mqtt-url")
+    rp.add_argument("--status-log")
+    rp.add_argument("--event-log")
 
     sim = sub.add_parser("simulate", help="render a synthetic scenario")
     sim.add_argument("--scenario", required=True,
@@ -218,8 +204,8 @@ def cli(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (simulation.InvalidScenario, recording.FormatError,
-            FileNotFoundError) as e:
+    except (simulation.InvalidScenario, simulation.EmptySeries,
+            recording.FormatError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime failure

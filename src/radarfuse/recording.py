@@ -81,29 +81,36 @@ def read_header(path) -> dict:
     try:
         header = json.loads(first)
     except json.JSONDecodeError as e:
-        raise FormatError(1, f"bad header: {e}") from None
+        raise FormatError(1, f"bad header: {e}", path) from None
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-        raise FormatError(1, "not a radarfuse log")
+        raise FormatError(1, "not a radarfuse log", path)
     if header.get("version") != FORMAT_VERSION:
         raise VersionMismatch(1, f"log version {header.get('version')}, "
-                              f"reader supports {FORMAT_VERSION}")
+                              f"reader supports {FORMAT_VERSION}", path)
     radars = header.get("radars")
     if not (isinstance(radars, list)
             and all(isinstance(r, str) for r in radars)):
-        raise FormatError(1, "header radars must be a list of radar ids")
+        raise FormatError(1, "header radars must be a list of radar ids",
+                          path)
     return header
 
 
 def replay(path, speed: float = 1.0, as_fast_as_possible: bool = False,
            sleep=time.sleep):
-    """Yield LogRecords, pacing by the original timestamp deltas / speed.
+    """Iterate the LogRecords of ``path``, paced by timestamp deltas / speed.
 
+    The speed and the header are checked here, before the first record
+    is asked for, so a bad log fails before a caller opens its outputs.
     With ``as_fast_as_possible`` no wall delay is inserted at all; the
     records (and their embedded timestamps) are identical either way.
     """
     if not speed > 0:
         raise ValueError("speed must be > 0")
     read_header(path)
+    return _records(path, speed, as_fast_as_possible, sleep)
+
+
+def _records(path, speed, as_fast_as_possible, sleep):
     prev_ts = None
     with open(path, encoding="utf-8") as fh:
         fh.readline()  # header, already validated
@@ -121,7 +128,7 @@ def replay(path, speed: float = 1.0, as_fast_as_possible: bool = False,
                 # scanner resyncs past any bytes they leave out
                 payload = base64.b64decode(doc["payload"])
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                raise FormatError(line_no, str(e)) from None
+                raise FormatError(line_no, str(e), path) from None
             if not as_fast_as_possible and prev_ts is not None:
                 delta = (ts_ns - prev_ts) / 1e9 / speed
                 if delta > 0:

@@ -336,24 +336,48 @@ class TestCli:
         pytest.param('{"format":"radarfuse-log","version":1,'
                      '"radars":"wall_a"}', id="radars-string"),
     ])
-    def test_record_bad_header_radars_exit_2(self, tmp_path, capsys,
+    def test_replay_bad_header_radars_exit_2(self, tmp_path, capsys,
                                              header):
         log = tmp_path / "bad.log"
         log.write_text(header + "\n")
-        out = tmp_path / "copy.log"
-        assert cli.cli(["record", "--log", str(log), "--out", str(out),
-                        "--fast"]) == 2
-        assert "error: line 1: header radars must be a list" in \
+        status = tmp_path / "status.jsonl"
+        assert cli.cli(["replay", "--config", "paper", "--log", str(log),
+                        "--fast", "--status-log", str(status)]) == 2
+        assert f"error: {log}: line 1: header radars must be a list" in \
             capsys.readouterr().err
-        assert not out.exists()
+        assert not status.exists()
 
-    def test_record_round_trip(self, tmp_path, sim_log):
+    @pytest.mark.parametrize("header", [
+        pytest.param(None, id="missing"),
+        pytest.param("not json", id="not-json"),
+        pytest.param('{"format":"radarfuse-log","version":2,"radars":[]}',
+                     id="version"),
+    ])
+    def test_bad_log_leaves_outputs_alone(self, tmp_path, capsys, header):
+        # the header is read before an output file is opened, so an
+        # earlier run's output survives
+        log = tmp_path / "bad.log"
+        if header is not None:
+            log.write_text(header + "\n")
+        outputs = [tmp_path / "status.jsonl", tmp_path / "events.jsonl"]
+        for path in outputs:
+            path.write_text("earlier run\n")
+        assert cli.cli(["replay", "--config", "paper", "--log", str(log),
+                        "--status-log", str(outputs[0]),
+                        "--event-log", str(outputs[1])]) == 2
+        assert str(log) in capsys.readouterr().err
+        assert [p.read_text() for p in outputs] == ["earlier run\n"] * 2
+
+    def test_commands(self, tmp_path, sim_log, capsys):
+        assert cli.cli(["--help"]) == 0
+        assert "{replay,simulate,eval}" in capsys.readouterr().out
+        # paced replay is `replay --speed`, a log copy is a file copy
         log, _ = sim_log
         out = tmp_path / "copy.log"
-        rc = cli.cli(["record", "--log", str(log), "--out", str(out),
-                      "--fast"])
-        assert rc == 0
-        assert out.read_bytes() == log.read_bytes()
+        assert cli.cli(["record", "--log", str(log), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert cli.cli(["run", "--config", "paper", "--log", str(log)]) == 2
+        assert "invalid choice: 'run'" in capsys.readouterr().err
 
     def test_bad_config_path_exit_2(self, tmp_path, sim_log, capsys):
         log, _ = sim_log
@@ -476,6 +500,27 @@ class TestCli:
                      '{"t_s":0.5,"zone_id":"b","count":2}\n',
                      "line 2: zone 'b' after zone 'a'; pass --zone",
                      id="two-zones"),
+        pytest.param('{"t_s":"x","count":1}\n',
+                     "line 1: t_s 'x' and count 1 must be finite numbers",
+                     id="t_s-string"),
+        pytest.param('\n{"t_s":NaN,"count":1}\n',
+                     "line 2: t_s nan and count 1 must be finite numbers",
+                     id="t_s-nan"),
+        pytest.param('{"t_s":1e400,"count":1}\n',
+                     "line 1: t_s inf and count 1 must be finite numbers",
+                     id="t_s-inf"),
+        pytest.param('{"t_s":0.5,"count":null}\n',
+                     "line 1: t_s 0.5 and count None must be finite numbers",
+                     id="count-null"),
+        pytest.param('{"t_s":0.5,"count":true}\n',
+                     "line 1: t_s 0.5 and count True must be finite numbers",
+                     id="count-bool"),
+        pytest.param('{"t_s":0.5,"count":%d}\n' % 10 ** 400,
+                     "line 1: t_s 0.5 and count %d must be finite numbers"
+                     % 10 ** 400, id="count-huge"),
+        pytest.param("", "no count lines", id="empty"),
+        pytest.param('{"t_s":0.9,"kind":"exit","track_id":3}\n',
+                     "no count lines", id="events-only"),
     ])
     def test_eval_bad_input_exit_2(self, tmp_path, sim_log, capsys, flag,
                                    text, message):
@@ -490,23 +535,41 @@ class TestCli:
         assert f"error: {bad}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_eval_unknown_zone_exit_2(self, tmp_path, sim_log, capsys):
+        _, truth = sim_log
+        status = tmp_path / "status.jsonl"
+        status.write_text('{"t_s":0.5,"zone_id":"a","count":1}\n')
+        out = tmp_path / "eval.json"
+        assert cli.cli(["eval", "--pipeline-log", str(status), "--truth",
+                        str(truth), "--zone", "nope", "--out", str(out)]) == 2
+        assert f"error: {status}: no count lines of zone 'nope'" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exit_2(self, capsys):
         assert cli.cli(["replay"]) == 2
 
-    @pytest.mark.parametrize("command", ["run", "replay", "record"])
+    @pytest.mark.parametrize("command", ["replay"])
     @pytest.mark.parametrize("speed", ["0", "-1", "nan", "inf", "fast"])
     def test_bad_speed_exit_2(self, tmp_path, sim_log, capsys, command,
                               speed):
         log, _ = sim_log
-        argv = [command, "--log", str(log), "--speed", speed]
-        if command == "record":
-            argv += ["--out", str(tmp_path / "copy.log")]
-        else:
-            argv += ["--config", "paper"]
-        assert cli.cli(argv) == 2
+        status = tmp_path / "status.jsonl"
+        assert cli.cli([command, "--config", "paper", "--log", str(log),
+                        "--speed", speed, "--status-log", str(status)]) == 2
         assert "argument --speed: expected a positive finite number" in \
             capsys.readouterr().err
-        assert not (tmp_path / "copy.log").exists()
+        assert not status.exists()
+
+    @pytest.mark.parametrize("flags", [["--speed", "2", "--fast"],
+                                       ["--fast", "--speed", "1"]])
+    def test_speed_with_fast_exit_2(self, tmp_path, sim_log, capsys, flags):
+        log, _ = sim_log
+        status = tmp_path / "status.jsonl"
+        assert cli.cli(["replay", "--config", "paper", "--log", str(log),
+                        "--status-log", str(status), *flags]) == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not status.exists()
 
     @pytest.mark.parametrize("window", ["0", "-5", "nan", "inf", "wide"])
     def test_bad_window_exit_2(self, tmp_path, sim_log, capsys, window):
@@ -530,11 +593,11 @@ class TestCli:
         rc = cli.cli(["replay", "--config", "paper", "--log", str(bad)])
         assert rc == 2
 
-    def test_run_matches_fast_replay(self, tmp_path, sim_log,
-                                     small_cfg_path):
+    def test_paced_replay_matches_fast_replay(self, tmp_path, sim_log,
+                                              small_cfg_path):
         log, _ = sim_log
-        paced, fast = tmp_path / "run.jsonl", tmp_path / "replay.jsonl"
-        assert cli.cli(["run", "--config", str(small_cfg_path),
+        paced, fast = tmp_path / "paced.jsonl", tmp_path / "fast.jsonl"
+        assert cli.cli(["replay", "--config", str(small_cfg_path),
                         "--log", str(log), "--speed", "1000",
                         "--status-log", str(paced)]) == 0
         assert cli.cli(["replay", "--config", str(small_cfg_path),
@@ -544,7 +607,7 @@ class TestCli:
         assert fast.read_text().strip()
 
     @pytest.mark.parametrize("argv", [
-        ["run", "--speed", "1000"],
+        ["replay", "--speed", "1000"],
         ["replay", "--fast"],
     ])
     def test_publisher_disconnects_at_end(self, monkeypatch, sim_log,

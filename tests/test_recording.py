@@ -134,3 +134,16 @@ def test_version_mismatch(tmp_path):
         read_header(p)
     # VersionMismatch is a FormatError, so one except clause covers both
     assert issubclass(VersionMismatch, FormatError)
+
+
+def test_replay_checks_before_first_record(tmp_path):
+    # the checks run at the call, so a caller can fail before it opens
+    # its outputs; the message names the log
+    p = tmp_path / "a.jsonl"
+    write_log(p, SAMPLE)
+    with pytest.raises(ValueError, match="speed must be > 0"):
+        replay(p, speed=0.0)
+    p.write_text('{"format":"something-else","version":1}\n')
+    with pytest.raises(FormatError) as ei:
+        replay(p)
+    assert str(ei.value) == f"{p}: line 1: not a radarfuse log"
