@@ -549,17 +549,26 @@ class TestCli:
     def test_usage_error_exit_2(self, capsys):
         assert cli.cli(["replay"]) == 2
 
-    @pytest.mark.parametrize("command", ["replay"])
+    # `run` and `record` are deleted: with a bad --speed they still exit 2
+    # and write nothing, now as unknown commands.
+    @pytest.mark.parametrize("command, message", [
+        ("run", "invalid choice: 'run'"),
+        ("replay", "argument --speed: expected a positive finite number"),
+        ("record", "invalid choice: 'record'"),
+    ], ids=["run", "replay", "record"])
     @pytest.mark.parametrize("speed", ["0", "-1", "nan", "inf", "fast"])
     def test_bad_speed_exit_2(self, tmp_path, sim_log, capsys, command,
-                              speed):
+                              message, speed):
         log, _ = sim_log
-        status = tmp_path / "status.jsonl"
-        assert cli.cli([command, "--config", "paper", "--log", str(log),
-                        "--speed", speed, "--status-log", str(status)]) == 2
-        assert "argument --speed: expected a positive finite number" in \
-            capsys.readouterr().err
-        assert not status.exists()
+        out = tmp_path / "out.jsonl"
+        argv = [command, "--log", str(log), "--speed", speed]
+        if command == "record":
+            argv += ["--out", str(out)]
+        else:
+            argv += ["--config", "paper", "--status-log", str(out)]
+        assert cli.cli(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [["--speed", "2", "--fast"],
                                        ["--fast", "--speed", "1"]])
