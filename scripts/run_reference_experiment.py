@@ -24,7 +24,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--outdir", default="reference_run",
                     help="directory for the log, truth and result files")
-    ap.add_argument("--seed", type=int, default=7)
+    ap.add_argument("--seed", type=int,
+                    help="default: the bundled scenario's own seed")
     ap.add_argument("--window", type=float, default=30.0,
                     help="moving-average window in seconds")
     ap.add_argument("--clustering", choices=["dbscan", "optics"],
@@ -42,7 +43,8 @@ def main() -> int:
     t0 = time.monotonic()
     steps = [
         ["simulate", "--scenario", "paper", "--out", str(log),
-         "--truth", str(truth), "--seed", str(args.seed)],
+         "--truth", str(truth)]
+        + (["--seed", str(args.seed)] if args.seed is not None else []),
         ["replay", "--config", "paper", "--log", str(log), "--fast",
          "--clustering", args.clustering,
          "--status-log", str(status), "--event-log", str(events)],

@@ -82,10 +82,10 @@ def cmd_replay(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.scenario == "paper":
-        sc = simulation.paper_scenario(seed=args.seed)
-    else:
-        sc = load_scenario(args.scenario)
+    sc = (simulation.paper_scenario() if args.scenario == "paper"
+          else load_scenario(args.scenario))
+    if args.seed is not None:
+        sc = replace(sc, seed=args.seed)
     simulation.simulate(sc, args.out, truth_path=args.truth)
     return 0
 
@@ -102,37 +102,41 @@ def read_count_series(path, zone_id=None):
     naming the file and the line."""
     series = []
     with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError:
-                doc = None
-            if not isinstance(doc, dict):
-                raise recording.FormatError(line_no, "not a JSON object",
-                                            path)
-            if "count" not in doc:
-                continue
-            if "t_s" not in doc:
-                raise recording.FormatError(line_no, "count without t_s",
-                                            path)
-            t_s, count = doc["t_s"], doc["count"]
-            if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max
-                       for v in (t_s, count)):
-                raise recording.FormatError(
-                    line_no, f"t_s {t_s!r} and count {count!r} must be "
-                    "finite numbers", path)
-            zone = doc.get("zone_id")
-            if zone_id is None:
-                if series and zone != first:
+        try:
+            for line_no, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    doc = json.loads(line)
+                except json.JSONDecodeError:
+                    doc = None
+                if not isinstance(doc, dict):
+                    raise recording.FormatError(line_no, "not a JSON object",
+                                                path)
+                if "count" not in doc:
+                    continue
+                if "t_s" not in doc:
+                    raise recording.FormatError(line_no, "count without t_s",
+                                                path)
+                t_s, count = doc["t_s"], doc["count"]
+                if not all(type(v) in (int, float)
+                           and abs(v) <= sys.float_info.max
+                           for v in (t_s, count)):
                     raise recording.FormatError(
-                        line_no, f"zone {zone!r} after zone {first!r}; "
-                        "pass --zone", path)
-                first = zone
-            elif zone != zone_id:
-                continue
-            series.append((t_s, count))
+                        line_no, f"t_s {t_s!r} and count {count!r} must be "
+                        "finite numbers", path)
+                zone = doc.get("zone_id")
+                if zone_id is None:
+                    if series and zone != first:
+                        raise recording.FormatError(
+                            line_no, f"zone {zone!r} after zone {first!r}; "
+                            "pass --zone", path)
+                    first = zone
+                elif zone != zone_id:
+                    continue
+                series.append((t_s, count))
+        except UnicodeDecodeError:
+            raise recording.not_utf8(path) from None
     return series
 
 
@@ -148,8 +152,12 @@ def _count_series(path, zone_id=None):
 def cmd_eval(args) -> int:
     estimate = _count_series(args.pipeline_log, args.zone)
     truth = _count_series(args.truth)
-    metrics = simulation.evaluate(estimate, truth,
-                                  smoothing_seconds=args.window)
+    try:
+        metrics = simulation.evaluate(estimate, truth,
+                                      smoothing_seconds=args.window)
+    except simulation.SpanTooLong as e:
+        raise simulation.SpanTooLong(
+            f"{args.pipeline_log} and {args.truth}: {e}") from None
     doc = metrics.to_dict()
     print(json.dumps(doc, indent=2))
     if args.out:
@@ -180,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="scenario YAML path, or 'paper' for the bundled one")
     sim.add_argument("--out", required=True)
     sim.add_argument("--truth")
-    sim.add_argument("--seed", type=int, default=7)
+    sim.add_argument("--seed", type=int,
+                     help="default: the scenario's own seed")
     sim.set_defaults(func=cmd_simulate)
 
     ev = sub.add_parser("eval", help="score a status log against truth")
@@ -205,7 +214,9 @@ def cli(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (simulation.InvalidScenario, simulation.EmptySeries,
-            recording.FormatError, FileNotFoundError) as e:
+            simulation.SpanTooLong, recording.FormatError,
+            FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime failure

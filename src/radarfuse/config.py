@@ -20,7 +20,7 @@ from dataclasses import (MISSING, asdict, dataclass, fields, is_dataclass,
                          replace)
 from enum import Enum
 
-from . import simulation
+from . import recording, simulation
 from .clustering import ClusterConfig
 from .filtering import BufferConfig, ThresholdConfig
 from .fusion import MergeConfig
@@ -143,6 +143,8 @@ def _read_doc(path_or_doc) -> dict:
             return yaml.safe_load(fh)
         except yaml.YAMLError as e:
             raise ConfigError("<file>", f"invalid YAML: {e}") from None
+        except UnicodeDecodeError:
+            raise recording.not_utf8(path_or_doc) from None
 
 
 def _check_unique(path: str, key: str, items):
@@ -176,25 +178,13 @@ def load_scenario(path_or_doc) -> simulation.Scenario:
 
 
 def paper_config_doc(algorithm: str = "dbscan") -> dict:
-    """Config dict matching :func:`radarfuse.simulation.paper_scenario`,
-    whose radars' ids and poses it takes."""
-    def radar(spec):
-        return {"radar_id": spec.radar_id,
-                "pose": {_key(k): math.degrees(v) if k in _ANGLES else v
-                         for k, v in asdict(spec.pose).items()},
-                "threshold": {"snr_min": 8.0, "doppler_abs_max": 5.0},
-                "buffer": {"window_frames": 3, "support_radius": 0.4,
-                           "min_support": 2}}
+    """Config dict for :func:`radarfuse.simulation.paper_scenario`: its
+    radars' ids and poses and the clustering ``algorithm``.  Every other
+    value, the whole-room zone included, is the config default."""
     return {
-        "radars": [radar(spec) for spec in simulation.paper_scenario().radars],
-        "merge": {"reorder_horizon_ms": 100.0},
-        "clustering": {"window_seconds": 0.5, "algorithm": algorithm,
-                       "eps": 0.45, "min_pts": 4, "optics_max_eps": 2.0},
-        "tracker": {"gate_distance": 1.0, "miss_timeout": 10.0,
-                    "confirm_hits": 3, "max_targets": 20,
-                    "process_noise_accel": 2.0, "measurement_noise": 0.15},
-        "grid": {"status_period": 2.0, "bounds_x": [0.0, 12.0],
-                 "bounds_y": [0.0, 6.0]},
-        "zones": [{"zone_id": "room", "center": [6.0, 3.0],
-                   "len_x": 12.0, "len_y": 6.0}],
+        "radars": [{"radar_id": spec.radar_id,
+                    "pose": {_key(k): math.degrees(v) if k in _ANGLES else v
+                             for k, v in asdict(spec.pose).items()}}
+                   for spec in simulation.paper_scenario().radars],
+        "clustering": {"algorithm": algorithm},
     }

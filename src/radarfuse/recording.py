@@ -75,9 +75,25 @@ class Recorder:
         self.close()
 
 
+def not_utf8(path) -> FormatError:
+    """The error for ``path``, which failed to decode as UTF-8.  A text
+    reader decodes ahead of the line it returns, so the first line that
+    does not decode is found here by decoding the lines again."""
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return FormatError(line_no, f"not UTF-8 ({e.reason})", path)
+    return FormatError(1, "not UTF-8", path)
+
+
 def read_header(path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
+        try:
+            first = fh.readline()
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     try:
         header = json.loads(first)
     except json.JSONDecodeError as e:
@@ -113,25 +129,30 @@ def replay(path, speed: float = 1.0, as_fast_as_possible: bool = False,
 def _records(path, speed, as_fast_as_possible, sleep):
     prev_ts = None
     with open(path, encoding="utf-8") as fh:
-        fh.readline()  # header, already validated
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                ts_ns = int(doc["ts_ns"])
-                radar_id = doc["radar_id"]
-                if doc["kind"] != RECORD_KIND:
-                    raise ValueError(f"record kind {doc['kind']!r}, "
-                                     f"expected {RECORD_KIND!r}")
-                # non-strict: stray characters are discarded, and the TLV
-                # scanner resyncs past any bytes they leave out
-                payload = base64.b64decode(doc["payload"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-                raise FormatError(line_no, str(e), path) from None
-            if not as_fast_as_possible and prev_ts is not None:
-                delta = (ts_ns - prev_ts) / 1e9 / speed
-                if delta > 0:
-                    sleep(delta)
-            prev_ts = ts_ns
-            yield LogRecord(ts_ns=ts_ns, radar_id=radar_id, payload=payload)
+        try:
+            fh.readline()  # header, already validated
+            for line_no, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    doc = json.loads(line)
+                    ts_ns = int(doc["ts_ns"])
+                    radar_id = doc["radar_id"]
+                    if doc["kind"] != RECORD_KIND:
+                        raise ValueError(f"record kind {doc['kind']!r}, "
+                                         f"expected {RECORD_KIND!r}")
+                    # non-strict: stray characters are discarded, and the
+                    # TLV scanner resyncs past any bytes they leave out
+                    payload = base64.b64decode(doc["payload"])
+                except (json.JSONDecodeError, KeyError, TypeError,
+                        ValueError) as e:
+                    raise FormatError(line_no, str(e), path) from None
+                if not as_fast_as_possible and prev_ts is not None:
+                    delta = (ts_ns - prev_ts) / 1e9 / speed
+                    if delta > 0:
+                        sleep(delta)
+                prev_ts = ts_ns
+                yield LogRecord(ts_ns=ts_ns, radar_id=radar_id,
+                                payload=payload)
+        except UnicodeDecodeError:  # from the read, outside the per-line try
+            raise not_utf8(path) from None

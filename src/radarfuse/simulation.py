@@ -430,23 +430,18 @@ def paper_scenario(seed: int = 7) -> Scenario:
     """Bundled reference scenario: a 12 x 6 m lab, two tilted wall radars
     facing each other plus one ceiling radar, four walkers entering 15 s
     apart, sit-still dwell segments and a brief grouping episode."""
-    wall_a = RadarSpec(
-        radar_id="wall_a",
-        pose=Pose(x=0.05, y=3.0, z=2.35, yaw=-math.pi / 2,
-                  pitch=math.radians(-5.0)),
-        azimuth_fov=math.radians(120), elevation_fov=math.radians(30),
-        max_range=14.0, frame_rate=10.0, phase=0.0)
-    wall_b = RadarSpec(
-        radar_id="wall_b",
-        pose=Pose(x=11.95, y=3.0, z=2.35, yaw=math.pi / 2,
-                  pitch=math.radians(-5.0)),
-        azimuth_fov=math.radians(120), elevation_fov=math.radians(30),
-        max_range=14.0, frame_rate=10.0, phase=0.003)
-    ceiling = RadarSpec(
-        radar_id="ceiling",
-        pose=Pose(x=6.0, y=3.0, z=2.35, pitch=-math.pi / 2),
-        azimuth_fov=math.radians(120), elevation_fov=math.radians(120),
-        max_range=5.0, frame_rate=10.0, phase=0.006)
+    # the wall radars keep RadarSpec's default field of view, range and rate
+    wall_a = RadarSpec(radar_id="wall_a",
+                       pose=Pose(x=0.05, y=3.0, z=2.35, yaw=-math.pi / 2,
+                                 pitch=math.radians(-5.0)))
+    wall_b = RadarSpec(radar_id="wall_b",
+                       pose=Pose(x=11.95, y=3.0, z=2.35, yaw=math.pi / 2,
+                                 pitch=math.radians(-5.0)),
+                       phase=0.003)
+    ceiling = RadarSpec(radar_id="ceiling",
+                        pose=Pose(x=6.0, y=3.0, z=2.35, pitch=-math.pi / 2),
+                        elevation_fov=math.radians(120), max_range=5.0,
+                        phase=0.006)
 
     walkers = (
         WalkerSpec(walker_id=0, entry_time=0.0, speed=1.1,
@@ -468,11 +463,18 @@ def paper_scenario(seed: int = 7) -> Scenario:
     )
 
     return Scenario(radars=(wall_a, wall_b, ceiling), walkers=walkers,
-                    noise=NoiseSpec(), doppler_zero_suppression=True,
                     duration=115.0, seed=seed)
 
 
+# the most samples evaluate takes: about 11.6 days at its 0.5 s step
+MAX_EVAL_SAMPLES = 2_000_000
+
+
 class EmptySeries(ValueError):
+    pass
+
+
+class SpanTooLong(ValueError):
     pass
 
 
@@ -511,6 +513,8 @@ def evaluate(estimate_series, truth_series, smoothing_seconds: float = 30.0,
     instant from which the smoothed estimate stays within +-0.5 of the
     smoothed truth for at least ``hold_seconds``; the MAE is over the
     post-convergence interval (over everything when never converged).
+    A span of ``MAX_EVAL_SAMPLES`` steps or more raises
+    :class:`SpanTooLong` before any sample is allocated.
     """
     if not estimate_series or not truth_series:
         raise EmptySeries("both series must be non-empty")
@@ -518,6 +522,9 @@ def evaluate(estimate_series, truth_series, smoothing_seconds: float = 30.0,
     truth_series = sorted(truth_series)
     t0 = min(estimate_series[0][0], truth_series[0][0])
     t1 = max(estimate_series[-1][0], truth_series[-1][0])
+    if not (t1 - t0) / dt < MAX_EVAL_SAMPLES:
+        raise SpanTooLong(f"a span of {t1 - t0:g} s is more than "
+                          f"{MAX_EVAL_SAMPLES} samples of {dt:g} s")
     times = np.arange(t0, t1 + dt / 2, dt)
     est = _step_sample(estimate_series, times)
     tru = _step_sample(truth_series, times)

@@ -24,6 +24,9 @@ from dataclasses import dataclass, field
 from .occupancy import OccupancyEvent, ZoneStatus
 
 BACKOFF_CAP = 30.0  # s
+# (QoS, retain) of each message kind; MiniMqttClient speaks QoS 0 and 1
+STATUS_DELIVERY = (0, True)   # a zone's state, kept by the broker
+EVENT_DELIVERY = (1, False)   # an enter or exit, acknowledged once
 
 
 @dataclass(frozen=True)
@@ -32,9 +35,6 @@ class MqttConfig:
     port: int = 1883
     client_id: str = "radarfuse"
     topic_prefix: str = "radarfuse"
-    qos_status: int = 0
-    qos_event: int = 1
-    retain_status: bool = True
     queue_limit: int = 1000
 
     def __post_init__(self):
@@ -42,10 +42,6 @@ class MqttConfig:
             raise ValueError("topic_prefix must be nonempty with no trailing slash")
         if not 0 < self.port < 65536:
             raise ValueError("port must be in 1..65535")
-        for name in ("qos_status", "qos_event"):
-            # MiniMqttClient speaks QoS 0 and 1 only
-            if getattr(self, name) not in (0, 1):
-                raise ValueError(f"{name} must be 0 or 1")
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
 
@@ -177,12 +173,11 @@ class Publisher:
 
     def offer_status(self, status: ZoneStatus):
         self._enqueue(status_topic(self.cfg.topic_prefix, status.zone_id),
-                      serialize_status(status), self.cfg.qos_status,
-                      self.cfg.retain_status)
+                      serialize_status(status), *STATUS_DELIVERY)
 
     def offer_event(self, event: OccupancyEvent):
         self._enqueue(event_topic(self.cfg.topic_prefix, event.zone_id),
-                      serialize_event(event), self.cfg.qos_event, False)
+                      serialize_event(event), *EVENT_DELIVERY)
 
     def pump(self):
         """One maintenance step: reconnect if due, then drain the queue."""

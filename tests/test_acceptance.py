@@ -412,6 +412,15 @@ def test_golden_jsonl(paper_run):
     assert _md5(events) == GOLDEN_EVENTS_MD5
 
 
+def test_golden_eval_metrics(paper_run, capsys):
+    """`eval` of the reference run prints the metrics it always has."""
+    assert cli.cli(["eval", "--pipeline-log", str(paper_run["status"]),
+                    "--truth", str(paper_run["truth"]), "--window", "30"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "mae": 0.3460411412876489, "convergence_time_s": 4.5,
+        "peak_estimate": 4.0}
+
+
 # md5 of the clutter variant's rendered log (seed 7): the paper scenario
 # with walker 0 alone and 40 ghosts per radar frame, so most of its bytes
 # come from the ghost path; and of the status and event JSONL that

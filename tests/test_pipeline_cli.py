@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -88,7 +89,7 @@ class TestConfig:
 
     def test_default_whole_room_zone(self):
         doc = paper_config_doc()
-        doc.pop("zones")
+        assert "zones" not in doc
         cfg = load_config(doc)
         (zone,) = cfg.zones
         assert zone.zone_id == "room"
@@ -101,7 +102,9 @@ class TestConfig:
         pytest.param(load_config,
                      lambda d: d.update(tracker={"throttle_s": 2.0}),
                      "tracker.throttle_s", id="tracker"),
-        pytest.param(load_config, lambda d: d.update(zone=d.pop("zones")),
+        pytest.param(load_config,
+                     lambda d: d.update(zone=[{"zone_id": "room",
+                                               "len_x": 12.0, "len_y": 6.0}]),
                      "zone", id="root-zone"),
         pytest.param(load_config,
                      lambda d: d["radars"][0]["pose"].update(yaw=-90.0),
@@ -110,17 +113,27 @@ class TestConfig:
                      lambda d: d["clustering"].update(epsilon=0.3),
                      "clustering.epsilon", id="clustering-epsilon"),
         pytest.param(load_config,
-                     lambda d: d["merge"].update(reorder_horizon=100.0),
+                     lambda d: d.update(merge={"reorder_horizon": 100.0}),
                      "merge.reorder_horizon", id="merge-reorder_horizon"),
         pytest.param(load_config,
-                     lambda d: d["merge"].update(late_policy="drop"),
+                     lambda d: d.update(merge={"late_policy": "drop"}),
                      "merge.late_policy", id="merge-late_policy"),
         pytest.param(load_config,
-                     lambda d: d["grid"].update(cell_size=0.5),
+                     lambda d: d.update(grid={"cell_size": 0.5}),
                      "grid.cell_size", id="grid-cell_size"),
         pytest.param(load_config,
-                     lambda d: d["zones"][0].update(center_x=6.0),
+                     lambda d: d.update(zones=[{"zone_id": "room",
+                                                "len_x": 12.0, "len_y": 6.0,
+                                                "center_x": 6.0}]),
                      "zones[0].center_x", id="zone-center_x"),
+        # QoS and retain are fixed per message kind, not settings
+        pytest.param(load_config, lambda d: d.update(mqtt={"qos_status": 0}),
+                     "mqtt.qos_status", id="mqtt-qos_status"),
+        pytest.param(load_config, lambda d: d.update(mqtt={"qos_event": 1}),
+                     "mqtt.qos_event", id="mqtt-qos_event"),
+        pytest.param(load_config,
+                     lambda d: d.update(mqtt={"retain_status": True}),
+                     "mqtt.retain_status", id="mqtt-retain_status"),
         pytest.param(load_scenario,
                      lambda d: d.update(walker=d.pop("walkers")),
                      "walker", id="scenario-walker"),
@@ -138,7 +151,7 @@ class TestConfig:
 
     def test_defaults_and_null(self):
         doc = paper_config_doc()
-        doc["radars"][0]["threshold"]["range_max"] = None
+        doc["radars"][0]["threshold"] = {"range_max": None}
         doc["clustering"]["min_pts"] = 4.0
         cfg = load_config(doc)
         assert cfg.radars[0].threshold.range_max is None
@@ -156,7 +169,15 @@ class TestConfig:
                     if b.startswith("radars:")]
         cfg = load_config(yaml.safe_load(block))
         assert [r.radar_id for r in cfg.radars] == ["wall_a"]
-        assert cfg.grid == load_config(paper_config_doc()).grid
+        # every value the block states is the paper's, so a default that
+        # changes without a README edit fails here
+        paper = load_config(paper_config_doc())
+        (radar,) = cfg.radars
+        assert (radar.pose, radar.threshold, radar.buffer) == \
+            (paper.radars[0].pose, paper.radars[0].threshold,
+             paper.radars[0].buffer)
+        for section in ("merge", "clustering", "tracker", "grid", "zones"):
+            assert getattr(cfg, section) == getattr(paper, section), section
 
     def test_grid_defaults_are_the_paper_grid(self):
         # a config with no grid section gets the thresholds every
@@ -315,16 +336,20 @@ class TestCli:
         assert not out.exists()
         assert not (tmp_path / "t.jsonl").exists()
 
-    @pytest.mark.parametrize("source", ["paper", "yaml"])
+    @pytest.mark.parametrize("source", ["paper", "yaml", "yaml-flag"])
     def test_negative_seed_exit_2(self, tmp_path, capsys, source):
         argv = ["simulate", "--out", str(tmp_path / "sim.log"),
                 "--truth", str(tmp_path / "t.jsonl")]
         if source == "paper":
             argv += ["--scenario", "paper", "--seed", "-1"]
         else:
+            # yaml-flag: a valid seed in the file, -1 from --seed
+            seed = -1 if source == "yaml" else 3
             scenario = tmp_path / "scenario.yaml"
-            scenario.write_text("radars: [{radar_id: r0}]\nseed: -1\n")
+            scenario.write_text(f"radars: [{{radar_id: r0}}]\nseed: {seed}\n")
             argv += ["--scenario", str(scenario)]
+            if source == "yaml-flag":
+                argv += ["--seed", "-1"]
         assert cli.cli(argv) == 2
         assert "error: seed: must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "sim.log").exists()
@@ -408,14 +433,18 @@ class TestCli:
                      "mqtt.queue_limit", id="mqtt-queue_limit"),
         pytest.param(lambda d: d.update(mqtt={"retain_status": "yes"}),
                      "mqtt.retain_status", id="mqtt-retain_status"),
-        pytest.param(lambda d: d["grid"].update(bounds_x=[12.0, 0.0]),
+        pytest.param(lambda d: d.update(grid={"bounds_x": [12.0, 0.0]},
+                                        zones=[{"zone_id": "room",
+                                                "len_x": 12.0,
+                                                "len_y": 6.0}]),
                      "grid.bounds_x", id="grid-bounds_x"),
-        pytest.param(lambda d: (d.pop("zones"),
-                                d["grid"].update(bounds_y=[6.0, 0.0])),
+        pytest.param(lambda d: d.update(grid={"bounds_y": [6.0, 0.0]}),
                      "grid.bounds_y", id="grid-bounds_y-no-zones"),
         pytest.param(lambda d: d["clustering"].update(min_pts=4.7),
                      "clustering.min_pts", id="clustering-min_pts"),
-        pytest.param(lambda d: d["zones"][0].update(zone_id="lab/1"),
+        pytest.param(lambda d: d.update(zones=[{"zone_id": "lab/1",
+                                                "len_x": 12.0,
+                                                "len_y": 6.0}]),
                      "zones[0].zone_id", id="zones-zone_id"),
     ])
     def test_bad_value_exit_2(self, tmp_path, sim_log, capsys, edit, path):
@@ -430,19 +459,20 @@ class TestCli:
         assert f"config error: {path}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit,path,message", [
-        pytest.param(lambda d: d["tracker"].update(miss_timeout=math.inf),
+        pytest.param(lambda d: d.update(tracker={"miss_timeout": math.inf}),
                      "tracker.miss_timeout", "must be finite",
                      id="tracker-miss_timeout-inf"),
-        pytest.param(lambda d: d["merge"].update(reorder_horizon_ms=math.inf),
+        pytest.param(lambda d: d.update(
+                         merge={"reorder_horizon_ms": math.inf}),
                      "merge.reorder_horizon_ms", "must be finite",
                      id="merge-reorder_horizon_ms-inf"),
-        pytest.param(lambda d: d["grid"].update(status_period=math.nan),
+        pytest.param(lambda d: d.update(grid={"status_period": math.nan}),
                      "grid.status_period", "must be finite",
                      id="grid-status_period-nan"),
         pytest.param(lambda d: d["clustering"].update(eps=math.nan),
                      "clustering.eps", "must be finite",
                      id="clustering-eps-nan"),
-        pytest.param(lambda d: d["grid"].update(status_period=-1),
+        pytest.param(lambda d: d.update(grid={"status_period": -1}),
                      "grid.status_period", "status_period must be > 0",
                      id="grid-status_period-negative"),
         pytest.param(lambda d: d["radars"][0]["pose"].update(
@@ -677,3 +707,108 @@ class TestCli:
         monkeypatch.setenv("RADARFUSE_MQTT_URL", "mqtt://h:abc")
         assert cli.cli(argv) == 2
         assert "mqtt url" in capsys.readouterr().err
+
+    def test_seed_applies_to_scenario_yaml(self, tmp_path):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(
+            "radars: [{radar_id: r0, pose: {y: 0.05, z: 2.0}}]\n"
+            "walkers: [{walker_id: 0, waypoints: [[2.0, 3.0], [10.0, 3.0]]}]\n"
+            "duration: 2.0\nseed: 2\n")
+        logs = {}
+        for name, flags in [("own", []), ("1", ["--seed", "1"]),
+                            ("2", ["--seed", "2"])]:
+            logs[name] = tmp_path / f"{name}.log"
+            assert cli.cli(["simulate", "--scenario", str(scenario),
+                            "--out", str(logs[name]), *flags]) == 0
+        assert logs["1"].read_bytes() != logs["2"].read_bytes()
+        # without --seed the file's own seed renders
+        assert logs["own"].read_bytes() == logs["2"].read_bytes()
+
+    @pytest.mark.parametrize("command,flag", [
+        ("replay", "--log"), ("replay", "--config"),
+        ("replay", "--status-log"), ("replay", "--event-log"),
+        ("simulate", "--scenario"), ("simulate", "--out"),
+        ("simulate", "--truth"),
+        ("eval", "--pipeline-log"), ("eval", "--truth"), ("eval", "--out"),
+    ])
+    def test_directory_path_exit_2(self, tmp_path, sim_log, small_cfg_path,
+                                   capsys, command, flag):
+        log, truth = sim_log
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text("radars: [{radar_id: r0}]\nduration: 1.0\n")
+        paths = {
+            "replay": {"--config": small_cfg_path, "--log": log,
+                       "--status-log": tmp_path / "status.jsonl",
+                       "--event-log": tmp_path / "events.jsonl"},
+            "simulate": {"--scenario": scenario, "--out": tmp_path / "sim.log",
+                         "--truth": tmp_path / "truth.jsonl"},
+            "eval": {"--pipeline-log": truth, "--truth": truth,
+                     "--out": tmp_path / "eval.json"},
+        }[command]
+        paths[flag] = tmp_path
+        argv = [command, *(str(x) for kv in paths.items() for x in kv)]
+        assert cli.cli(argv + (["--fast"] if command == "replay" else [])) == 2
+        assert f"error: [Errno 21] Is a directory: '{tmp_path}'" in \
+            capsys.readouterr().err
+
+    def test_path_under_a_file_exit_2(self, tmp_path, sim_log, capsys):
+        log, _ = sim_log
+        (tmp_path / "file").write_text("")
+        status = tmp_path / "file" / "status.jsonl"
+        assert cli.cli(["replay", "--config", "paper", "--log", str(log),
+                        "--fast", "--status-log", str(status)]) == 2
+        assert f"error: [Errno 20] Not a directory: '{status}'" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [
+        "--log", "--log-past-first-chunk", "--config", "--scenario",
+        "--pipeline-log", "--truth"])
+    def test_not_utf8_exit_2(self, tmp_path, sim_log, small_cfg_path, capsys,
+                             flag):
+        log, truth = sim_log
+        bad = tmp_path / "bad"
+        line = 2
+        if flag == "--log":
+            bad.write_bytes(b'{"format":"radarfuse-log","version":1,'
+                            b'"radars":["r0"]}\n\xff\n')
+        elif flag == "--log-past-first-chunk":
+            # a text reader decodes ahead: the line is found all the same
+            good = log.read_bytes()
+            bad.write_bytes(good + b"\xff\n")
+            line = good.count(b"\n") + 1
+        elif flag in ("--config", "--scenario"):
+            bad.write_bytes(b"radars:\n  - radar_id: r\xff\n")
+        else:
+            bad.write_bytes(b'{"t_s":0.5,"count":1}\n\xff\n')
+        out = tmp_path / "out"
+        argv = {
+            "--log": ["replay", "--config", str(small_cfg_path), "--fast",
+                      "--log", str(bad), "--status-log", str(out)],
+            "--config": ["replay", "--config", str(bad), "--fast",
+                         "--log", str(log), "--status-log", str(out)],
+            "--scenario": ["simulate", "--scenario", str(bad),
+                           "--out", str(out)],
+            "--pipeline-log": ["eval", "--pipeline-log", str(bad),
+                               "--truth", str(truth), "--out", str(out)],
+            "--truth": ["eval", "--pipeline-log", str(truth),
+                        "--truth", str(bad), "--out", str(out)],
+        }[flag.removesuffix("-past-first-chunk")]
+        assert cli.cli(argv) == 2
+        assert f"error: {bad}: line {line}: not UTF-8 (invalid start byte)" \
+            in capsys.readouterr().err
+        if flag != "--log-past-first-chunk":
+            assert not out.exists()
+
+    def test_eval_span_too_long_exit_2(self, tmp_path, sim_log, capsys):
+        _, truth = sim_log
+        status = tmp_path / "status.jsonl"
+        status.write_text('{"t_s":0,"count":1}\n{"t_s":1e300,"count":1}\n')
+        out = tmp_path / "eval.json"
+        t0 = time.monotonic()
+        assert cli.cli(["eval", "--pipeline-log", str(status),
+                        "--truth", str(truth), "--out", str(out)]) == 2
+        assert time.monotonic() - t0 < 5.0
+        assert (f"error: {status} and {truth}: a span of 1e+300 s is more "
+                f"than {simulation.MAX_EVAL_SAMPLES} samples of 0.5 s") in \
+            capsys.readouterr().err
+        assert not out.exists()

@@ -444,6 +444,15 @@ class TestEvaluate:
         with pytest.raises(EmptySeries):
             evaluate([], [(0.0, 1)])
 
+    def test_span_bound(self):
+        # a day-long log at the 0.5 s step fits; a longer span than the
+        # bound is rejected before its samples are allocated
+        day = evaluate([(0.0, 1), (86400.0, 1)], [(0.0, 1)])
+        assert (day.mae, day.peak_estimate) == (0.0, 1.0)
+        for t1 in (1e9, 1e300, 0.5 * simulation.MAX_EVAL_SAMPLES):
+            with pytest.raises(simulation.SpanTooLong):
+                evaluate([(0.0, 1), (t1, 1)], [(0.0, 1)])
+
     def test_identical_series_mae_zero(self):
         series = [(float(t), t % 3) for t in range(0, 60)]
         m = evaluate(series, series, smoothing_seconds=5.0)

@@ -101,7 +101,7 @@ class TestPublisher:
         pub, clock = make_publisher(broker)
         pub.offer_event(OccupancyEvent("enter", 1, "z", 0))
         pub.pump()
-        assert broker["published"][0][2] == 1
+        assert broker["published"][0][2:] == (1, False)
 
     def test_outage_bounded_queue_drop_oldest(self):
         broker = {"up": False, "published": []}
