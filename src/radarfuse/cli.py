@@ -27,10 +27,11 @@ from .telemetry import MqttConfig, Publisher
 
 
 def _parse_mqtt_url(url: str) -> tuple[str, int]:
+    """Host and port of ``mqtt://host[:port]``; the port's range is
+    :class:`MqttConfig`'s to check."""
     host, _, port = url.removeprefix("mqtt://").partition(":")
     port = port or "1883"
-    if not (host and port.isascii() and port.isdigit()
-            and 0 < int(port) < 65536):
+    if not (host and port.isascii() and port.isdigit()):
         raise ConfigError("mqtt url",
                           f"expected mqtt://host[:port], got {url!r}")
     return host, int(port)
@@ -40,8 +41,11 @@ def _make_publisher(cfg, mqtt_url: str | None):
     url = mqtt_url or os.environ.get("RADARFUSE_MQTT_URL")
     if url:
         host, port = _parse_mqtt_url(url)
-        return Publisher(cfg=replace(cfg.mqtt or MqttConfig(), host=host,
-                                     port=port))
+        try:
+            mqtt = replace(cfg.mqtt or MqttConfig(), host=host, port=port)
+        except ValueError as e:
+            raise ConfigError("mqtt url", str(e)) from None
+        return Publisher(cfg=mqtt)
     return Publisher(cfg=cfg.mqtt) if cfg.mqtt is not None else None
 
 
@@ -65,6 +69,7 @@ def cmd_replay(args) -> int:
             cfg.clustering, algorithm=ClusterAlgorithm(args.clustering)))
     records = recording.replay(args.log, speed=args.speed,
                                as_fast_as_possible=args.fast)
+    recording.check_outputs(args.status_log, args.event_log)
     publisher = _make_publisher(cfg, args.mqtt_url)
     sink = esink = None
     try:

@@ -1,7 +1,7 @@
 """Pipeline and scenario YAML loading with field-path error reporting.
 
-One YAML file describes the whole deployment: radars (pose, decode
-units, per-radar filters), merge/clustering/tracker/grid parameters,
+One YAML file describes the whole deployment: radars (pose and
+per-radar filters), merge/clustering/tracker/grid parameters,
 zones and optional MQTT.  A second kind describes a simulated scenario
 for ``simulate``.  Both are read by one loader driven by the
 dataclasses: a mapping holds exactly the fields of its dataclass, an
@@ -27,7 +27,6 @@ from .fusion import MergeConfig
 from .geometry import Pose
 from .occupancy import GridConfig, Zone
 from .telemetry import MqttConfig
-from .tlv import DecodeUnits
 from .tracking import TrackerConfig
 
 # fields held in radians and written in degrees as ``<name>_deg``
@@ -44,7 +43,6 @@ class ConfigError(ValueError):
 class RadarConfig:
     radar_id: str
     pose: Pose = Pose()
-    units: DecodeUnits = DecodeUnits()
     threshold: ThresholdConfig = ThresholdConfig()
     buffer: BufferConfig = BufferConfig()
 

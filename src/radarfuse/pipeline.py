@@ -52,7 +52,7 @@ class Pipeline:
         for r in cfg.radars:
             self.lanes[r.radar_id] = _RadarLane(
                 threshold=r.threshold,
-                decoder=tlv.FrameDecoder(units=r.units),
+                decoder=tlv.FrameDecoder(),
                 buffer=BufferFilter(r.buffer),
             )
         self.merger = Merger(cfg.merge, source_ids=list(self.lanes))

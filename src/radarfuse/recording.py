@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 import time
 from dataclasses import dataclass
 
@@ -75,6 +76,23 @@ class Recorder:
         self.close()
 
 
+def check_outputs(*paths):
+    """Raise the error of the first of ``paths`` that cannot be opened
+    for writing, before any of them is truncated, so a bad output path
+    leaves the others as they were.  An existing path is opened for
+    appending, which writes nothing; a new one is created and removed
+    again.  ``None`` is an output not asked for."""
+    for path in paths:
+        if path is None:
+            continue
+        try:
+            open(path, "xb").close()
+        except FileExistsError:
+            open(path, "ab").close()
+        else:
+            os.remove(path)
+
+
 def not_utf8(path) -> FormatError:
     """The error for ``path``, which failed to decode as UTF-8.  A text
     reader decodes ahead of the line it returns, so the first line that
@@ -136,8 +154,12 @@ def _records(path, speed, as_fast_as_possible, sleep):
                     continue
                 try:
                     doc = json.loads(line)
-                    ts_ns = int(doc["ts_ns"])
-                    radar_id = doc["radar_id"]
+                    ts_ns, radar_id = doc["ts_ns"], doc["radar_id"]
+                    if type(ts_ns) is not int:  # a bool is no timestamp
+                        raise ValueError(f"ts_ns {ts_ns!r} is not an integer")
+                    if type(radar_id) is not str:
+                        raise ValueError(
+                            f"radar_id {radar_id!r} is not a string")
                     if doc["kind"] != RECORD_KIND:
                         raise ValueError(f"record kind {doc['kind']!r}, "
                                          f"expected {RECORD_KIND!r}")

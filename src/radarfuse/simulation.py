@@ -41,11 +41,10 @@ import numpy as np
 
 from . import tlv
 from .geometry import Pose
-from .recording import LogRecord, Recorder
+from .recording import LogRecord, Recorder, check_outputs
 
 DOPPLER_SUPPRESSION_THRESHOLD = 0.05  # m/s
 GHOST_FLOOR = 0.2  # m, the lowest world z a ghost is drawn at
-_UNITS = tlv.DecodeUnits()  # every simulated radar encodes with the defaults
 
 
 class InvalidScenario(ValueError):
@@ -353,7 +352,7 @@ def _chunks(sc: Scenario):
         for tick, a, b in zip(chunk, bounds, bounds[1:]):
             local[a:b] = rows[a:b, :3] @ tick.rot.T - tick.offset
         points = np.column_stack([_spherical(local), rows[:, 3:]])
-        raw = tlv.quantize(points, _UNITS)
+        raw = tlv.quantize(points)
         keep = _encodable(raw)
         # a ghost also needs a range the radar reports
         r = points[:, 0]
@@ -402,9 +401,10 @@ def ground_truth_series(sc: Scenario, tick: float = 0.5):
 
 def simulate(sc: Scenario, log_path, truth_path=None):
     """Render a scenario to a raw-TLV recording plus a truth file; an
-    invalid scenario raises :class:`InvalidScenario` before either file
-    is opened."""
+    invalid scenario raises :class:`InvalidScenario`, and a path that
+    cannot be written its ``OSError``, before either file is opened."""
     validate_scenario(sc)
+    check_outputs(log_path, truth_path)
     rec = Recorder(log_path, radar_ids=sorted(r.radar_id for r in sc.radars),
                    clock=lambda: 0.0)
     try:

@@ -7,12 +7,13 @@ Wire layout (all little-endian):
   point  : int8 elevation, int8 azimuth, int16 doppler,
            uint16 range, uint16 snr     (8 bytes per point)
 
-The point layout is defined once, as :data:`POINT_DTYPE`.  Raw
-integers are converted to physical units through per-radar scale
-factors (:class:`DecodeUnits`).  In physical units a frame is one
-``(n, 5)`` float64 *point array*, a row per detection in the radar's
-own spherical frame with columns range (m), azimuth (rad), elevation
-(rad), doppler (m/s) and snr (dB): the simulator draws it,
+The point layout is defined once, as :data:`POINT_DTYPE`, and so are
+the scales that give its raw integers their physical units,
+:data:`WIRE_SCALES`: every radar speaks the same format.  In physical
+units a frame is one ``(n, 5)`` float64 *point array*, a row per
+detection in the radar's own spherical frame with columns range (m),
+azimuth (rad), elevation (rad), doppler (m/s) and snr (dB): the
+simulator draws it,
 :func:`encode_points` packs it and :func:`decode_points` returns it.
 Encoding is two steps, :func:`quantize` and a range check to raw
 values, then :func:`pack_raw` to records, so a caller holding raw
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +45,9 @@ _HEADER = struct.Struct("<II")
 POINT_DTYPE = np.dtype([("elevation", "<i1"), ("azimuth", "<i1"),
                         ("doppler", "<i2"), ("range", "<u2"),
                         ("snr", "<u2")])
+# physical value per raw unit of each field, in POINT_DTYPE order:
+# elevation and azimuth rad, doppler m/s, range m, snr dB
+WIRE_SCALES = (0.01, 0.01, 0.00028, 0.00025, 0.1)
 
 HEADER_SIZE = _HEADER.size        # 8
 POINT_SIZE = POINT_DTYPE.itemsize  # 8
@@ -56,6 +59,10 @@ _WIRE_COLUMNS = [2, 1, 3, 0, 4]
 _FIELD_COLUMNS = list(zip(POINT_DTYPE.names, _WIRE_COLUMNS))
 _RAW_LO = np.array([np.iinfo(POINT_DTYPE[f]).min for f in POINT_DTYPE.names])
 _RAW_HI = np.array([np.iinfo(POINT_DTYPE[f]).max for f in POINT_DTYPE.names])
+# WIRE_SCALES in point-array column order, as one read-only row
+COLUMN_SCALES = np.empty(5)
+COLUMN_SCALES[_WIRE_COLUMNS] = WIRE_SCALES
+COLUMN_SCALES.flags.writeable = False
 
 
 class TlvError(Exception):
@@ -75,42 +82,11 @@ class ValueOutOfRange(TlvError):
         self.value = value
 
 
-@dataclass(frozen=True)
-class DecodeUnits:
-    """Physical value per raw integer unit, one scale per field."""
-
-    elevation_scale: float = 0.01     # rad / raw
-    azimuth_scale: float = 0.01      # rad / raw
-    doppler_scale: float = 0.00028   # m/s / raw
-    range_scale: float = 0.00025     # m / raw
-    snr_scale: float = 0.1           # dB / raw
-
-    def __post_init__(self):
-        for name, v in zip(POINT_DTYPE.names, self.wire_scales()):
-            if not (v > 0.0 and v == v and v != float("inf")):
-                raise ValueError(
-                    f"{name}_scale must be strictly positive and finite")
-
-    def wire_scales(self) -> list[float]:
-        """The scale of each wire field, in POINT_DTYPE order."""
-        return [self.elevation_scale, self.azimuth_scale, self.doppler_scale,
-                self.range_scale, self.snr_scale]
-
-    @cached_property
-    def column_scales(self) -> np.ndarray:
-        """The scales of :meth:`wire_scales` in point-array column order,
-        as one read-only row, computed once."""
-        row = np.empty(5)
-        row[_WIRE_COLUMNS] = self.wire_scales()
-        row.flags.writeable = False
-        return row
-
-
-def decode_points(payload: bytes, units: DecodeUnits) -> np.ndarray:
+def decode_points(payload: bytes) -> np.ndarray:
     """The ``(n, 5)`` point array of a point TLV's payload: each raw
     field times its scale, in its column.  The raw integers are cast
     into their columns, then the array is multiplied in place by
-    ``units.column_scales``, so each value is ``float64(raw) * scale``."""
+    :data:`COLUMN_SCALES`, so each value is ``float64(raw) * scale``."""
     if len(payload) % POINT_SIZE != 0:
         raise MisalignedPayload(
             f"payload length {len(payload)} is not a multiple of {POINT_SIZE}")
@@ -118,17 +94,17 @@ def decode_points(payload: bytes, units: DecodeUnits) -> np.ndarray:
     out = np.empty((len(raw), 5))
     for name, col in _FIELD_COLUMNS:
         out[:, col] = raw[name]
-    out *= units.column_scales
+    out *= COLUMN_SCALES
     return out
 
 
-def quantize(points, units: DecodeUnits) -> np.ndarray:
+def quantize(points) -> np.ndarray:
     """Raw values of an ``(n, 5)`` point array as ``(n, 5)`` floats in
     wire field order: each column divided by its scale and rounded half
     to even.  Nothing is checked: a value may lie outside its integer
     width, or be NaN or infinite."""
     return np.rint(np.asarray(points, dtype=float)[:, _WIRE_COLUMNS]
-                   / units.wire_scales())
+                   / WIRE_SCALES)
 
 
 def pack_raw(raw) -> bytes:
@@ -147,8 +123,7 @@ def pack_tlv(records: bytes, type_id: int = COMPRESSED_POINTS_TYPE_ID) -> bytes:
     return _HEADER.pack(type_id, len(records)) + records
 
 
-def encode_points(points, units: DecodeUnits,
-                  type_id: int = COMPRESSED_POINTS_TYPE_ID) -> bytes:
+def encode_points(points, type_id: int = COMPRESSED_POINTS_TYPE_ID) -> bytes:
     """Header plus packed point records, inverse of :func:`decode_points`.
 
     ``points`` is an ``(n, 5)`` point array.  A value whose raw integer
@@ -156,7 +131,7 @@ def encode_points(points, units: DecodeUnits,
     :class:`ValueOutOfRange` for the first such point and, within it,
     the first such field in wire order."""
     points = np.asarray(points, dtype=float).reshape(-1, 5)
-    raw = quantize(points, units)
+    raw = quantize(points)
     bad = ~((raw >= _RAW_LO) & (raw <= _RAW_HI))
     if bad.any():
         i, j = np.argwhere(bad)[0]
@@ -165,10 +140,9 @@ def encode_points(points, units: DecodeUnits,
     return pack_tlv(pack_raw(raw), type_id)
 
 
-def encode_frame(points, units: DecodeUnits,
-                 type_id: int = COMPRESSED_POINTS_TYPE_ID) -> bytes:
+def encode_frame(points, type_id: int = COMPRESSED_POINTS_TYPE_ID) -> bytes:
     """A full on-wire frame: magic preamble, then header+payload."""
-    return MAGIC + encode_points(points, units, type_id)
+    return MAGIC + encode_points(points, type_id)
 
 
 @dataclass
@@ -228,7 +202,6 @@ class FrameDecoder:
     stays because ``perfbench/tracing.py`` proxies ``feed`` with it.
     """
 
-    units: DecodeUnits
     unknown_tlv_count: int = 0
     misaligned_tlv_count: int = 0
 
@@ -242,4 +215,4 @@ class FrameDecoder:
             elif len(payload) % POINT_SIZE:
                 self.misaligned_tlv_count += 1
             else:
-                yield decode_points(payload, self.units)
+                yield decode_points(payload)

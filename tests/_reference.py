@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from radarfuse.tlv import WIRE_SCALES
 from radarfuse.tracking import (VELOCITY_CLAMP, EventKind, NonPSDCovariance,
                                 OutOfOrderWindow, TargetTrack, TrackEvent,
                                 TrackStatus)
@@ -19,18 +20,17 @@ from radarfuse.tracking import (VELOCITY_CLAMP, EventKind, NonPSDCovariance,
 NOISE = -1
 
 
-def brute_decode(payload, units):
+def brute_decode(payload):
     """The point rows ``[range, azimuth, elevation, doppler, snr]`` of a
     compressed-points payload, one 8-byte record at a time: each raw
     integer (wire order elevation, azimuth, doppler, range, snr) as a
-    Python float times its field's scale."""
+    Python float times its field's scale in ``tlv.WIRE_SCALES``."""
+    el_s, az_s, dop_s, rng_s, snr_s = WIRE_SCALES
     rows = []
     for el, az, dop, rng, snr in struct.iter_unpack("<bbhHH", payload):
-        rows.append([float(rng) * units.range_scale,
-                     float(az) * units.azimuth_scale,
-                     float(el) * units.elevation_scale,
-                     float(dop) * units.doppler_scale,
-                     float(snr) * units.snr_scale])
+        rows.append([float(rng) * rng_s, float(az) * az_s,
+                     float(el) * el_s, float(dop) * dop_s,
+                     float(snr) * snr_s])
     return rows
 
 

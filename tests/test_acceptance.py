@@ -125,28 +125,30 @@ def test_criterion_03_dbscan_brute_force_match():
 
 
 def test_criterion_04_codec_round_trip_and_resync():
-    units = tlv.DecodeUnits()
+    # one quantum per field: range 0.25 mm, azimuth and elevation
+    # 0.01 rad, doppler 0.28 mm/s, snr 0.1 dB
+    range_q, azimuth_q, elevation_q, doppler_q, snr_q = tlv.COLUMN_SCALES
     rng = np.random.default_rng(47)
     for _ in range(1000):
         n = int(rng.integers(0, 40))
         rows = [[rng.uniform(0, 16), rng.uniform(-1.27, 1.27),
                  rng.uniform(-1.27, 1.27), rng.uniform(-5, 5),
                  rng.uniform(0, 40)] for _ in range(n)]
-        blob = tlv.encode_points(rows, units)
+        blob = tlv.encode_points(rows)
         ((type_id, payload),) = tlv.FrameScanner().feed(tlv.MAGIC + blob)
         assert type_id == tlv.COMPRESSED_POINTS_TYPE_ID
         assert len(payload) == n * tlv.POINT_SIZE
-        back = tlv.decode_points(blob[tlv.HEADER_SIZE:], units)
+        back = tlv.decode_points(blob[tlv.HEADER_SIZE:])
         assert back.shape == (n, 5)
         err = np.abs(np.array(rows).reshape(-1, 5) - back)
-        assert (err[:, 0] <= units.range_scale).all()
-        assert (err[:, 1] <= units.azimuth_scale).all()
-        assert (err[:, 2] <= units.elevation_scale).all()
-        assert (err[:, 3] <= units.doppler_scale).all()
-        assert (err[:, 4] <= units.snr_scale).all()
+        assert (err[:, 0] <= range_q).all()
+        assert (err[:, 1] <= azimuth_q).all()
+        assert (err[:, 2] <= elevation_q).all()
+        assert (err[:, 3] <= doppler_q).all()
+        assert (err[:, 4] <= snr_q).all()
 
     # corruption injection: garbage between intact framed records
-    frames = [tlv.encode_frame([[1.0 + i, 0.1, 0.0, 0.5, 12.0]], units)
+    frames = [tlv.encode_frame([[1.0 + i, 0.1, 0.0, 0.5, 12.0]])
               for i in range(3)]
     garbage = bytes([0x13, 0x37, 0xAA, 0xBB, 0x02, 0x01])
     stream = garbage + frames[0] + garbage + frames[1] + frames[2] + garbage
@@ -446,21 +448,6 @@ def test_golden_clutter_log(tmp_path):
                     "--event-log", str(events)]) == 0
     assert _md5(status) == GOLDEN_CLUTTER_STATUS_MD5
     assert _md5(events) == GOLDEN_CLUTTER_EVENTS_MD5
-
-
-def test_compare_clustering_script(paper_run):
-    """The A/B tool runs from a checkout and scores both backends alike."""
-    root = pathlib.Path(__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "compare_clustering.py"),
-         "--log", str(paper_run["log"]), "--truth", str(paper_run["truth"]),
-         "--workdir", str(paper_run["dir"] / "ab")],
-        env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    results = json.loads(proc.stdout)
-    assert set(results) == {"dbscan", "optics"}
-    assert results["dbscan"] == results["optics"]
 
 
 def test_reference_experiment_script(tmp_path):

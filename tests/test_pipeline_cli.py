@@ -134,6 +134,11 @@ class TestConfig:
         pytest.param(load_config,
                      lambda d: d.update(mqtt={"retain_status": True}),
                      "mqtt.retain_status", id="mqtt-retain_status"),
+        # the decode scales are the wire format's, not settings
+        pytest.param(load_config,
+                     lambda d: d["radars"][0].update(
+                         units={"range_scale": 0.0005}),
+                     "radars[0].units", id="radar-units"),
         pytest.param(load_scenario,
                      lambda d: d.update(walker=d.pop("walkers")),
                      "walker", id="scenario-walker"),
@@ -698,12 +703,17 @@ class TestCli:
     def test_mqtt_url_parsing(self, monkeypatch, sim_log, capsys):
         assert cli._parse_mqtt_url("mqtt://broker:1884") == ("broker", 1884)
         assert cli._parse_mqtt_url("broker") == ("broker", 1883)
-        for bad in ("mqtt://h:abc", "mqtt://:1884", "h:0", "h:-1"):
+        for bad in ("mqtt://h:abc", "mqtt://:1884", "h:-1"):
             with pytest.raises(ConfigError):
                 cli._parse_mqtt_url(bad)
         log, _ = sim_log
         argv = ["replay", "--config", "paper", "--log", str(log), "--fast"]
         assert cli.cli(argv + ["--mqtt-url", "mqtt://h:abc"]) == 2
+        # the port range is MqttConfig's, reported as the url's
+        for port in ("0", "65536"):
+            assert cli.cli(argv + ["--mqtt-url", f"mqtt://h:{port}"]) == 2
+            assert "config error: mqtt url: port must be in 1..65535" in \
+                capsys.readouterr().err
         monkeypatch.setenv("RADARFUSE_MQTT_URL", "mqtt://h:abc")
         assert cli.cli(argv) == 2
         assert "mqtt url" in capsys.readouterr().err
@@ -745,11 +755,18 @@ class TestCli:
             "eval": {"--pipeline-log": truth, "--truth": truth,
                      "--out": tmp_path / "eval.json"},
         }[command]
+        outputs = {"replay": ["--status-log", "--event-log"],
+                   "simulate": ["--out", "--truth"], "eval": ["--out"]}[command]
+        # an earlier run's outputs, which a bad path must leave alone
+        earlier = {paths[f]: b'{"t_s":0.0}\n' for f in outputs if f != flag}
+        for path, data in earlier.items():
+            path.write_bytes(data)
         paths[flag] = tmp_path
         argv = [command, *(str(x) for kv in paths.items() for x in kv)]
         assert cli.cli(argv + (["--fast"] if command == "replay" else [])) == 2
         assert f"error: [Errno 21] Is a directory: '{tmp_path}'" in \
             capsys.readouterr().err
+        assert {path: path.read_bytes() for path in earlier} == earlier
 
     def test_path_under_a_file_exit_2(self, tmp_path, sim_log, capsys):
         log, _ = sim_log

@@ -84,6 +84,15 @@ def test_per_radar_monotonicity_enforced(tmp_path):
                  '"payload": "AQI"}', id="bad-padding"),
     pytest.param('{"ts_ns": 1, "radar_id": "r0", "kind": "points", '
                  '"payload": [{"x": 1.0}]}', id="points-kind"),
+    # field types: no coercion, no unhashable radar id
+    pytest.param('{"ts_ns": 1, "radar_id": ["r0"], "kind": "raw_tlv", '
+                 '"payload": ""}', id="list-radar_id"),
+    pytest.param('{"ts_ns": true, "radar_id": "r0", "kind": "raw_tlv", '
+                 '"payload": ""}', id="bool-ts"),
+    pytest.param('{"ts_ns": "12", "radar_id": "r0", "kind": "raw_tlv", '
+                 '"payload": ""}', id="string-ts"),
+    pytest.param('{"ts_ns": 1.7, "radar_id": "r0", "kind": "raw_tlv", '
+                 '"payload": ""}', id="float-ts"),
 ])
 def test_format_error_line_number(tmp_path, bad):
     p = tmp_path / "a.jsonl"

@@ -322,10 +322,9 @@ class TestFrameGeneration:
         # -1.28 rad quantizes to -128, which the codec accepts but the
         # simulator does not; +1.27 rad (raw 127) passes both
         rows = [[1.0, -1.28, 0.0, 0.0, 10.0], [1.0, 1.27, 0.0, 0.0, 10.0]]
-        assert tlv.quantize(rows, tlv.DecodeUnits())[:, 1].tolist() == \
-            [-128.0, 127.0]
-        tlv.encode_points(rows, tlv.DecodeUnits())
-        raw = tlv.quantize(rows, tlv.DecodeUnits())
+        raw = tlv.quantize(rows)
+        assert raw[:, 1].tolist() == [-128.0, 127.0]
+        tlv.encode_points(rows)
         assert _encodable(raw).tolist() == [False, True]
 
     def test_radial_speeds_match_scalar_form(self):

@@ -9,9 +9,6 @@ from _reference import brute_decode
 from radarfuse import tlv
 
 
-UNITS = tlv.DecodeUnits()
-
-
 def make_point(range_m=1.0, azimuth=0.0, elevation=0.0, doppler=0.0,
                snr=10.0):
     """One point row, columns in point-array order."""
@@ -38,58 +35,50 @@ class TestParseHeader:
         assert scanner.dropped_bytes == 0
 
 
-@pytest.mark.parametrize("name", [f"{n}_scale" for n in tlv.POINT_DTYPE.names])
-@pytest.mark.parametrize("value", [0.0, -0.1, math.nan, math.inf])
-def test_bad_scale_named(name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be strictly positive"):
-        tlv.DecodeUnits(**{name: value})
-
-
 class TestDecodePoints:
     def test_zero_record(self):
-        pts = tlv.decode_points(bytes(8), UNITS)
+        pts = tlv.decode_points(bytes(8))
         assert pts.shape == (1, 5) and pts.dtype == np.float64
         assert pts.tolist() == [[0, 0, 0, 0, 0]]
 
     def test_scale_multiplication(self):
-        units = tlv.DecodeUnits(range_scale=0.01, snr_scale=0.5)
-        payload = struct.pack("<bbhHH", 0, 0, 0, 250, 40)
-        range_m, _, _, _, snr = tlv.decode_points(payload, units)[0]
-        assert range_m == pytest.approx(2.5)
-        assert snr == pytest.approx(20.0)
+        payload = struct.pack("<bbhHH", 25, -50, -5000, 10000, 200)
+        assert tlv.decode_points(payload)[0].tolist() == pytest.approx(
+            [2.5, -0.5, 0.25, -1.4, 20.0])
 
     def test_stride(self):
-        assert tlv.decode_points(bytes(24), UNITS).shape == (3, 5)
+        assert tlv.decode_points(bytes(24)).shape == (3, 5)
 
     def test_misaligned(self):
         with pytest.raises(tlv.MisalignedPayload):
-            tlv.decode_points(bytes(9), UNITS)
+            tlv.decode_points(bytes(9))
 
     def test_column_scales_are_wire_scales_read_only(self):
-        units = tlv.DecodeUnits(range_scale=0.01, snr_scale=0.5)
-        assert units.column_scales.tolist() == [0.01, 0.01, 0.01, 0.00028,
-                                                0.5]
-        assert units.column_scales is units.column_scales
+        # wire order elevation, azimuth, doppler, range, snr; column
+        # order range, azimuth, elevation, doppler, snr
+        assert tlv.WIRE_SCALES == (0.01, 0.01, 0.00028, 0.00025, 0.1)
+        assert tlv.COLUMN_SCALES.tolist() == [0.00025, 0.01, 0.01, 0.00028,
+                                              0.1]
         with pytest.raises(ValueError):
-            units.column_scales[0] = 1.0
+            tlv.COLUMN_SCALES[0] = 1.0
 
 
 class TestEncodePoints:
     def test_empty(self):
-        buf = tlv.encode_points([], UNITS)
+        buf = tlv.encode_points([])
         assert len(buf) == 8
         assert list(tlv.FrameScanner().feed(tlv.MAGIC + buf)) == \
             [(tlv.COMPRESSED_POINTS_TYPE_ID, b"")]
 
     def test_one_zero_point(self):
-        buf = tlv.encode_points([make_point(range_m=0, snr=0)], UNITS)
+        buf = tlv.encode_points([make_point(range_m=0, snr=0)])
         assert len(buf) == 16
         assert buf[8:] == bytes(8)
 
     def test_out_of_range(self):
-        units = tlv.DecodeUnits(range_scale=0.01)
+        # 17 m is past the 65535 * 0.25 mm = 16.38 m the range field spans
         with pytest.raises(tlv.ValueOutOfRange) as exc:
-            tlv.encode_points([make_point(range_m=700.0)], units)
+            tlv.encode_points([make_point(range_m=17.0)])
         assert exc.value.field_name == "range"
         assert exc.value.index == 0
 
@@ -98,7 +87,7 @@ class TestEncodePoints:
         # negative azimuth and doppler exercise the signed fields
         buf = tlv.encode_points([make_point(range_m=2.5, azimuth=-0.5,
                                             elevation=0.25, doppler=-1.4,
-                                            snr=20.0)], UNITS)
+                                            snr=20.0)])
         assert buf[8:] == struct.pack("<bbhHH", 25, -50, -5000, 10000, 200)
 
     def test_first_bad_point_then_first_bad_field_in_wire_order(self):
@@ -108,7 +97,7 @@ class TestEncodePoints:
         pts = [make_point(), make_point(range_m=99.0, doppler=99.0),
                make_point(elevation=2.0)]
         with pytest.raises(tlv.ValueOutOfRange) as exc:
-            tlv.encode_points(pts, UNITS)
+            tlv.encode_points(pts)
         assert (exc.value.field_name, exc.value.index) == ("doppler", 1)
         assert exc.value.value == 99.0
 
@@ -120,16 +109,16 @@ class TestEncodePoints:
         bad = make_point()
         bad[column] = value
         with pytest.raises(tlv.ValueOutOfRange) as exc:
-            tlv.encode_points([make_point(), bad], UNITS)
+            tlv.encode_points([make_point(), bad])
         assert (exc.value.field_name, exc.value.index) == (field, 1)
 
     def test_length_matches_count(self):
         pts = [make_point(range_m=i * 0.1) for i in range(5)]
-        buf = tlv.encode_points(pts, UNITS)
+        buf = tlv.encode_points(pts)
         ((type_id, payload),) = tlv.FrameScanner().feed(tlv.MAGIC + buf)
         assert type_id == tlv.COMPRESSED_POINTS_TYPE_ID
         assert len(payload) == 5 * tlv.POINT_SIZE
-        assert len(tlv.decode_points(buf[8:], UNITS)) == 5
+        assert len(tlv.decode_points(buf[8:])) == 5
 
 
 point_strategy = st.builds(
@@ -143,15 +132,14 @@ point_strategy = st.builds(
 
 
 # one quantum per column of a point array
-QUANTA = [UNITS.range_scale, UNITS.azimuth_scale, UNITS.elevation_scale,
-          UNITS.doppler_scale, UNITS.snr_scale]
+QUANTA = tlv.COLUMN_SCALES.tolist()
 
 
 @settings(max_examples=200)
 @given(st.lists(point_strategy, max_size=20))
 def test_round_trip_within_one_quantum(points):
-    buf = tlv.encode_points(points, UNITS)
-    back = tlv.decode_points(buf[8:], UNITS)
+    buf = tlv.encode_points(points)
+    back = tlv.decode_points(buf[8:])
     assert back.shape == (len(points), 5)
     for point, dec in zip(points, back.tolist()):
         for value, decoded, quantum in zip(point, dec, QUANTA):
@@ -175,25 +163,19 @@ raw_strategy = st.lists(st.tuples(
 @example(b"")
 def test_wire_round_trip_is_exact(raw):
     # every raw record decodes to floats that encode back to its bytes
-    points = tlv.decode_points(raw, UNITS)
+    points = tlv.decode_points(raw)
     assert points.shape == (len(raw) // tlv.POINT_SIZE, 5)
-    assert tlv.encode_points(points, UNITS)[tlv.HEADER_SIZE:] == raw
-
-
-scale_strategy = st.floats(min_value=0.0, max_value=1e6, exclude_min=True,
-                           allow_nan=False, allow_infinity=False)
-units_strategy = st.builds(tlv.DecodeUnits, **{
-    f"{name}_scale": scale_strategy for name in tlv.POINT_DTYPE.names})
+    assert tlv.encode_points(points)[tlv.HEADER_SIZE:] == raw
 
 
 @settings(max_examples=300)
-@given(raw_strategy, units_strategy)
-@example(b"", UNITS)
-def test_decode_matches_brute_decode(raw, units):
+@given(raw_strategy)
+@example(b"")
+def test_decode_matches_brute_decode(raw):
     # bit for bit: one in-place multiply by the column scales gives the
     # oracle's Python float products
-    want = np.array(brute_decode(raw, units), dtype=float).reshape(-1, 5)
-    got = tlv.decode_points(raw, units)
+    want = np.array(brute_decode(raw), dtype=float).reshape(-1, 5)
+    got = tlv.decode_points(raw)
     assert got.shape == want.shape and got.dtype == np.float64
     assert got.tobytes() == want.tobytes()
 
@@ -214,7 +196,7 @@ def test_packed_rows_are_record_slices(raw, a, b):
 class TestFrameScanner:
     def frame(self, n_points):
         pts = [make_point(range_m=0.5 + 0.1 * i) for i in range(n_points)]
-        return tlv.encode_frame(pts, UNITS)
+        return tlv.encode_frame(pts)
 
     def test_back_to_back(self):
         scanner = tlv.FrameScanner()
@@ -264,11 +246,9 @@ class TestFrameScanner:
 
 class TestFrameDecoder:
     def test_unknown_type_skipped_and_counted(self):
-        units = UNITS
-        dec = tlv.FrameDecoder(units=units)
-        known = tlv.encode_frame([make_point()], units)
-        unknown = tlv.encode_frame([make_point(range_m=2.0)], units,
-                                   type_id=9999)
+        dec = tlv.FrameDecoder()
+        known = tlv.encode_frame([make_point()])
+        unknown = tlv.encode_frame([make_point(range_m=2.0)], type_id=9999)
         frames = list(dec.feed(unknown + known, ts_ns=5))
         assert len(frames) == 1
         assert dec.unknown_tlv_count == 1
@@ -278,10 +258,10 @@ class TestFrameDecoder:
             assert abs(value - got) <= quantum
 
     def test_misaligned_point_tlv_dropped_and_counted(self):
-        dec = tlv.FrameDecoder(units=UNITS)
+        dec = tlv.FrameDecoder()
         bad = tlv.MAGIC + struct.pack(
             "<II", tlv.COMPRESSED_POINTS_TYPE_ID, 7) + bytes(7)
-        good = tlv.encode_frame([make_point(), make_point()], UNITS)
+        good = tlv.encode_frame([make_point(), make_point()])
         frames = list(dec.feed(bad + good, ts_ns=5))
         assert [len(f) for f in frames] == [2]
         assert dec.misaligned_tlv_count == 1
@@ -312,7 +292,7 @@ piece_strategy = st.one_of(
 
 
 def _decode_chunks(chunks):
-    dec = tlv.FrameDecoder(units=UNITS)
+    dec = tlv.FrameDecoder()
     frames = [f.tobytes() for chunk in chunks for f in dec.feed(chunk, 0)]
     return (frames, dec.scanner.dropped_bytes, dec.unknown_tlv_count,
             dec.misaligned_tlv_count)
