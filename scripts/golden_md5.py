@@ -10,9 +10,11 @@ event JSONL md5 (DBSCAN and OPTICS for the paper scenario, DBSCAN for
 the clutter variant), and under that the md5 of the tracker: the state
 and covariance bytes of every track in every snapshot ``Tracker.step``
 returned, so a last-bit drift in a filter shows even where the counts
-and dwell times do not.  Run it on two checkouts and diff the output to
-show that a change keeps the logs and the pipeline's output byte for
-byte.
+and dwell times do not.  A config file chooses each algorithm, as it
+does for a deployment: ``paper_config_doc(algorithm)`` is dumped to
+``<algorithm>.yaml`` and passed as ``--config``.  Run it on two
+checkouts and diff the output to show that a change keeps the logs and
+the pipeline's output byte for byte.
 
 ``scripts/golden_md5.txt`` holds the expected output, and CI diffs
 against it:
@@ -30,7 +32,10 @@ import hashlib
 import pathlib
 import tempfile
 
+import yaml
+
 from radarfuse import cli
+from radarfuse.config import paper_config_doc
 from radarfuse.simulation import paper_scenario, simulate
 from radarfuse.tracking import Tracker
 
@@ -53,8 +58,9 @@ def md5(path):
     return hashlib.md5(path.read_bytes()).hexdigest()
 
 
-def replay(log, algorithm, status, events):
-    """``replay --fast`` of ``log``; returns the tracker md5."""
+def replay(config, log, status, events):
+    """``replay --fast --config config`` of ``log``; returns the tracker
+    md5."""
     digest = hashlib.md5()
     step = Tracker.step
 
@@ -67,9 +73,9 @@ def replay(log, algorithm, status, events):
 
     Tracker.step = digested_step
     try:
-        code = cli.cli(["replay", "--config", "paper", "--log", str(log),
-                        "--fast", "--clustering", algorithm, "--status-log",
-                        str(status), "--event-log", str(events)])
+        code = cli.cli(["replay", "--config", str(config), "--log", str(log),
+                        "--fast", "--status-log", str(status),
+                        "--event-log", str(events)])
     finally:
         Tracker.step = step
     if code != 0:
@@ -81,13 +87,17 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         log, truth, status, events = (pathlib.Path(tmp, name) for name in
                                       ("sim.log", "truth", "status", "events"))
+        configs = {algorithm: pathlib.Path(tmp, f"{algorithm}.yaml")
+                   for algorithm in ("dbscan", "optics")}
+        for algorithm, config in configs.items():
+            config.write_text(yaml.safe_dump(paper_config_doc(algorithm)))
         for seed in SEEDS:
             for name, sc, algorithms in scenarios(seed):
                 simulate(sc, log, truth)
                 print(f"{name:8s} {seed:2d} {md5(log)} {md5(truth)}",
                       flush=True)
                 for algorithm in algorithms:
-                    tracker = replay(log, algorithm, status, events)
+                    tracker = replay(configs[algorithm], log, status, events)
                     print(f"  {algorithm:6s} {md5(status)} {md5(events)}\n"
                           f"    tracker {tracker}", flush=True)
 

@@ -28,8 +28,6 @@ def main() -> int:
                     help="default: the bundled scenario's own seed")
     ap.add_argument("--window", type=float, default=30.0,
                     help="moving-average window in seconds")
-    ap.add_argument("--clustering", choices=["dbscan", "optics"],
-                    default="dbscan")
     args = ap.parse_args()
 
     outdir = pathlib.Path(args.outdir)
@@ -46,7 +44,6 @@ def main() -> int:
          "--truth", str(truth)]
         + (["--seed", str(args.seed)] if args.seed is not None else []),
         ["replay", "--config", "paper", "--log", str(log), "--fast",
-         "--clustering", args.clustering,
          "--status-log", str(status), "--event-log", str(events)],
         ["eval", "--pipeline-log", str(status), "--truth", str(truth),
          "--window", str(args.window), "--out", str(metrics)],

@@ -2,7 +2,7 @@
 
 Subcommands:
   replay    deterministic replay of a recorded log, paced by --speed or
-            --fast, publishing when MQTT is set (A/B clustering switch)
+            --fast, publishing when the config has an mqtt section
   simulate  render a scenario to a log + ground-truth file
   eval      compare a pipeline status log with ground truth, both read
             by read_count_series
@@ -15,38 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 
 from . import recording, simulation
-from .clustering import ClusterAlgorithm
 from .config import ConfigError, load_config, load_scenario, paper_config_doc
 from .pipeline import JsonlSink, replay_through
-from .telemetry import MqttConfig, Publisher
-
-
-def _parse_mqtt_url(url: str) -> tuple[str, int]:
-    """Host and port of ``mqtt://host[:port]``; the port's range is
-    :class:`MqttConfig`'s to check."""
-    host, _, port = url.removeprefix("mqtt://").partition(":")
-    port = port or "1883"
-    if not (host and port.isascii() and port.isdigit()):
-        raise ConfigError("mqtt url",
-                          f"expected mqtt://host[:port], got {url!r}")
-    return host, int(port)
-
-
-def _make_publisher(cfg, mqtt_url: str | None):
-    url = mqtt_url or os.environ.get("RADARFUSE_MQTT_URL")
-    if url:
-        host, port = _parse_mqtt_url(url)
-        try:
-            mqtt = replace(cfg.mqtt or MqttConfig(), host=host, port=port)
-        except ValueError as e:
-            raise ConfigError("mqtt url", str(e)) from None
-        return Publisher(cfg=mqtt)
-    return Publisher(cfg=cfg.mqtt) if cfg.mqtt is not None else None
+from .telemetry import Publisher
 
 
 def _positive(text: str) -> float:
@@ -64,13 +39,10 @@ def _positive(text: str) -> float:
 def cmd_replay(args) -> int:
     cfg = load_config(paper_config_doc() if args.config == "paper"
                       else args.config)
-    if args.clustering:
-        cfg = replace(cfg, clustering=replace(
-            cfg.clustering, algorithm=ClusterAlgorithm(args.clustering)))
     records = recording.replay(args.log, speed=args.speed,
                                as_fast_as_possible=args.fast)
     recording.check_outputs(args.status_log, args.event_log)
-    publisher = _make_publisher(cfg, args.mqtt_url)
+    publisher = Publisher(cfg=cfg.mqtt) if cfg.mqtt is not None else None
     sink = esink = None
     try:
         sink = JsonlSink(args.status_log) if args.status_log else None
@@ -183,8 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     pacing.add_argument("--speed", type=_positive, default=1.0)
     pacing.add_argument("--fast", action="store_true",
                         help="no wall pacing; output is identical either way")
-    rp.add_argument("--clustering", choices=["dbscan", "optics"])
-    rp.add_argument("--mqtt-url")
     rp.add_argument("--status-log")
     rp.add_argument("--event-log")
 

@@ -39,8 +39,21 @@ class LogRecord:
     payload: bytes         # TLV bytes as received from the radar
 
 
+def _check_fields(ts_ns, radar_id):
+    """Raise ValueError naming a record field of the wrong type."""
+    if type(ts_ns) is not int:  # a bool is no timestamp
+        raise ValueError(f"ts_ns {ts_ns!r} is not an integer")
+    if type(radar_id) is not str:
+        raise ValueError(f"radar_id {radar_id!r} is not a string")
+
+
 class Recorder:
     def __init__(self, path, radar_ids, clock=time.monotonic):
+        radar_ids = list(radar_ids)
+        for radar_id in radar_ids:
+            if type(radar_id) is not str:
+                raise ValueError(f"radar_id {radar_id!r} is not a string")
+        self._radars = frozenset(radar_ids)
         self.path = path
         self._fh = open(path, "w", encoding="utf-8")
         self._clock = clock
@@ -51,6 +64,12 @@ class Recorder:
         self._fh.write(json.dumps(header, separators=(",", ":")) + "\n")
 
     def write(self, record: LogRecord):
+        """Append one record; a record :func:`replay` would refuse, or
+        one for a radar the header does not list, raises ValueError."""
+        _check_fields(record.ts_ns, record.radar_id)
+        if record.radar_id not in self._radars:
+            raise ValueError(f"radar_id {record.radar_id!r} is not in the "
+                             f"header's radars {sorted(self._radars)}")
         prev = self._last_ts.get(record.radar_id)
         if prev is not None and record.ts_ns < prev:
             raise ValueError(f"record for {record.radar_id} at {record.ts_ns} "
@@ -155,11 +174,7 @@ def _records(path, speed, as_fast_as_possible, sleep):
                 try:
                     doc = json.loads(line)
                     ts_ns, radar_id = doc["ts_ns"], doc["radar_id"]
-                    if type(ts_ns) is not int:  # a bool is no timestamp
-                        raise ValueError(f"ts_ns {ts_ns!r} is not an integer")
-                    if type(radar_id) is not str:
-                        raise ValueError(
-                            f"radar_id {radar_id!r} is not a string")
+                    _check_fields(ts_ns, radar_id)
                     if doc["kind"] != RECORD_KIND:
                         raise ValueError(f"record kind {doc['kind']!r}, "
                                          f"expected {RECORD_KIND!r}")

@@ -40,6 +40,9 @@ class MqttConfig:
     def __post_init__(self):
         if not self.topic_prefix or self.topic_prefix.endswith("/"):
             raise ValueError("topic_prefix must be nonempty with no trailing slash")
+        if any(c in self.topic_prefix for c in "+#"):
+            raise ValueError(f"topic_prefix {self.topic_prefix!r} contains "
+                             "an MQTT wildcard")
         if not 0 < self.port < 65536:
             raise ValueError("port must be in 1..65535")
         if self.queue_limit < 1:

@@ -19,10 +19,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import yaml
 from scipy import stats
 
 from radarfuse import cli, tlv
-from radarfuse.clustering import dbscan, extract_eps_cut, optics
+from radarfuse.clustering import (ClusterAlgorithm, dbscan, extract_eps_cut,
+                                  optics)
+from radarfuse.config import load_config, paper_config_doc
 from radarfuse.filtering import (BufferConfig, BufferFilter, ThresholdConfig,
                                  threshold_filter)
 from radarfuse.geometry import Pose, TransformTree
@@ -61,6 +64,16 @@ def paper_run(tmp_path_factory):
             "events": events, "elapsed": elapsed, "metrics": metrics}
 
 
+@pytest.fixture(scope="session")
+def optics_config(tmp_path_factory):
+    """The paper config with OPTICS, as the YAML file a deployment
+    would pass to ``replay --config``."""
+    path = tmp_path_factory.mktemp("optics") / "optics.yaml"
+    path.write_text(yaml.safe_dump(paper_config_doc("optics")))
+    assert load_config(path).clustering.algorithm is ClusterAlgorithm.OPTICS
+    return path
+
+
 def random_instance(rng, n_max=300):
     """Random clumps plus uniform chaff, the shapes clustering sees."""
     n = int(rng.integers(0, n_max + 1))
@@ -86,12 +99,12 @@ def test_criterion_01_end_to_end_count_accuracy(paper_run):
     assert paper_run["elapsed"] < 60.0
 
 
-def test_criterion_02_optics_dbscan_agreement(paper_run):
-    """The clustering A/B switch works and the eps cut matches DBSCAN."""
+def test_criterion_02_optics_dbscan_agreement(paper_run, optics_config):
+    """OPTICS chosen by config works and the eps cut matches DBSCAN."""
     d = paper_run["dir"]
     status_o = d / "status_optics.jsonl"
-    assert cli.cli(["replay", "--config", "paper", "--log",
-                    str(paper_run["log"]), "--fast", "--clustering", "optics",
+    assert cli.cli(["replay", "--config", str(optics_config), "--log",
+                    str(paper_run["log"]), "--fast",
                     "--status-log", str(status_o)]) == 0
     metrics_o = evaluate(cli.read_count_series(status_o),
                          cli.read_count_series(paper_run["truth"]),
@@ -398,7 +411,7 @@ def _md5(path):
     return hashlib.md5(path.read_bytes()).hexdigest()
 
 
-def test_golden_jsonl(paper_run):
+def test_golden_jsonl(paper_run, optics_config):
     """Refactors keep the reference outputs byte for byte."""
     assert _md5(paper_run["log"]) == GOLDEN_LOG_MD5
     assert _md5(paper_run["truth"]) == GOLDEN_TRUTH_MD5
@@ -406,8 +419,8 @@ def test_golden_jsonl(paper_run):
     assert _md5(paper_run["events"]) == GOLDEN_EVENTS_MD5
     d = paper_run["dir"]
     status, events = d / "golden_status.jsonl", d / "golden_events.jsonl"
-    assert cli.cli(["replay", "--config", "paper", "--log",
-                    str(paper_run["log"]), "--fast", "--clustering", "optics",
+    assert cli.cli(["replay", "--config", str(optics_config), "--log",
+                    str(paper_run["log"]), "--fast",
                     "--status-log", str(status),
                     "--event-log", str(events)]) == 0
     assert _md5(status) == GOLDEN_STATUS_MD5
@@ -443,8 +456,7 @@ def test_golden_clutter_log(tmp_path):
     simulate(sc, log)
     assert _md5(log) == GOLDEN_CLUTTER_LOG_MD5
     assert cli.cli(["replay", "--config", "paper", "--log", str(log),
-                    "--fast", "--clustering", "dbscan",
-                    "--status-log", str(status),
+                    "--fast", "--status-log", str(status),
                     "--event-log", str(events)]) == 0
     assert _md5(status) == GOLDEN_CLUTTER_STATUS_MD5
     assert _md5(events) == GOLDEN_CLUTTER_EVENTS_MD5

@@ -434,6 +434,10 @@ class TestCli:
                      "mqtt.port", id="mqtt-port-65536"),
         pytest.param(lambda d: d.update(mqtt={"port": "1883"}),
                      "mqtt.port", id="mqtt-port-str"),
+        pytest.param(lambda d: d.update(mqtt={"topic_prefix": "home/#"}),
+                     "mqtt.topic_prefix", id="mqtt-topic_prefix-hash"),
+        pytest.param(lambda d: d.update(mqtt={"topic_prefix": "home/+/x"}),
+                     "mqtt.topic_prefix", id="mqtt-topic_prefix-plus"),
         pytest.param(lambda d: d.update(mqtt={"queue_limit": 0}),
                      "mqtt.queue_limit", id="mqtt-queue_limit"),
         pytest.param(lambda d: d.update(mqtt={"retain_status": "yes"}),
@@ -657,15 +661,21 @@ class TestCli:
     def test_publisher_disconnects_at_end(self, monkeypatch, sim_log,
                                           small_cfg_path, argv):
         log, _ = sim_log
-        published, calls = [], []
-        monkeypatch.setattr(
-            telemetry, "MiniMqttClient",
-            lambda host, port, client_id: RecordingClient(published, calls))
+        doc = yaml.safe_load(small_cfg_path.read_text())
+        doc["mqtt"] = {"host": "broker", "port": 1884}
+        small_cfg_path.write_text(yaml.safe_dump(doc))
+        published, calls, brokers = [], [], []
+
+        def client(host, port, client_id):
+            brokers.append((host, port))
+            return RecordingClient(published, calls)
+
+        monkeypatch.setattr(telemetry, "MiniMqttClient", client)
         assert cli.cli(argv + ["--config", str(small_cfg_path),
-                               "--log", str(log),
-                               "--mqtt-url", "mqtt://broker:1884"]) == 0
+                               "--log", str(log)]) == 0
         assert published
         assert calls == ["connect", "disconnect"]
+        assert set(brokers) == {("broker", 1884)}
 
     def test_scenario_yaml_loading(self, tmp_path, capsys):
         sc_doc = {
@@ -700,23 +710,30 @@ class TestCli:
                         "--out", str(out)]) == 2
         assert "radars[0].pose.x" in capsys.readouterr().err
 
-    def test_mqtt_url_parsing(self, monkeypatch, sim_log, capsys):
-        assert cli._parse_mqtt_url("mqtt://broker:1884") == ("broker", 1884)
-        assert cli._parse_mqtt_url("broker") == ("broker", 1883)
-        for bad in ("mqtt://h:abc", "mqtt://:1884", "h:-1"):
-            with pytest.raises(ConfigError):
-                cli._parse_mqtt_url(bad)
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--clustering", "optics"], id="clustering"),
+        pytest.param(["--mqtt-url", "mqtt://h"], id="mqtt-url"),
+    ])
+    def test_config_only_flags_removed(self, tmp_path, sim_log, capsys,
+                                       flags):
+        # the config file is the one route to the clusterer and the broker
         log, _ = sim_log
-        argv = ["replay", "--config", "paper", "--log", str(log), "--fast"]
-        assert cli.cli(argv + ["--mqtt-url", "mqtt://h:abc"]) == 2
-        # the port range is MqttConfig's, reported as the url's
-        for port in ("0", "65536"):
-            assert cli.cli(argv + ["--mqtt-url", f"mqtt://h:{port}"]) == 2
-            assert "config error: mqtt url: port must be in 1..65535" in \
-                capsys.readouterr().err
-        monkeypatch.setenv("RADARFUSE_MQTT_URL", "mqtt://h:abc")
-        assert cli.cli(argv) == 2
-        assert "mqtt url" in capsys.readouterr().err
+        status = tmp_path / "status.jsonl"
+        assert cli.cli(["replay", "--config", "paper", "--log", str(log),
+                        "--fast", "--status-log", str(status)] + flags) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not status.exists()
+
+    def test_mqtt_environment_ignored(self, monkeypatch, sim_log,
+                                      small_cfg_path):
+        log, _ = sim_log
+        monkeypatch.setenv("RADARFUSE_MQTT_URL", "mqtt://h:1883")
+        clients = []
+        monkeypatch.setattr(telemetry, "MiniMqttClient",
+                            lambda *a: clients.append(a))
+        assert cli.cli(["replay", "--config", str(small_cfg_path),
+                        "--log", str(log), "--fast"]) == 0
+        assert clients == []
 
     def test_seed_applies_to_scenario_yaml(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"

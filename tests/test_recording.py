@@ -78,6 +78,30 @@ def test_per_radar_monotonicity_enforced(tmp_path):
             rec.write(LogRecord(4, "r0", b""))
 
 
+# the recorder writes only what replay reads back: every refusal names
+# its field, and nothing reaches the file
+@pytest.mark.parametrize("record,field", [
+    pytest.param(LogRecord(1.5, "r0", b""), "ts_ns", id="float-ts"),
+    pytest.param(LogRecord(True, "r0", b""), "ts_ns", id="bool-ts"),
+    pytest.param(LogRecord(1, b"r0", b""), "radar_id", id="bytes-radar_id"),
+    pytest.param(LogRecord(1, "r1", b""), "radar_id", id="radar-not-in-header"),
+])
+def test_recorder_refuses_unreadable_record(tmp_path, record, field):
+    p = tmp_path / "a.jsonl"
+    with Recorder(p, ["r0"], clock=lambda: 0.0) as rec:
+        with pytest.raises(ValueError, match=field):
+            rec.write(record)
+    assert len(p.read_text().splitlines()) == 1  # the header alone
+    assert list(replay(p, as_fast_as_possible=True)) == []
+
+
+def test_recorder_refuses_non_string_radar_id(tmp_path):
+    p = tmp_path / "a.jsonl"
+    with pytest.raises(ValueError, match="radar_id"):
+        Recorder(p, ["r0", 1])
+    assert not p.exists()
+
+
 @pytest.mark.parametrize("bad", [
     pytest.param('{"ts_ns": "nope"}', id="bad-ts"),
     pytest.param('{"ts_ns": 1, "radar_id": "r0", "kind": "raw_tlv", '
