@@ -3,8 +3,9 @@
 Both DBSCAN and OPTICS are implemented directly (3D Euclidean metric)
 as array operations over one window, which holds a few hundred points
 and never more than ``MAX_WINDOW_POINTS``.  Distances come from
-:func:`radarfuse.geometry.sq_distances`.  DBSCAN thresholds it, one
-block of rows at a time, into an ``n x n`` boolean eps adjacency; its
+:func:`radarfuse.geometry.sq_distances`.  DBSCAN thresholds it into an
+``n x n`` boolean eps adjacency in upper-triangle row blocks mirrored
+into the lower half, so each pair distance is computed once; its
 column sums are the neighbour counts that mark core points.  Each
 cluster is seeded at the lowest core point not yet in a cluster (an
 ``argmax`` over a mask) and grown by frontier expansion over the core
@@ -17,8 +18,8 @@ and is exercised as a cross-check in the tests.  A window is one
 ``(N, 3)`` position array, its frames' arrays concatenated once when it
 closes; its result carries per-point labels and core flags as arrays
 and its centroids as one ``(k, 3)`` array, row ``k`` the mean position
-of cluster ``k`` (one ``bincount`` per axis), which the tracker takes
-as is.
+of cluster ``k`` (one ``bincount`` over (label, axis) cells), which the
+tracker takes as is.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ NOISE = -1
 # over 5x the largest windows seen, 374 points on the paper log and 120
 # on its clutter variant.  At this size DBSCAN holds its boolean
 # adjacency, 1 B per point pair (4 MiB), plus the float distances of one
-# row block (4 MiB); OPTICS holds the whole float distance matrix, 8 B
+# row block (at most 4 MiB, the first block's, which spans every
+# column); OPTICS holds the whole float distance matrix, 8 B
 # per point pair (32 MiB), plus the temporaries of one row block.
 MAX_WINDOW_POINTS = 2048
 
@@ -80,15 +82,17 @@ class ClusterResult:
 
 
 def _centroids(positions: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Row k is the mean position of the points labelled k.  Each
-    ``bincount`` adds a cluster's members in index order, as
+    """Row k is the mean position of the points labelled k.  One
+    ``bincount`` over (label, axis) cells sums the coordinates; each
+    cell adds a cluster's members in index order, as
     ``positions[labels == k].mean(axis=0)`` does, so the floats match."""
     bins = labels + 1            # NOISE goes to bin 0, then dropped
     size = labels.max(initial=NOISE) + 2
     counts = np.bincount(bins, minlength=size)[1:]
-    sums = [np.bincount(bins, weights=positions[:, a], minlength=size)[1:]
-            for a in range(3)]
-    return np.stack(sums, axis=1) / counts[:, None]
+    cells = 3 * bins[:, None] + np.arange(3)
+    sums = np.bincount(cells.ravel(), weights=positions.ravel(),
+                       minlength=3 * size)[3:].reshape(-1, 3)
+    return sums / counts[:, None]
 
 
 def dbscan(positions: np.ndarray, eps: float, min_pts: int,
@@ -103,8 +107,13 @@ def dbscan(positions: np.ndarray, eps: float, min_pts: int,
     positions = np.asarray(positions, dtype=float)
     adj = np.empty((n, n), dtype=bool)
     for lo in range(0, n, _BLOCK_ROWS):
-        np.less_equal(sq_distances(positions[lo:lo + _BLOCK_ROWS], positions),
-                      eps * eps, out=adj[lo:lo + _BLOCK_ROWS])
+        hi = lo + _BLOCK_ROWS
+        # each pair once: this block's rows against the columns from lo
+        # on, then its part right of the diagonal block mirrored into
+        # the rows below ((b - a)**2 is the same float as (a - b)**2)
+        np.less_equal(sq_distances(positions[lo:hi], positions[lo:]),
+                      eps * eps, out=adj[lo:hi, lo:])
+        adj[hi:, lo:hi] = adj[lo:hi, hi:].T
     # adj is symmetric, so its column sums are the neighbour counts; a
     # count is at most n, so the least unsigned type holding n is exact
     core = adj.view(np.uint8).sum(0, dtype=np.min_scalar_type(n)) >= min_pts

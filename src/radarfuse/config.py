@@ -26,7 +26,7 @@ from .filtering import BufferConfig, ThresholdConfig
 from .fusion import MergeConfig
 from .geometry import Pose
 from .occupancy import GridConfig, Zone
-from .telemetry import MqttConfig
+from .telemetry import MqttConfig, check_string, event_topic
 from .tracking import TrackerConfig
 
 # fields held in radians and written in degrees as ``<name>_deg``
@@ -160,13 +160,21 @@ def load_config(path_or_doc) -> PipelineConfig:
         raise ConfigError("radars", "at least one radar required")
     _check_unique("radars", "radar_id", cfg.radars)
     _check_unique("zones", "zone_id", cfg.zones)
-    if cfg.zones:
-        return cfg
-    # no zones configured: the whole grid plane is one default zone
-    (x0, x1), (y0, y1) = cfg.grid.bounds_x, cfg.grid.bounds_y
-    return replace(cfg, zones=(Zone(
-        zone_id="room", center=((x0 + x1) / 2, (y0 + y1) / 2),
-        len_x=x1 - x0, len_y=y1 - y0),))
+    if not cfg.zones:
+        # no zones configured: the whole grid plane is one default zone
+        (x0, x1), (y0, y1) = cfg.grid.bounds_x, cfg.grid.bounds_y
+        cfg = replace(cfg, zones=(Zone(
+            zone_id="room", center=((x0 + x1) / 2, (y0 + y1) / 2),
+            len_x=x1 - x0, len_y=y1 - y0),))
+    if cfg.mqtt is not None:
+        # a zone's event topic is the longer of its two
+        for i, zone in enumerate(cfg.zones):
+            try:
+                check_string(f"with zones[{i}].zone_id the event topic",
+                             event_topic(cfg.mqtt.topic_prefix, zone.zone_id))
+            except ValueError as e:
+                raise ConfigError("mqtt.topic_prefix", str(e)) from None
+    return cfg
 
 
 def load_scenario(path_or_doc) -> simulation.Scenario:

@@ -27,6 +27,17 @@ BACKOFF_CAP = 30.0  # s
 # (QoS, retain) of each message kind; MiniMqttClient speaks QoS 0 and 1
 STATUS_DELIVERY = (0, True)   # a zone's state, kept by the broker
 EVENT_DELIVERY = (1, False)   # an enter or exit, acknowledged once
+# MQTT 3.1.1 §1.5.3: a string is a 2-byte length, then its UTF-8 bytes
+MAX_STRING_BYTES = 0xFFFF
+
+
+def check_string(what: str, s: str):
+    """Raise ValueError, its message beginning with ``what``, when ``s``
+    does not fit in one MQTT string."""
+    size = len(s.encode("utf-8"))
+    if size > MAX_STRING_BYTES:
+        raise ValueError(f"{what} is {size} UTF-8 bytes; an MQTT string "
+                         f"holds at most {MAX_STRING_BYTES}")
 
 
 @dataclass(frozen=True)
@@ -43,6 +54,8 @@ class MqttConfig:
         if any(c in self.topic_prefix for c in "+#"):
             raise ValueError(f"topic_prefix {self.topic_prefix!r} contains "
                              "an MQTT wildcard")
+        check_string("client_id", self.client_id)
+        check_string("topic_prefix", self.topic_prefix)
         if not 0 < self.port < 65536:
             raise ValueError("port must be in 1..65535")
         if self.queue_limit < 1:
@@ -102,16 +115,19 @@ class MiniMqttClient:
         return struct.pack(">H", len(b)) + b
 
     def connect(self):
-        sock = socket.create_connection((self.host, self.port), self.timeout)
-        sock.settimeout(self.timeout)
         payload = self._utf8(self.client_id)
         var = self._utf8("MQTT") + bytes([4, 0x02]) + struct.pack(">H", 60)
         pkt = bytes([0x10]) + self._encode_length(len(var) + len(payload)) + var + payload
-        sock.sendall(pkt)
-        ack = sock.recv(4)
-        if len(ack) < 4 or ack[0] != 0x20 or ack[3] != 0:
+        sock = socket.create_connection((self.host, self.port), self.timeout)
+        try:
+            sock.settimeout(self.timeout)
+            sock.sendall(pkt)
+            ack = sock.recv(4)
+            if len(ack) < 4 or ack[0] != 0x20 or ack[3] != 0:
+                raise ConnectionError(f"CONNACK refused: {ack.hex()}")
+        except BaseException:
             sock.close()
-            raise ConnectionError(f"CONNACK refused: {ack.hex()}")
+            raise
         self._sock = sock
 
     def publish(self, topic: str, payload: bytes, qos: int = 0,

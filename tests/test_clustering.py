@@ -76,6 +76,37 @@ class TestDbscan:
         # same cluster numbering, border points included
         assert res.labels.tolist() == ref_labels
 
+    def test_memory_bounded_at_max_window(self):
+        # the 1 B per pair adjacency (4 MiB at 2048 points) plus one row
+        # block's float temporaries (4 MiB), not an n x n float matrix
+        pts = np.random.default_rng(0).uniform(0, 3, (MAX_WINDOW_POINTS, 3))
+        tracemalloc.start()
+        try:
+            dbscan(pts, 0.45, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 2**20
+
+    def test_matches_brute_force_across_row_blocks(self):
+        # two full row blocks and a partial one, on a 0.5 m lattice with
+        # eps 0.5 (d² == eps² exactly) and some points repeated, so the
+        # mirrored half of the adjacency holds exact-eps pairs
+        rng = np.random.default_rng(4)
+        grid = np.array([[x, y, z] for x in range(12) for y in range(12)
+                         for z in range(3)]) * 0.5
+        n = 2 * _BLOCK_ROWS + 44
+        pts = grid[rng.permutation(len(grid))[:n - 30]]
+        pts = np.vstack([pts, pts[rng.integers(0, len(pts), 30)]])
+        pts = pts[rng.permutation(n)]
+        d2 = ((pts[:, None] - pts[None]) ** 2).sum(-1)
+        block = np.arange(n) // _BLOCK_ROWS
+        assert ((d2 == 0.25) & (block[:, None] != block[None])).any()
+        res = dbscan(pts, 0.5, 4)
+        ref_labels, ref_core = brute_dbscan(pts, 0.5, 4)
+        assert res.is_core.tolist() == ref_core
+        assert res.labels.tolist() == ref_labels
+
 
 @st.composite
 def lattice_window(draw):

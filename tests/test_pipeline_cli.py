@@ -724,6 +724,35 @@ class TestCli:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not status.exists()
 
+    @pytest.mark.parametrize("mqtt,path", [
+        pytest.param({"client_id": "x" * 65536}, "mqtt.client_id",
+                     id="client_id"),
+        pytest.param({"topic_prefix": "x" * 65536}, "mqtt.topic_prefix",
+                     id="topic_prefix"),
+        # the prefix fits; with the zone id its event topic does not
+        pytest.param({"topic_prefix": "x" * 65520}, "mqtt.topic_prefix",
+                     id="event-topic"),
+    ])
+    def test_mqtt_string_too_long_exit_2(self, monkeypatch, tmp_path,
+                                         sim_log, small_cfg_path, capsys,
+                                         mqtt, path):
+        # refused at load, before any output or connection
+        log, _ = sim_log
+        doc = yaml.safe_load(small_cfg_path.read_text())
+        doc["mqtt"] = mqtt
+        small_cfg_path.write_text(yaml.safe_dump(doc))
+        clients = []
+        monkeypatch.setattr(telemetry, "MiniMqttClient",
+                            lambda *a: clients.append(a))
+        status = tmp_path / "status.jsonl"
+        assert cli.cli(["replay", "--config", str(small_cfg_path),
+                        "--log", str(log), "--fast",
+                        "--status-log", str(status)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {path}: " in err
+        assert "65535" in err
+        assert not status.exists() and clients == []
+
     def test_mqtt_environment_ignored(self, monkeypatch, sim_log,
                                       small_cfg_path):
         log, _ = sim_log

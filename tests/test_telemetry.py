@@ -5,8 +5,9 @@ import threading
 import pytest
 
 from radarfuse.occupancy import OccupancyEvent, Zone, ZoneStatus
-from radarfuse.telemetry import (MiniMqttClient, MqttConfig, Publisher,
-                                 event_topic, serialize_event,
+from radarfuse import telemetry
+from radarfuse.telemetry import (MAX_STRING_BYTES, MiniMqttClient, MqttConfig,
+                                 Publisher, event_topic, serialize_event,
                                  serialize_status, status_topic)
 
 
@@ -52,6 +53,70 @@ class TestTopics:
         # a zone id is one topic level, so the zone refuses it at load
         with pytest.raises(ValueError, match="^zone_id "):
             Zone(zone_id=bad, len_x=1.0, len_y=1.0)
+
+
+class TestMqttStrings:
+    @pytest.mark.parametrize("field", ["client_id", "topic_prefix"])
+    def test_longest_string_accepted(self, field):
+        MqttConfig(**{field: "x" * MAX_STRING_BYTES})
+
+    @pytest.mark.parametrize("field", ["client_id", "topic_prefix"])
+    @pytest.mark.parametrize("text", ["x" * (MAX_STRING_BYTES + 1),
+                                      "\u00e9" * (MAX_STRING_BYTES // 2 + 1)],
+                             ids=["ascii", "two-byte"])
+    def test_over_long_string_rejected(self, field, text):
+        # the limit is on UTF-8 bytes, not characters
+        with pytest.raises(ValueError, match=f"^{field} is 65536 UTF-8 bytes"):
+            MqttConfig(**{field: text})
+
+
+class FakeSocket:
+    """A connected socket whose ``fail`` step raises or answers badly."""
+
+    def __init__(self, fail):
+        self.fail = fail
+        self.closed = False
+
+    def settimeout(self, timeout):
+        pass
+
+    def sendall(self, data):
+        if self.fail == "sendall":
+            raise OSError("broken pipe")
+
+    def recv(self, n):
+        if self.fail == "recv":
+            raise socket.timeout("timed out")
+        return b"\x20\x02\x00\x05" if self.fail == "refused" else b""
+
+    def close(self):
+        self.closed = True
+
+
+@pytest.mark.parametrize("fail,error", [
+    ("sendall", OSError), ("recv", socket.timeout),
+    ("refused", ConnectionError), ("closed", ConnectionError)])
+def test_connect_closes_socket_on_failure(monkeypatch, fail, error):
+    sock = FakeSocket(fail)
+    monkeypatch.setattr(telemetry.socket, "create_connection",
+                        lambda address, timeout: sock)
+    client = MiniMqttClient("broker", 1883, "radarfuse")
+    with pytest.raises(error):
+        client.connect()
+    assert sock.closed
+    with pytest.raises(ConnectionError, match="not connected"):
+        client.publish("lab/occupancy/z/state", b"{}")
+
+
+def test_over_long_client_id_opens_no_socket(monkeypatch):
+    # the CONNECT packet is built before the socket is opened
+    opened = []
+    monkeypatch.setattr(telemetry.socket, "create_connection",
+                        lambda *a: opened.append(a))
+    client = MiniMqttClient("broker", 1883, "x" * (MAX_STRING_BYTES + 1))
+    with pytest.raises(struct.error):
+        client.connect()
+    assert opened == []
 
 
 class FakeClient:
