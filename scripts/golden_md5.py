@@ -16,15 +16,22 @@ does for a deployment: ``paper_config_doc(algorithm)`` is dumped to
 checkouts and diff the output to show that a change keeps the logs and
 the pipeline's output byte for byte.
 
-``scripts/golden_md5.txt`` holds the expected output, and CI diffs
+``scripts/golden_md5.txt`` holds the expected output.  CI diffs
 against it:
 
     PYTHONPATH=src python scripts/golden_md5.py | diff scripts/golden_md5.txt -
 
-A change that moves golden bytes on purpose re-pins that file with the
-script's new output and says which lines moved and why.  ROADMAP items
-1 (track gate), 7 (tracking through stillness), 8 (flush order and
-empty windows) and 13 (occupancy hysteresis) each do so.
+and the tier-1 tests ``test_golden_jsonl`` and ``test_golden_clutter_log``
+(``tests/test_acceptance.py``) load this script and compare
+``seed_lines(7, tmp, only=scenario)`` with that scenario's block of seed
+7 in it, so ``pytest`` fails on any moved digest of the reference seed,
+the tracker's included.  A change that moves golden bytes on
+purpose re-pins that file with
+
+    PYTHONPATH=src python scripts/golden_md5.py > scripts/golden_md5.txt
+
+and says which lines moved and why; ROADMAP lists the changes that do
+so.
 """
 
 import dataclasses
@@ -83,23 +90,32 @@ def replay(config, log, status, events):
     return digest.hexdigest()
 
 
+def seed_lines(seed, tmp, only=None):
+    """Yield ``seed``'s lines of the output, rendering into the
+    directory ``tmp``; with ``only``, the lines of that scenario
+    alone."""
+    log, truth, status, events = (pathlib.Path(tmp, name) for name in
+                                  ("sim.log", "truth", "status", "events"))
+    configs = {algorithm: pathlib.Path(tmp, f"{algorithm}.yaml")
+               for algorithm in ("dbscan", "optics")}
+    for algorithm, config in configs.items():
+        config.write_text(yaml.safe_dump(paper_config_doc(algorithm)))
+    for name, sc, algorithms in scenarios(seed):
+        if only not in (None, name):
+            continue
+        simulate(sc, log, truth)
+        yield f"{name:8s} {seed:2d} {md5(log)} {md5(truth)}"
+        for algorithm in algorithms:
+            tracker = replay(configs[algorithm], log, status, events)
+            yield f"  {algorithm:6s} {md5(status)} {md5(events)}"
+            yield f"    tracker {tracker}"
+
+
 def main():
     with tempfile.TemporaryDirectory() as tmp:
-        log, truth, status, events = (pathlib.Path(tmp, name) for name in
-                                      ("sim.log", "truth", "status", "events"))
-        configs = {algorithm: pathlib.Path(tmp, f"{algorithm}.yaml")
-                   for algorithm in ("dbscan", "optics")}
-        for algorithm, config in configs.items():
-            config.write_text(yaml.safe_dump(paper_config_doc(algorithm)))
         for seed in SEEDS:
-            for name, sc, algorithms in scenarios(seed):
-                simulate(sc, log, truth)
-                print(f"{name:8s} {seed:2d} {md5(log)} {md5(truth)}",
-                      flush=True)
-                for algorithm in algorithms:
-                    tracker = replay(configs[algorithm], log, status, events)
-                    print(f"  {algorithm:6s} {md5(status)} {md5(events)}\n"
-                          f"    tracker {tracker}", flush=True)
+            for line in seed_lines(seed, tmp):
+                print(line, flush=True)
 
 
 if __name__ == "__main__":

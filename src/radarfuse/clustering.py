@@ -48,6 +48,8 @@ MAX_WINDOW_POINTS = 2048
 # small however large the window
 _BLOCK_ROWS = 128
 
+OPTICS_MAX_EPS = 2.0  # m, the pipeline's OPTICS radius (eps if larger)
+
 
 class ClusterAlgorithm(str, Enum):
     DBSCAN = "dbscan"
@@ -60,7 +62,6 @@ class ClusterConfig:
     algorithm: ClusterAlgorithm = ClusterAlgorithm.DBSCAN
     eps: float = 0.45
     min_pts: int = 4
-    optics_max_eps: float = 2.0
 
     def __post_init__(self):
         if self.window_seconds <= 0:
@@ -69,8 +70,6 @@ class ClusterConfig:
             raise ValueError("eps must be > 0")
         if self.min_pts < 1:
             raise ValueError("min_pts must be >= 1")
-        if self.optics_max_eps < self.eps:
-            raise ValueError("optics_max_eps must be >= eps")
 
 
 @dataclass
@@ -206,7 +205,7 @@ def cluster_points(positions: np.ndarray, cfg: ClusterConfig,
     """Cluster one window's (N, 3) positions with ``cfg.algorithm``."""
     if cfg.algorithm is ClusterAlgorithm.DBSCAN:
         return dbscan(positions, cfg.eps, cfg.min_pts, ts_ns)
-    ordering = optics(positions, cfg.min_pts, cfg.optics_max_eps)
+    ordering = optics(positions, cfg.min_pts, max(OPTICS_MAX_EPS, cfg.eps))
     return extract_eps_cut(ordering, cfg.eps, positions, ts_ns)
 
 

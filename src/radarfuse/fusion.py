@@ -42,10 +42,10 @@ class Merger:
     def __init__(self, cfg: MergeConfig, source_ids):
         self.cfg = cfg
         self._horizon_ns = int(cfg.reorder_horizon_ms * 1e6)
-        self._latest: dict[str, int | None] = {s: None for s in source_ids}
+        # each source's newest timestamp; -inf until it first reports
+        self._latest: dict[str, float] = dict.fromkeys(source_ids, -math.inf)
         self._heap: list[tuple[int, int, str, object]] = []
         self._seq = 0
-        self._max_ts = -math.inf
         self._watermark = -math.inf
         self.received = 0
         self.emitted = 0
@@ -59,19 +59,16 @@ class Merger:
         if ts_ns < self._watermark:
             self.late_dropped += 1
             return []
-        prev = latest[source_id]
-        if prev is None or ts_ns > prev:
+        if ts_ns > latest[source_id]:
             latest[source_id] = ts_ns
         heapq.heappush(self._heap, (ts_ns, self._seq, source_id, frame))
         self._seq += 1
-        if ts_ns > self._max_ts:
-            self._max_ts = ts_ns
-        # the horizon forces the watermark along; once every source has
-        # reported, the slowest one's latest frame may raise it further
-        limit = self._max_ts - self._horizon_ns
-        if None not in latest.values():
-            limit = max(limit, min(latest.values()))
-        return self._release(limit)
+        # the horizon behind the newest frame forces the watermark along;
+        # once every source has reported, the slowest one's latest frame
+        # may raise it further
+        stamps = latest.values()
+        return self._release(max(max(stamps) - self._horizon_ns,
+                                 min(stamps)))
 
     def _release(self, limit):
         """Pop every buffered frame stamped at or before ``limit``."""

@@ -466,7 +466,9 @@ def paper_scenario(seed: int = 7) -> Scenario:
                     duration=115.0, seed=seed)
 
 
-# the most samples evaluate takes: about 11.6 days at its 0.5 s step
+EVAL_STEP = 0.5  # s, evaluate's sampling step
+EVAL_HOLD = 10.0  # s, how long an estimate must hold to count as converged
+# the most samples evaluate takes: about 11.6 days at EVAL_STEP
 MAX_EVAL_SAMPLES = 2_000_000
 
 
@@ -504,17 +506,17 @@ def _moving_average(values: np.ndarray, window_samples: int) -> np.ndarray:
     return (csum[hi] - csum[lo]) / (hi - lo)
 
 
-def evaluate(estimate_series, truth_series, smoothing_seconds: float = 30.0,
-             dt: float = 0.5, hold_seconds: float = 10.0) -> EvalMetrics:
+def evaluate(estimate_series, truth_series,
+             smoothing_seconds: float = 30.0) -> EvalMetrics:
     """Compare an estimated count series with ground truth.
 
-    Both series are [(t_s, count), ...].  A trailing moving average of
-    ``smoothing_seconds`` is applied to both; convergence is the first
-    instant from which the smoothed estimate stays within +-0.5 of the
-    smoothed truth for at least ``hold_seconds``; the MAE is over the
-    post-convergence interval (over everything when never converged).
-    A span of ``MAX_EVAL_SAMPLES`` steps or more raises
-    :class:`SpanTooLong` before any sample is allocated.
+    Both series are [(t_s, count), ...], sampled every ``EVAL_STEP``.  A
+    trailing moving average of ``smoothing_seconds`` is applied to both;
+    convergence is the first instant from which the smoothed estimate
+    stays within +-0.5 of the smoothed truth for at least ``EVAL_HOLD``;
+    the MAE is over the post-convergence interval (over everything when
+    never converged).  A span of ``MAX_EVAL_SAMPLES`` steps or more
+    raises :class:`SpanTooLong` before any sample is allocated.
     """
     if not estimate_series or not truth_series:
         raise EmptySeries("both series must be non-empty")
@@ -522,19 +524,19 @@ def evaluate(estimate_series, truth_series, smoothing_seconds: float = 30.0,
     truth_series = sorted(truth_series)
     t0 = min(estimate_series[0][0], truth_series[0][0])
     t1 = max(estimate_series[-1][0], truth_series[-1][0])
-    if not (t1 - t0) / dt < MAX_EVAL_SAMPLES:
+    if not (t1 - t0) / EVAL_STEP < MAX_EVAL_SAMPLES:
         raise SpanTooLong(f"a span of {t1 - t0:g} s is more than "
-                          f"{MAX_EVAL_SAMPLES} samples of {dt:g} s")
-    times = np.arange(t0, t1 + dt / 2, dt)
+                          f"{MAX_EVAL_SAMPLES} samples of {EVAL_STEP:g} s")
+    times = np.arange(t0, t1 + EVAL_STEP / 2, EVAL_STEP)
     est = _step_sample(estimate_series, times)
     tru = _step_sample(truth_series, times)
     # a window past the series' length averages all of it
-    w = min(len(times), max(1, int(round(smoothing_seconds / dt))))
+    w = min(len(times), max(1, int(round(smoothing_seconds / EVAL_STEP))))
     est_s = _moving_average(est, w)
     tru_s = _moving_average(tru, w)
 
     diff_ok = np.abs(est_s - tru_s) <= 0.5
-    hold = max(1, int(round(hold_seconds / dt)))
+    hold = round(EVAL_HOLD / EVAL_STEP)
     conv_idx = None
     run = 0
     for i, ok in enumerate(diff_ok):

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from .occupancy import OccupancyEvent, ZoneStatus
 
 BACKOFF_CAP = 30.0  # s
+SOCKET_TIMEOUT = 5.0  # s, MiniMqttClient's connect and receive timeout
 # (QoS, retain) of each message kind; MiniMqttClient speaks QoS 0 and 1
 STATUS_DELIVERY = (0, True)   # a zone's state, kept by the broker
 EVENT_DELIVERY = (1, False)   # an enter or exit, acknowledged once
@@ -91,11 +92,10 @@ def event_topic(prefix: str, zone_id: str) -> str:
 class MiniMqttClient:
     """Just enough MQTT 3.1.1: CONNECT, PUBLISH (QoS 0/1), DISCONNECT."""
 
-    def __init__(self, host: str, port: int, client_id: str, timeout=5.0):
+    def __init__(self, host: str, port: int, client_id: str):
         self.host = host
         self.port = port
         self.client_id = client_id
-        self.timeout = timeout
         self._sock: socket.socket | None = None
         self._packet_id = 0
 
@@ -118,9 +118,10 @@ class MiniMqttClient:
         payload = self._utf8(self.client_id)
         var = self._utf8("MQTT") + bytes([4, 0x02]) + struct.pack(">H", 60)
         pkt = bytes([0x10]) + self._encode_length(len(var) + len(payload)) + var + payload
-        sock = socket.create_connection((self.host, self.port), self.timeout)
+        sock = socket.create_connection((self.host, self.port),
+                                        SOCKET_TIMEOUT)
         try:
-            sock.settimeout(self.timeout)
+            sock.settimeout(SOCKET_TIMEOUT)
             sock.sendall(pkt)
             ack = sock.recv(4)
             if len(ack) < 4 or ack[0] != 0x20 or ack[3] != 0:

@@ -6,8 +6,7 @@ criterion.  The bundled reference scenario is simulated and replayed
 once per session and shared by the criteria that score it.
 """
 
-import dataclasses
-import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -31,8 +30,7 @@ from radarfuse.filtering import (BufferConfig, BufferFilter, ThresholdConfig,
 from radarfuse.geometry import Pose, TransformTree
 from radarfuse.occupancy import CellState, cell_tick
 from radarfuse.simulation import (NoiseSpec, RadarSpec, Scenario, WalkerSpec,
-                                  evaluate, paper_scenario, simulate,
-                                  simulate_frames)
+                                  evaluate, simulate_frames)
 from radarfuse.telemetry import MqttConfig, Publisher, serialize_status
 from radarfuse.occupancy import OccupancyEvent, ZoneStatus
 from radarfuse.tracking import (TargetTrack, TrackerConfig, TrackStatus,
@@ -398,33 +396,37 @@ def test_criterion_10_telemetry_outage_recovery():
     assert len(broker["published"]) == 1 + 50 + 1
 
 
-# md5 of the paper scenario's rendered log and truth file (seed 7), and of
-# the status and event JSONL that ``replay --fast`` writes for it; DBSCAN
-# and OPTICS give the same bytes
-GOLDEN_LOG_MD5 = "f117d33393c08abb1e4c80f8e0c36097"
-GOLDEN_TRUTH_MD5 = "0f4ebb9a36ce8305d920670a581c4593"
-GOLDEN_STATUS_MD5 = "83cb92296961bce60c70e86400e369ea"
-GOLDEN_EVENTS_MD5 = "e5ea56bad07eef9dfb18e205b0c2a10d"
+def _golden_lines(scenario, tmp_path):
+    """(the lines pinned for ``scenario`` at seed 7 in
+    scripts/golden_md5.txt, the lines its render and replays print)."""
+    scripts = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+    spec = importlib.util.spec_from_file_location(
+        "golden_md5", scripts / "golden_md5.py")
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    pinned, in_block = [], False
+    for line in (scripts / "golden_md5.txt").read_text().splitlines():
+        if not line.startswith(" "):      # a render: scenario, seed, md5s
+            in_block = line.split()[:2] == [scenario, "7"]
+        if in_block:
+            pinned.append(line)
+    return pinned, list(golden.seed_lines(7, tmp_path, only=scenario))
 
 
-def _md5(path):
-    return hashlib.md5(path.read_bytes()).hexdigest()
+def test_golden_jsonl(tmp_path):
+    """Seed 7's paper render and its DBSCAN and OPTICS replays print the
+    lines pinned for them in scripts/golden_md5.txt, so a refactor that
+    moves a log, truth, status, event or tracker byte fails here."""
+    pinned, printed = _golden_lines("paper", tmp_path)
+    assert printed == pinned
 
 
-def test_golden_jsonl(paper_run, optics_config):
-    """Refactors keep the reference outputs byte for byte."""
-    assert _md5(paper_run["log"]) == GOLDEN_LOG_MD5
-    assert _md5(paper_run["truth"]) == GOLDEN_TRUTH_MD5
-    assert _md5(paper_run["status"]) == GOLDEN_STATUS_MD5
-    assert _md5(paper_run["events"]) == GOLDEN_EVENTS_MD5
-    d = paper_run["dir"]
-    status, events = d / "golden_status.jsonl", d / "golden_events.jsonl"
-    assert cli.cli(["replay", "--config", str(optics_config), "--log",
-                    str(paper_run["log"]), "--fast",
-                    "--status-log", str(status),
-                    "--event-log", str(events)]) == 0
-    assert _md5(status) == GOLDEN_STATUS_MD5
-    assert _md5(events) == GOLDEN_EVENTS_MD5
+def test_golden_clutter_log(tmp_path):
+    """The same for seed 7's clutter variant (walker 0 alone, 40 ghosts
+    per radar frame) and its DBSCAN replay, whose dwell windows pass
+    frames left with zero rows through the clusterer."""
+    pinned, printed = _golden_lines("clutter", tmp_path)
+    assert printed == pinned
 
 
 def test_golden_eval_metrics(paper_run, capsys):
@@ -434,32 +436,6 @@ def test_golden_eval_metrics(paper_run, capsys):
     assert json.loads(capsys.readouterr().out) == {
         "mae": 0.3460411412876489, "convergence_time_s": 4.5,
         "peak_estimate": 4.0}
-
-
-# md5 of the clutter variant's rendered log (seed 7): the paper scenario
-# with walker 0 alone and 40 ghosts per radar frame, so most of its bytes
-# come from the ghost path; and of the status and event JSONL that
-# `replay --fast` (paper config, DBSCAN) writes for it, whose dwell
-# windows pass frames left with zero rows through the clusterer
-GOLDEN_CLUTTER_LOG_MD5 = "9ee97e9b2f7e6bd2cced00a08174752c"
-GOLDEN_CLUTTER_STATUS_MD5 = "ffc313781cce4d11bc442e24df41e91a"
-GOLDEN_CLUTTER_EVENTS_MD5 = "8e84b99433f6f8dba93728015de28a57"
-
-
-def test_golden_clutter_log(tmp_path):
-    sc = paper_scenario(seed=7)
-    sc = dataclasses.replace(
-        sc, walkers=sc.walkers[:1],
-        noise=dataclasses.replace(sc.noise, ghost_rate=40.0))
-    log = tmp_path / "clutter.log"
-    status, events = tmp_path / "status.jsonl", tmp_path / "events.jsonl"
-    simulate(sc, log)
-    assert _md5(log) == GOLDEN_CLUTTER_LOG_MD5
-    assert cli.cli(["replay", "--config", "paper", "--log", str(log),
-                    "--fast", "--status-log", str(status),
-                    "--event-log", str(events)]) == 0
-    assert _md5(status) == GOLDEN_CLUTTER_STATUS_MD5
-    assert _md5(events) == GOLDEN_CLUTTER_EVENTS_MD5
 
 
 def test_reference_experiment_script(tmp_path):

@@ -64,6 +64,13 @@ class TestConfig:
         assert [(r.radar_id, r.pose) for r in cfg.radars] == \
             [(r.radar_id, r.pose) for r in simulation.paper_scenario().radars]
 
+    def test_paper_config_room_is_the_scenarios(self):
+        # the grid's bounds are the simulated room, the 12 x 6 m of the
+        # paper's deployment
+        grid = load_config(paper_config_doc()).grid
+        sc = simulation.paper_scenario()
+        assert (grid.bounds_x, grid.bounds_y) == (sc.room_x, sc.room_y)
+
     def test_missing_radars(self):
         with pytest.raises(ConfigError, match="radars"):
             load_config({"radars": []})
@@ -80,6 +87,13 @@ class TestConfig:
         doc["radars"][1]["radar_id"] = "wall_a"
         with pytest.raises(ConfigError, match="duplicate"):
             load_config(doc)
+
+    def test_dbscan_eps_past_optics_radius_loads(self):
+        # OPTICS's ordering radius does not bound a DBSCAN config's eps
+        cfg = load_config({"radars": [{"radar_id": "r0"}],
+                           "clustering": {"algorithm": "dbscan",
+                                          "eps": 2.5}})
+        assert cfg.clustering.eps == 2.5
 
     def test_unknown_algorithm(self):
         doc = paper_config_doc()
@@ -112,6 +126,11 @@ class TestConfig:
         pytest.param(load_config,
                      lambda d: d["clustering"].update(epsilon=0.3),
                      "clustering.epsilon", id="clustering-epsilon"),
+        # OPTICS's ordering radius is a constant, not a setting
+        pytest.param(load_config,
+                     lambda d: d["clustering"].update(optics_max_eps=3.0),
+                     "clustering.optics_max_eps",
+                     id="clustering-optics_max_eps"),
         pytest.param(load_config,
                      lambda d: d.update(merge={"reorder_horizon": 100.0}),
                      "merge.reorder_horizon", id="merge-reorder_horizon"),

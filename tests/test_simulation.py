@@ -476,7 +476,7 @@ class TestEvaluate:
     def test_late_lock_on(self):
         truth = [(float(t), 1) for t in range(0, 100)]
         est = [(float(t), 1 if t >= 40 else 6) for t in range(0, 100)]
-        m = evaluate(est, truth, smoothing_seconds=1.0, dt=0.5)
+        m = evaluate(est, truth, smoothing_seconds=1.0)
         assert m.convergence_time_s == pytest.approx(40.5, abs=1.0)
         assert m.mae <= 0.5
         assert m.peak_estimate == 6.0
