@@ -37,11 +37,12 @@ def _positive(text: str) -> float:
 
 
 def cmd_replay(args) -> int:
-    cfg = load_config(paper_config_doc() if args.config == "paper"
-                      else args.config)
+    config = None if args.config == "paper" else args.config
+    cfg = load_config(paper_config_doc() if config is None else config)
     records = recording.replay(args.log, speed=args.speed,
                                as_fast_as_possible=args.fast)
-    recording.check_outputs(args.status_log, args.event_log)
+    recording.check_outputs(args.status_log, args.event_log,
+                            inputs=(args.log, config))
     publisher = Publisher(cfg=cfg.mqtt) if cfg.mqtt is not None else None
     sink = esink = None
     try:
@@ -59,11 +60,13 @@ def cmd_replay(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    sc = (simulation.paper_scenario() if args.scenario == "paper"
-          else load_scenario(args.scenario))
+    scenario = None if args.scenario == "paper" else args.scenario
+    sc = (simulation.paper_scenario() if scenario is None
+          else load_scenario(scenario))
     if args.seed is not None:
         sc = replace(sc, seed=args.seed)
-    simulation.simulate(sc, args.out, truth_path=args.truth)
+    simulation.simulate(sc, args.out, truth_path=args.truth,
+                        inputs=(scenario,))
     return 0
 
 
@@ -78,42 +81,27 @@ def read_count_series(path, zone_id=None):
     is not one) and a second zone raise :class:`recording.FormatError`
     naming the file and the line."""
     series = []
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for line_no, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError:
-                    doc = None
-                if not isinstance(doc, dict):
-                    raise recording.FormatError(line_no, "not a JSON object",
-                                                path)
-                if "count" not in doc:
-                    continue
-                if "t_s" not in doc:
-                    raise recording.FormatError(line_no, "count without t_s",
-                                                path)
-                t_s, count = doc["t_s"], doc["count"]
-                if not all(type(v) in (int, float)
-                           and abs(v) <= sys.float_info.max
-                           for v in (t_s, count)):
-                    raise recording.FormatError(
-                        line_no, f"t_s {t_s!r} and count {count!r} must be "
-                        "finite numbers", path)
-                zone = doc.get("zone_id")
-                if zone_id is None:
-                    if series and zone != first:
-                        raise recording.FormatError(
-                            line_no, f"zone {zone!r} after zone {first!r}; "
-                            "pass --zone", path)
-                    first = zone
-                elif zone != zone_id:
-                    continue
-                series.append((t_s, count))
-        except UnicodeDecodeError:
-            raise recording.not_utf8(path) from None
+    for line_no, doc in recording.read_jsonl(path):
+        if "count" not in doc:
+            continue
+        if "t_s" not in doc:
+            raise recording.FormatError(line_no, "count without t_s", path)
+        t_s, count = doc["t_s"], doc["count"]
+        if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                   for v in (t_s, count)):
+            raise recording.FormatError(
+                line_no, f"t_s {t_s!r} and count {count!r} must be finite "
+                "numbers", path)
+        zone = doc.get("zone_id")
+        if zone_id is None:
+            if series and zone != first:
+                raise recording.FormatError(
+                    line_no, f"zone {zone!r} after zone {first!r}; pass "
+                    "--zone", path)
+            first = zone
+        elif zone != zone_id:
+            continue
+        series.append((t_s, count))
     return series
 
 
@@ -127,6 +115,7 @@ def _count_series(path, zone_id=None):
 
 
 def cmd_eval(args) -> int:
+    recording.check_outputs(args.out, inputs=(args.pipeline_log, args.truth))
     estimate = _count_series(args.pipeline_log, args.zone)
     truth = _count_series(args.truth)
     try:
@@ -189,7 +178,7 @@ def cli(argv=None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except (simulation.InvalidScenario, simulation.EmptySeries,
-            simulation.SpanTooLong, recording.FormatError,
+            simulation.SpanTooLong, recording.FormatError, recording.SameFile,
             FileNotFoundError, IsADirectoryError, NotADirectoryError,
             PermissionError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Record and replay timestamped radar streams as JSON-lines logs.
 
-First line is a header carrying the format version and the radar
-registry; every following line is one record of kind ``raw_tlv``: the
-radar's TLV bytes as received, base64-encoded.  A line of any other
-kind is a :class:`FormatError`.  Timestamps inside the records drive
+The first non-blank line is a header carrying the format version and
+the radar registry; every following one is a record of kind
+``raw_tlv``: the radar's TLV bytes as received, base64-encoded.  A
+line that is not a JSON object, or a record of any other kind, is a
+:class:`FormatError`.  Timestamps inside the records drive
 all downstream logic, so replays are bit-reproducible at any speed.
 """
 
@@ -95,15 +96,29 @@ class Recorder:
         self.close()
 
 
-def check_outputs(*paths):
-    """Raise the error of the first of ``paths`` that cannot be opened
-    for writing, before any of them is truncated, so a bad output path
-    leaves the others as they were.  An existing path is opened for
-    appending, which writes nothing; a new one is created and removed
-    again.  ``None`` is an output not asked for."""
-    for path in paths:
-        if path is None:
-            continue
+class SameFile(ValueError):
+    """An output path that names an input or another output."""
+
+
+def _same_file(a, b) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them is not there (yet)
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def check_outputs(*paths, inputs=()):
+    """Raise the error of the first of ``paths`` that names one of
+    ``inputs`` or an earlier output (:class:`SameFile`), or that cannot
+    be opened for writing, before any of them is truncated, so a bad
+    output path leaves every file as it was.  An existing path is
+    opened for appending, which writes nothing; a new one is created
+    and removed again.  ``None`` is a file not asked for."""
+    paths = [p for p in paths if p is not None]
+    for i, path in enumerate(paths):
+        for other in [*inputs, *paths[:i]]:
+            if other is not None and _same_file(path, other):
+                raise SameFile(f"{path} and {other} are the same file")
         try:
             open(path, "xb").close()
         except FileExistsError:
@@ -125,27 +140,45 @@ def not_utf8(path) -> FormatError:
     return FormatError(1, "not UTF-8", path)
 
 
-def read_header(path) -> dict:
+def read_jsonl(path):
+    """Yield ``(line number, object)`` for each non-blank line of the
+    JSON-lines file ``path``.  A line that is not a JSON object raises
+    :class:`FormatError`, and a file that is not UTF-8 the error of
+    :func:`not_utf8`."""
     with open(path, encoding="utf-8") as fh:
         try:
-            first = fh.readline()
-        except UnicodeDecodeError:
+            for line_no, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    doc = json.loads(line)
+                except json.JSONDecodeError:
+                    doc = None
+                if not isinstance(doc, dict):
+                    raise FormatError(line_no, "not a JSON object", path)
+                yield line_no, doc
+        except UnicodeDecodeError:  # from the read, outside the per-line try
             raise not_utf8(path) from None
-    try:
-        header = json.loads(first)
-    except json.JSONDecodeError as e:
-        raise FormatError(1, f"bad header: {e}", path) from None
-    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-        raise FormatError(1, "not a radarfuse log", path)
+
+
+def _header(docs, path) -> dict:
+    """The header, the first object of ``docs`` (an empty file has none)."""
+    line_no, header = next(docs, (1, {}))
+    if header.get("format") != FORMAT_NAME:
+        raise FormatError(line_no, "not a radarfuse log", path)
     if header.get("version") != FORMAT_VERSION:
-        raise VersionMismatch(1, f"log version {header.get('version')}, "
+        raise VersionMismatch(line_no, f"log version {header.get('version')}, "
                               f"reader supports {FORMAT_VERSION}", path)
     radars = header.get("radars")
     if not (isinstance(radars, list)
             and all(isinstance(r, str) for r in radars)):
-        raise FormatError(1, "header radars must be a list of radar ids",
+        raise FormatError(line_no, "header radars must be a list of radar ids",
                           path)
     return header
+
+
+def read_header(path) -> dict:
+    return _header(read_jsonl(path), path)
 
 
 def replay(path, speed: float = 1.0, as_fast_as_possible: bool = False,
@@ -153,43 +186,35 @@ def replay(path, speed: float = 1.0, as_fast_as_possible: bool = False,
     """Iterate the LogRecords of ``path``, paced by timestamp deltas / speed.
 
     The speed and the header are checked here, before the first record
-    is asked for, so a bad log fails before a caller opens its outputs.
-    With ``as_fast_as_possible`` no wall delay is inserted at all; the
+    is asked for, so a bad log fails before a caller opens its outputs;
+    the records are then read on from the same open file.  With
+    ``as_fast_as_possible`` no wall delay is inserted at all; the
     records (and their embedded timestamps) are identical either way.
     """
     if not speed > 0:
         raise ValueError("speed must be > 0")
-    read_header(path)
-    return _records(path, speed, as_fast_as_possible, sleep)
+    docs = read_jsonl(path)
+    _header(docs, path)
+    return _records(docs, path, speed, as_fast_as_possible, sleep)
 
 
-def _records(path, speed, as_fast_as_possible, sleep):
+def _records(docs, path, speed, as_fast_as_possible, sleep):
     prev_ts = None
-    with open(path, encoding="utf-8") as fh:
+    for line_no, doc in docs:
         try:
-            fh.readline()  # header, already validated
-            for line_no, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    doc = json.loads(line)
-                    ts_ns, radar_id = doc["ts_ns"], doc["radar_id"]
-                    _check_fields(ts_ns, radar_id)
-                    if doc["kind"] != RECORD_KIND:
-                        raise ValueError(f"record kind {doc['kind']!r}, "
-                                         f"expected {RECORD_KIND!r}")
-                    # non-strict: stray characters are discarded, and the
-                    # TLV scanner resyncs past any bytes they leave out
-                    payload = base64.b64decode(doc["payload"])
-                except (json.JSONDecodeError, KeyError, TypeError,
-                        ValueError) as e:
-                    raise FormatError(line_no, str(e), path) from None
-                if not as_fast_as_possible and prev_ts is not None:
-                    delta = (ts_ns - prev_ts) / 1e9 / speed
-                    if delta > 0:
-                        sleep(delta)
-                prev_ts = ts_ns
-                yield LogRecord(ts_ns=ts_ns, radar_id=radar_id,
-                                payload=payload)
-        except UnicodeDecodeError:  # from the read, outside the per-line try
-            raise not_utf8(path) from None
+            ts_ns, radar_id = doc["ts_ns"], doc["radar_id"]
+            _check_fields(ts_ns, radar_id)
+            if doc["kind"] != RECORD_KIND:
+                raise ValueError(f"record kind {doc['kind']!r}, "
+                                 f"expected {RECORD_KIND!r}")
+            # non-strict: stray characters are discarded, and the TLV
+            # scanner resyncs past any bytes they leave out
+            payload = base64.b64decode(doc["payload"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise FormatError(line_no, str(e), path) from None
+        if not as_fast_as_possible and prev_ts is not None:
+            delta = (ts_ns - prev_ts) / 1e9 / speed
+            if delta > 0:
+                sleep(delta)
+        prev_ts = ts_ns
+        yield LogRecord(ts_ns=ts_ns, radar_id=radar_id, payload=payload)

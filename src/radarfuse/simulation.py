@@ -207,18 +207,17 @@ class SimFrame:
 # Larger chunks leave numpy buffers above glibc's mmap threshold.
 _CHUNK_TICKS = 32
 
-# raw bounds of the wire fields, in tlv.POINT_DTYPE order, that a
-# simulated point meets: symmetric, so one short of the codec's -128 and
-# -32768
-_RAW_LO = np.array([-127, -127, -32767, 0, 0])
-_RAW_HI = np.array([127, 127, 32767, 65535, 65535])
+# raw low bounds of the wire fields, in tlv.POINT_DTYPE order, that a
+# simulated point meets: the negative of the codec's high bound for a
+# signed field, so one short of the codec's -128 and -32768
+_RAW_LO = np.where(tlv.RAW_LO < 0, -tlv.RAW_HI, 0)
 
 
 def _encodable(raw) -> np.ndarray:
     """Mask of the rows of an ``(n, 5)`` array of raw values, as
     :func:`tlv.quantize` gives them, kept by the simulator: every value
-    within the bounds above."""
-    return ((raw >= _RAW_LO) & (raw <= _RAW_HI)).all(axis=1)
+    between the low bounds above and ``tlv.RAW_HI``."""
+    return ((raw >= _RAW_LO) & (raw <= tlv.RAW_HI)).all(axis=1)
 
 
 def _spherical(local: np.ndarray) -> np.ndarray:
@@ -399,12 +398,14 @@ def ground_truth_series(sc: Scenario, tick: float = 0.5):
     return out
 
 
-def simulate(sc: Scenario, log_path, truth_path=None):
+def simulate(sc: Scenario, log_path, truth_path=None, inputs=()):
     """Render a scenario to a raw-TLV recording plus a truth file; an
     invalid scenario raises :class:`InvalidScenario`, and a path that
-    cannot be written its ``OSError``, before either file is opened."""
+    cannot be written, or that names one of the files ``inputs`` the
+    caller read, the error of :func:`recording.check_outputs`, before
+    either file is opened."""
     validate_scenario(sc)
-    check_outputs(log_path, truth_path)
+    check_outputs(log_path, truth_path, inputs=inputs)
     rec = Recorder(log_path, radar_ids=sorted(r.radar_id for r in sc.radars),
                    clock=lambda: 0.0)
     try:

@@ -57,8 +57,9 @@ _PREFIX_SIZE = len(MAGIC) + HEADER_SIZE
 # column of each wire field, in POINT_DTYPE order, in a point array
 _WIRE_COLUMNS = [2, 1, 3, 0, 4]
 _FIELD_COLUMNS = list(zip(POINT_DTYPE.names, _WIRE_COLUMNS))
-_RAW_LO = np.array([np.iinfo(POINT_DTYPE[f]).min for f in POINT_DTYPE.names])
-_RAW_HI = np.array([np.iinfo(POINT_DTYPE[f]).max for f in POINT_DTYPE.names])
+# the integer range of each wire field, in POINT_DTYPE order
+RAW_LO = np.array([np.iinfo(POINT_DTYPE[f]).min for f in POINT_DTYPE.names])
+RAW_HI = np.array([np.iinfo(POINT_DTYPE[f]).max for f in POINT_DTYPE.names])
 # WIRE_SCALES in point-array column order, as one read-only row
 COLUMN_SCALES = np.empty(5)
 COLUMN_SCALES[_WIRE_COLUMNS] = WIRE_SCALES
@@ -132,7 +133,7 @@ def encode_points(points, type_id: int = COMPRESSED_POINTS_TYPE_ID) -> bytes:
     the first such field in wire order."""
     points = np.asarray(points, dtype=float).reshape(-1, 5)
     raw = quantize(points)
-    bad = ~((raw >= _RAW_LO) & (raw <= _RAW_HI))
+    bad = ~((raw >= RAW_LO) & (raw <= RAW_HI))
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise ValueOutOfRange(POINT_DTYPE.names[j], int(i),

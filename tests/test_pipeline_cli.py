@@ -894,3 +894,83 @@ class TestCli:
                 f"than {simulation.MAX_EVAL_SAMPLES} samples of 0.5 s") in \
             capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param("replay --log v.log --status-log v.log",
+                     "v.log and v.log", id="replay-log-as-status"),
+        pytest.param("replay --log v.log --status-log ./v.log",
+                     "./v.log and v.log", id="replay-log-spelled-./"),
+        pytest.param("replay --log v.log --event-log link.log",
+                     "link.log and v.log", id="replay-log-hard-link"),
+        pytest.param("replay --log v.log --event-log cfg.yaml",
+                     "cfg.yaml and cfg.yaml", id="replay-config-as-events"),
+        pytest.param("replay --log v.log --status-log s.jsonl "
+                     "--event-log s.jsonl", "s.jsonl and s.jsonl",
+                     id="replay-status-as-events"),
+        pytest.param("replay --log v.log --status-log new.jsonl "
+                     "--event-log ./new.jsonl", "./new.jsonl and new.jsonl",
+                     id="replay-new-output-twice"),
+        pytest.param("simulate --scenario sc.yaml --out x.log --truth x.log",
+                     "x.log and x.log", id="simulate-out-as-truth"),
+        pytest.param("simulate --scenario sc.yaml --out sc.yaml",
+                     "sc.yaml and sc.yaml", id="simulate-scenario-as-out"),
+        pytest.param("simulate --scenario sc.yaml --out new.log "
+                     "--truth ./sc.yaml", "./sc.yaml and sc.yaml",
+                     id="simulate-scenario-as-truth"),
+        pytest.param("eval --pipeline-log s.jsonl --truth t.jsonl "
+                     "--out s.jsonl", "s.jsonl and s.jsonl",
+                     id="eval-status-as-out"),
+        pytest.param("eval --pipeline-log s.jsonl --truth t.jsonl "
+                     "--out t.jsonl", "t.jsonl and t.jsonl",
+                     id="eval-truth-as-out"),
+    ])
+    def test_output_names_an_input_exit_2(self, tmp_path, monkeypatch,
+                                          sim_log, small_cfg_path, capsys,
+                                          argv, message):
+        # an output that is an input or another output, however spelled,
+        # is refused before any file is truncated or created
+        log, truth = sim_log
+        monkeypatch.chdir(tmp_path)
+        Path("v.log").write_bytes(log.read_bytes())
+        os.link("v.log", "link.log")
+        Path("sc.yaml").write_text("radars: [{radar_id: r0}]\n"
+                                   "duration: 1.0\n")
+        for name in ("s.jsonl", "t.jsonl", "x.log"):
+            Path(name).write_bytes(truth.read_bytes())
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        argv = argv.split()
+        if argv[0] == "replay":
+            argv += ["--config", small_cfg_path.name, "--fast"]
+        assert cli.cli(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message} are the same "
+                                       "file\n")
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_eval_checks_out_before_writing(self, tmp_path, sim_log,
+                                            capsys):
+        _, truth = sim_log
+        assert cli.cli(["eval", "--pipeline-log", str(truth), "--truth",
+                        str(truth), "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: [Errno 21] Is a directory: '{tmp_path}'" in err
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"x"', "5", "nope"])
+    @pytest.mark.parametrize("flag", ["--log", "--pipeline-log", "--truth"])
+    def test_line_not_a_json_object_exit_2(self, tmp_path, sim_log, capsys,
+                                           flag, line):
+        # one reader for the log, the status log and the truth file, so
+        # one message
+        log, truth = sim_log
+        first = (log if flag == "--log" else truth).read_text().split("\n")[0]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(f"{first}\n{line}\n")
+        argv = {"--log": ["replay", "--config", "paper", "--fast",
+                          "--log", str(bad)],
+                "--pipeline-log": ["eval", "--pipeline-log", str(bad),
+                                   "--truth", str(truth)],
+                "--truth": ["eval", "--pipeline-log", str(truth),
+                            "--truth", str(bad)]}[flag]
+        assert cli.cli(argv) == 2
+        assert f"error: {bad}: line 2: not a JSON object" in \
+            capsys.readouterr().err

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from radarfuse import recording
 from radarfuse.recording import (FORMAT_NAME, FORMAT_VERSION, FormatError,
                                  LogRecord, Recorder, VersionMismatch,
                                  read_header, replay)
@@ -177,6 +178,50 @@ def test_replay_checks_before_first_record(tmp_path):
     with pytest.raises(ValueError, match="speed must be > 0"):
         replay(p, speed=0.0)
     p.write_text('{"format":"something-else","version":1}\n')
+    with pytest.raises(FormatError) as ei:
+        replay(p)
+    assert str(ei.value) == f"{p}: line 1: not a radarfuse log"
+
+
+def test_replay_opens_the_log_once(tmp_path, monkeypatch):
+    # the header and the records are read from one open file
+    p = tmp_path / "a.jsonl"
+    write_log(p, SAMPLE)
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(recording, "open", counting_open, raising=False)
+    assert list(replay(p, as_fast_as_possible=True)) == SAMPLE
+    assert opened == [p]
+
+
+def test_read_jsonl_skips_blank_lines(tmp_path):
+    p = tmp_path / "a.jsonl"
+    p.write_text('\n{"a": 1}\n  \n{"b": [2]}\n\n')
+    assert list(recording.read_jsonl(p)) == [(2, {"a": 1}), (4, {"b": [2]})]
+
+
+def test_header_is_first_non_blank_line(tmp_path):
+    # blank lines are skipped wherever they stand, before the header too;
+    # a header error names the header's line
+    p = tmp_path / "a.jsonl"
+    write_log(p, SAMPLE)
+    p.write_text("\n \n" + p.read_text())
+    assert read_header(p)["radars"] == ["r0"]
+    assert list(replay(p, as_fast_as_possible=True)) == SAMPLE
+    p.write_text('\n{"format":"something-else","version":1}\n')
+    with pytest.raises(FormatError) as ei:
+        replay(p)
+    assert str(ei.value) == f"{p}: line 2: not a radarfuse log"
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
+def test_log_without_header(tmp_path, text):
+    p = tmp_path / "a.jsonl"
+    p.write_text(text)
     with pytest.raises(FormatError) as ei:
         replay(p)
     assert str(ei.value) == f"{p}: line 1: not a radarfuse log"
