@@ -4,8 +4,10 @@ Both DBSCAN and OPTICS are implemented directly (3D Euclidean metric)
 as array operations over one window, which holds a few hundred points
 and never more than ``MAX_WINDOW_POINTS``.  Distances come from
 :func:`radarfuse.geometry.sq_distances`.  DBSCAN thresholds it into an
-``n x n`` boolean eps adjacency in upper-triangle row blocks mirrored
-into the lower half, so each pair distance is computed once; its
+``n x n`` boolean eps adjacency one row block at a time, each block
+against every earlier point and itself, mirrored into the columns
+above it, so each pair distance is computed once; the window clusterer
+builds each block as soon as its points have arrived.  The adjacency's
 column sums are the neighbour counts that mark core points.  Each
 cluster is seeded at the lowest core point not yet in a cluster (an
 ``argmax`` over a mask) and grown by frontier expansion over the core
@@ -15,10 +17,11 @@ steps over one reachability array, returning the ordering as three
 arrays.  OPTICS cluster extraction is an eps-cut, which makes
 its core-point partition provably comparable to DBSCAN at the same eps
 and is exercised as a cross-check in the tests.  A window is one
-``(N, 3)`` position array, its frames' arrays concatenated once when it
-closes; its result carries per-point labels and core flags as arrays
-and its centroids as one ``(k, 3)`` array, row ``k`` the mean position
-of cluster ``k`` (one ``bincount`` over (label, axis) cells), which the
+``(N, 3)`` position array, each frame's rows copied in as it arrives,
+and closing it builds only DBSCAN's last, partial row block.  Its
+result carries per-point labels and core flags as arrays and its
+centroids as one ``(k, 3)`` array, row ``k`` the mean position of
+cluster ``k`` (one ``bincount`` over (label, axis) cells), which the
 tracker takes as is.
 """
 
@@ -38,14 +41,19 @@ NOISE = -1
 # over 5x the largest windows seen, 374 points on the paper log and 120
 # on its clutter variant.  At this size DBSCAN holds its boolean
 # adjacency, 1 B per point pair (4 MiB), plus the float distances of one
-# row block (at most 4 MiB, the first block's, which spans every
-# column); OPTICS holds the whole float distance matrix, 8 B
-# per point pair (32 MiB), plus the temporaries of one row block.
+# row block (at most 4 MiB, the last block's, which spans every column).
+# The window clusterer keeps its adjacency buffer between windows; it
+# grows at least twofold when a window needs more rows, never past
+# this size, so the bound holds across windows too.
+# OPTICS holds the whole float distance matrix, 8 B per point pair
+# (32 MiB), plus the temporaries of one row block.
 MAX_WINDOW_POINTS = 2048
 
 # DBSCAN builds its adjacency, and OPTICS its distance matrix and core
 # distances, this many rows at a time, so their float temporaries stay
-# small however large the window
+# small however large the window.  The window clusterer builds a DBSCAN
+# block once this many of its points are pending, so a window closing
+# builds fewer rows than this
 _BLOCK_ROWS = 128
 
 OPTICS_MAX_EPS = 2.0  # m, the pipeline's OPTICS radius (eps if larger)
@@ -94,6 +102,54 @@ def _centroids(positions: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return sums / counts[:, None]
 
 
+class _EpsAdjacency:
+    """The boolean eps adjacency of a growing window, built
+    ``_BLOCK_ROWS`` rows at a time in one buffer, which is kept from
+    window to window and grown as they need, up to ``capacity`` rows.
+
+    Each block of new rows is thresholded against every point of the
+    window up to its last row, into ``adj[lo:hi, :hi]``, and its part
+    left of the diagonal block is mirrored into ``adj[:lo, lo:hi]``, so
+    each pair distance is computed once ((b - a)**2 is the same float
+    as (a - b)**2).  ``extend`` builds the full blocks of pending rows;
+    ``finish`` builds the rest and starts the next window empty.
+    """
+
+    def __init__(self, eps: float, capacity: int):
+        self._eps2 = eps * eps
+        self._capacity = capacity    # the most points a window holds
+        self._adj = np.empty((0, 0), dtype=bool)
+        self._rows = 0               # rows of the window built so far
+
+    def extend(self, positions: np.ndarray):
+        """Build every full block pending in ``positions``, the window's
+        points so far."""
+        while len(positions) - self._rows >= _BLOCK_ROWS:
+            self._block(positions, self._rows + _BLOCK_ROWS)
+
+    def finish(self, positions: np.ndarray) -> np.ndarray:
+        """The ``(n, n)`` adjacency of the window's ``n`` positions."""
+        self.extend(positions)
+        n = len(positions)
+        if self._rows < n:
+            self._block(positions, n)
+        self._rows = 0
+        return self._adj[:n, :n]
+
+    def _block(self, positions: np.ndarray, hi: int):
+        lo, adj = self._rows, self._adj
+        if hi > len(adj):
+            # grow the buffer at least twofold, keeping the rows built
+            size = min(max(hi, 2 * len(adj)), self._capacity)
+            grown = np.empty((size, size), dtype=bool)
+            grown[:lo, :lo] = adj[:lo, :lo]
+            adj = self._adj = grown
+        np.less_equal(sq_distances(positions[lo:hi], positions[:hi]),
+                      self._eps2, out=adj[lo:hi, :hi])
+        adj[:lo, lo:hi] = adj[lo:hi, :lo].T
+        self._rows = hi
+
+
 def dbscan(positions: np.ndarray, eps: float, min_pts: int,
            ts_ns: int = 0) -> ClusterResult:
     """Classic DBSCAN with deterministic input-index scan order.
@@ -102,17 +158,15 @@ def dbscan(positions: np.ndarray, eps: float, min_pts: int,
     joins the first cluster that reaches it, as a breadth-first scan in
     index order would assign them.
     """
-    n = len(positions)
     positions = np.asarray(positions, dtype=float)
-    adj = np.empty((n, n), dtype=bool)
-    for lo in range(0, n, _BLOCK_ROWS):
-        hi = lo + _BLOCK_ROWS
-        # each pair once: this block's rows against the columns from lo
-        # on, then its part right of the diagonal block mirrored into
-        # the rows below ((b - a)**2 is the same float as (a - b)**2)
-        np.less_equal(sq_distances(positions[lo:hi], positions[lo:]),
-                      eps * eps, out=adj[lo:hi, lo:])
-        adj[hi:, lo:hi] = adj[lo:hi, hi:].T
+    adj = _EpsAdjacency(eps, len(positions)).finish(positions)
+    return _dbscan(positions, adj, min_pts, ts_ns)
+
+
+def _dbscan(positions: np.ndarray, adj: np.ndarray, min_pts: int,
+            ts_ns: int) -> ClusterResult:
+    """DBSCAN of ``positions`` given their symmetric eps adjacency."""
+    n = len(positions)
     # adj is symmetric, so its column sums are the neighbour counts; a
     # count is at most n, so the least unsigned type holding n is exact
     core = adj.view(np.uint8).sum(0, dtype=np.min_scalar_type(n)) >= min_pts
@@ -200,27 +254,24 @@ def extract_eps_cut(ordering, eps: float, positions: np.ndarray,
                          ts_ns=ts_ns, is_core=is_core)
 
 
-def cluster_points(positions: np.ndarray, cfg: ClusterConfig,
-                   ts_ns: int) -> ClusterResult:
-    """Cluster one window's (N, 3) positions with ``cfg.algorithm``."""
-    if cfg.algorithm is ClusterAlgorithm.DBSCAN:
-        return dbscan(positions, cfg.eps, cfg.min_pts, ts_ns)
-    ordering = optics(positions, cfg.min_pts, max(OPTICS_MAX_EPS, cfg.eps))
-    return extract_eps_cut(ordering, cfg.eps, positions, ts_ns)
-
-
 class WindowClusterer:
     """Tumbling-window driver: (n, 3) frames in, one ClusterResult per
     window holding a point out.  Window w covers [w0, w0 + window).
     Points past ``MAX_WINDOW_POINTS`` in a window are counted in
-    ``dropped_points`` and not clustered."""
+    ``dropped_points`` and not clustered.  A window's points are copied
+    into one array as they arrive; under DBSCAN their eps adjacency is
+    built a row block at a time as they arrive too, so closing a window
+    builds only its last, partial block."""
 
     def __init__(self, cfg: ClusterConfig):
         self.cfg = cfg
         self._window_ns = int(round(cfg.window_seconds * 1e9))
         self._start: int | None = None
-        self._frames: list[np.ndarray] = []   # the non-empty ones only
-        self._points = 0                      # rows in _frames
+        self._positions = np.empty((MAX_WINDOW_POINTS, 3))
+        self._points = 0                      # rows of _positions in use
+        self._adjacency = (_EpsAdjacency(cfg.eps, MAX_WINDOW_POINTS)
+                           if cfg.algorithm is ClusterAlgorithm.DBSCAN
+                           else None)
         self.dropped_points = 0
 
     def push(self, ts_ns: int, positions: np.ndarray) -> list[ClusterResult]:
@@ -239,18 +290,25 @@ class WindowClusterer:
             self.dropped_points += len(positions) - room
             positions = positions[:room]
         if len(positions):
-            self._frames.append(positions)
-            self._points += len(positions)
+            end = self._points + len(positions)
+            self._positions[self._points:end] = positions
+            self._points = end
+            if self._adjacency is not None:
+                self._adjacency.extend(self._positions[:end])
         return out
 
     def _close_window(self):
-        if not self._frames:
+        if not self._points:
             return None
-        res = cluster_points(np.concatenate(self._frames), self.cfg,
-                             ts_ns=self._start + self._window_ns)
-        self._frames = []
+        positions = self._positions[:self._points]
         self._points = 0
-        return res
+        ts_ns = self._start + self._window_ns
+        cfg = self.cfg
+        if self._adjacency is not None:
+            return _dbscan(positions, self._adjacency.finish(positions),
+                           cfg.min_pts, ts_ns)
+        ordering = optics(positions, cfg.min_pts, max(OPTICS_MAX_EPS, cfg.eps))
+        return extract_eps_cut(ordering, cfg.eps, positions, ts_ns)
 
     def flush(self):
         res = self._close_window()

@@ -6,7 +6,9 @@ in-memory queue and an exponential-backoff reconnect loop: when the
 broker is down the queue fills and the oldest entries are dropped and
 counted.  Every offered status is published (the grid's data-time
 ``status_period`` is the one throttle).  A connect or a QoS-1 PUBACK
-wait in ``pump`` can hold the caller for up to the socket timeout.
+wait in ``pump`` can hold the caller for up to the socket timeout per
+read; an acknowledgement is read until its 4 bytes arrive or the peer
+closes.  A client that fails is disconnected before the backoff.
 
 A minimal MQTT 3.1.1 client over a plain socket is included; any object
 with connect/publish/disconnect can be substituted (tests use a fake).
@@ -89,6 +91,18 @@ def event_topic(prefix: str, zone_id: str) -> str:
     return f"{prefix}/occupancy/{zone_id}/events"
 
 
+def _recv_exactly(sock: socket.socket, n: int) -> bytes:
+    """``n`` bytes from ``sock``, over as many reads as they take; fewer
+    only if the peer closes first."""
+    data = b""
+    while len(data) < n:
+        chunk = sock.recv(n - len(data))
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
 class MiniMqttClient:
     """Just enough MQTT 3.1.1: CONNECT, PUBLISH (QoS 0/1), DISCONNECT."""
 
@@ -123,7 +137,7 @@ class MiniMqttClient:
         try:
             sock.settimeout(SOCKET_TIMEOUT)
             sock.sendall(pkt)
-            ack = sock.recv(4)
+            ack = _recv_exactly(sock, 4)
             if len(ack) < 4 or ack[0] != 0x20 or ack[3] != 0:
                 raise ConnectionError(f"CONNACK refused: {ack.hex()}")
         except BaseException:
@@ -143,18 +157,19 @@ class MiniMqttClient:
         pkt = bytes([0x30 | flags]) + self._encode_length(len(var) + len(payload)) + var + payload
         self._sock.sendall(pkt)
         if qos > 0:
-            ack = self._sock.recv(4)
+            ack = _recv_exactly(self._sock, 4)
             if len(ack) < 4 or ack[0] != 0x40:
                 raise ConnectionError("PUBACK missing")
 
     def disconnect(self):
-        if self._sock is not None:
+        sock, self._sock = self._sock, None
+        if sock is not None:
             try:
-                self._sock.sendall(bytes([0xE0, 0x00]))
-                self._sock.close()
+                sock.sendall(bytes([0xE0, 0x00]))
             except OSError:
                 pass
-            self._sock = None
+            finally:
+                sock.close()
 
 
 @dataclass
@@ -223,7 +238,7 @@ class Publisher:
             self.published += 1
 
     def _back_off(self, now: float):
-        self._client = None
+        self.close()
         self._next_connect_at = now + self._backoff
         self._backoff = min(self._backoff * 2.0, BACKOFF_CAP)
 

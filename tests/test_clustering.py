@@ -6,9 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from _reference import brute_dbscan, brute_optics, core_partition
 from radarfuse.clustering import (_BLOCK_ROWS, MAX_WINDOW_POINTS, NOISE,
-                                  ClusterConfig, WindowClusterer, _centroids,
-                                  cluster_points, dbscan, extract_eps_cut,
-                                  optics)
+                                  ClusterAlgorithm, ClusterConfig,
+                                  WindowClusterer, _centroids, dbscan,
+                                  extract_eps_cut, optics)
 
 
 def positions(*xyz):
@@ -41,6 +41,50 @@ def instance(case):
     eps = float(rng.uniform(0.3, 1.2))
     min_pts = int(rng.integers(1, 6))
     return pts, eps, min_pts
+
+
+def lattice_points(n, seed):
+    """n points on a 0.5 m lattice, 30 of them repeats, in random order:
+    with eps 0.5, many pairs lie exactly eps apart (d² == eps²)."""
+    rng = np.random.default_rng(seed)
+    grid = np.array([[x, y, z] for x in range(12) for y in range(12)
+                     for z in range(3)]) * 0.5
+    pts = grid[rng.permutation(len(grid))[:n - 30]]
+    pts = np.vstack([pts, pts[rng.integers(0, len(pts), 30)]])
+    return pts[rng.permutation(n)]
+
+
+def random_frames(pts, rng, sizes=(1, 10)):
+    """``pts`` split into consecutive frames of random sizes in
+    ``range(*sizes)``."""
+    cuts = np.cumsum(rng.integers(*sizes, size=len(pts)))
+    return np.split(pts, cuts[cuts < len(pts)])
+
+
+def assert_same_result(got, want):
+    assert got.labels.tolist() == want.labels.tolist()
+    assert got.is_core.tolist() == want.is_core.tolist()
+    # bit for bit
+    assert got.centroids.tobytes() == want.centroids.tobytes()
+    assert got.centroids.shape == want.centroids.shape
+
+
+def check_frames_as_one_window(frames, eps, min_pts):
+    """Push ``frames`` as one window through a clusterer: its result is
+    brute-force DBSCAN's, and ``dbscan``'s of the frames concatenated."""
+    wc = WindowClusterer(ClusterConfig(eps=eps, min_pts=min_pts))
+    for frame in frames:
+        assert wc.push(0, frame) == []
+    pts = np.concatenate(frames)
+    out = wc.flush()
+    if not len(pts):
+        assert out == []
+        return
+    (res,) = out
+    ref_labels, ref_core = brute_dbscan(pts, eps, min_pts)
+    assert res.is_core.tolist() == ref_core
+    assert res.labels.tolist() == ref_labels
+    assert_same_result(res, dbscan(pts, eps, min_pts))
 
 
 class TestDbscan:
@@ -77,8 +121,9 @@ class TestDbscan:
         assert res.labels.tolist() == ref_labels
 
     def test_memory_bounded_at_max_window(self):
-        # the 1 B per pair adjacency (4 MiB at 2048 points) plus one row
-        # block's float temporaries (4 MiB), not an n x n float matrix
+        # the 1 B per pair adjacency (4 MiB at 2048 points) plus the
+        # float temporaries of its last row block, the widest (4 MiB),
+        # not an n x n float matrix
         pts = np.random.default_rng(0).uniform(0, 3, (MAX_WINDOW_POINTS, 3))
         tracemalloc.start()
         try:
@@ -92,13 +137,8 @@ class TestDbscan:
         # two full row blocks and a partial one, on a 0.5 m lattice with
         # eps 0.5 (d² == eps² exactly) and some points repeated, so the
         # mirrored half of the adjacency holds exact-eps pairs
-        rng = np.random.default_rng(4)
-        grid = np.array([[x, y, z] for x in range(12) for y in range(12)
-                         for z in range(3)]) * 0.5
         n = 2 * _BLOCK_ROWS + 44
-        pts = grid[rng.permutation(len(grid))[:n - 30]]
-        pts = np.vstack([pts, pts[rng.integers(0, len(pts), 30)]])
-        pts = pts[rng.permutation(n)]
+        pts = lattice_points(n, 4)
         d2 = ((pts[:, None] - pts[None]) ** 2).sum(-1)
         block = np.arange(n) // _BLOCK_ROWS
         assert ((d2 == 0.25) & (block[:, None] != block[None])).any()
@@ -109,12 +149,12 @@ class TestDbscan:
 
 
 @st.composite
-def lattice_window(draw):
+def lattice_window(draw, max_cells=60):
     """(positions, eps, min_pts): points on a 0.5 m lattice, so that many
     pair distances equal eps exactly (d² == eps² in floats), with some
     points repeated; the window may be empty."""
     cell = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 2))
-    cells = draw(st.lists(cell, max_size=60))
+    cells = draw(st.lists(cell, max_size=max_cells))
     if cells:
         cells += draw(st.lists(st.sampled_from(cells), max_size=15))
     positions = np.array(cells, dtype=float).reshape(-1, 3) * 0.5
@@ -134,6 +174,17 @@ def test_dbscan_matches_brute_force_on_lattice(case):
     ref_labels, ref_core = brute_dbscan(pts, eps, min_pts)
     assert res.is_core.tolist() == ref_core
     assert res.labels.tolist() == ref_labels
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice_window(max_cells=300), st.randoms(use_true_random=False))
+def test_window_clusterer_matches_brute_force_on_lattice(case, rnd):
+    # the same window fed as random frames, so row blocks are built as
+    # the frames arrive and their boundaries fall anywhere in a frame
+    pts, eps, min_pts = case
+    cuts = sorted(rnd.randrange(len(pts) + 1)
+                  for _ in range(rnd.randrange(20)))
+    check_frames_as_one_window(np.split(pts, cuts), eps, min_pts)
 
 
 @settings(max_examples=200, deadline=None)
@@ -317,14 +368,81 @@ class TestWindowClusterer:
         assert len(out[0].labels) == 1
         assert wc.dropped_points == total - MAX_WINDOW_POINTS
 
+    @pytest.mark.parametrize("n", [_BLOCK_ROWS, 2 * _BLOCK_ROWS,
+                                   2 * _BLOCK_ROWS + 44])
+    def test_frames_straddling_row_blocks(self, n):
+        # one window fed as frames of 1-9 rows, so block boundaries fall
+        # inside frames, on a lattice with exact-eps pairs across them
+        pts = lattice_points(n, 5)
+        d2 = ((pts[:, None] - pts[None]) ** 2).sum(-1)
+        block = np.arange(n) // _BLOCK_ROWS
+        assert n == _BLOCK_ROWS or \
+            ((d2 == 0.25) & (block[:, None] != block[None])).any()
+        frames = random_frames(pts, np.random.default_rng(n))
+        assert {1, 9} <= {len(f) for f in frames}
+        check_frames_as_one_window(frames, 0.5, 4)
+
+    def test_no_stale_rows_between_windows(self):
+        # one clusterer through windows of every shape; each result must
+        # be a fresh dbscan of that window's points alone
+        rng = np.random.default_rng(12)
+        cfg = ClusterConfig(eps=0.5, min_pts=4)
+        w = int(0.5 * 1_000_000_000)
+        big = np.random.default_rng(13).normal(0, 0.3, (5000, 3))
+        windows = [lattice_points(2 * _BLOCK_ROWS + 44, 6),
+                   lattice_points(40, 7),
+                   lattice_points(2 * _BLOCK_ROWS + 44, 8) + 0.25,
+                   lattice_points(_BLOCK_ROWS, 9),
+                   big,
+                   np.empty((0, 3)),
+                   lattice_points(_BLOCK_ROWS + 50, 10)]
+        wc = WindowClusterer(cfg)
+        out = []
+        for k, pts in enumerate(windows):
+            for frame in random_frames(pts, rng, (0, 300)):
+                out += wc.push(k * w, frame)
+            out += wc.push(k * w + w // 2, np.empty((0, 3)))
+        out += wc.flush()                     # mid-block
+        clustered = [pts[:MAX_WINDOW_POINTS] for pts in windows if len(pts)]
+        assert [r.ts_ns for r in out] == \
+            [(k + 1) * w for k, pts in enumerate(windows) if len(pts)]
+        assert wc.dropped_points == len(big) - MAX_WINDOW_POINTS
+        for res, pts in zip(out, clustered, strict=True):
+            assert_same_result(res, dbscan(pts, cfg.eps, cfg.min_pts,
+                                           res.ts_ns))
+
+    def test_memory_bounded_over_max_windows(self):
+        # the clusterer's adjacency buffer (4 MiB at 2048 points) plus
+        # one row block's float temporaries, window after window, with
+        # nothing kept from one window to the next
+        pts = np.random.default_rng(0).uniform(0, 3, (MAX_WINDOW_POINTS, 3))
+        frames = np.array_split(pts, 40)
+        w = int(0.5 * 1_000_000_000)
+        held = []
+        tracemalloc.start()
+        try:
+            wc = WindowClusterer(ClusterConfig(eps=0.45, min_pts=4))
+            for k in range(4):
+                for frame in frames:
+                    assert len(wc.push(k * w, frame)) <= 1
+                held.append(tracemalloc.get_traced_memory()[0])
+            assert len(wc.flush()) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 2**20
+        assert max(held[1:]) <= held[1] + 64 * 2**10
+
     def test_two_walkers_recovered(self):
         rng = np.random.default_rng(42)
-        cfg = ClusterConfig(window_seconds=0.5, eps=0.5, min_pts=4)
         truth = [np.array([1.0, 1.0, 1.0]), np.array([4.0, 1.0, 1.0])]
         points = positions(*(center + rng.normal(0, 0.1, 3)
                              for center in truth for _ in range(10)))
-        res = cluster_points(points, cfg, ts_ns=0)
-        assert len(res.centroids) == 2
-        got = sorted(res.centroids[:, 0])
-        for g, t in zip(got, [1.0, 4.0]):
-            assert abs(g - t) < 0.15
+        for algorithm in ClusterAlgorithm:
+            wc = WindowClusterer(ClusterConfig(
+                window_seconds=0.5, algorithm=algorithm, eps=0.5, min_pts=4))
+            (res,) = wc.push(0, points) + wc.flush()
+            assert len(res.centroids) == 2
+            got = sorted(res.centroids[:, 0])
+            for g, t in zip(got, [1.0, 4.0]):
+                assert abs(g - t) < 0.15

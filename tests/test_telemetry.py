@@ -119,6 +119,81 @@ def test_over_long_client_id_opens_no_socket(monkeypatch):
     assert opened == []
 
 
+CONNACK = bytes([0x20, 0x02, 0x00, 0x00])
+
+
+def puback(packet_id):
+    return bytes([0x40, 0x02]) + struct.pack(">H", packet_id)
+
+
+class TrickleSocket:
+    """A connected socket that answers one byte per ``recv`` from a
+    script of broker bytes, then reports EOF; ``sendall`` fails once
+    ``broken`` is set."""
+
+    def __init__(self, script):
+        self.script = bytearray(script)
+        self.broken = False
+        self.closed = False
+
+    def settimeout(self, timeout):
+        pass
+
+    def sendall(self, data):
+        if self.broken:
+            raise OSError("broken pipe")
+
+    def recv(self, n):
+        byte = bytes(self.script[:1])
+        del self.script[:1]
+        return byte
+
+    def close(self):
+        self.closed = True
+
+
+def trickle_client(monkeypatch, script):
+    sock = TrickleSocket(script)
+    monkeypatch.setattr(telemetry.socket, "create_connection",
+                        lambda address, timeout: sock)
+    return MiniMqttClient("broker", 1883, "radarfuse"), sock
+
+
+def test_acks_split_across_reads(monkeypatch):
+    # each acknowledgement arrives one byte per read: it is read whole,
+    # and no byte of one is left for the next publish to read
+    client, sock = trickle_client(monkeypatch,
+                                  CONNACK + puback(1) + puback(2))
+    client.connect()
+    client.publish("lab/occupancy/z/events", b"{}", qos=1)
+    assert len(sock.script) == 4
+    client.publish("lab/occupancy/z/events", b"{}", qos=1)
+    assert sock.script == b""
+
+
+@pytest.mark.parametrize("script,publishes,error", [
+    (CONNACK[:2], 0, "CONNACK refused: 2002"),
+    (CONNACK + puback(1)[:3], 1, "PUBACK missing")],
+    ids=["connack", "puback"])
+def test_ack_cut_short_by_close(monkeypatch, script, publishes, error):
+    # a broker that closes mid-acknowledgement is a failure, not a hang
+    client, sock = trickle_client(monkeypatch, script)
+    with pytest.raises(ConnectionError, match=error):
+        client.connect()
+        for _ in range(publishes + 1):
+            client.publish("lab/occupancy/z/events", b"{}", qos=1)
+
+
+def test_disconnect_closes_socket_when_send_fails(monkeypatch):
+    client, sock = trickle_client(monkeypatch, CONNACK)
+    client.connect()
+    sock.broken = True
+    client.disconnect()
+    assert sock.closed
+    with pytest.raises(ConnectionError, match="not connected"):
+        client.publish("lab/occupancy/z/state", b"{}")
+
+
 class FakeClient:
     """Scripted MQTT client: down until a flag flips, records publishes."""
 
@@ -196,6 +271,36 @@ class TestPublisher:
         assert not pub.connected
         with pytest.raises(AttributeError):
             pub.connected = True
+
+    def test_failed_publish_closes_client(self, monkeypatch):
+        # the PUBACK never comes: the publisher closes that client's
+        # socket before it backs off, and keeps the event queued
+        client, sock = trickle_client(monkeypatch, CONNACK)
+        pub = Publisher(cfg=MqttConfig(topic_prefix="lab"),
+                        client_factory=lambda: client, clock=lambda: 0.0)
+        pub.offer_event(OccupancyEvent("enter", 1, "z", 0))
+        pub.pump()
+        assert sock.script == b""       # connected, then the PUBACK failed
+        assert not pub.connected and sock.closed
+        assert len(pub._queue) == 1 and pub._next_connect_at == 1.0
+
+    def test_back_off_survives_failing_disconnect(self):
+        broker = {"up": True, "published": []}
+        disconnects = []
+
+        class Client(FakeClient):
+            def disconnect(self):
+                disconnects.append(self)
+                raise ConnectionError("already gone")
+
+        pub = Publisher(cfg=MqttConfig(topic_prefix="lab"),
+                        client_factory=lambda: Client(broker),
+                        clock=lambda: 0.0)
+        pub.pump()
+        broker["up"] = False
+        pub.offer_status(status())
+        pub.pump()
+        assert not pub.connected and len(disconnects) == 1
 
     def test_backoff_grows_and_caps(self):
         broker = {"up": False, "published": []}
