@@ -8,7 +8,8 @@ truth md5.  Under it, one indented line per ``replay --fast`` of that
 log with the paper config: clustering algorithm, status JSONL md5 and
 event JSONL md5 (DBSCAN and OPTICS for the paper scenario, DBSCAN for
 the clutter variant), and under that the md5 of the tracker: the state
-and covariance bytes of every track in every snapshot ``Tracker.step``
+bytes and the 6x6 ``covariance`` bytes (the per-axis block laid out on
+every axis) of every track in every snapshot ``Tracker.step``
 returned, so a last-bit drift in a filter shows even where the counts
 and dwell times do not.  A config file chooses each algorithm, as it
 does for a deployment: ``paper_config_doc(algorithm)`` is dumped to

@@ -8,7 +8,8 @@ counted.  Every offered status is published (the grid's data-time
 ``status_period`` is the one throttle).  A connect or a QoS-1 PUBACK
 wait in ``pump`` can hold the caller for up to the socket timeout per
 read; an acknowledgement is read until its 4 bytes arrive or the peer
-closes.  A client that fails is disconnected before the backoff.
+closes, and a PUBACK counts only if it names the packet just sent.  A
+client that fails is disconnected before the backoff.
 
 A minimal MQTT 3.1.1 client over a plain socket is included; any object
 with connect/publish/disconnect can be substituted (tests use a fake).
@@ -157,9 +158,11 @@ class MiniMqttClient:
         pkt = bytes([0x30 | flags]) + self._encode_length(len(var) + len(payload)) + var + payload
         self._sock.sendall(pkt)
         if qos > 0:
+            # a PUBACK is 0x40, remaining length 2, then this packet's id
             ack = _recv_exactly(self._sock, 4)
-            if len(ack) < 4 or ack[0] != 0x40:
-                raise ConnectionError("PUBACK missing")
+            if ack != b"\x40\x02" + struct.pack(">H", self._packet_id):
+                raise ConnectionError(f"PUBACK missing for packet "
+                                      f"{self._packet_id}: {ack.hex()}")
 
     def disconnect(self):
         sock, self._sock = self._sock, None

@@ -5,27 +5,24 @@ after a configurable silence.  Constant-velocity motion with
 white-acceleration process noise; the observation is the centroid
 position itself, so the update step is the linear Kalman form.
 
-A window's tracks are stepped together.  Their states and covariances
-are stacked into ``(T, 6)`` and ``(T, 6, 6)`` arrays, and
-:func:`predict_stacked` propagates them all with one F and Q.  F and Q
-are cached per (dt, config) and R per config, all read-only: windows
-are almost always one window length apart, so a step builds no
-constant matrix.  The window's centroids arrive as one ``(k, 3)``
+The birth covariance, Q and R are isotropic and H = [I 0], so the 6x6
+covariance stays three equal 2x2 blocks, one per axis, with no
+cross-axis terms: the axes are decoupled coordinates.  A track keeps
+that block as ``axis_cov = (p_pp, p_pv, p_vv)``; ``covariance`` lays
+it out on the 6x6 as a read-only array.  Predict, the Joseph-form
+update, the PSD check (the closed-form 2x2 minimum eigenvalue) and the
+velocity clamp run per track in Python floats, through one set of
+per-axis helpers that ``Tracker.step`` and the one-track ``predict``
+and ``update`` share.  The window's centroids arrive as one ``(k, 3)``
 array; association is greedy globally-nearest over gated pairs of one
 track x centroid distance matrix
 (:func:`radarfuse.geometry.sq_distances` from the stacked predicted
-positions).  :func:`update_stacked` applies the Joseph-form update to
-the matched rows with one stacked ``inv`` and one stacked ``eigvalsh``
-PSD check.  Each matrix of a stack goes through the same BLAS and
-LAPACK calls as it would alone, so the results are bit-identical to
-stepping the tracks one at a time; ``predict`` and ``update`` are the
-one-track (T = 1) case.  Tracks are never mutated once built, so a
-snapshot returned by ``Tracker.step`` stays as it was.
+positions).  Tracks are never mutated once built, so a snapshot
+returned by ``Tracker.step`` stays as it was.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -70,7 +67,7 @@ class TrackStatus(str, Enum):
 class TargetTrack:
     track_id: int
     state: np.ndarray        # (x, y, z, vx, vy, vz)
-    covariance: np.ndarray   # 6x6
+    axis_cov: tuple          # (p_pp, p_pv, p_vv), the same on every axis
     status: TrackStatus
     hits: int
     last_update_ns: int
@@ -82,6 +79,17 @@ class TargetTrack:
     @property
     def velocity(self) -> np.ndarray:
         return self.state[3:]
+
+    @property
+    def covariance(self) -> np.ndarray:
+        """The 6x6 covariance: ``axis_cov`` on each axis, zero across
+        axes; read-only."""
+        a, b, c = self.axis_cov
+        p = np.zeros((6, 6))
+        for axis in range(3):
+            p[axis::3, axis::3] = ((a, b), (b, c))
+        p.flags.writeable = False
+        return p
 
 
 class EventKind(str, Enum):
@@ -97,85 +105,61 @@ class TrackEvent:
     ts_ns: int
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+def min_eigenvalue(a: float, b: float, c: float) -> float:
+    """The smaller eigenvalue of the symmetric block [[a, b], [b, c]]."""
+    return 0.5 * (a + c) - math.hypot(0.5 * (a - c), b)
 
 
-_EYE6 = _read_only(np.eye(6))
-
-
-@functools.lru_cache(maxsize=64)
-def _transition(dt: float, cfg: TrackerConfig):
-    """(F, Q) of the constant-velocity model over dt seconds.  Cached
-    and read-only: nearly every window is one window length after the
-    last, so the same pair serves almost every step."""
-    f = np.eye(6)
-    f[0, 3] = f[1, 4] = f[2, 5] = dt
-    q_accel = cfg.process_noise_accel ** 2
-    q11 = q_accel * dt ** 4 / 4.0
-    q12 = q_accel * dt ** 3 / 2.0
-    q22 = q_accel * dt ** 2
-    q = np.zeros((6, 6))
-    for a in range(3):
-        q[a, a] = q11
-        q[a, a + 3] = q[a + 3, a] = q12
-        q[a + 3, a + 3] = q22
-    return _read_only(f), _read_only(q)
-
-
-@functools.lru_cache(maxsize=8)
-def _measurement_cov(cfg: TrackerConfig) -> np.ndarray:
-    """R, the 3x3 measurement noise covariance; cached and read-only."""
-    return _read_only(cfg.measurement_noise ** 2 * np.eye(3))
-
-
-def predict_stacked(states: np.ndarray, covs: np.ndarray, dt: float,
-                    cfg: TrackerConfig):
-    """Constant-velocity propagation of ``(T, 6)`` states and ``(T, 6,
-    6)`` covariances by dt seconds, one F and Q for all T."""
+def _predict_axes(state: list, cov: tuple, dt: float, cfg: TrackerConfig):
+    """(state, axis_cov) of a six-float state and its axis block after
+    dt seconds of constant velocity."""
     if dt == 0.0:
-        return states, covs
-    f, q = _transition(dt, cfg)
-    cov = f @ covs @ f.T + q
-    return (f @ states[:, :, None])[:, :, 0], 0.5 * (cov + cov.swapaxes(1, 2))
+        return state, cov
+    q_accel = cfg.process_noise_accel ** 2
+    x, y, z, vx, vy, vz = state
+    a, b, c = cov
+    bc = b + dt * c
+    return ([x + dt * vx, y + dt * vy, z + dt * vz, vx, vy, vz],
+            ((a + dt * b) + bc * dt + q_accel * dt ** 4 / 4.0,
+             bc + q_accel * dt ** 3 / 2.0,
+             c + q_accel * dt ** 2))
 
 
-def _clamp_speed(v: np.ndarray):
-    """Scale each ``(m, 3)`` velocity row faster than VELOCITY_CLAMP
-    back onto it, in place."""
-    # |v| <= sqrt(3) max|v_i| < 1.75 max|v_i|: below this no row can
-    # pass the clamp, and no norm is taken
-    if not np.abs(v).max(initial=0.0) * 1.75 > VELOCITY_CLAMP:
-        return
-    for row in v:
-        speed = float(np.linalg.norm(row))
-        if speed > VELOCITY_CLAMP:
-            row *= VELOCITY_CLAMP / speed
+def _update_axes(state: list, cov: tuple, z, cfg: TrackerConfig):
+    """Linear Kalman update of a six-float state and its axis block
+    with a measured position ``z`` (three floats).
 
-
-def update_stacked(states: np.ndarray, covs: np.ndarray, z: np.ndarray,
-                   cfg: TrackerConfig):
-    """Linear Kalman measurement update of ``(m, 6)`` states and ``(m,
-    6, 6)`` covariances with ``(m, 3)`` measured positions.
-
-    Returns (states, covariances, psd): ``psd[i]`` is False when row
-    i's updated covariance lost positive semi-definiteness, and that
-    row is then not to be used.
+    Returns (state, axis_cov, psd): ``psd`` is False when the updated
+    block lost positive semi-definiteness, and the result is then not
+    to be used.  Every sum keeps the order of its 6x6 matrix product,
+    so the floats are those of the 6x6 filter in ``tests/_reference.py``.
     """
-    r = _measurement_cov(cfg)
-    innovation = z - states[:, :3]
-    k = covs[:, :, :3] @ np.linalg.inv(covs[:, :3, :3] + r)
-    states = states + (k @ innovation[:, :, None])[:, :, 0]
-    ikh = np.empty((len(k), 6, 6))     # I - KH, with H = [I 0]
-    np.subtract(_EYE6[:, :3], k, out=ikh[:, :, :3])
-    ikh[:, :, 3:] = _EYE6[:, 3:]
-    # Joseph form keeps the covariance PSD under roundoff
-    cov = ikh @ covs @ ikh.swapaxes(1, 2) + k @ r @ k.swapaxes(1, 2)
-    cov = 0.5 * (cov + cov.swapaxes(1, 2))
-    psd = ~(np.linalg.eigvalsh(cov).min(axis=1) < -1e-9)
-    _clamp_speed(states[:, 3:])
-    return states, cov, psd
+    r = cfg.measurement_noise ** 2
+    a, b, c = cov
+    s_inv = 1.0 / (a + r)
+    kp, kv = a * s_inv, b * s_inv       # the gain's two distinct entries
+    x, y, zz, vx, vy, vz = state
+    nx, ny, nz = z[0] - x, z[1] - y, z[2] - zz
+    state = [x + kp * nx, y + kp * ny, zz + kp * nz,
+             vx + kv * nx, vy + kv * ny, vz + kv * nz]
+    # Joseph form (I - KH) P (I - KH)' + K R K' keeps the block PSD
+    # under roundoff; I - KH is [[i0, 0], [i3, 1]] on each axis
+    i0, i3 = 1.0 - kp, 0.0 - kv
+    p00, p01 = i0 * a, i0 * b
+    p10, p11 = i3 * a + b, i3 * b + c
+    kpr, kvr = kp * r, kv * r
+    cov = (p00 * i0 + kpr * kp,
+           0.5 * ((p00 * i3 + p01 + kpr * kv) + (p10 * i0 + kvr * kp)),
+           (p10 * i3 + p11) + kvr * kv)
+    # |v| <= sqrt(3) max|v_i| < 1.75 max|v_i|: below this the speed
+    # cannot pass the clamp, and no norm is taken
+    if max(abs(state[3]), abs(state[4]), abs(state[5])) * 1.75 \
+            > VELOCITY_CLAMP:
+        speed = float(np.linalg.norm(state[3:]))
+        if speed > VELOCITY_CLAMP:
+            scale = VELOCITY_CLAMP / speed
+            state[3:] = [v * scale for v in state[3:]]
+    return state, cov, not min_eigenvalue(*cov) < -1e-9
 
 
 def _hit(track: TargetTrack, state, cov, ts_ns: int,
@@ -187,22 +171,22 @@ def _hit(track: TargetTrack, state, cov, ts_ns: int,
 
 
 def predict(track: TargetTrack, dt: float, cfg: TrackerConfig) -> TargetTrack:
-    """One track through :func:`predict_stacked`."""
-    states, covs = predict_stacked(track.state[None], track.covariance[None],
-                                   dt, cfg)
-    return replace(track, state=states[0], covariance=covs[0])
+    """``track`` propagated by dt seconds of constant velocity."""
+    state, cov = _predict_axes(track.state.tolist(), track.axis_cov, dt, cfg)
+    return replace(track, state=np.array(state), axis_cov=cov)
 
 
 def update(track: TargetTrack, centroid_pos, ts_ns: int,
            cfg: TrackerConfig) -> TargetTrack:
-    """One track through :func:`update_stacked`; raises
-    NonPSDCovariance where that flags the row."""
-    z = np.asarray(centroid_pos, dtype=float).reshape(1, 3)
-    states, covs, psd = update_stacked(track.state[None],
-                                       track.covariance[None], z, cfg)
-    if not psd[0]:
+    """``track`` after its Kalman update with a measured position;
+    raises NonPSDCovariance where the updated covariance lost positive
+    semi-definiteness."""
+    z = np.asarray(centroid_pos, dtype=float).reshape(3).tolist()
+    state, cov, psd = _update_axes(track.state.tolist(), track.axis_cov, z,
+                                   cfg)
+    if not psd:
         raise NonPSDCovariance("covariance lost positive semi-definiteness")
-    return _hit(track, states[0], covs[0], ts_ns, cfg)
+    return _hit(track, np.array(state), cov, ts_ns, cfg)
 
 
 def gated_distances(positions, centroids, cfg: TrackerConfig) -> np.ndarray:
@@ -217,10 +201,10 @@ def gated_distances(positions, centroids, cfg: TrackerConfig) -> np.ndarray:
 
 
 def birth(pos, cfg: TrackerConfig):
-    """(state, covariance) of a filter started at a measurement: at rest,
+    """(state, axis_cov) of a filter started at a measurement: at rest,
     with the measurement noise on position."""
     state = np.array([pos[0], pos[1], pos[2], 0.0, 0.0, 0.0])
-    return state, np.diag([cfg.measurement_noise ** 2] * 3 + [4.0] * 3)
+    return state, (cfg.measurement_noise ** 2, 0.0, 4.0)
 
 
 def associate(positions, track_ids, centroids, cfg: TrackerConfig):
@@ -282,40 +266,37 @@ class Tracker:
             else:
                 live.append(t)
 
-        states, covs = predict_stacked(
-            np.array([t.state for t in live]).reshape(-1, 6),
-            np.array([t.covariance for t in live]).reshape(-1, 6, 6), dt, cfg)
-        matches, unmatched_c = associate(states[:, :3],
-                                         [t.track_id for t in live],
-                                         centroids, cfg)
+        predicted = [_predict_axes(t.state.tolist(), t.axis_cov, dt, cfg)
+                     for t in live]
+        matches, unmatched_c = associate(
+            np.array([state[:3] for state, _ in predicted]).reshape(-1, 3),
+            [t.track_id for t in live], centroids, cfg)
 
-        # every live track moves to its prediction; a matched one then
-        # takes its update instead
-        self.tracks = tracks = [
-            TargetTrack(t.track_id, state, cov, t.status, t.hits,
+        # a matched track takes its update, in match order; every other
+        # live track moves to its prediction
+        cents = centroids.tolist()
+        updated = {}
+        for i, ci in matches:
+            t = live[i]
+            state, cov, psd = _update_axes(*predicted[i], cents[ci], cfg)
+            if psd:
+                u = _hit(t, np.array(state), cov, ts_ns, cfg)
+            else:
+                # restart the filter at its measurement, keeping the
+                # track's id, hits and status
+                self.covariance_resets += 1
+                state, cov = birth(cents[ci], cfg)
+                u = TargetTrack(t.track_id, state, cov, t.status, t.hits,
+                                ts_ns)
+            if u.status is not t.status:
+                events.append(TrackEvent(EventKind.CONFIRMED, u.track_id,
+                                         ts_ns))
+            updated[i] = u
+        self.tracks = [
+            updated[i] if i in updated else
+            TargetTrack(t.track_id, np.array(state), cov, t.status, t.hits,
                         t.last_update_ns)
-            for t, state, cov in zip(live, states, covs)]
-        if matches:
-            rows, cols = zip(*matches)
-            new_states, new_covs, psd = update_stacked(
-                states.take(rows, axis=0), covs.take(rows, axis=0),
-                centroids.take(cols, axis=0), cfg)
-            for i, ci, state, cov, ok in zip(rows, cols, new_states,
-                                             new_covs, psd):
-                t = live[i]
-                if ok:
-                    u = _hit(t, state, cov, ts_ns, cfg)
-                else:
-                    # restart the filter at its measurement, keeping the
-                    # track's id, hits and status
-                    self.covariance_resets += 1
-                    state, cov = birth(centroids[ci], cfg)
-                    u = TargetTrack(t.track_id, state, cov, t.status, t.hits,
-                                    ts_ns)
-                if u.status is not t.status:
-                    events.append(TrackEvent(EventKind.CONFIRMED, u.track_id,
-                                             ts_ns))
-                tracks[i] = u
+            for i, (t, (state, cov)) in enumerate(zip(live, predicted))]
 
         for ci in unmatched_c:
             if len(self.tracks) >= cfg.max_targets:
@@ -323,8 +304,8 @@ class Tracker:
                 continue
             status = (TrackStatus.CONFIRMED if cfg.confirm_hits == 1
                       else TrackStatus.TENTATIVE)
-            state, cov = birth(centroids[ci], cfg)
-            t = TargetTrack(track_id=self.next_id, state=state, covariance=cov,
+            state, cov = birth(cents[ci], cfg)
+            t = TargetTrack(track_id=self.next_id, state=state, axis_cov=cov,
                             status=status, hits=1, last_update_ns=ts_ns)
             self.next_id += 1
             self.tracks.append(t)

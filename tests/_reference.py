@@ -249,6 +249,30 @@ def _brute_check_psd(p):
         raise NonPSDCovariance("covariance lost positive semi-definiteness")
 
 
+def _matmul(a, b):
+    """``a @ b`` with every entry one index-order sum of Python float
+    products.  BLAS may fuse multiply-adds, so an oracle built on ``@``
+    would pin the host's kernel rather than the filter."""
+    cols = np.asarray(b, dtype=float).T.tolist()
+    out = []
+    for row in np.asarray(a, dtype=float).tolist():
+        out.append([])
+        for col in cols:
+            acc = 0.0
+            for x, y in zip(row, col):
+                acc += x * y
+            out[-1].append(acc)
+    return np.array(out)
+
+
+def _axis_block(p):
+    """(p_pp, p_pv, p_vv) of a 6x6 covariance, asserting that it is
+    three equal 2x2 blocks, one per axis, with no cross-axis term."""
+    a, b, c = float(p[0, 0]), float(p[0, 3]), float(p[3, 3])
+    assert np.array_equal(p, np.kron([[a, b], [b, c]], np.eye(3)))
+    return a, b, c
+
+
 def brute_predict(track, dt, cfg):
     """Constant-velocity propagation of one track by dt seconds."""
     if dt == 0.0:
@@ -264,9 +288,9 @@ def brute_predict(track, dt, cfg):
         q[a, a] = q11
         q[a, a + 3] = q[a + 3, a] = q12
         q[a + 3, a + 3] = q22
-    cov = f @ track.covariance @ f.T + q
-    return replace(track, state=f @ track.state,
-                   covariance=0.5 * (cov + cov.T))
+    cov = _matmul(_matmul(f, track.covariance), f.T) + q
+    return replace(track, state=_matmul(f, track.state[:, None])[:, 0],
+                   axis_cov=_axis_block(0.5 * (cov + cov.T)))
 
 
 def brute_update(track, centroid_pos, ts_ns, cfg):
@@ -274,11 +298,11 @@ def brute_update(track, centroid_pos, ts_ns, cfg):
     p = track.covariance
     r = cfg.measurement_noise ** 2 * np.eye(3)
     innovation = np.asarray(centroid_pos, dtype=float) - track.state[:3]
-    k = p[:, :3] @ np.linalg.inv(p[:3, :3] + r)
-    state = track.state + k @ innovation
+    k = _matmul(p[:, :3], np.linalg.inv(p[:3, :3] + r))
+    state = track.state + _matmul(k, innovation[:, None])[:, 0]
     ikh = np.eye(6)
     ikh[:, :3] -= k
-    cov = ikh @ p @ ikh.T + k @ r @ k.T
+    cov = _matmul(_matmul(ikh, p), ikh.T) + _matmul(_matmul(k, r), k.T)
     cov = 0.5 * (cov + cov.T)
     _brute_check_psd(cov)
     speed = float(np.linalg.norm(state[3:]))
@@ -286,13 +310,14 @@ def brute_update(track, centroid_pos, ts_ns, cfg):
         state[3:] *= VELOCITY_CLAMP / speed
     hits = track.hits + 1
     status = TrackStatus.CONFIRMED if hits >= cfg.confirm_hits else track.status
-    return replace(track, state=state, covariance=cov, status=status,
-                   hits=hits, last_update_ns=ts_ns)
+    return replace(track, state=state, axis_cov=_axis_block(cov),
+                   status=status, hits=hits, last_update_ns=ts_ns)
 
 
 def _brute_birth(pos, cfg):
     state = np.array([pos[0], pos[1], pos[2], 0.0, 0.0, 0.0])
-    return state, np.diag([cfg.measurement_noise ** 2] * 3 + [4.0] * 3)
+    return state, _axis_block(
+        np.diag([cfg.measurement_noise ** 2] * 3 + [4.0] * 3))
 
 
 def brute_track_step(tracker, centroids, ts_ns):
@@ -326,7 +351,7 @@ def brute_track_step(tracker, centroids, ts_ns):
         except NonPSDCovariance:
             tracker.covariance_resets += 1
             state, cov = _brute_birth(centroids[ci], cfg)
-            u = replace(t, state=state, covariance=cov, last_update_ns=ts_ns)
+            u = replace(t, state=state, axis_cov=cov, last_update_ns=ts_ns)
         if u.status is not t.status:
             events.append(TrackEvent(EventKind.CONFIRMED, u.track_id, ts_ns))
         updated[u.track_id] = u
@@ -339,7 +364,7 @@ def brute_track_step(tracker, centroids, ts_ns):
         status = (TrackStatus.CONFIRMED if cfg.confirm_hits == 1
                   else TrackStatus.TENTATIVE)
         state, cov = _brute_birth(centroids[ci], cfg)
-        t = TargetTrack(track_id=tracker.next_id, state=state, covariance=cov,
+        t = TargetTrack(track_id=tracker.next_id, state=state, axis_cov=cov,
                         status=status, hits=1, last_update_ns=ts_ns)
         tracker.next_id += 1
         tracker.tracks.append(t)

@@ -189,7 +189,8 @@ def test_criterion_05_geometry_inverse_round_trip():
 def test_criterion_06_tracker_filter_consistency():
     # scalar identity case: unit prior, unit measurement noise -> 0.5/0.5
     cfg = TrackerConfig(measurement_noise=1.0)
-    track = TargetTrack(track_id=0, state=np.zeros(6), covariance=np.eye(6),
+    track = TargetTrack(track_id=0, state=np.zeros(6),
+                        axis_cov=(1.0, 0.0, 1.0),
                         status=TrackStatus.CONFIRMED, hits=1, last_update_ns=0)
     z = np.array([1.0, 0.0, 0.0])
     post = update(track, z, SEC, cfg)
@@ -198,7 +199,8 @@ def test_criterion_06_tracker_filter_consistency():
 
     # noise-free convergence after 3 updates
     cfg = TrackerConfig(process_noise_accel=1e-6, measurement_noise=1e-6)
-    track = TargetTrack(track_id=0, state=np.zeros(6), covariance=np.eye(6),
+    track = TargetTrack(track_id=0, state=np.zeros(6),
+                        axis_cov=(1.0, 0.0, 1.0),
                         status=TrackStatus.CONFIRMED, hits=1, last_update_ns=0)
     errors = []
     for k in range(1, 9):
@@ -234,7 +236,7 @@ def test_criterion_06_tracker_filter_consistency():
         track = TargetTrack(
             track_id=0, state=np.concatenate([truth[:3] + rng.normal(0, 0.2, 3),
                                               np.zeros(3)]),
-            covariance=np.diag([0.04, 0.04, 0.04, 1, 1, 1.0]),
+            axis_cov=(0.04, 0.0, 1.0),
             status=TrackStatus.CONFIRMED, hits=1, last_update_ns=0)
         for k in range(12):
             truth = f @ truth + rng.multivariate_normal(np.zeros(6), q)

@@ -14,7 +14,7 @@ SEC = 1_000_000_000
 def track(track_id, x, y, status=TrackStatus.CONFIRMED):
     return TargetTrack(track_id=track_id,
                        state=np.array([x, y, 1.0, 0, 0, 0]),
-                       covariance=np.eye(6), status=status, hits=5,
+                       axis_cov=(1.0, 0.0, 1.0), status=status, hits=5,
                        last_update_ns=0)
 
 

@@ -654,6 +654,18 @@ class TestCli:
                                "replay"], env=env, capture_output=True)
         assert proc.returncode == 2
 
+    def test_runtime_path_loads_no_scipy(self):
+        # scipy is a test dependency only: importing scipy.spatial alone
+        # adds about 38 MB of RSS to the daemon
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        code = ("import sys, radarfuse.cli, radarfuse.pipeline; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_corrupt_log_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.log"
         bad.write_text("not json\n")

@@ -184,6 +184,29 @@ def test_ack_cut_short_by_close(monkeypatch, script, publishes, error):
             client.publish("lab/occupancy/z/events", b"{}", qos=1)
 
 
+@pytest.mark.parametrize("ack", [
+    puback(7), puback(0), bytes([0x40, 0x03, 0x00, 0x01]),
+    bytes([0x50, 0x02, 0x00, 0x01])],
+    ids=["foreign-id", "id-0", "length-3", "pubrec"])
+def test_puback_must_name_the_packet(monkeypatch, ack):
+    # packet 1's publish is acknowledged only by 40 02 00 01
+    client, sock = trickle_client(monkeypatch, CONNACK + ack)
+    client.connect()
+    with pytest.raises(ConnectionError,
+                       match=f"PUBACK missing for packet 1: {ack.hex()}"):
+        client.publish("lab/occupancy/z/events", b"{}", qos=1)
+
+
+def test_packet_ids_wrap_past_65535(monkeypatch):
+    client, sock = trickle_client(monkeypatch,
+                                  CONNACK + puback(65535) + puback(1))
+    client.connect()
+    client._packet_id = 65534
+    client.publish("lab/occupancy/z/events", b"{}", qos=1)
+    client.publish("lab/occupancy/z/events", b"{}", qos=1)
+    assert sock.script == b""
+
+
 def test_disconnect_closes_socket_when_send_fails(monkeypatch):
     client, sock = trickle_client(monkeypatch, CONNACK)
     client.connect()
@@ -282,6 +305,19 @@ class TestPublisher:
         pub.pump()
         assert sock.script == b""       # connected, then the PUBACK failed
         assert not pub.connected and sock.closed
+        assert len(pub._queue) == 1 and pub._next_connect_at == 1.0
+
+    def test_foreign_puback_keeps_event_queued(self, monkeypatch):
+        # a stale ack for another packet is no acknowledgement: the
+        # event stays queued and is sent again after the backoff
+        client, sock = trickle_client(monkeypatch, CONNACK + puback(7))
+        pub = Publisher(cfg=MqttConfig(topic_prefix="lab"),
+                        client_factory=lambda: client, clock=lambda: 0.0)
+        pub.offer_event(OccupancyEvent("enter", 1, "z", 0))
+        pub.pump()
+        assert sock.script == b""
+        assert not pub.connected and sock.closed
+        assert pub.published == 0
         assert len(pub._queue) == 1 and pub._next_connect_at == 1.0
 
     def test_back_off_survives_failing_disconnect(self):

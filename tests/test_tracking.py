@@ -8,11 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from _reference import brute_associate, brute_track_step
-from radarfuse import tracking
 from radarfuse.tracking import (EventKind, NonPSDCovariance,
                                 OutOfOrderWindow, TargetTrack, Tracker,
                                 TrackerConfig, TrackStatus, associate, birth,
-                                gated_distances, predict, update)
+                                gated_distances, min_eigenvalue, predict,
+                                update)
 
 SEC = 1_000_000_000
 
@@ -21,7 +21,7 @@ def make_track(track_id=0, pos=(0, 0, 0), vel=(0, 0, 0), var=1.0,
                status=TrackStatus.CONFIRMED, ts=0):
     return TargetTrack(track_id=track_id,
                        state=np.array([*pos, *vel], dtype=float),
-                       covariance=var * np.eye(6), status=status, hits=1,
+                       axis_cov=(var, 0.0, var), status=status, hits=1,
                        last_update_ns=ts)
 
 
@@ -95,6 +95,53 @@ class TestUpdate:
         out = update(track, (0, 0, 0), SEC, cfg)
         assert out.hits == 2
         assert out.status is TrackStatus.CONFIRMED
+
+
+def test_covariance_is_read_only():
+    track = make_track()
+    cov = track.covariance
+    with pytest.raises(ValueError):
+        cov[0, 0] = 7.0
+    with pytest.raises(ValueError):
+        track.covariance[3:, 3:] = np.eye(3)
+    assert track.axis_cov == (1.0, 0.0, 1.0)
+
+
+PSD_THRESHOLD = -1e-9
+
+
+@st.composite
+def axis_block(draw):
+    """A symmetric 2x2 block (a, b, c), PSD or indefinite: drawn entry
+    by entry, or rotated by any angle from two eigenvalues, each at any
+    scale or within 1e-6 of the PSD threshold."""
+    scale = st.floats(-100.0, 100.0)
+    if draw(st.booleans()):
+        return draw(scale), draw(scale), draw(scale)
+    eigen = st.one_of(scale, st.floats(PSD_THRESHOLD - 1e-6,
+                                       PSD_THRESHOLD + 1e-6))
+    lo, hi = draw(eigen), draw(eigen)
+    theta = draw(st.floats(0.0, math.pi))
+    cs, sn = math.cos(theta), math.sin(theta)
+    return (lo * cs * cs + hi * sn * sn, (hi - lo) * cs * sn,
+            lo * sn * sn + hi * cs * cs)
+
+
+@settings(max_examples=500, deadline=None)
+@given(axis_block())
+@example((1.0, 0.0, 1.0))
+@example((0.04, 0.2, 1.0))          # a singular block: the minimum is ~0
+@example((-1.0, 0.0, -1.0))
+def test_min_eigenvalue_matches_eigvalsh(block):
+    # the closed form the PSD check uses, against LAPACK on the 6x6
+    a, b, c = block
+    want = float(np.linalg.eigvalsh(
+        replace(make_track(), axis_cov=block).covariance).min())
+    got = min_eigenvalue(a, b, c)
+    margin = 1e-12 * max(abs(a), abs(c), 1.0)
+    assert abs(got - want) <= margin
+    if abs(want - PSD_THRESHOLD) > margin:
+        assert (got < PSD_THRESHOLD) == (want < PSD_THRESHOLD)
 
 
 class TestAssociate:
@@ -215,7 +262,7 @@ class TestTrackerStep:
         tr.step([(1, 1, 1)], 0)
         tr.step([(1.1, 1, 1)], SEC // 10)
         # a covariance no update can bring back to PSD
-        tr.tracks[0] = replace(tr.tracks[0], covariance=-np.eye(6))
+        tr.tracks[0] = replace(tr.tracks[0], axis_cov=(-1.0, 0.0, -1.0))
         with pytest.raises(NonPSDCovariance):
             update(predict(tr.tracks[0], 0.1, cfg), (1.2, 1, 1), 0, cfg)
         (track,), events = tr.step([(1.2, 1, 1)], 2 * SEC // 10)
@@ -226,7 +273,7 @@ class TestTrackerStep:
         assert track.last_update_ns == 2 * SEC // 10
         state, cov = birth((1.2, 1, 1), cfg)
         np.testing.assert_array_equal(track.state, state)
-        np.testing.assert_array_equal(track.covariance, cov)
+        assert track.axis_cov == cov
         # the restarted filter updates normally again
         (track,), _ = tr.step([(1.3, 1, 1)], 3 * SEC // 10)
         assert track.hits == 3 and tr.covariance_resets == 1
@@ -236,24 +283,6 @@ class TestTrackerStep:
         tr.step([], 2 * SEC)
         with pytest.raises(OutOfOrderWindow):
             tr.step([], SEC)
-
-    def test_cached_constants_are_read_only(self):
-        cfg = TrackerConfig()
-        f, q = tracking._transition(0.5, cfg)
-        constants = (f, q, tracking._measurement_cov(cfg), tracking._EYE6)
-        before = [c.copy() for c in constants]
-        for c in constants:
-            with pytest.raises(ValueError):
-                c[0, 0] = 7.0
-            with pytest.raises(ValueError):
-                c *= 2.0
-        tr = Tracker(cfg)
-        rng = np.random.default_rng(4)
-        for k in range(100):
-            tr.step(rng.uniform(0, 3, size=(3, 3)), k * SEC // 2)
-        assert tracking._transition(0.5, cfg)[0] is f
-        for c, b in zip(constants, before):
-            np.testing.assert_array_equal(c, b)
 
     def test_determinism(self):
         def run():
@@ -316,7 +345,7 @@ def test_step_matches_per_track_reference(case):
         if poison is not None and poison < len(tr.tracks):
             for t in (tr, ref):
                 t.tracks[poison] = replace(t.tracks[poison],
-                                           covariance=-np.eye(6))
+                                           axis_cov=(-1.0, 0.0, -1.0))
         got = tr.step(np.array(cents, dtype=float).reshape(-1, 3), ts)
         want = brute_track_step(ref, cents, ts)
         assert snapshot_bits(got[0]) == snapshot_bits(want[0])
@@ -375,9 +404,9 @@ def nis_fraction_in_band(runs=500, steps=12, seed=23):
     for _ in range(runs):
         truth = np.zeros(6)
         truth[3:] = rng.uniform(-1, 1, 3)
-        track = make_track(pos=tuple(truth[:3] + rng.normal(0, 0.2, 3)),
-                           var=0.2 ** 2)
-        track.covariance[3:, 3:] = np.eye(3)
+        track = replace(make_track(pos=tuple(truth[:3]
+                                             + rng.normal(0, 0.2, 3))),
+                        axis_cov=(0.2 ** 2, 0.0, 1.0))
         for k in range(steps):
             truth = f @ truth + rng.multivariate_normal(np.zeros(6), q)
             z = truth[:3] + rng.normal(0, cfg.measurement_noise, 3)
