@@ -7,22 +7,24 @@ and never more than ``MAX_WINDOW_POINTS``.  Distances come from
 ``n x n`` boolean eps adjacency one row block at a time, each block
 against every earlier point and itself, mirrored into the columns
 above it, so each pair distance is computed once; the window clusterer
-builds each block as soon as its points have arrived.  The adjacency's
-column sums are the neighbour counts that mark core points.  Each
-cluster is seeded at the lowest core point not yet in a cluster (an
-``argmax`` over a mask) and grown by frontier expansion over the core
-points.  OPTICS fills its ``n x n`` float distance matrix and takes
-its core distances in the same row blocks, then takes ``n`` argmin
-steps over one reachability array, returning the ordering as three
-arrays.  OPTICS cluster extraction is an eps-cut, which makes
-its core-point partition provably comparable to DBSCAN at the same eps
-and is exercised as a cross-check in the tests.  A window is one
-``(N, 3)`` position array, each frame's rows copied in as it arrives,
-and closing it builds only DBSCAN's last, partial row block.  Its
-result carries per-point labels and core flags as arrays and its
-centroids as one ``(k, 3)`` array, row ``k`` the mean position of
-cluster ``k`` (one ``bincount`` over (label, axis) cells), which the
-tracker takes as is.
+builds a window's pending rows as soon as they hold a block's worth of
+entries (``_BLOCK_ROWS**2``, pending rows x window points).  Each block
+adds its row sums, and its column sums into the earlier rows, to the
+kept neighbour counts that mark core points.  Each cluster is seeded
+at the lowest core point not yet in a cluster (an ``argmax`` over a
+mask), whose adjacency row is the first hop, and grown by frontier
+expansion over the core points.  OPTICS fills its ``n x n`` float
+distance matrix and takes its core distances in the same row blocks,
+then takes ``n`` argmin steps over one reachability array, returning
+the ordering as three arrays.  OPTICS cluster extraction is an
+eps-cut, which makes its core-point partition provably comparable to
+DBSCAN at the same eps and is exercised as a cross-check in the tests.
+A window is one ``(N, 3)`` position array, each frame's rows copied in
+as it arrives, and closing it builds fewer than ``_BLOCK_ROWS**2``
+DBSCAN adjacency entries.  Its result carries per-point labels and
+core flags as arrays and its centroids as one ``(k, 3)`` array, row
+``k`` the mean position of cluster ``k`` (one ``bincount`` over
+(label, axis) cells), which the tracker takes as is.
 """
 
 from __future__ import annotations
@@ -40,8 +42,10 @@ NOISE = -1
 # past it, in merge order, and counts them in ``dropped_points``.  It is
 # over 5x the largest windows seen, 374 points on the paper log and 120
 # on its clutter variant.  At this size DBSCAN holds its boolean
-# adjacency, 1 B per point pair (4 MiB), plus the float distances of one
-# row block (at most 4 MiB, the last block's, which spans every column).
+# adjacency, 1 B per point pair (4 MiB), its neighbour counts (2 B per
+# point) and the float distances of one row block (at most 4 MiB: a
+# block is at most _BLOCK_ROWS rows, however many rows are pending, and
+# the last block spans every column).
 # The window clusterer keeps its adjacency buffer between windows; it
 # grows at least twofold when a window needs more rows, never past
 # this size, so the bound holds across windows too.
@@ -51,9 +55,10 @@ MAX_WINDOW_POINTS = 2048
 
 # DBSCAN builds its adjacency, and OPTICS its distance matrix and core
 # distances, this many rows at a time, so their float temporaries stay
-# small however large the window.  The window clusterer builds a DBSCAN
-# block once this many of its points are pending, so a window closing
-# builds fewer rows than this
+# small however large the window.  The window clusterer builds a
+# window's pending DBSCAN rows once they hold _BLOCK_ROWS**2 entries
+# (pending rows x window points), so closing a window builds fewer
+# entries than one square block, however large the window
 _BLOCK_ROWS = 128
 
 OPTICS_MAX_EPS = 2.0  # m, the pipeline's OPTICS radius (eps if larger)
@@ -103,15 +108,19 @@ def _centroids(positions: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 class _EpsAdjacency:
-    """The boolean eps adjacency of a growing window, built
-    ``_BLOCK_ROWS`` rows at a time in one buffer, which is kept from
-    window to window and grown as they need, up to ``capacity`` rows.
+    """The boolean eps adjacency of a growing window and its points'
+    neighbour counts, built in one buffer, which is kept from window to
+    window and grown as they need, up to ``capacity`` rows.
 
-    Each block of new rows is thresholded against every point of the
-    window up to its last row, into ``adj[lo:hi, :hi]``, and its part
-    left of the diagonal block is mirrored into ``adj[:lo, lo:hi]``, so
-    each pair distance is computed once ((b - a)**2 is the same float
-    as (a - b)**2).  ``extend`` builds the full blocks of pending rows;
+    Pending rows are built once they hold at least ``_BLOCK_ROWS**2``
+    entries (pending rows x window points), at most ``_BLOCK_ROWS``
+    rows per block.  Each block of new rows is thresholded against
+    every point of the window up to its last row, into
+    ``adj[lo:hi, :hi]``, and its part left of the diagonal block is
+    mirrored into ``adj[:lo, lo:hi]``, so each pair distance is computed
+    once ((b - a)**2 is the same float as (a - b)**2).  The block's row
+    sums are its new rows' counts so far, and its column sums left of
+    the diagonal block add the new rows to the earlier rows' counts.
     ``finish`` builds the rest and starts the next window empty.
     """
 
@@ -119,34 +128,46 @@ class _EpsAdjacency:
         self._eps2 = eps * eps
         self._capacity = capacity    # the most points a window holds
         self._adj = np.empty((0, 0), dtype=bool)
+        # a count is at most capacity, so the least unsigned type holding
+        # it is exact
+        self._counts = np.empty(capacity, dtype=np.min_scalar_type(capacity))
         self._rows = 0               # rows of the window built so far
 
     def extend(self, positions: np.ndarray):
-        """Build every full block pending in ``positions``, the window's
-        points so far."""
-        while len(positions) - self._rows >= _BLOCK_ROWS:
-            self._block(positions, self._rows + _BLOCK_ROWS)
-
-    def finish(self, positions: np.ndarray) -> np.ndarray:
-        """The ``(n, n)`` adjacency of the window's ``n`` positions."""
-        self.extend(positions)
+        """Build the rows pending in ``positions``, the window's points
+        so far, if they hold at least ``_BLOCK_ROWS**2`` entries."""
         n = len(positions)
-        if self._rows < n:
-            self._block(positions, n)
-        self._rows = 0
-        return self._adj[:n, :n]
+        if (n - self._rows) * n >= _BLOCK_ROWS * _BLOCK_ROWS:
+            self._build(positions)
+
+    def finish(self, positions: np.ndarray):
+        """``(adj, counts)``: the ``(n, n)`` adjacency of the window's
+        ``n`` positions and its ``(n,)`` row sums, the neighbour
+        counts."""
+        self._build(positions)
+        n, self._rows = self._rows, 0
+        return self._adj[:n, :n], self._counts[:n]
+
+    def _build(self, positions: np.ndarray):
+        n = len(positions)
+        while self._rows < n:
+            self._block(positions, min(self._rows + _BLOCK_ROWS, n))
 
     def _block(self, positions: np.ndarray, hi: int):
-        lo, adj = self._rows, self._adj
+        lo, adj, counts = self._rows, self._adj, self._counts
         if hi > len(adj):
             # grow the buffer at least twofold, keeping the rows built
             size = min(max(hi, 2 * len(adj)), self._capacity)
             grown = np.empty((size, size), dtype=bool)
             grown[:lo, :lo] = adj[:lo, :lo]
             adj = self._adj = grown
+        rows = adj[lo:hi, :hi]
         np.less_equal(sq_distances(positions[lo:hi], positions[:hi]),
-                      self._eps2, out=adj[lo:hi, :hi])
-        adj[:lo, lo:hi] = adj[lo:hi, :lo].T
+                      self._eps2, out=rows)
+        adj[:lo, lo:hi] = rows[:, :lo].T
+        rows = rows.view(np.uint8)
+        rows.sum(1, dtype=counts.dtype, out=counts[lo:hi])
+        counts[:lo] += rows[:, :lo].sum(0, dtype=counts.dtype)
         self._rows = hi
 
 
@@ -159,31 +180,31 @@ def dbscan(positions: np.ndarray, eps: float, min_pts: int,
     index order would assign them.
     """
     positions = np.asarray(positions, dtype=float)
-    adj = _EpsAdjacency(eps, len(positions)).finish(positions)
-    return _dbscan(positions, adj, min_pts, ts_ns)
+    adj, counts = _EpsAdjacency(eps, len(positions)).finish(positions)
+    return _dbscan(positions, adj, counts, min_pts, ts_ns)
 
 
-def _dbscan(positions: np.ndarray, adj: np.ndarray, min_pts: int,
-            ts_ns: int) -> ClusterResult:
-    """DBSCAN of ``positions`` given their symmetric eps adjacency."""
+def _dbscan(positions: np.ndarray, adj: np.ndarray, counts: np.ndarray,
+            min_pts: int, ts_ns: int) -> ClusterResult:
+    """DBSCAN of ``positions`` given their symmetric eps adjacency and
+    its row sums, the neighbour counts."""
     n = len(positions)
-    # adj is symmetric, so its column sums are the neighbour counts; a
-    # count is at most n, so the least unsigned type holding n is exact
-    core = adj.view(np.uint8).sum(0, dtype=np.min_scalar_type(n)) >= min_pts
+    core = counts >= min_pts
     unclustered = core.copy()    # core points in no cluster yet
     labels = np.full(n, NOISE)
     cluster = 0
     while unclustered.any():
-        # grow from the lowest unclustered core point, one hop per pass:
-        # each hop's neighbours join the cluster, and its unclustered
-        # core points among them are the next hop
-        frontier = np.zeros(n, dtype=bool)
-        frontier[unclustered.argmax()] = True
-        reached = frontier
+        # grow from the lowest unclustered core point, whose neighbours
+        # are the first hop: each hop's neighbours join the cluster, and
+        # its unclustered core points among them are the next hop
+        seed = unclustered.argmax()
+        unclustered[seed] = False
+        reached = adj[seed].copy()
+        frontier = reached & unclustered
         while frontier.any():
-            unclustered &= ~frontier
+            unclustered ^= frontier
             reach = adj[frontier].any(0)
-            reached = reached | reach
+            reached |= reach
             frontier = reach & unclustered
         labels[reached & (labels == NOISE)] = cluster
         cluster += 1
@@ -259,9 +280,9 @@ class WindowClusterer:
     window holding a point out.  Window w covers [w0, w0 + window).
     Points past ``MAX_WINDOW_POINTS`` in a window are counted in
     ``dropped_points`` and not clustered.  A window's points are copied
-    into one array as they arrive; under DBSCAN their eps adjacency is
-    built a row block at a time as they arrive too, so closing a window
-    builds only its last, partial block."""
+    into one array as they arrive; under DBSCAN their eps adjacency and
+    neighbour counts are built a row block at a time as they arrive too,
+    so closing a window builds fewer than ``_BLOCK_ROWS**2`` entries."""
 
     def __init__(self, cfg: ClusterConfig):
         self.cfg = cfg
@@ -305,7 +326,7 @@ class WindowClusterer:
         ts_ns = self._start + self._window_ns
         cfg = self.cfg
         if self._adjacency is not None:
-            return _dbscan(positions, self._adjacency.finish(positions),
+            return _dbscan(positions, *self._adjacency.finish(positions),
                            cfg.min_pts, ts_ns)
         ordering = optics(positions, cfg.min_pts, max(OPTICS_MAX_EPS, cfg.eps))
         return extract_eps_cut(ordering, cfg.eps, positions, ts_ns)

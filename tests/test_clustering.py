@@ -5,10 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from _reference import brute_dbscan, brute_optics, core_partition
+from radarfuse import clustering
 from radarfuse.clustering import (_BLOCK_ROWS, MAX_WINDOW_POINTS, NOISE,
                                   ClusterAlgorithm, ClusterConfig,
                                   WindowClusterer, _centroids, dbscan,
                                   extract_eps_cut, optics)
+from radarfuse.geometry import sq_distances
 
 
 def positions(*xyz):
@@ -69,10 +71,33 @@ def assert_same_result(got, want):
     assert got.centroids.shape == want.centroids.shape
 
 
+def brute_counts(pts, eps):
+    """Each point's neighbours within eps, itself included, one row of
+    squared distances at a time."""
+    return [int((((pts - p) ** 2).sum(1) <= eps * eps).sum()) for p in pts]
+
+
+def kept_counts(wc):
+    """The list that the neighbour counts kept by ``wc``'s adjacency
+    builder are appended to, one copy per window it closes."""
+    kept = []
+    finish = wc._adjacency.finish
+
+    def recording_finish(positions):
+        adj, counts = finish(positions)
+        kept.append(counts.copy())
+        return adj, counts
+
+    wc._adjacency.finish = recording_finish
+    return kept
+
+
 def check_frames_as_one_window(frames, eps, min_pts):
     """Push ``frames`` as one window through a clusterer: its result is
-    brute-force DBSCAN's, and ``dbscan``'s of the frames concatenated."""
+    brute-force DBSCAN's, and ``dbscan``'s of the frames concatenated,
+    and the neighbour counts it kept are the brute-force ones."""
     wc = WindowClusterer(ClusterConfig(eps=eps, min_pts=min_pts))
+    kept = kept_counts(wc)
     for frame in frames:
         assert wc.push(0, frame) == []
     pts = np.concatenate(frames)
@@ -85,6 +110,8 @@ def check_frames_as_one_window(frames, eps, min_pts):
     assert res.is_core.tolist() == ref_core
     assert res.labels.tolist() == ref_labels
     assert_same_result(res, dbscan(pts, eps, min_pts))
+    (counts,) = kept
+    assert counts.tolist() == brute_counts(pts, eps)
 
 
 class TestDbscan:
@@ -384,19 +411,26 @@ class TestWindowClusterer:
 
     def test_no_stale_rows_between_windows(self):
         # one clusterer through windows of every shape; each result must
-        # be a fresh dbscan of that window's points alone
+        # be a fresh dbscan of that window's points alone, and each
+        # window's kept counts its brute-force neighbour counts: the
+        # buffer grows in the 600-point window, the 5000-point one is
+        # capped, one window holds only zero-row frames and the last is
+        # flushed mid-block
         rng = np.random.default_rng(12)
         cfg = ClusterConfig(eps=0.5, min_pts=4)
         w = int(0.5 * 1_000_000_000)
         big = np.random.default_rng(13).normal(0, 0.3, (5000, 3))
-        windows = [lattice_points(2 * _BLOCK_ROWS + 44, 6),
-                   lattice_points(40, 7),
+        windows = [lattice_points(40, 7),
+                   np.vstack([lattice_points(300, 14),
+                              lattice_points(300, 15) + 0.25]),
+                   lattice_points(2 * _BLOCK_ROWS + 44, 6),
                    lattice_points(2 * _BLOCK_ROWS + 44, 8) + 0.25,
                    lattice_points(_BLOCK_ROWS, 9),
                    big,
                    np.empty((0, 3)),
                    lattice_points(_BLOCK_ROWS + 50, 10)]
         wc = WindowClusterer(cfg)
+        kept = kept_counts(wc)
         out = []
         for k, pts in enumerate(windows):
             for frame in random_frames(pts, rng, (0, 300)):
@@ -407,9 +441,33 @@ class TestWindowClusterer:
         assert [r.ts_ns for r in out] == \
             [(k + 1) * w for k, pts in enumerate(windows) if len(pts)]
         assert wc.dropped_points == len(big) - MAX_WINDOW_POINTS
-        for res, pts in zip(out, clustered, strict=True):
+        for res, counts, pts in zip(out, kept, clustered, strict=True):
             assert_same_result(res, dbscan(pts, cfg.eps, cfg.min_pts,
                                            res.ts_ns))
+            assert counts.tolist() == brute_counts(pts, cfg.eps)
+
+    def test_window_close_builds_under_one_block(self, monkeypatch):
+        # a 250-point window fed as 10-point frames: its rows are built
+        # as their pending work reaches a block's worth, so the push
+        # that closes it builds fewer entries than one block (30 500 if
+        # blocks waited for 128 pending rows)
+        pts = lattice_points(250, 16)
+        wc = WindowClusterer(ClusterConfig(eps=0.5, min_pts=4))
+        for frame in np.split(pts, 25):
+            assert wc.push(0, frame) == []
+        built = []
+
+        def counted(a, b):
+            built.append(len(a) * len(b))
+            return sq_distances(a, b)
+
+        monkeypatch.setattr(clustering, "sq_distances", counted)
+        (res,) = wc.push(10**9, positions())
+        assert 0 < sum(built) < _BLOCK_ROWS**2
+        ref_labels, ref_core = brute_dbscan(pts, 0.5, 4)
+        assert res.is_core.tolist() == ref_core
+        assert res.labels.tolist() == ref_labels
+        assert_same_result(res, dbscan(pts, 0.5, 4))
 
     def test_memory_bounded_over_max_windows(self):
         # the clusterer's adjacency buffer (4 MiB at 2048 points) plus
