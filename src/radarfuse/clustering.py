@@ -8,23 +8,28 @@ and never more than ``MAX_WINDOW_POINTS``.  Distances come from
 against every earlier point and itself, mirrored into the columns
 above it, so each pair distance is computed once; the window clusterer
 builds a window's pending rows as soon as they hold a block's worth of
-entries (``_BLOCK_ROWS**2``, pending rows x window points).  Each block
-adds its row sums, and its column sums into the earlier rows, to the
-kept neighbour counts that mark core points.  Each cluster is seeded
-at the lowest core point not yet in a cluster (an ``argmax`` over a
-mask), whose adjacency row is the first hop, and grown by frontier
-expansion over the core points.  OPTICS fills its ``n x n`` float
-distance matrix and takes its core distances in the same row blocks,
-then takes ``n`` argmin steps over one reachability array, returning
-the ordering as three arrays.  OPTICS cluster extraction is an
+entries (``_BLOCK_ROWS**2``, pending rows x window points), in the
+fewest blocks of at most ``_BLOCK_ROWS`` rows, equal to within a row.
+Each block adds its row sums, and its column sums into the earlier
+rows, to the kept neighbour counts that mark core points.  Each
+cluster is seeded at the lowest core point not yet in a cluster (an
+``argmax`` over a mask), whose adjacency row is the first hop, and
+grown by frontier expansion over the core points.  OPTICS fills its
+``n x n`` float distance matrix and takes its core distances in the
+same row blocks, then takes ``n`` argmin steps over one reachability
+array, returning the ordering as three arrays.  OPTICS cluster extraction is an
 eps-cut, which makes its core-point partition provably comparable to
 DBSCAN at the same eps and is exercised as a cross-check in the tests.
 A window is one ``(N, 3)`` position array, each frame's rows copied in
-as it arrives, and closing it builds fewer than ``_BLOCK_ROWS**2``
-DBSCAN adjacency entries.  Its result carries per-point labels and
-core flags as arrays and its centroids as one ``(k, 3)`` array, row
-``k`` the mean position of cluster ``k`` (one ``bincount`` over
-(label, axis) cells), which the tracker takes as is.
+as it arrives.  The window clusterer learns each source's frame period
+from the frames' timestamps and clusters a window as soon as no source
+is due inside it, keeping the result for the push that closes the
+window: labels are computed early but emitted only when the window
+closes, the early firing of the Dataflow model (Akidau et al., VLDB
+2015).  A window's result carries per-point labels and core flags as
+arrays and its centroids as one ``(k, 3)`` array, row ``k`` the mean
+position of cluster ``k`` (one ``bincount`` over (label, axis) cells),
+which the tracker takes as is.
 """
 
 from __future__ import annotations
@@ -54,11 +59,12 @@ NOISE = -1
 MAX_WINDOW_POINTS = 2048
 
 # DBSCAN builds its adjacency, and OPTICS its distance matrix and core
-# distances, this many rows at a time, so their float temporaries stay
-# small however large the window.  The window clusterer builds a
-# window's pending DBSCAN rows once they hold _BLOCK_ROWS**2 entries
-# (pending rows x window points), so closing a window builds fewer
-# entries than one square block, however large the window
+# distances, at most this many rows at a time, so their float
+# temporaries stay small however large the window.  The window
+# clusterer builds a window's pending DBSCAN rows once they hold
+# _BLOCK_ROWS**2 entries (pending rows x window points), so the push
+# that completes a window builds fewer entries than one square block,
+# however large the window
 _BLOCK_ROWS = 128
 
 OPTICS_MAX_EPS = 2.0  # m, the pipeline's OPTICS radius (eps if larger)
@@ -113,15 +119,17 @@ class _EpsAdjacency:
     window and grown as they need, up to ``capacity`` rows.
 
     Pending rows are built once they hold at least ``_BLOCK_ROWS**2``
-    entries (pending rows x window points), at most ``_BLOCK_ROWS``
-    rows per block.  Each block of new rows is thresholded against
-    every point of the window up to its last row, into
-    ``adj[lo:hi, :hi]``, and its part left of the diagonal block is
-    mirrored into ``adj[:lo, lo:hi]``, so each pair distance is computed
-    once ((b - a)**2 is the same float as (a - b)**2).  The block's row
-    sums are its new rows' counts so far, and its column sums left of
-    the diagonal block add the new rows to the earlier rows' counts.
-    ``finish`` builds the rest and starts the next window empty.
+    entries (pending rows x window points), split into the fewest
+    blocks of at most ``_BLOCK_ROWS`` rows, equal to within one row.
+    Each block of new rows is thresholded against every point of the
+    window up to its last row, into ``adj[lo:hi, :hi]``, and its part
+    left of the diagonal block is mirrored into ``adj[:lo, lo:hi]``, so
+    each pair distance is computed once ((b - a)**2 is the same float as
+    (a - b)**2).  The block's row sums are its new rows' counts so far,
+    and its column sums left of the diagonal block add the new rows to
+    the earlier rows' counts.  ``finish`` builds the rest, and rows
+    pushed after it are built on top; ``clear`` starts the next window
+    empty.
     """
 
     def __init__(self, eps: float, capacity: int):
@@ -145,13 +153,17 @@ class _EpsAdjacency:
         ``n`` positions and its ``(n,)`` row sums, the neighbour
         counts."""
         self._build(positions)
-        n, self._rows = self._rows, 0
+        n = self._rows
         return self._adj[:n, :n], self._counts[:n]
+
+    def clear(self):
+        self._rows = 0
 
     def _build(self, positions: np.ndarray):
         n = len(positions)
-        while self._rows < n:
-            self._block(positions, min(self._rows + _BLOCK_ROWS, n))
+        blocks = -(-(n - self._rows) // _BLOCK_ROWS)
+        for left in range(blocks, 0, -1):
+            self._block(positions, self._rows + (n - self._rows) // left)
 
     def _block(self, positions: np.ndarray, hi: int):
         lo, adj, counts = self._rows, self._adj, self._counts
@@ -281,8 +293,18 @@ class WindowClusterer:
     Points past ``MAX_WINDOW_POINTS`` in a window are counted in
     ``dropped_points`` and not clustered.  A window's points are copied
     into one array as they arrive; under DBSCAN their eps adjacency and
-    neighbour counts are built a row block at a time as they arrive too,
-    so closing a window builds fewer than ``_BLOCK_ROWS**2`` entries."""
+    neighbour counts are built a row block at a time as they arrive too.
+
+    A frame may name its source.  For each source the clusterer keeps
+    the data time its next frame is due, its last frame's timestamp
+    plus the gap before it.  Once no source is due inside the open
+    window, it is clustered at once and the result kept; the push that
+    closes the window returns it, so closing a window clusters nothing.
+    A source due before the window began is taken as silent until it
+    reports again.  A window is tried early once: if a later push adds
+    points to it, the kept result is dropped and the close clusters it.
+    Either way the result is that of the window's points, and it is
+    returned when the window closes, not before."""
 
     def __init__(self, cfg: ClusterConfig):
         self.cfg = cfg
@@ -293,9 +315,14 @@ class WindowClusterer:
         self._adjacency = (_EpsAdjacency(cfg.eps, MAX_WINDOW_POINTS)
                            if cfg.algorithm is ClusterAlgorithm.DBSCAN
                            else None)
+        self._last: dict[str, int] = {}       # source -> last frame's ts
+        self._due: dict[str, int] = {}        # source -> next frame's ts
+        self._tried = False                   # open window tried early
+        self._early: ClusterResult | None = None
         self.dropped_points = 0
 
-    def push(self, ts_ns: int, positions: np.ndarray) -> list[ClusterResult]:
+    def push(self, ts_ns: int, positions: np.ndarray,
+             source: str | None = None) -> list[ClusterResult]:
         out = []
         start = ts_ns - ts_ns % self._window_ns
         if self._start is None:
@@ -314,15 +341,24 @@ class WindowClusterer:
             end = self._points + len(positions)
             self._positions[self._points:end] = positions
             self._points = end
+            self._early = None
             if self._adjacency is not None:
                 self._adjacency.extend(self._positions[:end])
+        if source is not None:
+            last = self._last.get(source, ts_ns)
+            self._last[source] = ts_ns
+            due = self._due[source] = 2 * ts_ns - last
+            # the window stays open while this source is due inside it
+            end = self._start + self._window_ns
+            if due >= end and not self._tried and self._points:
+                if all(not self._start <= d < end
+                       for d in self._due.values()):
+                    self._tried = True
+                    self._early = self._cluster()
         return out
 
-    def _close_window(self):
-        if not self._points:
-            return None
+    def _cluster(self) -> ClusterResult:
         positions = self._positions[:self._points]
-        self._points = 0
         ts_ns = self._start + self._window_ns
         cfg = self.cfg
         if self._adjacency is not None:
@@ -330,6 +366,17 @@ class WindowClusterer:
                            cfg.min_pts, ts_ns)
         ordering = optics(positions, cfg.min_pts, max(OPTICS_MAX_EPS, cfg.eps))
         return extract_eps_cut(ordering, cfg.eps, positions, ts_ns)
+
+    def _close_window(self):
+        res = self._early
+        if res is None and self._points:
+            res = self._cluster()
+        self._points = 0
+        self._tried = False
+        self._early = None
+        if self._adjacency is not None:
+            self._adjacency.clear()
+        return res
 
     def flush(self):
         res = self._close_window()

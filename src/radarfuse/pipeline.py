@@ -7,7 +7,10 @@ From the decoder on, a frame is one float array: a radar's ``(n, 5)``
 point array (layout in :mod:`radarfuse.tlv`) through the threshold,
 then its kept points' ``(n, 3)`` world positions from to-world on.  A
 record from a radar the config does not name is dropped and counted in
-``unknown_radar_records``.
+``unknown_radar_records``.  The merger hands each frame on with its
+radar id, and the clusterer takes that id as the frame's source: from
+the sources' frame periods it clusters a window once its last frames
+are in, so the record that closes the window only tracks and publishes.
 
 :class:`Pipeline` is the one driver: synchronous and push-based.  The
 timestamps inside the data drive all logic, so a replay is fully
@@ -81,11 +84,11 @@ class Pipeline:
                 self._feed_merger(radar_id, *emitted)
 
     def _feed_merger(self, radar_id: str, ts_ns: int, positions):
-        for ts, _, frame in self.merger.push(radar_id, ts_ns, positions):
-            self._feed_clusterer(ts, frame)
+        for frame in self.merger.push(radar_id, ts_ns, positions):
+            self._feed_clusterer(*frame)
 
-    def _feed_clusterer(self, ts_ns: int, positions):
-        for result in self.clusterer.push(ts_ns, positions):
+    def _feed_clusterer(self, ts_ns: int, source: str, positions):
+        for result in self.clusterer.push(ts_ns, positions, source):
             self._feed_tracker(result)
 
     def _feed_tracker(self, result):
@@ -107,8 +110,8 @@ class Pipeline:
         for radar_id, lane in self.lanes.items():
             for ts, positions in lane.buffer.flush():
                 self._feed_merger(radar_id, ts, positions)
-        for ts, _, positions in self.merger.flush():
-            self._feed_clusterer(ts, positions)
+        for frame in self.merger.flush():
+            self._feed_clusterer(*frame)
         for result in self.clusterer.flush():
             self._feed_tracker(result)
         if self.publisher is not None:

@@ -14,11 +14,11 @@ update, the PSD check (the closed-form 2x2 minimum eigenvalue) and the
 velocity clamp run per track in Python floats, through one set of
 per-axis helpers that ``Tracker.step`` and the one-track ``predict``
 and ``update`` share.  The window's centroids arrive as one ``(k, 3)``
-array; association is greedy globally-nearest over gated pairs of one
-track x centroid distance matrix
-(:func:`radarfuse.geometry.sq_distances` from the stacked predicted
-positions).  Tracks are never mutated once built, so a snapshot
-returned by ``Tracker.step`` stays as it was.
+array; association is greedy globally-nearest over the gated track x
+centroid pairs, their distances taken in Python floats in the
+subtraction and summation order of
+:func:`radarfuse.geometry.sq_distances`.  Tracks are never mutated
+once built, so a snapshot returned by ``Tracker.step`` stays as it was.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-
-from .geometry import sq_distances
 
 VELOCITY_CLAMP = 10.0  # m/s, sanity bound on |v|
 
@@ -189,17 +187,6 @@ def update(track: TargetTrack, centroid_pos, ts_ns: int,
     return _hit(track, np.array(state), cov, ts_ns, cfg)
 
 
-def gated_distances(positions, centroids, cfg: TrackerConfig) -> np.ndarray:
-    """The track x centroid matrix of distances from each ``(T, 3)``
-    predicted position to each centroid, inf outside the inclusive
-    Euclidean gate."""
-    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-    centroids = np.asarray(centroids, dtype=float).reshape(-1, 3)
-    d = np.sqrt(sq_distances(positions, centroids))
-    d[d > cfg.gate_distance] = np.inf
-    return d
-
-
 def birth(pos, cfg: TrackerConfig):
     """(state, axis_cov) of a filter started at a measurement: at rest,
     with the measurement noise on position."""
@@ -209,19 +196,25 @@ def birth(pos, cfg: TrackerConfig):
 
 def associate(positions, track_ids, centroids, cfg: TrackerConfig):
     """Greedy globally-nearest matching over gated pairs of predicted
-    track positions and centroids.
+    track positions and centroids, both sequences of float triples.
 
-    Returns (matches, unmatched_centroid_indices) where matches is a
-    list of (track row, centroid_index) in match order.  Ties break on
-    lower track id, then lower centroid index.
+    A pair is in the gate when its Euclidean distance is at most
+    ``gate_distance``.  Returns (matches, unmatched_centroid_indices)
+    where matches is a list of (track row, centroid_index) in match
+    order.  Ties break on lower track id, then lower centroid index.
     """
-    d = gated_distances(positions, centroids, cfg)
-    n_centroids = d.shape[1]
-    # a window has a handful of gated pairs: sorting them in Python
-    # costs less than numpy's per-call overhead
-    pairs = sorted((dist, tid, i, c)
-                   for i, (tid, row) in enumerate(zip(track_ids, d.tolist()))
-                   for c, dist in enumerate(row) if dist != math.inf)
+    # a window has a handful of tracks and centroids: Python floats cost
+    # less than numpy's per-call overhead.  Each distance subtracts and
+    # sums as geometry.sq_distances does, so the floats are the same
+    gate = cfg.gate_distance
+    pairs = []
+    for i, ((x, y, z), tid) in enumerate(zip(positions, track_ids)):
+        for c, (cx, cy, cz) in enumerate(centroids):
+            dx, dy, dz = cx - x, cy - y, cz - z
+            dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if dist <= gate:
+                pairs.append((dist, tid, i, c))
+    pairs.sort()
     used_tracks: set[int] = set()
     used_centroids: set[int] = set()
     matches = []
@@ -231,7 +224,8 @@ def associate(positions, track_ids, centroids, cfg: TrackerConfig):
         used_tracks.add(i)
         used_centroids.add(c)
         matches.append((i, c))
-    unmatched = [c for c in range(n_centroids) if c not in used_centroids]
+    unmatched = [c for c in range(len(centroids))
+                 if c not in used_centroids]
     return matches, unmatched
 
 
@@ -268,13 +262,13 @@ class Tracker:
 
         predicted = [_predict_axes(t.state.tolist(), t.axis_cov, dt, cfg)
                      for t in live]
+        cents = centroids.tolist()
         matches, unmatched_c = associate(
-            np.array([state[:3] for state, _ in predicted]).reshape(-1, 3),
-            [t.track_id for t in live], centroids, cfg)
+            [state[:3] for state, _ in predicted],
+            [t.track_id for t in live], cents, cfg)
 
         # a matched track takes its update, in match order; every other
         # live track moves to its prediction
-        cents = centroids.tolist()
         updated = {}
         for i, ci in matches:
             t = live[i]

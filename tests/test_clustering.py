@@ -7,9 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from _reference import brute_dbscan, brute_optics, core_partition
 from radarfuse import clustering
 from radarfuse.clustering import (_BLOCK_ROWS, MAX_WINDOW_POINTS, NOISE,
-                                  ClusterAlgorithm, ClusterConfig,
-                                  WindowClusterer, _centroids, dbscan,
-                                  extract_eps_cut, optics)
+                                  OPTICS_MAX_EPS, ClusterAlgorithm,
+                                  ClusterConfig, WindowClusterer, _centroids,
+                                  dbscan, extract_eps_cut, optics)
 from radarfuse.geometry import sq_distances
 
 
@@ -469,6 +469,23 @@ class TestWindowClusterer:
         assert res.labels.tolist() == ref_labels
         assert_same_result(res, dbscan(pts, 0.5, 4))
 
+    def test_pending_rows_split_into_equal_blocks(self, monkeypatch):
+        # 130 pending rows are built as two blocks of 65, not 128 then 2
+        pts = lattice_points(130, 17)
+        wc = WindowClusterer(ClusterConfig(eps=0.5, min_pts=4))
+        rows = []
+
+        def counted(a, b):
+            rows.append(len(a))
+            return sq_distances(a, b)
+
+        monkeypatch.setattr(clustering, "sq_distances", counted)
+        assert wc.push(0, pts) == []
+        assert rows == [65, 65]
+        (res,) = wc.flush()
+        assert rows == [65, 65]
+        assert_same_result(res, dbscan(pts, 0.5, 4))
+
     def test_memory_bounded_over_max_windows(self):
         # the clusterer's adjacency buffer (4 MiB at 2048 points) plus
         # one row block's float temporaries, window after window, with
@@ -504,3 +521,130 @@ class TestWindowClusterer:
             got = sorted(res.centroids[:, 0])
             for g, t in zip(got, [1.0, 4.0]):
                 assert abs(g - t) < 0.15
+
+
+PERIOD_NS = 100_000_000
+PHASES_NS = {"a": 0, "b": 3_000_000, "c": 6_000_000}
+WINDOW_NS = 500_000_000
+
+
+def source_frames(windows, seed, silent_from=None):
+    """``(ts_ns, source, positions)`` in timestamp order: three sources
+    at a 100 ms period with phases of 0, 3 and 6 ms over ``windows``
+    0.5 s windows, each frame 0-8 points of a 0.5 m lattice.  A source
+    named in ``silent_from`` sends nothing from that data time on."""
+    rng = np.random.default_rng(seed)
+    grid = np.array([[x, y, z] for x in range(5) for y in range(5)
+                     for z in range(2)], dtype=float) * 0.5
+    silent_from = silent_from or {}
+    frames = []
+    for k in range(windows * WINDOW_NS // PERIOD_NS):
+        for source, phase in PHASES_NS.items():
+            ts = k * PERIOD_NS + phase
+            if ts < silent_from.get(source, ts + 1):
+                frames.append((ts, source,
+                               grid[rng.integers(0, len(grid),
+                                                 rng.integers(0, 9))]))
+    return frames
+
+
+def window_points(frames):
+    """Each window's points, concatenated in push order."""
+    windows = {}
+    for ts, _, pts in frames:
+        windows.setdefault(ts // WINDOW_NS, []).append(pts)
+    return [np.concatenate(w) for _, w in sorted(windows.items())]
+
+
+class TestEarlyClustering:
+    """A window is clustered once no source is due inside it, and the
+    push that closes it only returns the kept result."""
+
+    def cfg(self, algorithm=ClusterAlgorithm.DBSCAN):
+        return ClusterConfig(algorithm=algorithm, eps=0.5, min_pts=3)
+
+    def reference(self, cfg, pts, ts_ns):
+        if cfg.algorithm is ClusterAlgorithm.DBSCAN:
+            return dbscan(pts, cfg.eps, cfg.min_pts, ts_ns)
+        ordering = optics(pts, cfg.min_pts, max(OPTICS_MAX_EPS, cfg.eps))
+        return extract_eps_cut(ordering, cfg.eps, pts, ts_ns)
+
+    def run(self, monkeypatch, cfg, frames, with_source=True):
+        """Push ``frames`` and flush: the results, the clusterings
+        (``_dbscan`` or ``optics`` calls) each closing push ran, and the
+        clusterings run in all."""
+        calls = []
+        for name in ("_dbscan", "optics"):
+            fn = getattr(clustering, name)
+
+            def counted(*args, _fn=fn):
+                calls.append(1)
+                return _fn(*args)
+            monkeypatch.setattr(clustering, name, counted)
+        wc = WindowClusterer(cfg)
+        results, close_calls = [], []
+        for ts, source, pts in frames:
+            before = len(calls)
+            out = (wc.push(ts, pts, source) if with_source
+                   else wc.push(ts, pts))
+            if out:
+                close_calls.append(len(calls) - before)
+            results += out
+        results += wc.flush()
+        monkeypatch.undo()
+        return results, close_calls, len(calls)
+
+    def check_results(self, cfg, results, frames):
+        want = window_points(frames)
+        assert [r.ts_ns for r in results] == \
+            [(k + 1) * WINDOW_NS for k in range(len(want))]
+        for res, pts in zip(results, want, strict=True):
+            assert_same_result(res, self.reference(cfg, pts, res.ts_ns))
+
+    @pytest.mark.parametrize("algorithm", list(ClusterAlgorithm))
+    def test_closing_push_clusters_nothing(self, monkeypatch, algorithm):
+        cfg = self.cfg(algorithm)
+        frames = source_frames(4, seed=1)
+        results, close_calls, total = self.run(monkeypatch, cfg, frames)
+        assert close_calls == [0, 0, 0]
+        assert total == 4
+        self.check_results(cfg, results, frames)
+
+    def test_frame_after_early_try_joins_close(self, monkeypatch):
+        # window 0's last frame (c at 406 ms) releases the early try; an
+        # extra frame from a at 450 ms adds points to the window, so the
+        # close clusters it with them
+        cfg = self.cfg()
+        frames = source_frames(2, seed=2)
+        extra = (450_000_000, "a", positions((0.5, 0.5, 0.0), (1, 0.5, 0),
+                                             (0.5, 1, 0), (0.5, 0.5, 0.5)))
+        frames.insert(next(i for i, f in enumerate(frames)
+                           if f[0] > extra[0]), extra)
+        results, close_calls, total = self.run(monkeypatch, cfg, frames)
+        assert close_calls == [1]
+        assert total == 3          # window 0 early and on close, window 1
+        self.check_results(cfg, results, frames)
+        assert len(results[0].labels) == len(window_points(frames)[0])
+
+    def test_silent_source_resumes_within_one_window(self, monkeypatch):
+        # c sends nothing from 0.5 s on: window 1 still waits for it and
+        # is clustered on close; from window 2 on c is silent
+        cfg = self.cfg()
+        frames = source_frames(5, seed=3, silent_from={"c": WINDOW_NS})
+        results, close_calls, total = self.run(monkeypatch, cfg, frames)
+        assert close_calls == [0, 1, 0, 0]
+        assert total == 5
+        self.check_results(cfg, results, frames)
+
+    def test_pushes_without_source_keep_results(self, monkeypatch):
+        cfg = self.cfg()
+        frames = source_frames(4, seed=4)
+        results, close_calls, total = self.run(monkeypatch, cfg, frames,
+                                               with_source=False)
+        assert close_calls == [1, 1, 1]
+        assert total == 4
+        self.check_results(cfg, results, frames)
+        early, _, _ = self.run(monkeypatch, cfg, frames)
+        for got, want in zip(early, results, strict=True):
+            assert got.ts_ns == want.ts_ns
+            assert_same_result(got, want)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from radarfuse import cli, recording, simulation, telemetry
+from radarfuse import cli, clustering, recording, simulation, telemetry
 from radarfuse.clustering import ClusterAlgorithm
 from radarfuse.config import (ConfigError, load_config, load_scenario,
                               paper_config_doc)
@@ -225,6 +225,13 @@ def sim_log(tmp_path_factory):
     return log, truth
 
 
+@pytest.fixture(scope="module")
+def paper_log(tmp_path_factory):
+    log = tmp_path_factory.mktemp("paperlog") / "paper.log"
+    simulate(simulation.paper_scenario(seed=7), log)
+    return log
+
+
 class TestPipeline:
     def test_structural_build(self):
         pipe = Pipeline(load_config(paper_config_doc()))
@@ -281,6 +288,37 @@ class TestPipeline:
         states = [p for t, p in first if t.endswith("/state")]
         assert states == [telemetry.serialize_status(s) for s in statuses]
         assert len(states) > 1
+
+    def test_windows_clustered_before_closing_record(self, monkeypatch,
+                                                     paper_log):
+        # each window of the paper log is clustered once, by an earlier
+        # record than the one that closes it; the last is closed by the
+        # flush, whose frames it holds
+        pipe = Pipeline(load_config(paper_config_doc()))
+        record = 0
+        clustered, closed = [], []
+        dbscan = clustering._dbscan
+
+        def counted(*args):
+            clustered.append(record)
+            return dbscan(*args)
+
+        monkeypatch.setattr(clustering, "_dbscan", counted)
+        push = pipe.clusterer.push
+
+        def closing(*args):
+            out = push(*args)
+            closed.extend([record] * len(out))
+            return out
+
+        pipe.clusterer.push = closing
+        for record, rec in enumerate(
+                recording.replay(paper_log, as_fast_as_possible=True)):
+            pipe.feed_record(rec)
+        pipe.flush()
+        assert len(closed) == 228
+        assert len(clustered) == 229
+        assert all(c < r for c, r in zip(clustered, closed))
 
     def test_source_error_propagates(self):
         def bad_records():

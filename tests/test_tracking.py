@@ -11,8 +11,7 @@ from _reference import brute_associate, brute_track_step
 from radarfuse.tracking import (EventKind, NonPSDCovariance,
                                 OutOfOrderWindow, TargetTrack, Tracker,
                                 TrackerConfig, TrackStatus, associate, birth,
-                                gated_distances, min_eigenvalue, predict,
-                                update)
+                                min_eigenvalue, predict, update)
 
 SEC = 1_000_000_000
 
@@ -48,7 +47,8 @@ class TestPredict:
 def match(tracks, centroids, cfg):
     """``associate`` over the tracks' positions, as (track_id, centroid
     index) pairs, and the unmatched centroid indices."""
-    positions = np.array([t.position for t in tracks]).reshape(-1, 3)
+    positions = [t.position.tolist() for t in tracks]
+    centroids = np.asarray(centroids, dtype=float).reshape(-1, 3).tolist()
     matches, unmatched = associate(positions, [t.track_id for t in tracks],
                                    centroids, cfg)
     return [(tracks[i].track_id, ci) for i, ci in matches], unmatched
@@ -56,15 +56,16 @@ def match(tracks, centroids, cfg):
 
 class TestGate:
     def test_zero_distance(self):
-        d = gated_distances([(0, 0, 0)], [(0, 0, 0)], TrackerConfig())
-        assert d[0, 0] == 0.0
+        assert associate([(0.0, 0.0, 0.0)], [7], [(0.0, 0.0, 0.0)],
+                         TrackerConfig()) == ([(0, 0)], [])
 
     def test_boundary_inclusive(self):
+        # a centroid exactly gate_distance away matches; 1e-9 beyond, not
         cfg = TrackerConfig(gate_distance=1.0)
-        d = gated_distances([(0, 0, 0)], [(1.0, 0, 0), (1.0 + 1e-9, 0, 0)],
-                            cfg)
-        assert d[0, 0] == 1.0
-        assert d[0, 1] == float("inf")
+        track = [(0.0, 0.0, 0.0)]
+        assert associate(track, [0], [(1.0, 0.0, 0.0)], cfg) == ([(0, 0)], [])
+        assert associate(track, [0], [(1.0 + 1e-9, 0.0, 0.0)], cfg) == \
+            ([], [0])
 
 
 class TestUpdate:
