@@ -8,10 +8,13 @@ truth md5.  Under it, one indented line per ``replay --fast`` of that
 log with the paper config: clustering algorithm, status JSONL md5 and
 event JSONL md5 (DBSCAN and OPTICS for the paper scenario, DBSCAN for
 the clutter variant), and under that the md5 of the tracker: the state
-bytes and the 6x6 ``covariance`` bytes (the per-axis block laid out on
-every axis) of every track in every snapshot ``Tracker.step``
-returned, so a last-bit drift in a filter shows even where the counts
-and dwell times do not.  A config file chooses each algorithm, as it
+bytes and the 6x6 covariance bytes of every track in every snapshot
+``Tracker.step`` returned, so a last-bit drift in a filter shows even
+where the counts and dwell times do not.  A track keeps its covariance
+as one per-axis block, ``axis_cov = (a, b, c)``; ``covariance_bytes``
+lays it out on the 6x6, ``((a, b), (b, c))`` on each axis and zero
+across axes, so the digests keep the bytes of the 6x6 filter they were
+first taken from.  A config file chooses each algorithm, as it
 does for a deployment: ``paper_config_doc(algorithm)`` is dumped to
 ``<algorithm>.yaml`` and passed as ``--config``.  Run it on two
 checkouts and diff the output to show that a change keeps the logs and
@@ -40,6 +43,7 @@ import hashlib
 import pathlib
 import tempfile
 
+import numpy as np
 import yaml
 
 from radarfuse import cli
@@ -66,6 +70,15 @@ def md5(path):
     return hashlib.md5(path.read_bytes()).hexdigest()
 
 
+def covariance_bytes(axis_cov):
+    """The bytes of the 6x6 covariance of a track's ``axis_cov``."""
+    a, b, c = axis_cov
+    p = np.zeros((6, 6))
+    for axis in range(3):
+        p[axis::3, axis::3] = ((a, b), (b, c))
+    return p.tobytes()
+
+
 def replay(config, log, status, events):
     """``replay --fast --config config`` of ``log``; returns the tracker
     md5."""
@@ -76,7 +89,7 @@ def replay(config, log, status, events):
         snapshot, track_events = step(tracker, centroids, ts_ns)
         for track in snapshot:
             digest.update(track.state.tobytes())
-            digest.update(track.covariance.tobytes())
+            digest.update(covariance_bytes(track.axis_cov))
         return snapshot, track_events
 
     Tracker.step = digested_step

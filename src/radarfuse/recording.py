@@ -177,10 +177,6 @@ def _header(docs, path) -> dict:
     return header
 
 
-def read_header(path) -> dict:
-    return _header(read_jsonl(path), path)
-
-
 def replay(path, speed: float = 1.0, as_fast_as_possible: bool = False,
            sleep=time.sleep):
     """Iterate the LogRecords of ``path``, paced by timestamp deltas / speed.

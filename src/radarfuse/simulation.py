@@ -12,17 +12,18 @@ Trajectories are arrays: :func:`walker_positions` and
 :func:`walker_motion` (positions and velocities) evaluate a walker's
 path over a whole array of times, NaN before entry.  A scenario
 renders ``_CHUNK_TICKS`` ticks at a time, so a render's memory is
-bounded by the chunk, not by the duration.  Each radar's ticks get every walker's position, velocity,
-radial speed and field-of-view check a chunk at a time, and the ticks
-of all radars are merged in ``(timestamp, radar id)`` order.  Per tick
-only the seeded draws run, and the rotation of the tick's rows into its
-radar's frame (one product over a whole chunk can differ from it in the
-last bit on some BLAS builds).  The row arithmetic, the spherical
-conversion, the quantisation and the encodability mask run once per
-chunk.  A :class:`SimFrame` holds a tick's kept points as the ``(n, 5)``
-point array of :mod:`radarfuse.tlv`; :func:`simulate` packs the chunk's
-raw values with :func:`tlv.pack_raw` instead, so each point is
-quantised once.
+bounded by the chunk, not by the duration.  Each radar's ticks get
+every walker's position, velocity, radial speed and field-of-view
+check a chunk at a time, and the ticks of all radars are merged in
+``(timestamp, radar id)`` order.  Per tick only the seeded draws run,
+and the rotation of the tick's rows into its radar's frame (one
+product over a whole chunk can differ from it in the last bit on some
+BLAS builds).  The row arithmetic, the spherical conversion, the
+quantisation and the encodability mask run once per chunk.
+:func:`_chunks` yields each chunk's ``(n, 5)`` point array of
+:mod:`radarfuse.tlv` with each row's walker, and :func:`simulate`
+packs the chunk's kept raw values with :func:`tlv.pack_raw`, so each
+point is quantised once.
 
 Everything is driven by one seeded generator in a fixed iteration
 order, so a scenario renders to byte-identical logs every run.
@@ -193,14 +194,6 @@ def walker_motion(w: WalkerSpec, times, h: float = 0.02):
     return xy[:n], vel
 
 
-@dataclass(frozen=True)
-class SimFrame:
-    radar_id: str
-    ts_ns: int
-    points: np.ndarray     # (n, 5) point array, layout in radarfuse.tlv
-    labels: tuple          # "walker:<id>" | "ghost", one per row of points
-
-
 # ticks rendered together, in timestamp order over all radars and, for
 # each radar's walker paths, in time order: the array work of a chunk is
 # one call, and a render holds a chunk's arrays, not the scenario's.
@@ -361,21 +354,6 @@ def _chunks(sc: Scenario):
         yield ([(int(round(tick.t * 1e9)), tick.radar_id, a, b)
                 for tick, a, b in zip(chunk, bounds, bounds[1:])],
                points, raw, keep, owner)
-
-
-def simulate_frames(sc: Scenario):
-    """Yield labeled SimFrames for every radar tick, in timestamp order."""
-    validate_scenario(sc)
-    names = [f"walker:{w.walker_id}"
-             for w in sorted(sc.walkers, key=lambda w: w.walker_id)]
-    names.append("ghost")  # owner -1
-    for ticks, points, _, keep, owner in _chunks(sc):
-        for ts_ns, radar_id, a, b in ticks:
-            kept = keep[a:b]
-            yield SimFrame(radar_id=radar_id, ts_ns=ts_ns,
-                           points=points[a:b][kept],
-                           labels=tuple(names[i]
-                                        for i in owner[a:b][kept].tolist()))
 
 
 def ground_truth_series(sc: Scenario, tick: float = 0.5):

@@ -127,11 +127,16 @@ def pack_tlv(records: bytes, type_id: int = COMPRESSED_POINTS_TYPE_ID) -> bytes:
 def encode_points(points, type_id: int = COMPRESSED_POINTS_TYPE_ID) -> bytes:
     """Header plus packed point records, inverse of :func:`decode_points`.
 
-    ``points`` is an ``(n, 5)`` point array.  A value whose raw integer
-    does not fit its field, NaN and infinity included, raises
-    :class:`ValueOutOfRange` for the first such point and, within it,
-    the first such field in wire order."""
-    points = np.asarray(points, dtype=float).reshape(-1, 5)
+    ``points`` is an ``(n, 5)`` point array, or empty; any other shape
+    raises ``ValueError``.  A value whose raw integer does not fit its
+    field, NaN and infinity included, raises :class:`ValueOutOfRange`
+    for the first such point and, within it, the first such field in
+    wire order."""
+    points = np.asarray(points, dtype=float)
+    if points.size == 0:
+        points = points.reshape(0, 5)
+    elif points.ndim != 2 or points.shape[1] != 5:
+        raise ValueError(f"points of shape {points.shape}, expected (n, 5)")
     raw = quantize(points)
     bad = ~((raw >= RAW_LO) & (raw <= RAW_HI))
     if bad.any():

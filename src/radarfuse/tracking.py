@@ -8,23 +8,24 @@ position itself, so the update step is the linear Kalman form.
 The birth covariance, Q and R are isotropic and H = [I 0], so the 6x6
 covariance stays three equal 2x2 blocks, one per axis, with no
 cross-axis terms: the axes are decoupled coordinates.  A track keeps
-that block as ``axis_cov = (p_pp, p_pv, p_vv)``; ``covariance`` lays
-it out on the 6x6 as a read-only array.  Predict, the Joseph-form
-update, the PSD check (the closed-form 2x2 minimum eigenvalue) and the
-velocity clamp run per track in Python floats, through one set of
-per-axis helpers that ``Tracker.step`` and the one-track ``predict``
-and ``update`` share.  The window's centroids arrive as one ``(k, 3)``
-array; association is greedy globally-nearest over the gated track x
-centroid pairs, their distances taken in Python floats in the
-subtraction and summation order of
-:func:`radarfuse.geometry.sq_distances`.  Tracks are never mutated
-once built, so a snapshot returned by ``Tracker.step`` stays as it was.
+that block as ``axis_cov = (p_pp, p_pv, p_vv)``.  Predict, the
+Joseph-form update, the PSD check (the closed-form 2x2 minimum
+eigenvalue) and the velocity clamp run per track in Python floats, in
+the per-axis helpers ``_predict_axes`` and ``_update_axes`` that
+``Tracker.step`` runs; where an update loses positive
+semi-definiteness, the step restarts that track at its measurement.
+The window's centroids arrive as one ``(k, 3)`` array; association is
+greedy globally-nearest over the gated track x centroid pairs, their
+distances taken in Python floats in the subtraction and summation
+order of :func:`radarfuse.geometry.sq_distances`.  Tracks are never
+mutated once built, so a snapshot returned by ``Tracker.step`` stays
+as it was.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -33,10 +34,6 @@ VELOCITY_CLAMP = 10.0  # m/s, sanity bound on |v|
 
 
 class OutOfOrderWindow(ValueError):
-    pass
-
-
-class NonPSDCovariance(AssertionError):
     pass
 
 
@@ -69,25 +66,6 @@ class TargetTrack:
     status: TrackStatus
     hits: int
     last_update_ns: int
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.state[:3]
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.state[3:]
-
-    @property
-    def covariance(self) -> np.ndarray:
-        """The 6x6 covariance: ``axis_cov`` on each axis, zero across
-        axes; read-only."""
-        a, b, c = self.axis_cov
-        p = np.zeros((6, 6))
-        for axis in range(3):
-            p[axis::3, axis::3] = ((a, b), (b, c))
-        p.flags.writeable = False
-        return p
 
 
 class EventKind(str, Enum):
@@ -166,25 +144,6 @@ def _hit(track: TargetTrack, state, cov, ts_ns: int,
     hits = track.hits + 1
     status = TrackStatus.CONFIRMED if hits >= cfg.confirm_hits else track.status
     return TargetTrack(track.track_id, state, cov, status, hits, ts_ns)
-
-
-def predict(track: TargetTrack, dt: float, cfg: TrackerConfig) -> TargetTrack:
-    """``track`` propagated by dt seconds of constant velocity."""
-    state, cov = _predict_axes(track.state.tolist(), track.axis_cov, dt, cfg)
-    return replace(track, state=np.array(state), axis_cov=cov)
-
-
-def update(track: TargetTrack, centroid_pos, ts_ns: int,
-           cfg: TrackerConfig) -> TargetTrack:
-    """``track`` after its Kalman update with a measured position;
-    raises NonPSDCovariance where the updated covariance lost positive
-    semi-definiteness."""
-    z = np.asarray(centroid_pos, dtype=float).reshape(3).tolist()
-    state, cov, psd = _update_axes(track.state.tolist(), track.axis_cov, z,
-                                   cfg)
-    if not psd:
-        raise NonPSDCovariance("covariance lost positive semi-definiteness")
-    return _hit(track, np.array(state), cov, ts_ns, cfg)
 
 
 def birth(pos, cfg: TrackerConfig):

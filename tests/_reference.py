@@ -3,19 +3,25 @@
 These deliberately avoid the package's own data structures and
 shortcuts (no grid hash, no seed lists): plain O(n^2) definitions
 straight from the textbook semantics, kept simple enough to audit by
-eye.
+eye.  The tracker oracle is the textbook 6x6 filter: it lays each
+track's per-axis block out with :func:`six_by_six` and raises its own
+:class:`NonPSDCovariance` where an update loses positive
+semi-definiteness, which ``Tracker.step`` answers by restarting the
+track.  :func:`labelled_frames` reads the simulator's labelled frames
+for the tests that score filters against them.
 """
 
 import math
 import struct
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
+from radarfuse import simulation
 from radarfuse.tlv import WIRE_SCALES
-from radarfuse.tracking import (VELOCITY_CLAMP, EventKind, NonPSDCovariance,
-                                OutOfOrderWindow, TargetTrack, TrackEvent,
-                                TrackStatus)
+from radarfuse.tracking import (VELOCITY_CLAMP, EventKind, OutOfOrderWindow,
+                                TargetTrack, TrackEvent, TrackStatus)
 
 NOISE = -1
 
@@ -244,6 +250,45 @@ def brute_walker_position(w, t: float):
     return _polyline_pos(w.waypoints, w.speed * travel)
 
 
+class LabelledFrame(NamedTuple):
+    radar_id: str
+    ts_ns: int
+    points: np.ndarray     # (n, 5) point array, layout in radarfuse.tlv
+    labels: tuple          # "walker:<id>" | "ghost", one per row of points
+
+
+def labelled_frames(sc):
+    """The kept points of every radar tick of a scenario, in timestamp
+    order, each row labelled with the walker that shed it or "ghost":
+    the frames :func:`simulation.simulate` writes, read from its chunks
+    before they are quantised.  An invalid scenario raises
+    :class:`simulation.InvalidScenario` before the first frame."""
+    simulation.validate_scenario(sc)
+    names = [f"walker:{w.walker_id}"
+             for w in sorted(sc.walkers, key=lambda w: w.walker_id)]
+    names.append("ghost")  # owner -1
+    for ticks, points, _, keep, owner in simulation._chunks(sc):
+        for ts_ns, radar_id, a, b in ticks:
+            kept = keep[a:b]
+            yield LabelledFrame(radar_id, ts_ns, points[a:b][kept],
+                                tuple(names[i]
+                                      for i in owner[a:b][kept].tolist()))
+
+
+class NonPSDCovariance(AssertionError):
+    pass
+
+
+def six_by_six(axis_cov):
+    """The 6x6 covariance of a track's per-axis block ``(p_pp, p_pv,
+    p_vv)``: the block on each axis, zero across axes."""
+    a, b, c = axis_cov
+    p = np.zeros((6, 6))
+    for axis in range(3):
+        p[axis::3, axis::3] = ((a, b), (b, c))
+    return p
+
+
 def _brute_check_psd(p):
     if np.min(np.linalg.eigvalsh(p)) < -1e-9:
         raise NonPSDCovariance("covariance lost positive semi-definiteness")
@@ -288,14 +333,14 @@ def brute_predict(track, dt, cfg):
         q[a, a] = q11
         q[a, a + 3] = q[a + 3, a] = q12
         q[a + 3, a + 3] = q22
-    cov = _matmul(_matmul(f, track.covariance), f.T) + q
+    cov = _matmul(_matmul(f, six_by_six(track.axis_cov)), f.T) + q
     return replace(track, state=_matmul(f, track.state[:, None])[:, 0],
                    axis_cov=_axis_block(0.5 * (cov + cov.T)))
 
 
 def brute_update(track, centroid_pos, ts_ns, cfg):
     """Joseph-form Kalman update of one track with z = position."""
-    p = track.covariance
+    p = six_by_six(track.axis_cov)
     r = cfg.measurement_noise ** 2 * np.eye(3)
     innovation = np.asarray(centroid_pos, dtype=float) - track.state[:3]
     k = _matmul(p[:, :3], np.linalg.inv(p[:3, :3] + r))

@@ -30,13 +30,13 @@ from radarfuse.filtering import (BufferConfig, BufferFilter, ThresholdConfig,
 from radarfuse.geometry import Pose, TransformTree
 from radarfuse.occupancy import CellState, cell_tick
 from radarfuse.simulation import (NoiseSpec, RadarSpec, Scenario, WalkerSpec,
-                                  evaluate, simulate_frames)
+                                  evaluate)
 from radarfuse.telemetry import MqttConfig, Publisher, serialize_status
 from radarfuse.occupancy import OccupancyEvent, ZoneStatus
-from radarfuse.tracking import (TargetTrack, TrackerConfig, TrackStatus,
-                                predict, update)
+from radarfuse.tracking import TrackerConfig, _predict_axes, _update_axes
 
-from _reference import brute_dbscan, core_partition, reference_hysteresis
+from _reference import (brute_dbscan, core_partition, labelled_frames,
+                        reference_hysteresis, six_by_six)
 
 SEC = 1_000_000_000
 
@@ -186,29 +186,32 @@ def test_criterion_05_geometry_inverse_round_trip():
     assert worst <= 1e-9
 
 
+def filter_update(state, cov, z, cfg):
+    """One Kalman update of ``Tracker.step``'s per-axis filter; the
+    block must stay PSD, since the step would restart the track."""
+    state, cov, psd = _update_axes(state, cov, list(z), cfg)
+    assert psd
+    return state, cov
+
+
 def test_criterion_06_tracker_filter_consistency():
     # scalar identity case: unit prior, unit measurement noise -> 0.5/0.5
     cfg = TrackerConfig(measurement_noise=1.0)
-    track = TargetTrack(track_id=0, state=np.zeros(6),
-                        axis_cov=(1.0, 0.0, 1.0),
-                        status=TrackStatus.CONFIRMED, hits=1, last_update_ns=0)
     z = np.array([1.0, 0.0, 0.0])
-    post = update(track, z, SEC, cfg)
-    assert abs(post.state[0] - 0.5) <= 1e-12
-    assert abs(post.covariance[0, 0] - 0.5) <= 1e-12
+    state, cov = filter_update([0.0] * 6, (1.0, 0.0, 1.0), z, cfg)
+    assert abs(state[0] - 0.5) <= 1e-12
+    assert abs(six_by_six(cov)[0, 0] - 0.5) <= 1e-12
 
     # noise-free convergence after 3 updates
     cfg = TrackerConfig(process_noise_accel=1e-6, measurement_noise=1e-6)
-    track = TargetTrack(track_id=0, state=np.zeros(6),
-                        axis_cov=(1.0, 0.0, 1.0),
-                        status=TrackStatus.CONFIRMED, hits=1, last_update_ns=0)
+    state, cov = [0.0] * 6, (1.0, 0.0, 1.0)
     errors = []
     for k in range(1, 9):
         truth = np.array([0.3 * k, -0.1 * k, 0.0])
-        track = predict(track, 1.0, cfg)
-        track = update(track, truth, k * SEC, cfg)
-        errors.append(float(np.linalg.norm(track.position - truth)))
-        assert np.min(np.linalg.eigvalsh(track.covariance)) >= -1e-9
+        state, cov = _predict_axes(state, cov, 1.0, cfg)
+        state, cov = filter_update(state, cov, truth, cfg)
+        errors.append(float(np.linalg.norm(np.array(state[:3]) - truth)))
+        assert np.min(np.linalg.eigvalsh(six_by_six(cov))) >= -1e-9
     assert errors[-1] < 1e-6
     for a, b in zip(errors[2:], errors[3:]):
         assert b <= a + 1e-12
@@ -233,22 +236,19 @@ def test_criterion_06_tracker_filter_consistency():
     for _ in range(500):
         truth = np.zeros(6)
         truth[3:] = rng.uniform(-1, 1, 3)
-        track = TargetTrack(
-            track_id=0, state=np.concatenate([truth[:3] + rng.normal(0, 0.2, 3),
-                                              np.zeros(3)]),
-            axis_cov=(0.04, 0.0, 1.0),
-            status=TrackStatus.CONFIRMED, hits=1, last_update_ns=0)
+        state = [*(truth[:3] + rng.normal(0, 0.2, 3)), 0.0, 0.0, 0.0]
+        cov = (0.04, 0.0, 1.0)
         for k in range(12):
             truth = f @ truth + rng.multivariate_normal(np.zeros(6), q)
             z = truth[:3] + rng.normal(0, cfg.measurement_noise, 3)
-            track = predict(track, dt, cfg)
-            innov = z - h @ track.state
-            s = h @ track.covariance @ h.T + r
+            state, cov = _predict_axes(state, cov, dt, cfg)
+            innov = z - h @ np.array(state)
+            s = h @ six_by_six(cov) @ h.T + r
             nis = float(innov @ np.linalg.solve(s, innov))
             in_band += int(lo <= nis <= hi)
             total += 1
-            track = update(track, z, (k + 1) * SEC, cfg)
-            assert np.min(np.linalg.eigvalsh(track.covariance)) >= -1e-9
+            state, cov = filter_update(state, cov, z, cfg)
+            assert np.min(np.linalg.eigvalsh(six_by_six(cov))) >= -1e-9
     assert in_band / total >= 0.90
 
 
@@ -279,7 +279,7 @@ def test_criterion_07_ghost_robustness():
         return [lab for r, lab in zip(rows.tolist(), labels)
                 if tuple(r) in out]
 
-    for frame in simulate_frames(sc):
+    for frame in labelled_frames(sc):
         labels = ["ghost" if lab == "ghost" else "walker"
                   for lab in frame.labels]
         kept = threshold_filter(frame.points, ThresholdConfig())

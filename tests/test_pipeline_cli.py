@@ -379,8 +379,8 @@ class TestCli:
                       "--truth", str(tmp_path / "t.jsonl"), "--seed", "1"])
         # the paper scenario takes a while; use header check only
         assert rc == 0
-        assert recording.read_header(out)["radars"] == ["ceiling", "wall_a",
-                                                        "wall_b"]
+        _, header = next(recording.read_jsonl(out))
+        assert header["radars"] == ["ceiling", "wall_a", "wall_b"]
 
     @pytest.mark.parametrize("value", [".nan", ".inf"])
     def test_non_finite_scenario_exit_2(self, tmp_path, capsys, value):

@@ -5,7 +5,7 @@ import pytest
 from radarfuse import recording
 from radarfuse.recording import (FORMAT_NAME, FORMAT_VERSION, FormatError,
                                  LogRecord, Recorder, VersionMismatch,
-                                 read_header, replay)
+                                 read_jsonl, replay)
 
 
 def write_log(path, records, radars=("r0",)):
@@ -39,7 +39,8 @@ def test_round_trip_byte_identical(tmp_path):
 def test_header_contents(tmp_path):
     p = tmp_path / "a.jsonl"
     write_log(p, [], radars=["b", "a"])
-    h = read_header(p)
+    assert list(replay(p, as_fast_as_possible=True)) == []
+    _, h = next(read_jsonl(p))
     assert h["format"] == FORMAT_NAME
     assert h["version"] == FORMAT_VERSION
     assert h["radars"] == ["a", "b"]
@@ -144,7 +145,7 @@ def test_not_a_log(tmp_path):
     p = tmp_path / "a.jsonl"
     p.write_text('{"format":"something-else","version":1}\n')
     with pytest.raises(FormatError):
-        read_header(p)
+        replay(p)
 
 
 @pytest.mark.parametrize("header", [
@@ -157,7 +158,7 @@ def test_bad_header_radars(tmp_path, header):
     p = tmp_path / "a.jsonl"
     p.write_text(json.dumps(header) + "\n")
     with pytest.raises(FormatError) as ei:
-        read_header(p)
+        replay(p)
     assert ei.value.line_no == 1
 
 
@@ -165,7 +166,7 @@ def test_version_mismatch(tmp_path):
     p = tmp_path / "a.jsonl"
     p.write_text(json.dumps({"format": FORMAT_NAME, "version": 99}) + "\n")
     with pytest.raises(VersionMismatch):
-        read_header(p)
+        replay(p)
     # VersionMismatch is a FormatError, so one except clause covers both
     assert issubclass(VersionMismatch, FormatError)
 
@@ -210,7 +211,8 @@ def test_header_is_first_non_blank_line(tmp_path):
     p = tmp_path / "a.jsonl"
     write_log(p, SAMPLE)
     p.write_text("\n \n" + p.read_text())
-    assert read_header(p)["radars"] == ["r0"]
+    line_no, header = next(read_jsonl(p))
+    assert (line_no, header["radars"]) == (3, ["r0"])
     assert list(replay(p, as_fast_as_possible=True)) == SAMPLE
     p.write_text('\n{"format":"something-else","version":1}\n')
     with pytest.raises(FormatError) as ei:

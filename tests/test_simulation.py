@@ -14,11 +14,11 @@ from radarfuse.simulation import (EmptySeries, InvalidScenario, NoiseSpec,
                                   _encodable, _moving_average,
                                   _radial_speeds, _step_sample,
                                   evaluate, ground_truth_series,
-                                  paper_scenario, simulate, simulate_frames,
-                                  walker_motion, walker_positions)
+                                  paper_scenario, simulate, walker_motion,
+                                  walker_positions)
 
-from _reference import (brute_walker_position, loop_moving_average,
-                        loop_step_sample)
+from _reference import (brute_walker_position, labelled_frames,
+                        loop_moving_average, loop_step_sample)
 
 
 def overhead_radar(**kw):
@@ -139,14 +139,14 @@ def test_walker_positions_match_brute_force(case):
 class TestValidation:
     def test_no_radars(self):
         with pytest.raises(InvalidScenario, match="radars"):
-            list(simulate_frames(Scenario(radars=(), duration=1.0)))
+            list(labelled_frames(Scenario(radars=(), duration=1.0)))
 
     def test_waypoint_out_of_room(self):
         sc = Scenario(radars=(overhead_radar(),),
                       walkers=(one_walker(waypoints=((1.0, 1.0), (99.0, 1.0))),),
                       duration=1.0)
         with pytest.raises(InvalidScenario, match=r"walkers\[0\].waypoints\[1\]"):
-            list(simulate_frames(sc))
+            list(labelled_frames(sc))
 
     def test_negative_sigma(self):
         bad = [({"noise": NoiseSpec(pos_sigma=-1.0)}, "noise.pos_sigma"),
@@ -163,7 +163,7 @@ class TestValidation:
             sc = Scenario(**{"radars": (overhead_radar(),), "duration": 1.0,
                              **kw})
             with pytest.raises(InvalidScenario, match=path):
-                list(simulate_frames(sc))
+                list(labelled_frames(sc))
 
     @pytest.mark.parametrize("kw,path", [
         pytest.param({"radars": (overhead_radar(),
@@ -227,7 +227,7 @@ def test_non_finite_number_rejected(path, value, tmp_path):
     sc = with_value(good, re.findall(r"\w+|\[\d+\]", path), value)
     with pytest.raises(InvalidScenario,
                        match=f"^{re.escape(path)}: must be finite$"):
-        list(simulate_frames(sc))
+        list(labelled_frames(sc))
     log = tmp_path / "sim.log"
     with pytest.raises(InvalidScenario):
         simulate(sc, log)
@@ -265,21 +265,21 @@ class TestFrameGeneration:
                       walkers=(one_walker(waypoints=((0.5, 0.05),)),),
                       noise=quiet_noise(), doppler_zero_suppression=False,
                       duration=2.0, seed=1)
-        assert all(len(f.points) == 0 for f in simulate_frames(sc))
+        assert all(len(f.points) == 0 for f in labelled_frames(sc))
 
     def test_suppression_hides_stationary_walker(self):
         sc = Scenario(radars=(overhead_radar(),),
                       walkers=(one_walker(waypoints=((3.0, 3.0),)),),
                       noise=quiet_noise(), doppler_zero_suppression=True,
                       duration=2.0, seed=1)
-        assert all(len(f.points) == 0 for f in simulate_frames(sc))
+        assert all(len(f.points) == 0 for f in labelled_frames(sc))
 
     def test_suppression_off_shows_stationary_walker(self):
         sc = Scenario(radars=(overhead_radar(),),
                       walkers=(one_walker(waypoints=((3.0, 3.0),)),),
                       noise=quiet_noise(), doppler_zero_suppression=False,
                       duration=2.0, seed=1)
-        frames = list(simulate_frames(sc))
+        frames = list(labelled_frames(sc))
         assert any(len(f.points) for f in frames)
         for f in frames:
             assert all(lab == "walker:0" for lab in f.labels)
@@ -288,7 +288,7 @@ class TestFrameGeneration:
         sc = Scenario(radars=(overhead_radar(),),
                       walkers=(one_walker(),), noise=quiet_noise(),
                       doppler_zero_suppression=False, duration=3.0, seed=1)
-        for f in simulate_frames(sc):
+        for f in labelled_frames(sc):
             if len(f.points) == 0:
                 continue
             t = f.ts_ns / 1e9
@@ -304,14 +304,14 @@ class TestFrameGeneration:
     def test_ghost_labels(self):
         sc = Scenario(radars=(overhead_radar(),), walkers=(),
                       noise=quiet_noise(ghost_rate=3.0), duration=2.0, seed=1)
-        labels = [lab for f in simulate_frames(sc) for lab in f.labels]
+        labels = [lab for f in labelled_frames(sc) for lab in f.labels]
         assert labels and set(labels) == {"ghost"}
 
     def test_frames_sorted_and_labels_aligned(self):
         sc = paper_scenario(seed=2)
         sc = Scenario(radars=sc.radars, walkers=sc.walkers, noise=sc.noise,
                       duration=3.0, seed=2)
-        frames = list(simulate_frames(sc))
+        frames = list(labelled_frames(sc))
         ts = [f.ts_ns for f in frames]
         assert ts == sorted(ts)
         assert {f.radar_id for f in frames} == {"wall_a", "wall_b", "ceiling"}
@@ -347,7 +347,7 @@ def clutter(sc: Scenario) -> Scenario:
 
 
 def render(sc, path):
-    frames = list(simulate_frames(sc))
+    frames = list(labelled_frames(sc))
     simulate(sc, path)
     return frames, path.read_bytes()
 

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 
 import numpy as np
@@ -111,6 +112,17 @@ class TestEncodePoints:
         with pytest.raises(tlv.ValueOutOfRange) as exc:
             tlv.encode_points([make_point(), bad])
         assert (exc.value.field_name, exc.value.index) == (field, 1)
+
+    @pytest.mark.parametrize("shape", [(5, 4), (4, 5, 1), (20,), (5,)])
+    def test_shape_other_than_n_by_5_rejected(self, shape):
+        # a (5, 4) array has 20 values, a multiple of 5, yet is no point
+        # array: it must not be packed as 4 points with columns scrambled
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            tlv.encode_points(np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 5), (0, 3)])
+    def test_any_empty_array_packs_no_points(self, shape):
+        assert tlv.encode_points(np.ones(shape)) == tlv.encode_points([])
 
     def test_length_matches_count(self):
         pts = [make_point(range_m=i * 0.1) for i in range(5)]

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from _reference import brute_associate, brute_track_step
-from radarfuse.tracking import (EventKind, NonPSDCovariance,
-                                OutOfOrderWindow, TargetTrack, Tracker,
-                                TrackerConfig, TrackStatus, associate, birth,
-                                min_eigenvalue, predict, update)
+from _reference import brute_associate, brute_track_step, six_by_six
+from radarfuse.tracking import (EventKind, OutOfOrderWindow, TargetTrack,
+                                TrackEvent, Tracker, TrackerConfig,
+                                TrackStatus, _predict_axes, _update_axes,
+                                associate, birth, min_eigenvalue)
 
 SEC = 1_000_000_000
 
@@ -24,30 +24,36 @@ def make_track(track_id=0, pos=(0, 0, 0), vel=(0, 0, 0), var=1.0,
                        last_update_ns=ts)
 
 
+def update(state, cov, z, cfg):
+    """(state, axis_cov) after ``_update_axes``, which must keep the
+    block PSD."""
+    state, cov, psd = _update_axes(state, cov, list(z), cfg)
+    assert psd
+    return state, cov
+
+
 class TestPredict:
     def test_constant_velocity(self):
-        t = predict(make_track(pos=(0, 0, 0), vel=(1, 0, 0)), 1.0,
-                    TrackerConfig())
-        np.testing.assert_allclose(t.position, [1, 0, 0])
-        np.testing.assert_allclose(t.velocity, [1, 0, 0])
+        state, _ = _predict_axes([0, 0, 0, 1, 0, 0], (1.0, 0.0, 1.0), 1.0,
+                                 TrackerConfig())
+        np.testing.assert_allclose(state[:3], [1, 0, 0])
+        np.testing.assert_allclose(state[3:], [1, 0, 0])
 
     def test_zero_dt_is_identity(self):
-        orig = make_track(vel=(1, 2, 3))
-        t = predict(orig, 0.0, TrackerConfig())
-        np.testing.assert_array_equal(t.state, orig.state)
-        np.testing.assert_array_equal(t.covariance, orig.covariance)
+        state, cov = [0.0, 0.0, 0.0, 1.0, 2.0, 3.0], (1.0, 0.0, 1.0)
+        assert _predict_axes(state, cov, 0.0, TrackerConfig()) == (state, cov)
 
     def test_trace_grows(self):
         cfg = TrackerConfig(process_noise_accel=2.0)
-        orig = make_track()
-        t = predict(orig, 0.5, cfg)
-        assert np.trace(t.covariance) > np.trace(orig.covariance)
+        cov = (1.0, 0.0, 1.0)
+        _, pred = _predict_axes([0.0] * 6, cov, 0.5, cfg)
+        assert np.trace(six_by_six(pred)) > np.trace(six_by_six(cov))
 
 
 def match(tracks, centroids, cfg):
     """``associate`` over the tracks' positions, as (track_id, centroid
     index) pairs, and the unmatched centroid indices."""
-    positions = [t.position.tolist() for t in tracks]
+    positions = [t.state[:3].tolist() for t in tracks]
     centroids = np.asarray(centroids, dtype=float).reshape(-1, 3).tolist()
     matches, unmatched = associate(positions, [t.track_id for t in tracks],
                                    centroids, cfg)
@@ -72,40 +78,32 @@ class TestUpdate:
     def test_scalar_identity(self):
         # textbook 1D case: prior mean 0 var 1, measurement 1 var 1
         cfg = TrackerConfig(measurement_noise=1.0)
-        track = make_track(var=1.0)
-        out = update(track, (1.0, 0.0, 0.0), SEC, cfg)
-        assert abs(out.state[0] - 0.5) < 1e-12
-        assert abs(out.covariance[0, 0] - 0.5) < 1e-12
+        state, cov = update([0.0] * 6, (1.0, 0.0, 1.0), (1.0, 0.0, 0.0),
+                            cfg)
+        assert abs(state[0] - 0.5) < 1e-12
+        assert abs(six_by_six(cov)[0, 0] - 0.5) < 1e-12
 
     def test_zero_innovation_shrinks_covariance(self):
         cfg = TrackerConfig()
-        track = make_track(pos=(2, 3, 4))
-        out = update(track, (2, 3, 4), SEC, cfg)
-        np.testing.assert_allclose(out.position, [2, 3, 4], atol=1e-12)
-        assert np.trace(out.covariance) < np.trace(track.covariance)
+        prior = (1.0, 0.0, 1.0)
+        state, cov = update([2.0, 3.0, 4.0, 0.0, 0.0, 0.0], prior, (2, 3, 4),
+                            cfg)
+        np.testing.assert_allclose(state[:3], [2, 3, 4], atol=1e-12)
+        assert np.trace(six_by_six(cov)) < np.trace(six_by_six(prior))
 
     def test_huge_measurement_noise_freezes_state(self):
         cfg = TrackerConfig(measurement_noise=1e9)
-        track = make_track(pos=(1, 1, 1))
-        out = update(track, (5, 5, 5), SEC, cfg)
-        np.testing.assert_allclose(out.position, [1, 1, 1], atol=1e-6)
+        state, _ = update([1.0, 1.0, 1.0, 0.0, 0.0, 0.0], (1.0, 0.0, 1.0),
+                          (5, 5, 5), cfg)
+        np.testing.assert_allclose(state[:3], [1, 1, 1], atol=1e-6)
 
     def test_hits_and_confirmation(self):
-        cfg = TrackerConfig(confirm_hits=2)
-        track = make_track(status=TrackStatus.TENTATIVE)
-        out = update(track, (0, 0, 0), SEC, cfg)
+        tr = Tracker(TrackerConfig(confirm_hits=2))
+        tr.step([(0, 0, 0)], 0)
+        (out,), events = tr.step([(0, 0, 0)], SEC)
         assert out.hits == 2
         assert out.status is TrackStatus.CONFIRMED
-
-
-def test_covariance_is_read_only():
-    track = make_track()
-    cov = track.covariance
-    with pytest.raises(ValueError):
-        cov[0, 0] = 7.0
-    with pytest.raises(ValueError):
-        track.covariance[3:, 3:] = np.eye(3)
-    assert track.axis_cov == (1.0, 0.0, 1.0)
+        assert events == [TrackEvent(EventKind.CONFIRMED, 0, SEC)]
 
 
 PSD_THRESHOLD = -1e-9
@@ -136,8 +134,7 @@ def axis_block(draw):
 def test_min_eigenvalue_matches_eigvalsh(block):
     # the closed form the PSD check uses, against LAPACK on the 6x6
     a, b, c = block
-    want = float(np.linalg.eigvalsh(
-        replace(make_track(), axis_cov=block).covariance).min())
+    want = float(np.linalg.eigvalsh(six_by_six(block)).min())
     got = min_eigenvalue(a, b, c)
     margin = 1e-12 * max(abs(a), abs(c), 1.0)
     assert abs(got - want) <= margin
@@ -249,12 +246,12 @@ class TestTrackerStep:
         tr = Tracker(TrackerConfig(confirm_hits=2))
         tr.step([(1, 1, 1)], 0)
         (track,), _ = tr.step([(1.1, 1, 1)], SEC // 2)
-        state, cov = track.state.copy(), track.covariance.copy()
+        state, cov = track.state.copy(), track.axis_cov
         hits, status = track.hits, track.status
         (nxt,), _ = tr.step([(1.2, 1, 1)], SEC)
         assert nxt.hits == hits + 1
         np.testing.assert_array_equal(track.state, state)
-        np.testing.assert_array_equal(track.covariance, cov)
+        assert track.axis_cov == cov
         assert (track.hits, track.status) == (hits, status)
 
     def test_non_psd_covariance_resets_track(self):
@@ -264,8 +261,9 @@ class TestTrackerStep:
         tr.step([(1.1, 1, 1)], SEC // 10)
         # a covariance no update can bring back to PSD
         tr.tracks[0] = replace(tr.tracks[0], axis_cov=(-1.0, 0.0, -1.0))
-        with pytest.raises(NonPSDCovariance):
-            update(predict(tr.tracks[0], 0.1, cfg), (1.2, 1, 1), 0, cfg)
+        predicted = _predict_axes(tr.tracks[0].state.tolist(),
+                                  tr.tracks[0].axis_cov, 0.1, cfg)
+        assert _update_axes(*predicted, [1.2, 1, 1], cfg)[2] is False
         (track,), events = tr.step([(1.2, 1, 1)], 2 * SEC // 10)
         assert tr.covariance_resets == 1
         assert events == []
@@ -325,8 +323,9 @@ def window_sequence(draw):
 
 
 def snapshot_bits(tracks):
-    return [(t.track_id, t.state.tobytes(), t.covariance.tobytes(), t.hits,
-             t.status, t.last_update_ns) for t in tracks]
+    return [(t.track_id, t.state.tobytes(),
+             six_by_six(t.axis_cov).tobytes(), t.hits, t.status,
+             t.last_update_ns) for t in tracks]
 
 
 @settings(max_examples=300, deadline=None)
@@ -358,13 +357,12 @@ def test_step_matches_per_track_reference(case):
 
 def test_noise_free_convergence():
     cfg = TrackerConfig(process_noise_accel=1e-6, measurement_noise=1e-6)
-    track = make_track(pos=(0, 0, 0), vel=(0, 0, 0), var=1.0)
+    state, cov = [0.0] * 6, (1.0, 0.0, 1.0)
     errors = []
     for k in range(1, 9):
         truth = np.array([0.1 * k, 0.2 * k, 0.0])
-        track = predict(track, 1.0, cfg)
-        track = update(track, truth, k * SEC, cfg)
-        errors.append(float(np.linalg.norm(track.position - truth)))
+        state, cov = update(*_predict_axes(state, cov, 1.0, cfg), truth, cfg)
+        errors.append(float(np.linalg.norm(np.subtract(state[:3], truth))))
     assert errors[-1] < 1e-6
     for a, b in zip(errors[2:], errors[3:]):
         assert b <= a + 1e-12
@@ -373,13 +371,15 @@ def test_noise_free_convergence():
 def test_covariance_psd_through_random_sequences():
     rng = np.random.default_rng(17)
     cfg = TrackerConfig()
-    track = make_track(var=0.5)
+    state, cov = [0.0] * 6, (0.5, 0.0, 0.5)
     for k in range(200):
-        track = predict(track, float(rng.uniform(0, 0.6)), cfg)
+        state, cov = _predict_axes(state, cov, float(rng.uniform(0, 0.6)),
+                                   cfg)
         if rng.random() < 0.7:
-            track = update(track, tuple(track.position + rng.normal(0, 0.3, 3)),
-                           k * SEC, cfg)
-        p = track.covariance
+            state, cov = update(state, cov,
+                                np.add(state[:3], rng.normal(0, 0.3, 3)),
+                                cfg)
+        p = six_by_six(cov)
         np.testing.assert_allclose(p, p.T, atol=1e-12)
         assert np.min(np.linalg.eigvalsh(p)) >= -1e-9
 
@@ -405,20 +405,19 @@ def nis_fraction_in_band(runs=500, steps=12, seed=23):
     for _ in range(runs):
         truth = np.zeros(6)
         truth[3:] = rng.uniform(-1, 1, 3)
-        track = replace(make_track(pos=tuple(truth[:3]
-                                             + rng.normal(0, 0.2, 3))),
-                        axis_cov=(0.2 ** 2, 0.0, 1.0))
+        state = [*(truth[:3] + rng.normal(0, 0.2, 3)), 0.0, 0.0, 0.0]
+        cov = (0.2 ** 2, 0.0, 1.0)
         for k in range(steps):
             truth = f @ truth + rng.multivariate_normal(np.zeros(6), q)
             z = truth[:3] + rng.normal(0, cfg.measurement_noise, 3)
-            track = predict(track, dt, cfg)
-            innov = z - h @ track.state
-            s = h @ track.covariance @ h.T + r
+            state, cov = _predict_axes(state, cov, dt, cfg)
+            innov = z - h @ np.array(state)
+            s = h @ six_by_six(cov) @ h.T + r
             nis = float(innov @ np.linalg.solve(s, innov))
             if lo <= nis <= hi:
                 in_band += 1
             total += 1
-            track = update(track, z, (k + 1) * SEC, cfg)
+            state, cov = update(state, cov, z, cfg)
     return in_band / total
 
 
