@@ -40,6 +40,7 @@ from enum import Enum
 import numpy as np
 
 from .geometry import sq_distances
+from .recording import check_duration
 
 NOISE = -1
 
@@ -83,8 +84,7 @@ class ClusterConfig:
     min_pts: int = 4
 
     def __post_init__(self):
-        if self.window_seconds <= 0:
-            raise ValueError("window_seconds must be > 0")
+        check_duration("window_seconds", self.window_seconds, 1e9)
         if self.eps <= 0:
             raise ValueError("eps must be > 0")
         if self.min_pts < 1:
@@ -295,7 +295,7 @@ class WindowClusterer:
     into one array as they arrive; under DBSCAN their eps adjacency and
     neighbour counts are built a row block at a time as they arrive too.
 
-    A frame may name its source.  For each source the clusterer keeps
+    Every frame names its source.  For each source the clusterer keeps
     the data time its next frame is due, its last frame's timestamp
     plus the gap before it.  Once no source is due inside the open
     window, it is clustered at once and the result kept; the push that
@@ -322,16 +322,14 @@ class WindowClusterer:
         self.dropped_points = 0
 
     def push(self, ts_ns: int, positions: np.ndarray,
-             source: str | None = None) -> list[ClusterResult]:
+             source: str) -> list[ClusterResult]:
         out = []
         start = ts_ns - ts_ns % self._window_ns
         if self._start is None:
             self._start = start
         elif start > self._start:
             # the windows in between are empty: jump to the one holding ts_ns
-            res = self._close_window()
-            if res is not None:
-                out.append(res)
+            out = self._close_window()
             self._start = start
         room = MAX_WINDOW_POINTS - self._points
         if len(positions) > room:
@@ -344,17 +342,15 @@ class WindowClusterer:
             self._early = None
             if self._adjacency is not None:
                 self._adjacency.extend(self._positions[:end])
-        if source is not None:
-            last = self._last.get(source, ts_ns)
-            self._last[source] = ts_ns
-            due = self._due[source] = 2 * ts_ns - last
-            # the window stays open while this source is due inside it
-            end = self._start + self._window_ns
-            if due >= end and not self._tried and self._points:
-                if all(not self._start <= d < end
-                       for d in self._due.values()):
-                    self._tried = True
-                    self._early = self._cluster()
+        last = self._last.get(source, ts_ns)
+        self._last[source] = ts_ns
+        due = self._due[source] = 2 * ts_ns - last
+        # the window stays open while this source is due inside it
+        end = self._start + self._window_ns
+        if due >= end and not self._tried and self._points:
+            if all(not self._start <= d < end for d in self._due.values()):
+                self._tried = True
+                self._early = self._cluster()
         return out
 
     def _cluster(self) -> ClusterResult:
@@ -367,7 +363,8 @@ class WindowClusterer:
         ordering = optics(positions, cfg.min_pts, max(OPTICS_MAX_EPS, cfg.eps))
         return extract_eps_cut(ordering, cfg.eps, positions, ts_ns)
 
-    def _close_window(self):
+    def _close_window(self) -> list[ClusterResult]:
+        """The open window's result, none if it holds no point."""
         res = self._early
         if res is None and self._points:
             res = self._cluster()
@@ -376,8 +373,7 @@ class WindowClusterer:
         self._early = None
         if self._adjacency is not None:
             self._adjacency.clear()
-        return res
+        return [] if res is None else [res]
 
-    def flush(self):
-        res = self._close_window()
-        return [res] if res is not None else []
+    def flush(self) -> list[ClusterResult]:
+        return self._close_window()

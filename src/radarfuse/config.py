@@ -167,8 +167,12 @@ def load_config(path_or_doc) -> PipelineConfig:
             zone_id="room", center=((x0 + x1) / 2, (y0 + y1) / 2),
             len_x=x1 - x0, len_y=y1 - y0),))
     if cfg.mqtt is not None:
-        # a zone's event topic is the longer of its two
         for i, zone in enumerate(cfg.zones):
+            try:
+                check_string("zone_id", zone.zone_id)
+            except ValueError as e:
+                raise ConfigError(f"zones[{i}].zone_id", str(e)) from None
+            # a zone's event topic is the longer of its two
             try:
                 check_string(f"with zones[{i}].zone_id the event topic",
                              event_topic(cfg.mqtt.topic_prefix, zone.zone_id))

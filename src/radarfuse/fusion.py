@@ -16,6 +16,8 @@ import heapq
 import math
 from dataclasses import dataclass
 
+from .recording import check_duration
+
 
 class UnknownSource(KeyError):
     pass
@@ -26,8 +28,7 @@ class MergeConfig:
     reorder_horizon_ms: float = 100.0
 
     def __post_init__(self):
-        if self.reorder_horizon_ms <= 0:
-            raise ValueError("reorder_horizon_ms must be > 0")
+        check_duration("reorder_horizon_ms", self.reorder_horizon_ms, 1e6)
 
 
 class Merger:

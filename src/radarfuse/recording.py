@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -38,6 +39,16 @@ class LogRecord:
     ts_ns: int
     radar_id: str
     payload: bytes         # TLV bytes as received from the radar
+
+
+def check_duration(name: str, value: float, ns_per_unit: float):
+    """Raise ValueError, its message beginning with ``name``, unless the
+    duration ``value`` is at least 1 ns and a finite float count of ns.
+    A NaN or infinite ``value`` passes: ``load_config``'s finiteness
+    walk reports it."""
+    if math.isfinite(value) and not 1 <= value * ns_per_unit < math.inf:
+        raise ValueError(f"{name} must be > 0, from 1 ns to a finite count "
+                         f"of ns: {value:g} is {value * ns_per_unit:g} ns")
 
 
 def _check_fields(ts_ns, radar_id):

@@ -37,7 +37,10 @@ MAX_STRING_BYTES = 0xFFFF
 
 def check_string(what: str, s: str):
     """Raise ValueError, its message beginning with ``what``, when ``s``
-    does not fit in one MQTT string."""
+    does not fit in one MQTT string or holds U+0000, which §1.5.3 bars."""
+    if "\0" in s:
+        raise ValueError(f"{what} holds U+0000, which an MQTT string "
+                         f"may not")
     size = len(s.encode("utf-8"))
     if size > MAX_STRING_BYTES:
         raise ValueError(f"{what} is {size} UTF-8 bytes; an MQTT string "

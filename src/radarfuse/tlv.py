@@ -21,7 +21,9 @@ values already known to fit (the simulator) packs them without
 quantising again.
 Every frame starts with the magic preamble, which lets the scanner
 resynchronize after byte loss on a serial link or a corrupt length
-field.  :class:`FrameScanner` is the one header reader.
+field.  :class:`FrameScanner` is the one header reader.  The encoders
+write only point TLVs; :class:`FrameDecoder` skips any other type, and
+is the one place a payload's alignment is checked.
 """
 
 from __future__ import annotations
@@ -66,15 +68,7 @@ COLUMN_SCALES[_WIRE_COLUMNS] = WIRE_SCALES
 COLUMN_SCALES.flags.writeable = False
 
 
-class TlvError(Exception):
-    pass
-
-
-class MisalignedPayload(TlvError):
-    pass
-
-
-class ValueOutOfRange(TlvError):
+class ValueOutOfRange(ValueError):
     def __init__(self, field_name: str, index: int, value: float):
         super().__init__(f"point {index}: field '{field_name}' value {value} "
                          f"does not fit its raw integer width")
@@ -84,13 +78,10 @@ class ValueOutOfRange(TlvError):
 
 
 def decode_points(payload: bytes) -> np.ndarray:
-    """The ``(n, 5)`` point array of a point TLV's payload: each raw
-    field times its scale, in its column.  The raw integers are cast
-    into their columns, then the array is multiplied in place by
+    """The ``(n, 5)`` point array of a point TLV's whole-point payload
+    (else ``ValueError``): each raw field times its scale, cast into its
+    column, then the array multiplied in place by
     :data:`COLUMN_SCALES`, so each value is ``float64(raw) * scale``."""
-    if len(payload) % POINT_SIZE != 0:
-        raise MisalignedPayload(
-            f"payload length {len(payload)} is not a multiple of {POINT_SIZE}")
     raw = np.frombuffer(payload, POINT_DTYPE)
     out = np.empty((len(raw), 5))
     for name, col in _FIELD_COLUMNS:
@@ -119,12 +110,12 @@ def pack_raw(raw) -> bytes:
     return rec.tobytes()
 
 
-def pack_tlv(records: bytes, type_id: int = COMPRESSED_POINTS_TYPE_ID) -> bytes:
-    """Header plus packed point records: one TLV."""
-    return _HEADER.pack(type_id, len(records)) + records
+def pack_tlv(records: bytes) -> bytes:
+    """Header plus packed point records: one point TLV."""
+    return _HEADER.pack(COMPRESSED_POINTS_TYPE_ID, len(records)) + records
 
 
-def encode_points(points, type_id: int = COMPRESSED_POINTS_TYPE_ID) -> bytes:
+def encode_points(points) -> bytes:
     """Header plus packed point records, inverse of :func:`decode_points`.
 
     ``points`` is an ``(n, 5)`` point array, or empty; any other shape
@@ -143,12 +134,12 @@ def encode_points(points, type_id: int = COMPRESSED_POINTS_TYPE_ID) -> bytes:
         i, j = np.argwhere(bad)[0]
         raise ValueOutOfRange(POINT_DTYPE.names[j], int(i),
                               float(points[i, _WIRE_COLUMNS[j]]))
-    return pack_tlv(pack_raw(raw), type_id)
+    return pack_tlv(pack_raw(raw))
 
 
-def encode_frame(points, type_id: int = COMPRESSED_POINTS_TYPE_ID) -> bytes:
-    """A full on-wire frame: magic preamble, then header+payload."""
-    return MAGIC + encode_points(points, type_id)
+def encode_frame(points) -> bytes:
+    """A full on-wire frame: magic preamble, then one point TLV."""
+    return MAGIC + encode_points(points)
 
 
 @dataclass
@@ -203,9 +194,9 @@ class FrameDecoder:
 
     TLVs of any other type than COMPRESSED_POINTS_TYPE_ID are
     length-hopped and counted, never errors; so are point TLVs whose
-    payload is not a whole number of points.  ``feed`` does not read
-    ``ts_ns``, since a decoded frame carries no time; the argument
-    stays because ``perfbench/tracing.py`` proxies ``feed`` with it.
+    payload is not whole points, the codec's one alignment check.
+    ``feed`` does not read ``ts_ns``, since a decoded frame carries no
+    time; the argument stays because ``perfbench/tracing.py`` proxies it.
     """
 
     unknown_tlv_count: int = 0

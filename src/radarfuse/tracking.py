@@ -30,6 +30,8 @@ from enum import Enum
 
 import numpy as np
 
+from .recording import check_duration
+
 VELOCITY_CLAMP = 10.0  # m/s, sanity bound on |v|
 
 
@@ -47,10 +49,11 @@ class TrackerConfig:
     measurement_noise: float = 0.15   # m std
 
     def __post_init__(self):
-        for name in ("gate_distance", "miss_timeout", "confirm_hits",
-                     "max_targets", "process_noise_accel", "measurement_noise"):
+        for name in ("gate_distance", "confirm_hits", "max_targets",
+                     "process_noise_accel", "measurement_noise"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
+        check_duration("miss_timeout", self.miss_timeout, 1e9)
 
 
 class TrackStatus(str, Enum):

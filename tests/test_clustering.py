@@ -99,7 +99,7 @@ def check_frames_as_one_window(frames, eps, min_pts):
     wc = WindowClusterer(ClusterConfig(eps=eps, min_pts=min_pts))
     kept = kept_counts(wc)
     for frame in frames:
-        assert wc.push(0, frame) == []
+        assert wc.push(0, frame, "a") == []
     pts = np.concatenate(frames)
     out = wc.flush()
     if not len(pts):
@@ -330,7 +330,7 @@ class TestWindowClusterer:
         sec = 1_000_000_000
         results = []
         for t in (0.0, 0.2, 0.4, 0.6):
-            results += wc.push(int(t * sec), positions((t, 0.0, 0.0)))
+            results += wc.push(int(t * sec), positions((t, 0.0, 0.0)), "a")
         results += wc.flush()
         assert len(results) == 2
         # first window holds the three frames in [0, 0.5)
@@ -341,9 +341,9 @@ class TestWindowClusterer:
     def test_empty_window_no_output(self):
         wc = WindowClusterer(self.cfg())
         sec = 1_000_000_000
-        out = wc.push(0, positions((0, 0, 0)))
+        out = wc.push(0, positions((0, 0, 0)), "a")
         # several empty windows skipped
-        out += wc.push(3 * sec, positions((1, 1, 0)))
+        out += wc.push(3 * sec, positions((1, 1, 0)), "a")
         out += wc.flush()
         assert len(out) == 2
 
@@ -354,11 +354,11 @@ class TestWindowClusterer:
         w = int(0.5 * 1_000_000_000)
         out = []
         for ts in (0, w // 4, w // 2):
-            out += wc.push(ts, positions())
+            out += wc.push(ts, positions(), "a")
         for ts, frame in ((w, positions()), (w + 1, positions((2, 2, 0))),
                           (w + 2, positions())):
-            out += wc.push(ts, frame)
-        out += wc.push(2 * w, positions())
+            out += wc.push(ts, frame, "a")
+        out += wc.push(2 * w, positions(), "a")
         out += wc.flush()
         assert [r.ts_ns for r in out] == [2 * w]
         assert out[0].labels.tolist() == [0]
@@ -368,9 +368,9 @@ class TestWindowClusterer:
         # a gap of 10**12 windows closes one window and returns at once
         wc = WindowClusterer(self.cfg())
         w = int(0.5 * 1_000_000_000)
-        assert wc.push(0, positions((0, 0, 0))) == []
+        assert wc.push(0, positions((0, 0, 0)), "a") == []
         far = 10**12 * w + w // 2
-        out = wc.push(far, positions((1, 1, 0)))
+        out = wc.push(far, positions((1, 1, 0)), "a")
         assert [r.ts_ns for r in out] == [w]
         assert [r.ts_ns for r in wc.flush()] == [10**12 * w + w]
 
@@ -384,14 +384,14 @@ class TestWindowClusterer:
         pts[MAX_WINDOW_POINTS:] += 10.0
         out = []
         for i, frame in enumerate(np.array_split(pts, 7)):
-            out += wc.push(i, frame)
+            out += wc.push(i, frame, "a")
         out += wc.flush()
         (res,) = out
         assert len(res.labels) == MAX_WINDOW_POINTS
         assert wc.dropped_points == total - MAX_WINDOW_POINTS
         assert np.all(np.abs(res.centroids) < 1.0)
         # the next window starts empty again
-        out = wc.push(10**9, positions((1, 1, 1))) + wc.flush()
+        out = wc.push(10**9, positions((1, 1, 1)), "a") + wc.flush()
         assert len(out[0].labels) == 1
         assert wc.dropped_points == total - MAX_WINDOW_POINTS
 
@@ -434,8 +434,8 @@ class TestWindowClusterer:
         out = []
         for k, pts in enumerate(windows):
             for frame in random_frames(pts, rng, (0, 300)):
-                out += wc.push(k * w, frame)
-            out += wc.push(k * w + w // 2, np.empty((0, 3)))
+                out += wc.push(k * w, frame, "a")
+            out += wc.push(k * w + w // 2, np.empty((0, 3)), "a")
         out += wc.flush()                     # mid-block
         clustered = [pts[:MAX_WINDOW_POINTS] for pts in windows if len(pts)]
         assert [r.ts_ns for r in out] == \
@@ -454,7 +454,7 @@ class TestWindowClusterer:
         pts = lattice_points(250, 16)
         wc = WindowClusterer(ClusterConfig(eps=0.5, min_pts=4))
         for frame in np.split(pts, 25):
-            assert wc.push(0, frame) == []
+            assert wc.push(0, frame, "a") == []
         built = []
 
         def counted(a, b):
@@ -462,7 +462,7 @@ class TestWindowClusterer:
             return sq_distances(a, b)
 
         monkeypatch.setattr(clustering, "sq_distances", counted)
-        (res,) = wc.push(10**9, positions())
+        (res,) = wc.push(10**9, positions(), "a")
         assert 0 < sum(built) < _BLOCK_ROWS**2
         ref_labels, ref_core = brute_dbscan(pts, 0.5, 4)
         assert res.is_core.tolist() == ref_core
@@ -480,7 +480,7 @@ class TestWindowClusterer:
             return sq_distances(a, b)
 
         monkeypatch.setattr(clustering, "sq_distances", counted)
-        assert wc.push(0, pts) == []
+        assert wc.push(0, pts, "a") == []
         assert rows == [65, 65]
         (res,) = wc.flush()
         assert rows == [65, 65]
@@ -499,7 +499,7 @@ class TestWindowClusterer:
             wc = WindowClusterer(ClusterConfig(eps=0.45, min_pts=4))
             for k in range(4):
                 for frame in frames:
-                    assert len(wc.push(k * w, frame)) <= 1
+                    assert len(wc.push(k * w, frame, "a")) <= 1
                 held.append(tracemalloc.get_traced_memory()[0])
             assert len(wc.flush()) == 1
             _, peak = tracemalloc.get_traced_memory()
@@ -516,7 +516,7 @@ class TestWindowClusterer:
         for algorithm in ClusterAlgorithm:
             wc = WindowClusterer(ClusterConfig(
                 window_seconds=0.5, algorithm=algorithm, eps=0.5, min_pts=4))
-            (res,) = wc.push(0, points) + wc.flush()
+            (res,) = wc.push(0, points, "a") + wc.flush()
             assert len(res.centroids) == 2
             got = sorted(res.centroids[:, 0])
             for g, t in zip(got, [1.0, 4.0]):
@@ -569,7 +569,7 @@ class TestEarlyClustering:
         ordering = optics(pts, cfg.min_pts, max(OPTICS_MAX_EPS, cfg.eps))
         return extract_eps_cut(ordering, cfg.eps, pts, ts_ns)
 
-    def run(self, monkeypatch, cfg, frames, with_source=True):
+    def run(self, monkeypatch, cfg, frames):
         """Push ``frames`` and flush: the results, the clusterings
         (``_dbscan`` or ``optics`` calls) each closing push ran, and the
         clusterings run in all."""
@@ -585,8 +585,7 @@ class TestEarlyClustering:
         results, close_calls = [], []
         for ts, source, pts in frames:
             before = len(calls)
-            out = (wc.push(ts, pts, source) if with_source
-                   else wc.push(ts, pts))
+            out = wc.push(ts, pts, source)
             if out:
                 close_calls.append(len(calls) - before)
             results += out
@@ -636,15 +635,67 @@ class TestEarlyClustering:
         assert total == 5
         self.check_results(cfg, results, frames)
 
-    def test_pushes_without_source_keep_results(self, monkeypatch):
-        cfg = self.cfg()
-        frames = source_frames(4, seed=4)
-        results, close_calls, total = self.run(monkeypatch, cfg, frames,
-                                               with_source=False)
-        assert close_calls == [1, 1, 1]
-        assert total == 4
-        self.check_results(cfg, results, frames)
-        early, _, _ = self.run(monkeypatch, cfg, frames)
-        for got, want in zip(early, results, strict=True):
-            assert got.ts_ns == want.ts_ns
-            assert_same_result(got, want)
+
+@st.composite
+def source_streams(draw):
+    """``(ts_ns, source, positions)`` in timestamp order over 2-6 0.5 s
+    windows: 2-4 sources, each with its own period (50-150 ms) and
+    phase, each frame jittered by up to ±20% of its period and holding
+    0-8 points of a 0.5 m lattice.  Source 0 falls silent for good and
+    source 1 falls silent and resumes, each at a drawn data time."""
+    end = draw(st.integers(2, 6)) * WINDOW_NS
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = np.array([[x, y, z] for x in range(5) for y in range(5)
+                     for z in range(2)], dtype=float) * 0.5
+    off_from = draw(st.integers(0, end))
+    off_at = draw(st.integers(0, end))
+    off = {0: (off_from, end), 1: (off_at, off_at + draw(st.integers(0, end)))}
+    frames = []
+    for source in range(draw(st.integers(2, 4))):
+        period = draw(st.integers(50, 150)) * 1_000_000
+        jitter = period // 5
+        base = draw(st.integers(jitter, period + jitter))
+        lo, hi = off.get(source, (end, end))
+        for k in range((end - base) // period + 1):
+            ts = base + k * period + int(rng.integers(-jitter, jitter + 1))
+            if ts < end and not lo <= ts < hi:
+                frames.append((ts, source, grid[rng.integers(
+                    0, len(grid), rng.integers(0, 9))]))
+    frames.sort(key=lambda f: f[:2])
+    return [(ts, f"s{source}", pts) for ts, source, pts in frames]
+
+
+@settings(max_examples=60, deadline=None)
+@given(source_streams())
+def test_early_clustering_matches_dbscan_per_window(frames):
+    # whether or not a window is clustered early, its result is that of
+    # its points in push order, returned by the push that closes it or
+    # by flush, in window order
+    cfg = ClusterConfig(eps=0.5, min_pts=3)
+    wc = WindowClusterer(cfg)
+    windows = {}
+    for ts, _, pts in frames:
+        windows.setdefault(ts // WINDOW_NS, []).append(pts)
+    points = {k: np.concatenate(w) for k, w in windows.items()}
+
+    def closing(k):
+        """The window ends a push closing window ``k`` returns."""
+        return [] if k is None or not len(points[k]) else \
+            [(k + 1) * WINDOW_NS]
+
+    results, open_window = [], None
+    for ts, source, pts in frames:
+        out = wc.push(ts, pts, source)
+        k = ts // WINDOW_NS
+        assert [r.ts_ns for r in out] == \
+            (closing(open_window) if k != open_window else [])
+        results += out
+        open_window = k
+    out = wc.flush()
+    assert [r.ts_ns for r in out] == closing(open_window)
+    results += out
+    filled = [k for k in sorted(points) if len(points[k])]
+    assert [r.ts_ns for r in results] == [(k + 1) * WINDOW_NS for k in filled]
+    for res, k in zip(results, filled, strict=True):
+        assert_same_result(res, dbscan(points[k], cfg.eps, cfg.min_pts,
+                                       res.ts_ns))

@@ -822,6 +822,57 @@ class TestCli:
         assert "65535" in err
         assert not status.exists() and clients == []
 
+    @pytest.mark.parametrize("mqtt,zone_id,path", [
+        pytest.param({}, "a\0b", "zones[0].zone_id", id="zone_id"),
+        pytest.param({"topic_prefix": "home\0x"}, "room",
+                     "mqtt.topic_prefix", id="topic_prefix"),
+        pytest.param({"client_id": "c\0"}, "room", "mqtt.client_id",
+                     id="client_id"),
+    ])
+    def test_mqtt_string_with_nul_refused(self, tmp_path, mqtt, zone_id,
+                                          path):
+        # MQTT 3.1.1 §1.5.3: a string may not hold U+0000
+        doc = paper_config_doc()
+        doc["mqtt"] = mqtt
+        doc["zones"] = [{"zone_id": zone_id, "len_x": 12.0, "len_y": 6.0}]
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(yaml.safe_dump(doc))
+        with pytest.raises(ConfigError, match="U\\+0000") as exc:
+            load_config(cfg_path)
+        assert exc.value.path == path
+
+    @pytest.mark.parametrize("section,field,value", [
+        pytest.param("clustering", "window_seconds", 1e-10,
+                     id="window_seconds-0.1ns"),
+        pytest.param("clustering", "window_seconds", 4e-10,
+                     id="window_seconds-0.4ns"),
+        pytest.param("clustering", "window_seconds", 1e300,
+                     id="window_seconds-overflow"),
+        pytest.param("merge", "reorder_horizon_ms", 1e303,
+                     id="reorder_horizon_ms-overflow"),
+        pytest.param("grid", "status_period", 1e300,
+                     id="status_period-overflow"),
+        pytest.param("tracker", "miss_timeout", 1e300,
+                     id="miss_timeout-overflow"),
+    ])
+    def test_duration_outside_ns_range_exit_2(self, tmp_path, sim_log,
+                                              small_cfg_path, capsys,
+                                              section, field, value):
+        # below 1 ns, or past a float count of ns: refused at load,
+        # before the existing status log is opened
+        log, _ = sim_log
+        doc = yaml.safe_load(small_cfg_path.read_text())
+        doc.setdefault(section, {})[field] = value
+        small_cfg_path.write_text(yaml.safe_dump(doc))
+        status = tmp_path / "status.jsonl"
+        status.write_bytes(b'{"kept": true}\n')
+        assert cli.cli(["replay", "--config", str(small_cfg_path),
+                        "--log", str(log), "--fast",
+                        "--status-log", str(status)]) == 2
+        assert f"config error: {section}.{field}: {field} must be > 0" \
+            in capsys.readouterr().err
+        assert status.read_bytes() == b'{"kept": true}\n'
+
     def test_mqtt_environment_ignored(self, monkeypatch, sim_log,
                                       small_cfg_path):
         log, _ = sim_log
