@@ -315,8 +315,8 @@ class WindowClusterer:
         self._adjacency = (_EpsAdjacency(cfg.eps, MAX_WINDOW_POINTS)
                            if cfg.algorithm is ClusterAlgorithm.DBSCAN
                            else None)
-        self._last: dict[str, int] = {}       # source -> last frame's ts
-        self._due: dict[str, int] = {}        # source -> next frame's ts
+        # source -> (its last frame's ts, the ts its next frame is due)
+        self._sources: dict[str, tuple[int, int]] = {}
         self._tried = False                   # open window tried early
         self._early: ClusterResult | None = None
         self.dropped_points = 0
@@ -342,13 +342,14 @@ class WindowClusterer:
             self._early = None
             if self._adjacency is not None:
                 self._adjacency.extend(self._positions[:end])
-        last = self._last.get(source, ts_ns)
-        self._last[source] = ts_ns
-        due = self._due[source] = 2 * ts_ns - last
+        prev = self._sources.get(source)
+        due = 2 * ts_ns - (ts_ns if prev is None else prev[0])
+        self._sources[source] = ts_ns, due
         # the window stays open while this source is due inside it
         end = self._start + self._window_ns
         if due >= end and not self._tried and self._points:
-            if all(not self._start <= d < end for d in self._due.values()):
+            if all(not self._start <= d < end
+                   for _, d in self._sources.values()):
                 self._tried = True
                 self._early = self._cluster()
         return out

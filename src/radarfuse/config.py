@@ -151,11 +151,17 @@ def _check_unique(path: str, key: str, items):
         raise ConfigError(path, f"duplicate {key} in {ids}")
 
 
-def load_config(path_or_doc) -> PipelineConfig:
-    cfg = _load(PipelineConfig, _read_doc(path_or_doc), "")
-    for path in simulation._non_finite(cfg):
+def _check_finite(loaded):
+    """Raise ConfigError naming the YAML key of the first NaN or
+    infinite number in ``loaded``, a dataclass read by :func:`_load`."""
+    for path in simulation._non_finite(loaded):
         head, _, name = path.rpartition(".")
         raise ConfigError(_join(head, _key(name)), "must be finite")
+
+
+def load_config(path_or_doc) -> PipelineConfig:
+    cfg = _load(PipelineConfig, _read_doc(path_or_doc), "")
+    _check_finite(cfg)
     if not cfg.radars:
         raise ConfigError("radars", "at least one radar required")
     _check_unique("radars", "radar_id", cfg.radars)
@@ -184,7 +190,9 @@ def load_config(path_or_doc) -> PipelineConfig:
 def load_scenario(path_or_doc) -> simulation.Scenario:
     """Scenario YAML for ``simulate``: the fields of
     :class:`simulation.Scenario` (FoVs in degrees)."""
-    return _load(simulation.Scenario, _read_doc(path_or_doc), "")
+    sc = _load(simulation.Scenario, _read_doc(path_or_doc), "")
+    _check_finite(sc)
+    return sc
 
 
 def paper_config_doc(algorithm: str = "dbscan") -> dict:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 FORMAT_NAME = "radarfuse-log"
 FORMAT_VERSION = 1
-FLUSH_INTERVAL = 1.0  # s
 RECORD_KIND = "raw_tlv"
 
 
@@ -60,7 +59,7 @@ def _check_fields(ts_ns, radar_id):
 
 
 class Recorder:
-    def __init__(self, path, radar_ids, clock=time.monotonic):
+    def __init__(self, path, radar_ids):
         radar_ids = list(radar_ids)
         for radar_id in radar_ids:
             if type(radar_id) is not str:
@@ -68,8 +67,6 @@ class Recorder:
         self._radars = frozenset(radar_ids)
         self.path = path
         self._fh = open(path, "w", encoding="utf-8")
-        self._clock = clock
-        self._last_flush = clock()
         self._last_ts: dict[str, int] = {}
         header = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
                   "radars": sorted(radar_ids)}
@@ -91,10 +88,6 @@ class Recorder:
                "kind": RECORD_KIND,
                "payload": base64.b64encode(record.payload).decode("ascii")}
         self._fh.write(json.dumps(doc, separators=(",", ":")) + "\n")
-        now = self._clock()
-        if now - self._last_flush >= FLUSH_INTERVAL:
-            self._fh.flush()
-            self._last_flush = now
 
     def close(self):
         self._fh.flush()
@@ -215,7 +208,7 @@ def _records(docs, path, speed, as_fast_as_possible, sleep):
                 raise ValueError(f"record kind {doc['kind']!r}, "
                                  f"expected {RECORD_KIND!r}")
             # non-strict: stray characters are discarded, and the TLV
-            # scanner resyncs past any bytes they leave out
+            # decoder resyncs past any bytes they leave out
             payload = base64.b64decode(doc["payload"])
         except (KeyError, TypeError, ValueError) as e:
             raise FormatError(line_no, str(e), path) from None

@@ -45,6 +45,9 @@ from .geometry import Pose
 from .recording import LogRecord, Recorder, check_outputs
 
 DOPPLER_SUPPRESSION_THRESHOLD = 0.05  # m/s
+# Hz: a tick period of at least 1 ns, the least duration the pipeline
+# config takes (recording.check_duration)
+MAX_FRAME_RATE = 1e9
 GHOST_FLOOR = 0.2  # m, the lowest world z a ghost is drawn at
 
 
@@ -129,9 +132,12 @@ def validate_scenario(sc: Scenario):
             raise InvalidScenario(f"radars[{i}].radar_id",
                                   f"duplicate radar_id {r.radar_id!r}")
         seen.add(r.radar_id)
-        for name in ("frame_rate", "max_range"):
-            if not getattr(r, name) > 0:
-                raise InvalidScenario(f"radars[{i}].{name}", "must be > 0")
+        if not 0 < r.frame_rate <= MAX_FRAME_RATE:
+            raise InvalidScenario(f"radars[{i}].frame_rate",
+                                  f"must be > 0 and <= {MAX_FRAME_RATE:g}, "
+                                  f"a tick period of at least 1 ns")
+        if not r.max_range > 0:
+            raise InvalidScenario(f"radars[{i}].max_range", "must be > 0")
     for name in ("pos_sigma", "points_per_target", "ghost_rate"):
         if not getattr(sc.noise, name) >= 0:
             raise InvalidScenario(f"noise.{name}", "must be >= 0")
@@ -384,9 +390,7 @@ def simulate(sc: Scenario, log_path, truth_path=None, inputs=()):
     either file is opened."""
     validate_scenario(sc)
     check_outputs(log_path, truth_path, inputs=inputs)
-    rec = Recorder(log_path, radar_ids=sorted(r.radar_id for r in sc.radars),
-                   clock=lambda: 0.0)
-    try:
+    with Recorder(log_path, sorted(r.radar_id for r in sc.radars)) as rec:
         for ticks, _, raw, keep, _ in _chunks(sc):
             # the kept rows of a chunk, packed once; a tick's records are
             # the slice between the kept rows before it and through it
@@ -397,8 +401,6 @@ def simulate(sc: Scenario, log_path, truth_path=None, inputs=()):
                 blob = tlv.MAGIC + tlv.pack_tlv(records[ends[a]:ends[b]])
                 rec.write(LogRecord(ts_ns=ts_ns, radar_id=radar_id,
                                     payload=blob))
-    finally:
-        rec.close()
     if truth_path is not None:
         with open(truth_path, "w", encoding="utf-8") as fh:
             for row in ground_truth_series(sc):

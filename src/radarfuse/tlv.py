@@ -13,17 +13,17 @@ the scales that give its raw integers their physical units,
 units a frame is one ``(n, 5)`` float64 *point array*, a row per
 detection in the radar's own spherical frame with columns range (m),
 azimuth (rad), elevation (rad), doppler (m/s) and snr (dB): the
-simulator draws it,
-:func:`encode_points` packs it and :func:`decode_points` returns it.
-Encoding is two steps, :func:`quantize` and a range check to raw
-values, then :func:`pack_raw` to records, so a caller holding raw
-values already known to fit (the simulator) packs them without
-quantising again.
-Every frame starts with the magic preamble, which lets the scanner
-resynchronize after byte loss on a serial link or a corrupt length
-field.  :class:`FrameScanner` is the one header reader.  The encoders
-write only point TLVs; :class:`FrameDecoder` skips any other type, and
-is the one place a payload's alignment is checked.
+simulator draws it, :func:`encode_frame` writes it and
+:class:`FrameDecoder` reads it back.  :func:`encode_frame` is the one
+checked writer: :func:`quantize` to raw values, a range check, then
+:func:`pack_raw` to records and :func:`pack_tlv` to a point TLV.  A
+caller holding raw values already known to fit (the simulator) takes
+the last two steps alone, without quantising again.  Every frame starts
+with the magic preamble, which lets the decoder resynchronize after
+byte loss on a serial link or a corrupt length field.
+:class:`FrameDecoder` is the one reader: it reads each header in place,
+skips and counts any TLV type but points, and is the one place a
+payload's alignment is checked.
 """
 
 from __future__ import annotations
@@ -115,8 +115,9 @@ def pack_tlv(records: bytes) -> bytes:
     return _HEADER.pack(COMPRESSED_POINTS_TYPE_ID, len(records)) + records
 
 
-def encode_points(points) -> bytes:
-    """Header plus packed point records, inverse of :func:`decode_points`.
+def encode_frame(points) -> bytes:
+    """A full on-wire frame, inverse of :class:`FrameDecoder`: the magic
+    preamble, then one point TLV of the packed points.
 
     ``points`` is an ``(n, 5)`` point array, or empty; any other shape
     raises ``ValueError``.  A value whose raw integer does not fit its
@@ -134,30 +135,32 @@ def encode_points(points) -> bytes:
         i, j = np.argwhere(bad)[0]
         raise ValueOutOfRange(POINT_DTYPE.names[j], int(i),
                               float(points[i, _WIRE_COLUMNS[j]]))
-    return pack_tlv(pack_raw(raw))
-
-
-def encode_frame(points) -> bytes:
-    """A full on-wire frame: magic preamble, then one point TLV."""
-    return MAGIC + encode_points(points)
+    return MAGIC + pack_tlv(pack_raw(raw))
 
 
 @dataclass
-class FrameScanner:
-    """Resynchronizing splitter over an arbitrary byte stream.
+class FrameDecoder:
+    """The one reader of a radar's byte stream: chunks in, in arrival
+    order; an ``(n, 5)`` point array out per complete point TLV, in order.
 
-    Feed chunks in arrival order; the ``(type_id, payload)`` of each
-    complete TLV comes out in order.  Garbage between frames is skipped
-    up to the next preamble and counted in ``dropped_bytes``, and so is
-    the preamble of a header whose length exceeds MAX_PAYLOAD_BYTES;
-    nothing is ever raised for corruption.  The header is read in place
-    from the buffer; only the payload is copied out.
+    Garbage between frames is skipped up to the next preamble and
+    counted in ``dropped_bytes``, and so is the preamble of a header
+    whose length exceeds MAX_PAYLOAD_BYTES.  A TLV of another type than
+    COMPRESSED_POINTS_TYPE_ID (``unknown_tlv_count``) or a point TLV
+    that is not whole points (``misaligned_tlv_count``, the codec's one
+    alignment check) is counted and hopped by its length.  Nothing is
+    raised for corruption.  Headers are read in place in the buffer;
+    only a point TLV's payload is copied out, to be decoded.  ``feed``
+    does not read ``ts_ns``, since a decoded frame carries no time; the
+    argument stays because ``perfbench/tracing.py`` proxies it.
     """
 
     dropped_bytes: int = 0
+    unknown_tlv_count: int = 0
+    misaligned_tlv_count: int = 0
     _buf: bytearray = field(default_factory=bytearray)
 
-    def feed(self, data: bytes):
+    def feed(self, data: bytes, ts_ns: int):
         buf = self._buf
         buf += data
         while True:
@@ -179,37 +182,17 @@ class FrameScanner:
             end = _PREFIX_SIZE + length
             if len(buf) < end:
                 return
-            payload = bytes(buf[_PREFIX_SIZE:end])
+            points = None
+            if type_id != COMPRESSED_POINTS_TYPE_ID:
+                self.unknown_tlv_count += 1
+            elif length % POINT_SIZE:
+                self.misaligned_tlv_count += 1
+            else:
+                points = decode_points(buf[_PREFIX_SIZE:end])
             del buf[:end]
-            yield type_id, payload
+            if points is not None:
+                yield points
 
     def _drop(self, n: int):
         self.dropped_bytes += n
         del self._buf[:n]
-
-
-@dataclass
-class FrameDecoder:
-    """Scanner plus point decoding: bytes in, ``(n, 5)`` point arrays out.
-
-    TLVs of any other type than COMPRESSED_POINTS_TYPE_ID are
-    length-hopped and counted, never errors; so are point TLVs whose
-    payload is not whole points, the codec's one alignment check.
-    ``feed`` does not read ``ts_ns``, since a decoded frame carries no
-    time; the argument stays because ``perfbench/tracing.py`` proxies it.
-    """
-
-    unknown_tlv_count: int = 0
-    misaligned_tlv_count: int = 0
-
-    def __post_init__(self):
-        self.scanner = FrameScanner()
-
-    def feed(self, data: bytes, ts_ns: int):
-        for type_id, payload in self.scanner.feed(data):
-            if type_id != COMPRESSED_POINTS_TYPE_ID:
-                self.unknown_tlv_count += 1
-            elif len(payload) % POINT_SIZE:
-                self.misaligned_tlv_count += 1
-            else:
-                yield decode_points(payload)

@@ -145,11 +145,11 @@ def test_criterion_04_codec_round_trip_and_resync():
         rows = [[rng.uniform(0, 16), rng.uniform(-1.27, 1.27),
                  rng.uniform(-1.27, 1.27), rng.uniform(-5, 5),
                  rng.uniform(0, 40)] for _ in range(n)]
-        blob = tlv.encode_points(rows)
-        ((type_id, payload),) = tlv.FrameScanner().feed(tlv.MAGIC + blob)
-        assert type_id == tlv.COMPRESSED_POINTS_TYPE_ID
-        assert len(payload) == n * tlv.POINT_SIZE
-        back = tlv.decode_points(blob[tlv.HEADER_SIZE:])
+        decoder = tlv.FrameDecoder()
+        (back,) = decoder.feed(tlv.encode_frame(rows), 0)
+        # a point TLV (type 1044) of whole points
+        assert decoder.unknown_tlv_count == 0
+        assert decoder.misaligned_tlv_count == 0
         assert back.shape == (n, 5)
         err = np.abs(np.array(rows).reshape(-1, 5) - back)
         assert (err[:, 0] <= range_q).all()
@@ -163,9 +163,11 @@ def test_criterion_04_codec_round_trip_and_resync():
               for i in range(3)]
     garbage = bytes([0x13, 0x37, 0xAA, 0xBB, 0x02, 0x01])
     stream = garbage + frames[0] + garbage + frames[1] + frames[2] + garbage
-    scanner = tlv.FrameScanner()
-    records = list(scanner.feed(stream))
-    assert len(records) == 3
+    decoder = tlv.FrameDecoder()
+    assert len(list(decoder.feed(stream, 0))) == 3
+    # the trailing garbage, shorter than a preamble, stays buffered: its
+    # last two bytes could begin one
+    assert decoder.dropped_bytes == 2 * len(garbage)
 
 
 def test_criterion_05_geometry_inverse_round_trip():

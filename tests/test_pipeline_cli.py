@@ -210,6 +210,30 @@ class TestConfig:
         assert (grid.on_threshold, grid.off_threshold) == (1, 1)
         assert grid == load_config(paper_config_doc()).grid
 
+    @pytest.mark.parametrize("load,edit,path", [
+        pytest.param(load_scenario,
+                     lambda d: d["radars"][0].update(azimuth_fov_deg=math.nan),
+                     "radars[0].azimuth_fov_deg", id="scenario-fov"),
+        pytest.param(load_scenario,
+                     lambda d: d["radars"][0].update(
+                         pose={"yaw_deg": math.inf}),
+                     "radars[0].pose.yaw_deg", id="scenario-yaw"),
+        pytest.param(load_config,
+                     lambda d: d["radars"][0]["pose"].update(
+                         yaw_deg=math.inf),
+                     "radars[0].pose.yaw_deg", id="config-yaw"),
+    ])
+    def test_non_finite_angle_named_by_its_key(self, load, edit, path):
+        # an angle is held in radians but written in degrees: the error
+        # names the key the file has, from either loader
+        doc = (paper_config_doc() if load is load_config else
+               {"radars": [{"radar_id": "r0"}]})
+        load(doc)
+        edit(doc)
+        with pytest.raises(ConfigError) as ei:
+            load(doc)
+        assert str(ei.value) == f"{path}: must be finite"
+
     def test_degrees_converted_once(self):
         doc = paper_config_doc()
         doc["radars"][2]["pose"]["pitch_deg"] = -90.0
@@ -395,6 +419,21 @@ class TestCli:
                       str(out), "--truth", str(tmp_path / "t.jsonl")])
         assert rc == 2
         assert "error: duration: must be finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "t.jsonl").exists()
+
+    def test_frame_rate_past_one_tick_per_ns_exit_2(self, tmp_path, capsys):
+        # 2e9 Hz ticks fall half a ns apart: rejected before the log is
+        # opened, so no file is left behind
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text("radars: [{radar_id: r0, frame_rate: 2.0e+9}]\n"
+                            "duration: 1.0e-6\n")
+        out = tmp_path / "sim.log"
+        rc = cli.cli(["simulate", "--scenario", str(scenario), "--out",
+                      str(out), "--truth", str(tmp_path / "t.jsonl")])
+        assert rc == 2
+        assert "error: radars[0].frame_rate: must be > 0 and <= 1e+09" in \
+            capsys.readouterr().err
         assert not out.exists()
         assert not (tmp_path / "t.jsonl").exists()
 

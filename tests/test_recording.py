@@ -9,7 +9,7 @@ from radarfuse.recording import (FORMAT_NAME, FORMAT_VERSION, FormatError,
 
 
 def write_log(path, records, radars=("r0",)):
-    with Recorder(path, radars, clock=lambda: 0.0) as rec:
+    with Recorder(path, radars) as rec:
         for r in records:
             rec.write(r)
 
@@ -73,7 +73,7 @@ def test_bad_speed(tmp_path):
 
 def test_per_radar_monotonicity_enforced(tmp_path):
     p = tmp_path / "a.jsonl"
-    with Recorder(p, ["r0", "r1"], clock=lambda: 0.0) as rec:
+    with Recorder(p, ["r0", "r1"]) as rec:
         rec.write(LogRecord(5, "r0", b""))
         rec.write(LogRecord(1, "r1", b""))  # other radar: fine
         with pytest.raises(ValueError):
@@ -90,7 +90,7 @@ def test_per_radar_monotonicity_enforced(tmp_path):
 ])
 def test_recorder_refuses_unreadable_record(tmp_path, record, field):
     p = tmp_path / "a.jsonl"
-    with Recorder(p, ["r0"], clock=lambda: 0.0) as rec:
+    with Recorder(p, ["r0"]) as rec:
         with pytest.raises(ValueError, match=field):
             rec.write(record)
     assert len(p.read_text().splitlines()) == 1  # the header alone

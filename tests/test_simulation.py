@@ -165,6 +165,22 @@ class TestValidation:
             with pytest.raises(InvalidScenario, match=path):
                 list(labelled_frames(sc))
 
+    def test_frame_rate_at_most_one_tick_per_ns(self):
+        # a tick period under 1 ns stamps many ticks with one ns, and at
+        # 1e300 Hz a one-second scenario renders without end
+        ok = Scenario(radars=(overhead_radar(frame_rate=1e9),), duration=1.0)
+        simulation.validate_scenario(ok)
+        for rate in (2e9, 1e300):
+            sc = Scenario(radars=(overhead_radar(),
+                                  overhead_radar(radar_id="r1",
+                                                 frame_rate=rate)),
+                          duration=1.0)
+            with pytest.raises(InvalidScenario,
+                               match=r"^radars\[1\]\.frame_rate: must be > 0 "
+                                     r"and <= 1e\+09, a tick period of at "
+                                     r"least 1 ns$"):
+                simulation.validate_scenario(sc)
+
     @pytest.mark.parametrize("kw,path", [
         pytest.param({"radars": (overhead_radar(),
                                  overhead_radar(radar_id="r1"),
@@ -324,7 +340,7 @@ class TestFrameGeneration:
         rows = [[1.0, -1.28, 0.0, 0.0, 10.0], [1.0, 1.27, 0.0, 0.0, 10.0]]
         raw = tlv.quantize(rows)
         assert raw[:, 1].tolist() == [-128.0, 127.0]
-        tlv.encode_points(rows)
+        tlv.encode_frame(rows)
         assert _encodable(raw).tolist() == [False, True]
 
     def test_radial_speeds_match_scalar_form(self):

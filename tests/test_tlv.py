@@ -16,24 +16,42 @@ def make_point(range_m=1.0, azimuth=0.0, elevation=0.0, doppler=0.0,
     return [range_m, azimuth, elevation, doppler, snr]
 
 
+# the bytes of a frame before its payload: preamble and TLV header
+PREFIX = len(tlv.MAGIC) + tlv.HEADER_SIZE
+
+
+def decode(data):
+    """The frames one decoder makes of ``data``, and the decoder."""
+    dec = tlv.FrameDecoder()
+    return [f.tolist() for f in dec.feed(data, 0)], dec
+
+
 class TestParseHeader:
-    """The scanner is the one header reader."""
+    """The decoder reads each header in place."""
 
     def test_little_endian_read(self):
+        # type 1044, 32 bytes: four points
         header = bytes([0x14, 0x04, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00])
         payload = bytes(range(32))
-        assert list(tlv.FrameScanner().feed(tlv.MAGIC + header + payload)) \
-            == [(1044, payload)]
+        frames, dec = decode(tlv.MAGIC + header + payload)
+        assert frames == [tlv.decode_points(payload).tolist()]
+        assert len(frames[0]) == 4
+        assert (dec.unknown_tlv_count, dec.misaligned_tlv_count) == (0, 0)
 
     def test_zero_case(self):
-        assert list(tlv.FrameScanner().feed(tlv.MAGIC + bytes(8))) == \
-            [(0, b"")]
+        # type 0, length 0: a whole TLV of another type
+        frames, dec = decode(tlv.MAGIC + bytes(8))
+        assert frames == []
+        assert dec.unknown_tlv_count == 1
+        assert dec.dropped_bytes == 0
 
     def test_short_buffer(self):
-        scanner = tlv.FrameScanner()
-        assert list(scanner.feed(tlv.MAGIC + bytes(7))) == []
-        assert list(scanner.feed(bytes(1))) == [(0, b"")]
-        assert scanner.dropped_bytes == 0
+        dec = tlv.FrameDecoder()
+        assert list(dec.feed(tlv.MAGIC + bytes(7), 0)) == []
+        assert dec.unknown_tlv_count == 0
+        assert list(dec.feed(bytes(1), 0)) == []
+        assert dec.unknown_tlv_count == 1
+        assert dec.dropped_bytes == 0
 
 
 class TestDecodePoints:
@@ -65,31 +83,34 @@ class TestDecodePoints:
 
 
 class TestEncodePoints:
+    """``encode_frame``, the one checked encoder."""
+
     def test_empty(self):
-        buf = tlv.encode_points([])
-        assert len(buf) == 8
-        assert list(tlv.FrameScanner().feed(tlv.MAGIC + buf)) == \
-            [(tlv.COMPRESSED_POINTS_TYPE_ID, b"")]
+        buf = tlv.encode_frame([])
+        assert len(buf) == PREFIX
+        dec = tlv.FrameDecoder()
+        assert [f.shape for f in dec.feed(buf, 0)] == [(0, 5)]
+        assert (dec.unknown_tlv_count, dec.misaligned_tlv_count) == (0, 0)
 
     def test_one_zero_point(self):
-        buf = tlv.encode_points([make_point(range_m=0, snr=0)])
-        assert len(buf) == 16
-        assert buf[8:] == bytes(8)
+        buf = tlv.encode_frame([make_point(range_m=0, snr=0)])
+        assert len(buf) == PREFIX + 8
+        assert buf[PREFIX:] == bytes(8)
 
     def test_out_of_range(self):
         # 17 m is past the 65535 * 0.25 mm = 16.38 m the range field spans
         with pytest.raises(tlv.ValueOutOfRange) as exc:
-            tlv.encode_points([make_point(range_m=17.0)])
+            tlv.encode_frame([make_point(range_m=17.0)])
         assert exc.value.field_name == "range"
         assert exc.value.index == 0
 
     def test_wire_layout(self):
         # wire order is elevation, azimuth, doppler, range, snr; the
         # negative azimuth and doppler exercise the signed fields
-        buf = tlv.encode_points([make_point(range_m=2.5, azimuth=-0.5,
-                                            elevation=0.25, doppler=-1.4,
-                                            snr=20.0)])
-        assert buf[8:] == struct.pack("<bbhHH", 25, -50, -5000, 10000, 200)
+        buf = tlv.encode_frame([make_point(range_m=2.5, azimuth=-0.5,
+                                           elevation=0.25, doppler=-1.4,
+                                           snr=20.0)])
+        assert buf[PREFIX:] == struct.pack("<bbhHH", 25, -50, -5000, 10000, 200)
 
     def test_first_bad_point_then_first_bad_field_in_wire_order(self):
         # point 1 overflows range (column 0) and doppler (column 3), and
@@ -98,7 +119,7 @@ class TestEncodePoints:
         pts = [make_point(), make_point(range_m=99.0, doppler=99.0),
                make_point(elevation=2.0)]
         with pytest.raises(tlv.ValueOutOfRange) as exc:
-            tlv.encode_points(pts)
+            tlv.encode_frame(pts)
         assert (exc.value.field_name, exc.value.index) == ("doppler", 1)
         assert exc.value.value == 99.0
 
@@ -110,7 +131,7 @@ class TestEncodePoints:
         bad = make_point()
         bad[column] = value
         with pytest.raises(tlv.ValueOutOfRange) as exc:
-            tlv.encode_points([make_point(), bad])
+            tlv.encode_frame([make_point(), bad])
         assert (exc.value.field_name, exc.value.index) == (field, 1)
 
     @pytest.mark.parametrize("shape", [(5, 4), (4, 5, 1), (20,), (5,)])
@@ -118,19 +139,19 @@ class TestEncodePoints:
         # a (5, 4) array has 20 values, a multiple of 5, yet is no point
         # array: it must not be packed as 4 points with columns scrambled
         with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
-            tlv.encode_points(np.ones(shape))
+            tlv.encode_frame(np.ones(shape))
 
     @pytest.mark.parametrize("shape", [(0,), (0, 5), (0, 3)])
     def test_any_empty_array_packs_no_points(self, shape):
-        assert tlv.encode_points(np.ones(shape)) == tlv.encode_points([])
+        assert tlv.encode_frame(np.ones(shape)) == tlv.encode_frame([])
 
     def test_length_matches_count(self):
         pts = [make_point(range_m=i * 0.1) for i in range(5)]
-        buf = tlv.encode_points(pts)
-        ((type_id, payload),) = tlv.FrameScanner().feed(tlv.MAGIC + buf)
-        assert type_id == tlv.COMPRESSED_POINTS_TYPE_ID
-        assert len(payload) == 5 * tlv.POINT_SIZE
-        assert len(tlv.decode_points(buf[8:])) == 5
+        buf = tlv.encode_frame(pts)
+        assert len(buf) == PREFIX + 5 * tlv.POINT_SIZE
+        dec = tlv.FrameDecoder()
+        assert [f.shape for f in dec.feed(buf, 0)] == [(5, 5)]
+        assert (dec.unknown_tlv_count, dec.misaligned_tlv_count) == (0, 0)
 
 
 point_strategy = st.builds(
@@ -150,8 +171,8 @@ QUANTA = tlv.COLUMN_SCALES.tolist()
 @settings(max_examples=200)
 @given(st.lists(point_strategy, max_size=20))
 def test_round_trip_within_one_quantum(points):
-    buf = tlv.encode_points(points)
-    back = tlv.decode_points(buf[8:])
+    buf = tlv.encode_frame(points)
+    back = tlv.decode_points(buf[PREFIX:])
     assert back.shape == (len(points), 5)
     for point, dec in zip(points, back.tolist()):
         for value, decoded, quantum in zip(point, dec, QUANTA):
@@ -177,7 +198,7 @@ def test_wire_round_trip_is_exact(raw):
     # every raw record decodes to floats that encode back to its bytes
     points = tlv.decode_points(raw)
     assert points.shape == (len(raw) // tlv.POINT_SIZE, 5)
-    assert tlv.encode_points(points)[tlv.HEADER_SIZE:] == raw
+    assert tlv.encode_frame(points)[PREFIX:] == raw
 
 
 @settings(max_examples=300)
@@ -206,62 +227,64 @@ def test_packed_rows_are_record_slices(raw, a, b):
 
 
 class TestFrameScanner:
+    """The decoder splits a byte stream into frames, however it is cut."""
+
     def frame(self, n_points):
         pts = [make_point(range_m=0.5 + 0.1 * i) for i in range(n_points)]
         return tlv.encode_frame(pts)
 
     def test_back_to_back(self):
-        scanner = tlv.FrameScanner()
-        recs = list(scanner.feed(self.frame(2) + self.frame(3)))
-        assert [len(p) for _, p in recs] == [16, 24]
-        assert scanner.dropped_bytes == 0
+        dec = tlv.FrameDecoder()
+        frames = list(dec.feed(self.frame(2) + self.frame(3), 0))
+        assert [f.shape for f in frames] == [(2, 5), (3, 5)]
+        assert dec.dropped_bytes == 0
 
     def test_truncated_final_record(self):
-        scanner = tlv.FrameScanner()
+        dec = tlv.FrameDecoder()
         data = self.frame(2) + self.frame(3)[:-5]
-        recs = list(scanner.feed(data))
-        assert len(recs) == 1
+        frames = list(dec.feed(data, 0))
+        assert len(frames) == 1
         # remainder is buffered, not dropped
-        assert scanner.dropped_bytes == 0
-        recs += list(scanner.feed(self.frame(3)[-5:]))
-        assert len(recs) == 2
+        assert dec.dropped_bytes == 0
+        frames += list(dec.feed(self.frame(3)[-5:], 0))
+        assert [len(f) for f in frames] == [2, 3]
 
     def test_garbage_between_records(self):
         garbage = bytes([0xDE, 0xAD, 0xBE, 0xEF, 0x99])
         stream = self.frame(1) + garbage + self.frame(2) + self.frame(1)
-        scanner = tlv.FrameScanner()
-        recs = list(scanner.feed(stream))
-        assert len(recs) == 3
-        assert scanner.dropped_bytes == 5
+        dec = tlv.FrameDecoder()
+        frames = list(dec.feed(stream, 0))
+        assert [len(f) for f in frames] == [1, 2, 1]
+        assert dec.dropped_bytes == 5
 
     def test_byte_at_a_time_feeding(self):
         stream = self.frame(2) + self.frame(1)
-        scanner = tlv.FrameScanner()
-        recs = []
+        dec = tlv.FrameDecoder()
+        frames = []
         for i in range(len(stream)):
-            recs.extend(scanner.feed(stream[i:i + 1]))
-        assert [len(p) for _, p in recs] == [16, 8]
+            frames.extend(dec.feed(stream[i:i + 1], 0))
+        assert [len(f) for f in frames] == [2, 1]
 
     def test_implausible_length_resyncs(self):
         # a preamble and a header claiming ~4 GiB of payload, then 2000
         # valid frames: 80 000 bytes, more than MAX_PAYLOAD_BYTES
         bad = tlv.MAGIC + struct.pack("<II", tlv.COMPRESSED_POINTS_TYPE_ID,
                                       0xFFFFFFF0)
-        scanner = tlv.FrameScanner()
-        recs = list(scanner.feed(bad))
+        dec = tlv.FrameDecoder()
+        frames = list(dec.feed(bad, 0))
         for _ in range(2000):
-            recs.extend(scanner.feed(self.frame(3)))
-            assert len(scanner._buf) <= tlv.MAX_PAYLOAD_BYTES
-        assert [len(p) for _, p in recs] == [24] * 2000
-        assert scanner.dropped_bytes == len(bad)
+            frames.extend(dec.feed(self.frame(3), 0))
+            assert len(dec._buf) <= tlv.MAX_PAYLOAD_BYTES
+        assert [len(f) for f in frames] == [3] * 2000
+        assert dec.dropped_bytes == len(bad)
 
 
 class TestFrameDecoder:
     def test_unknown_type_skipped_and_counted(self):
         dec = tlv.FrameDecoder()
         known = tlv.encode_frame([make_point()])
-        unknown = _framed(9999, 8, tlv.encode_points(
-            [make_point(range_m=2.0)])[tlv.HEADER_SIZE:])
+        unknown = _framed(9999, 8, tlv.encode_frame(
+            [make_point(range_m=2.0)])[PREFIX:])
         frames = list(dec.feed(unknown + known, ts_ns=5))
         assert len(frames) == 1
         assert dec.unknown_tlv_count == 1
@@ -307,7 +330,7 @@ piece_strategy = st.one_of(
 def _decode_chunks(chunks):
     dec = tlv.FrameDecoder()
     frames = [f.tobytes() for chunk in chunks for f in dec.feed(chunk, 0)]
-    return (frames, dec.scanner.dropped_bytes, dec.unknown_tlv_count,
+    return (frames, dec.dropped_bytes, dec.unknown_tlv_count,
             dec.misaligned_tlv_count)
 
 
